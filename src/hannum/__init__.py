@@ -45,7 +45,6 @@ from .core import (
     OneBeforeInnerMultiplicand,
     RenderOptions,
     Script,
-    SurfaceForm,
     TwoStyle,
     YouPolicy,
     digit,
@@ -126,7 +125,6 @@ __all__ = [
     "ScriptHint",
     "SelfTestReport",
     "StyleNotAllowed",
-    "SurfaceForm",
     "TwoStyle",
     "UnitWord",
     "ValueOutOfRange",

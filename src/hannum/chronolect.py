@@ -15,7 +15,6 @@ from .core import (
     EARLY_ERAS,
     Era,
     Morpheme,
-    MorphemeKind,
     token_notation,
 )
 from .parse import (
@@ -23,6 +22,7 @@ from .parse import (
     NumeralParseError,
     ParseErrorKind,
     ScriptHint,
+    _features,
     parse,
     tokenize,
 )
@@ -131,46 +131,6 @@ def _coerce_tokens(source: object) -> tuple[Morpheme, ...]:
     return toks
 
 
-def _presence_features(toks: tuple[Morpheme, ...]) -> Features:
-    """Raw surface flags for sequences no grammar accepts.
-
-    elliptic stays False here because ellipsis is a reading, not a token.
-    """
-    kinds = [t.kind for t in toks]
-    uses_you = MorphemeKind.YOU in kinds
-    uses_dan = MorphemeKind.DAN in kinds or MorphemeKind.LING_ALT in kinds
-    uses_ling = uses_dan or MorphemeKind.LING in kinds
-    liang_present = MorphemeKind.LIANG in kinds
-    leading_one = (
-        len(toks) >= 2
-        and toks[0].kind is MorphemeKind.DIGIT
-        and toks[0].value == 1
-        and toks[1].kind is MorphemeKind.PIVOT
-    )
-    one_inner = False
-    for j in range(len(toks) - 2):
-        a, b, c = toks[j], toks[j + 1], toks[j + 2]
-        if (
-            a.kind is MorphemeKind.DIGIT
-            and a.value == 1
-            and b.kind is MorphemeKind.PIVOT
-            and b.exponent in (1, 2, 3)
-            and c.kind is MorphemeKind.PIVOT
-            and c.exponent in (4, 8)
-        ):
-            one_inner = True
-            break
-    return Features(
-        uses_you=uses_you,
-        uses_ling=uses_ling,
-        uses_dan_or_lingalt=uses_dan,
-        liang_present=liang_present,
-        elliptic=False,
-        leading_one_before_highest=leading_one,
-        one_before_inner_multiplicand=one_inner,
-    )
-
-
 _YOU_NOTE = (
     "contains yòu → pre-3rd-century BCE pattern; later grammars drop the "
     "junction word entirely"
@@ -235,11 +195,7 @@ def classify(source: object) -> EraConsistencyReport:
             verdicts.append(EraVerdict(era=era, value=outcome.value))
             consistent.append(era)
 
-    try:
-        features = parse(toks, None).features
-    except NumeralParseError:
-        features = _presence_features(toks)
-
+    features = feature_profile(toks)
     consistent_t = tuple(consistent)
     return EraConsistencyReport(
         input_tokens=toks,
@@ -254,10 +210,11 @@ def feature_profile(source: object) -> Features:
     """The boolean feature vector of an expression, without a value claim.
 
     Uses the lenient parse's features when the lenient grammar accepts the
-    sequence; otherwise falls back to raw token presence flags.
+    sequence; otherwise falls back to raw token presence flags, with elliptic
+    False because ellipsis is a reading, not a token.
     """
     toks = _coerce_tokens(source)
     try:
         return parse(toks, None).features
     except NumeralParseError:
-        return _presence_features(toks)
+        return _features([t.code for t in toks], False)

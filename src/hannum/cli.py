@@ -161,11 +161,6 @@ def _parser() -> argparse.ArgumentParser:
         default="-",
         help="input file (default '-' for stdin)",
     )
-    scn.add_argument(
-        "--lenient",
-        action="store_true",
-        help="accepted for symmetry; scanning always parses leniently",
-    )
     out = scn.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true", dest="as_json")
     out.add_argument(
@@ -185,7 +180,6 @@ def _parser() -> argparse.ArgumentParser:
         help="round-trip every era exhaustively up to this value "
         "(0 checks the example table only; default 1000)",
     )
-    st.add_argument("--seed", type=int, default=0)
 
     return top
 
@@ -315,7 +309,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    report = run_selftest(max_value=args.max_value, seed=args.seed)
+    report = run_selftest(max_value=args.max_value)
     status = "pass" if report.passed else "FAIL"
     print(
         f"selftest: {status} ({report.checks_run} checks, "

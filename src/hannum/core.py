@@ -1,14 +1,23 @@
 """Shared inventory for Han numeral transduction.
 
-Defines the closed morpheme set (digits, the liang variant of 2, five
-multiplicative pivots, the gap word ling, the conjunction you, and two
-parse-only gap words), the rank scale, the per-script surface tables, and the
-eight era profiles that parameterize both generation and parsing.
+Holds the one table of the closed morpheme set: nine digits, the liang
+variant of 2, five multiplicative pivots, the gap word ling, the conjunction
+you, and two parse-only gap words. Each row carries everything the other
+modules need to know about a morpheme: its value or rank, the parser's
+integer code, its token notation, its written forms per script, and the
+graphs read as it on input. The tokenizer, the scanner, the parser and the
+surface writer all read this table; none keeps a copy of the inventory.
 
-The rank scale is 10, 10^2, 10^3 (inner pivots) and 10^4, 10^8 (outer
-pivots). Numbers are named by myriads: each outer pivot takes a coefficient
-of 1..9999 built from the inner pivots, so no further rank is ever needed
-below 10^12, and none can be registered.
+The module also defines the scripts and the eight era profiles that
+parameterize both generation and parsing. The rank scale is 10, 10^2, 10^3
+(inner pivots) and 10^4, 10^8 (outer pivots). Numbers are named by myriads:
+each outer pivot takes a coefficient of 1..9999 built from the inner pivots,
+so no further rank is ever needed below 10^12, and none exists in the table.
+
+>>> pivot(4).traditional, pivot(4).simplified, pivot(4).pinyin
+('萬', '万', 'wàn')
+>>> Morpheme(MorphemeKind.PIVOT, exponent=4) is pivot(4)
+True
 """
 
 from __future__ import annotations
@@ -23,18 +32,15 @@ __all__ = [
     "EraProfile",
     "LeadingOnePolicy",
     "LingPolicy",
+    "MORPHEMES",
     "Morpheme",
     "MorphemeKind",
     "NonGenerableMorpheme",
     "OUTER_EXPONENTS",
     "OneBeforeInnerMultiplicand",
-    "PivotClass",
-    "RANKS",
     "RANK_EXPONENTS",
-    "Rank",
     "RenderOptions",
     "Script",
-    "SurfaceForm",
     "TwoStyle",
     "YouPolicy",
     "DAN",
@@ -54,45 +60,8 @@ class NonGenerableMorpheme(ValueError):
     """A parse-only morpheme was asked for in a Han or pinyin script."""
 
 
-# ---------------------------------------------------------------------------
-# Ranks
-# ---------------------------------------------------------------------------
-
 RANK_EXPONENTS: tuple[int, ...] = (1, 2, 3, 4, 8)
 OUTER_EXPONENTS: frozenset[int] = frozenset({4, 8})
-
-
-@unique
-class PivotClass(Enum):
-    INNER = "inner"
-    OUTER = "outer"
-
-
-@dataclass(frozen=True, slots=True)
-class Rank:
-    """One registrable multiplicative rank. Only five exist."""
-
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if self.exponent not in RANK_EXPONENTS:
-            raise ValueError(
-                f"no rank at 10^{self.exponent}: the scale is exactly "
-                f"{{10^e for e in {RANK_EXPONENTS}}}"
-            )
-
-    @property
-    def value(self) -> int:
-        return 10**self.exponent
-
-    @property
-    def pivot_class(self) -> PivotClass:
-        if self.exponent in OUTER_EXPONENTS:
-            return PivotClass.OUTER
-        return PivotClass.INNER
-
-
-RANKS: tuple[Rank, ...] = tuple(Rank(e) for e in RANK_EXPONENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -111,35 +80,120 @@ class MorphemeKind(Enum):
     LING_ALT = "ling-alt"  # the "another" graph used as a gap link, parse-only
 
 
-@dataclass(frozen=True, slots=True)
 class Morpheme:
-    """One numeral morpheme. Digits carry value, pivots carry exponent."""
+    """One numeral morpheme: a row of the closed inventory table.
+
+    Morpheme(kind, value=..., exponent=...) returns that row's single
+    instance and raises ValueError for any combination the table lacks, so
+    equality is identity. Digits carry a value, pivots an exponent.
+
+    code is the parser's integer code: digits by value, liang 11, pivots
+    20 + exponent, the link and junction words from 31 up. traditional,
+    simplified and pinyin are the generated surfaces; the two parse-only gap
+    words have none in Han script, but keep their pinyin syllable for input.
+    graphs holds every Han character read as the morpheme on input.
+    """
+
+    __slots__ = (
+        "kind",
+        "value",
+        "exponent",
+        "code",
+        "notation",
+        "traditional",
+        "simplified",
+        "pinyin",
+        "graphs",
+    )
 
     kind: MorphemeKind
-    value: int | None = None
-    exponent: int | None = None
+    value: int | None
+    exponent: int | None
+    code: int
+    notation: str
+    traditional: str | None
+    simplified: str | None
+    pinyin: str
+    graphs: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind is MorphemeKind.DIGIT:
-            if self.value is None or not 1 <= self.value <= 9 or self.exponent is not None:
-                raise ValueError("digit morphemes carry a value in 1..9 and no exponent")
-        elif self.kind is MorphemeKind.LIANG:
-            if self.value != 2 or self.exponent is not None:
-                raise ValueError("the liang morpheme always has value 2")
-        elif self.kind is MorphemeKind.PIVOT:
-            if self.value is not None:
-                raise ValueError("pivot morphemes carry no digit value")
-            Rank(self.exponent if self.exponent is not None else -1)
-        else:
-            if self.value is not None or self.exponent is not None:
-                raise ValueError(f"{self.kind.value} carries neither value nor exponent")
+    def __new__(
+        cls,
+        kind: MorphemeKind,
+        value: int | None = None,
+        exponent: int | None = None,
+    ) -> "Morpheme":
+        try:
+            return _INVENTORY[kind, value, exponent]
+        except KeyError:
+            raise ValueError(
+                f"no {getattr(kind, 'value', kind)} morpheme with value={value!r}, "
+                f"exponent={exponent!r}: digits take 1..9, pivots the exponents "
+                f"{RANK_EXPONENTS}, liang only 2, the words neither"
+            ) from None
+
+    def __reduce__(self) -> tuple[object, ...]:
+        return Morpheme, (self.kind, self.value, self.exponent)
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError("morphemes are immutable")
+
+    __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        return token_notation(self)
+        return self.notation
 
 
-_DIGITS: dict[int, Morpheme] = {v: Morpheme(MorphemeKind.DIGIT, value=v) for v in range(1, 10)}
-_PIVOTS: dict[int, Morpheme] = {e: Morpheme(MorphemeKind.PIVOT, exponent=e) for e in RANK_EXPONENTS}
+def _row(
+    kind: MorphemeKind,
+    value: int | None,
+    exponent: int | None,
+    code: int,
+    notation: str,
+    traditional: str | None,
+    simplified: str | None,
+    pinyin: str,
+    input_only: str = "",
+) -> Morpheme:
+    han = (traditional, simplified, *input_only)
+    graphs = tuple(dict.fromkeys(g for g in han if g))
+    m = object.__new__(Morpheme)
+    for name, field in zip(
+        Morpheme.__slots__,
+        (kind, value, exponent, code, notation, traditional, simplified, pinyin, graphs),
+    ):
+        object.__setattr__(m, name, field)
+    return m
+
+
+_K = MorphemeKind
+
+# kind, value, exponent, code, notation, traditional, simplified, pinyin
+# (citation tone; no sandhi is applied in any context), input-only graphs.
+MORPHEMES: tuple[Morpheme, ...] = (
+    _row(_K.DIGIT, 1, None, 1, "[1]", "一", "一", "yī"),
+    _row(_K.DIGIT, 2, None, 2, "[2]", "二", "二", "èr"),
+    _row(_K.DIGIT, 3, None, 3, "[3]", "三", "三", "sān"),
+    _row(_K.DIGIT, 4, None, 4, "[4]", "四", "四", "sì"),
+    _row(_K.DIGIT, 5, None, 5, "[5]", "五", "五", "wǔ"),
+    _row(_K.DIGIT, 6, None, 6, "[6]", "六", "六", "liù"),
+    _row(_K.DIGIT, 7, None, 7, "[7]", "七", "七", "qī"),
+    _row(_K.DIGIT, 8, None, 8, "[8]", "八", "八", "bā"),
+    _row(_K.DIGIT, 9, None, 9, "[9]", "九", "九", "jiǔ"),
+    _row(_K.LIANG, 2, None, 11, "[2v]", "兩", "两", "liǎng"),
+    _row(_K.PIVOT, None, 1, 21, "[10]", "十", "十", "shí"),
+    _row(_K.PIVOT, None, 2, 22, "[10^2]", "百", "百", "bǎi"),
+    _row(_K.PIVOT, None, 3, 23, "[10^3]", "千", "千", "qiān"),
+    _row(_K.PIVOT, None, 4, 24, "[10^4]", "萬", "万", "wàn"),
+    _row(_K.PIVOT, None, 8, 28, "[10^8]", "億", "亿", "yì"),
+    _row(_K.LING, None, None, 31, "líng", "零", "零", "líng"),
+    _row(_K.YOU, None, None, 32, "yòu", "有", "有", "yòu", "又"),
+    _row(_K.DAN, None, None, 33, "dān", None, None, "dān", "單单"),
+    _row(_K.LING_ALT, None, None, 34, "lìng", None, None, "lìng", "另"),
+)
+
+_INVENTORY: dict[tuple[MorphemeKind, int | None, int | None], Morpheme] = {
+    (m.kind, m.value, m.exponent): m for m in MORPHEMES
+}
 
 LIANG = Morpheme(MorphemeKind.LIANG, value=2)
 LING = Morpheme(MorphemeKind.LING)
@@ -149,41 +203,22 @@ LING_ALT = Morpheme(MorphemeKind.LING_ALT)
 
 
 def digit(value: int) -> Morpheme:
-    """The digit morpheme for value 1..9 (interned)."""
-    try:
-        return _DIGITS[value]
-    except KeyError:
-        raise ValueError(f"digit value out of range: {value!r}") from None
+    """The digit morpheme for value 1..9."""
+    return Morpheme(MorphemeKind.DIGIT, value=value)
 
 
 def pivot(exponent: int) -> Morpheme:
-    """The pivot morpheme for 10^exponent (interned); rejects unknown ranks."""
-    try:
-        return _PIVOTS[exponent]
-    except KeyError:
-        Rank(exponent)  # raises with the registrable-rank message
-        raise AssertionError("unreachable")
+    """The pivot morpheme for 10^exponent; rejects unknown ranks."""
+    return Morpheme(MorphemeKind.PIVOT, exponent=exponent)
 
 
 def token_notation(m: Morpheme) -> str:
-    """Bracket notation used for token-level display: [5], [10^4], ling, you."""
-    k = m.kind
-    if k is MorphemeKind.DIGIT:
-        return f"[{m.value}]"
-    if k is MorphemeKind.LIANG:
-        return "[2v]"
-    if k is MorphemeKind.PIVOT:
-        return "[10]" if m.exponent == 1 else f"[10^{m.exponent}]"
-    return {
-        MorphemeKind.LING: "líng",
-        MorphemeKind.YOU: "yòu",
-        MorphemeKind.DAN: "dān",
-        MorphemeKind.LING_ALT: "lìng",
-    }[k]
+    """Bracket notation used for token-level display: [5], [10^4], líng, yòu."""
+    return m.notation
 
 
 # ---------------------------------------------------------------------------
-# Scripts and surface tables
+# Scripts
 # ---------------------------------------------------------------------------
 
 
@@ -195,41 +230,6 @@ class Script(Enum):
     TOKENS = "tokens"
 
 
-@dataclass(frozen=True, slots=True)
-class SurfaceForm:
-    """The written realizations of one generable morpheme."""
-
-    morpheme: Morpheme
-    traditional: str
-    simplified: str
-    pinyin: str  # citation tone; no sandhi is applied in any context
-
-
-_SURFACE_ROWS: tuple[tuple[Morpheme, str, str, str], ...] = (
-    (digit(1), "一", "一", "yī"),
-    (digit(2), "二", "二", "èr"),
-    (digit(3), "三", "三", "sān"),
-    (digit(4), "四", "四", "sì"),
-    (digit(5), "五", "五", "wǔ"),
-    (digit(6), "六", "六", "liù"),
-    (digit(7), "七", "七", "qī"),
-    (digit(8), "八", "八", "bā"),
-    (digit(9), "九", "九", "jiǔ"),
-    (LIANG, "兩", "两", "liǎng"),
-    (pivot(1), "十", "十", "shí"),
-    (pivot(2), "百", "百", "bǎi"),
-    (pivot(3), "千", "千", "qiān"),
-    (pivot(4), "萬", "万", "wàn"),
-    (pivot(8), "億", "亿", "yì"),
-    (LING, "零", "零", "líng"),
-    (YOU, "有", "有", "yòu"),
-)
-
-SURFACE_FORMS: dict[Morpheme, SurfaceForm] = {
-    row[0]: SurfaceForm(*row) for row in _SURFACE_ROWS
-}
-
-
 def surface(morpheme: Morpheme, script: Script) -> str:
     """Written form of one morpheme in one script.
 
@@ -238,18 +238,17 @@ def surface(morpheme: Morpheme, script: Script) -> str:
     parse-only gap words.
     """
     if script is Script.TOKENS:
-        return token_notation(morpheme)
-    form = SURFACE_FORMS.get(morpheme)
-    if form is None:
+        return morpheme.notation
+    if morpheme.traditional is None:
         raise NonGenerableMorpheme(
-            f"{token_notation(morpheme)} is recognized on input only and has no "
+            f"{morpheme.notation} is recognized on input only and has no "
             f"generation surface"
         )
     if script is Script.TRADITIONAL:
-        return form.traditional
+        return morpheme.traditional
     if script is Script.SIMPLIFIED:
-        return form.simplified
-    return form.pinyin
+        return morpheme.simplified  # type: ignore[return-value]
+    return morpheme.pinyin
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +475,15 @@ _PROFILES: dict[Era, EraProfile] = {
 }
 
 
-def era_profile(era: Era | str) -> EraProfile:
-    """The frozen profile for an era (accepts the enum or a loose name)."""
+def era_profile(era: Era | EraProfile | str) -> EraProfile:
+    """The frozen profile for an era.
+
+    Accepts the enum, a profile (returned as is) or a loose era name.
+    """
+    if era.__class__ is Era:
+        return _PROFILES[era]  # type: ignore[index]
+    if isinstance(era, EraProfile):
+        return era
     if isinstance(era, str):
         era = Era.from_string(era)
     return _PROFILES[era]

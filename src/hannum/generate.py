@@ -43,6 +43,7 @@ from .core import (
     pivot,
     surface,
 )
+from .parse import parse
 
 __all__ = [
     "AllZeroAmount",
@@ -117,10 +118,8 @@ class NumeralExpression:
 
     @property
     def value(self) -> int:
-        """The integer this expression denotes (recomputed from tokens)."""
-        from .parse import parse
-
-        return parse(self.tokens, None).value
+        """The integer this expression denotes, read under its own era."""
+        return parse(self.tokens, self.era).value
 
     def text(self, script: Script = Script.TRADITIONAL) -> str:
         return _join_surface(self.tokens, script)
@@ -345,12 +344,6 @@ def _group_tokens(
     return tuple(out)
 
 
-def _resolve_profile(era: "Era | EraProfile | str") -> EraProfile:
-    if isinstance(era, EraProfile):
-        return era
-    return era_profile(era)
-
-
 def _resolve_you(profile: EraProfile, opts: RenderOptions) -> bool:
     policy = profile.you_policy
     if policy is YouPolicy.FORBIDDEN:
@@ -364,12 +357,14 @@ def _resolve_you(profile: EraProfile, opts: RenderOptions) -> bool:
     return opts.use_you
 
 
-def _check_style(profile: EraProfile, opts: RenderOptions) -> None:
+def _check_style(
+    profile: EraProfile, opts: RenderOptions, elliptic: bool
+) -> None:
     if opts.two_style is not TwoStyle.ALWAYS_ER and not profile.liang_allowed:
         raise StyleNotAllowed(
             f"the liang variant of 2 is not part of {profile.era.value} numerals"
         )
-    if opts.elliptic and not profile.elliptic_allowed:
+    if elliptic and not profile.elliptic_allowed:
         raise StyleNotAllowed(
             f"elliptic names are not part of {profile.era.value} numerals"
         )
@@ -386,10 +381,10 @@ def render_integer(
     opts: RenderOptions = DEFAULT_OPTIONS,
 ) -> NumeralExpression:
     """Render a non-negative integer under an era profile and options."""
-    profile = _resolve_profile(era)
-    _check_style(profile, opts)
+    profile = era_profile(era)
     if opts.elliptic:
         return render_elliptic(n, profile, opts)
+    _check_style(profile, opts, False)
     return _render_full(n, profile, opts)
 
 
@@ -454,15 +449,8 @@ def render_elliptic(
     two pivots on adjacent ranks, so a listener recovers the dropped rank from
     the rank said before the digit.
     """
-    profile = _resolve_profile(era)
-    if not profile.elliptic_allowed:
-        raise StyleNotAllowed(
-            f"elliptic names are not part of {profile.era.value} numerals"
-        )
-    if opts.two_style is not TwoStyle.ALWAYS_ER and not profile.liang_allowed:
-        raise StyleNotAllowed(
-            f"the liang variant of 2 is not part of {profile.era.value} numerals"
-        )
+    profile = era_profile(era)
+    _check_style(profile, opts, True)
     full = _render_full(n, profile, opts)
     t = full.tokens
     if (
@@ -492,7 +480,7 @@ def render_quantity(
     classifier, except before the 50-gram measure word liang itself, where
     euphony keeps er.
     """
-    profile = _resolve_profile(era)
+    profile = era_profile(era)
     if profile.era is not Era.CONTEMPORARY:
         raise StyleNotAllowed("classifier quantity phrases are rendered in the contemporary profile only")
     if opts is None:
@@ -513,7 +501,7 @@ def render_ordinal(
     with_prefix: bool = True,
 ) -> NumeralPhrase:
     """Render an ordinal; only er ever expresses 2 in ordinals."""
-    profile = _resolve_profile(era)
+    profile = era_profile(era)
     if profile.era is not Era.CONTEMPORARY:
         raise StyleNotAllowed("ordinals are rendered in the contemporary profile only")
     if n < 1:

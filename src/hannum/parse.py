@@ -29,15 +29,14 @@ from typing import NoReturn
 from .core import (
     DAN,
     EARLY_ERAS,
+    MORPHEMES,
     Era,
-    EraProfile,
     LIANG,
     LING,
     LING_ALT,
     LeadingOnePolicy,
     LingPolicy,
     Morpheme,
-    MorphemeKind,
     OneBeforeInnerMultiplicand,
     YOU,
     YouPolicy,
@@ -144,84 +143,23 @@ class ScriptHint(Enum):
     PINYIN = "pinyin"
 
 
-_HAN_CHARS: dict[str, Morpheme] = {
-    "一": digit(1),
-    "二": digit(2),
-    "三": digit(3),
-    "四": digit(4),
-    "五": digit(5),
-    "六": digit(6),
-    "七": digit(7),
-    "八": digit(8),
-    "九": digit(9),
-    "兩": LIANG,
-    "两": LIANG,
-    "十": pivot(1),
-    "百": pivot(2),
-    "千": pivot(3),
-    "萬": pivot(4),
-    "万": pivot(4),
-    "億": pivot(8),
-    "亿": pivot(8),
-    "零": LING,
-    "有": YOU,
-    "又": YOU,
-    "單": DAN,
-    "单": DAN,
-    "另": LING_ALT,
-}
-
-_PINYIN_SYLLABLES: dict[str, Morpheme] = {
-    unicodedata.normalize("NFC", key): morpheme
-    for key, morpheme in {
-        "yī": digit(1),
-        "èr": digit(2),
-        "sān": digit(3),
-        "sì": digit(4),
-        "wǔ": digit(5),
-        "liù": digit(6),
-        "qī": digit(7),
-        "bā": digit(8),
-        "jiǔ": digit(9),
-        "liǎng": LIANG,
-        "shí": pivot(1),
-        "bǎi": pivot(2),
-        "qiān": pivot(3),
-        "wàn": pivot(4),
-        "yì": pivot(8),
-        "líng": LING,
-        "yòu": YOU,
-        "dān": DAN,
-        "lìng": LING_ALT,
-    }.items()
-}
-
-# Toneless fallbacks; "yi" is handled contextually (digit 1, or the 10^8
-# pivot straight after a digit), and toneless "ling" always reads as the
-# ordinary gap word.
-_TONELESS_SYLLABLES: dict[str, Morpheme] = {
-    "er": digit(2),
-    "san": digit(3),
-    "si": digit(4),
-    "wu": digit(5),
-    "liu": digit(6),
-    "qi": digit(7),
-    "ba": digit(8),
-    "jiu": digit(9),
-    "liang": LIANG,
-    "shi": pivot(1),
-    "bai": pivot(2),
-    "qian": pivot(3),
-    "wan": pivot(4),
-    "ling": LING,
-    "you": YOU,
-    "dan": DAN,
-}
-
-
 def _strip_tone_marks(syllable: str) -> str:
     decomposed = unicodedata.normalize("NFD", syllable)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+
+_HAN_CHARS: dict[str, Morpheme] = {g: m for m in MORPHEMES for g in m.graphs}
+
+_PINYIN_SYLLABLES: dict[str, Morpheme] = {
+    unicodedata.normalize("NFC", m.pinyin): m for m in MORPHEMES
+}
+
+# Toneless fallbacks, earlier rows winning, so toneless "ling" always reads
+# as the ordinary gap word. "yi" is handled contextually before this lookup
+# (digit 1, or the 10^8 pivot straight after a digit).
+_TONELESS_SYLLABLES: dict[str, Morpheme] = {
+    _strip_tone_marks(m.pinyin): m for m in reversed(MORPHEMES)
+}
 
 
 def _tokenize_impl(
@@ -270,11 +208,7 @@ def _tokenize_impl(
         if m is None and toneless:
             bare = _strip_tone_marks(syllable)
             if bare == "yi":
-                prev = tokens[-1] if tokens else None
-                if prev is not None and prev.kind in (
-                    MorphemeKind.DIGIT,
-                    MorphemeKind.LIANG,
-                ):
+                if tokens and tokens[-1].code <= _C_LIANG:
                     m = pivot(8)
                 else:
                     m = digit(1)
@@ -315,40 +249,12 @@ def tokenize(
 # Parsing
 # ---------------------------------------------------------------------------
 
-# Compact integer codes for the state machine: digits by value, liang 11,
-# pivots 20 + exponent, link and junction words from 31 up.
-_C_LIANG = 11
-_C_LING, _C_YOU, _C_DAN, _C_LALT = 31, 32, 33, 34
-
-_CODE: dict[Morpheme, int] = {digit(v): v for v in range(1, 10)}
-_CODE[LIANG] = _C_LIANG
-for _e in (1, 2, 3, 4, 8):
-    _CODE[pivot(_e)] = 20 + _e
-_CODE[LING] = _C_LING
-_CODE[YOU] = _C_YOU
-_CODE[DAN] = _C_DAN
-_CODE[LING_ALT] = _C_LALT
-
-# Identity-keyed fast path for the interned morphemes; equal but distinct
-# instances fall back to the value-keyed table.
-_CODE_BY_ID: dict[int, int] = {id(m): c for m, c in _CODE.items()}
+# The state machine works on the table's integer codes: digits by value,
+# liang 11, pivots 20 + exponent, link and junction words from 31 up.
+_C_LIANG = LIANG.code
+_C_LING, _C_YOU, _C_DAN, _C_LALT = LING.code, YOU.code, DAN.code, LING_ALT.code
 
 _LENIENT_MAX = 10**12 - 1
-
-
-_PROFILE_BY_ERA: dict[Era, EraProfile] = {e: era_profile(e) for e in Era}
-
-
-def _resolve_profile(era: object) -> EraProfile | None:
-    if era is None:
-        return None
-    if era.__class__ is Era:
-        return _PROFILE_BY_ERA[era]
-    if isinstance(era, EraProfile):
-        return era
-    if isinstance(era, str) and era.strip().lower() == "lenient":
-        return None
-    return era_profile(era)  # type: ignore[arg-type]
 
 
 def parse(tokens: object, era: object = None) -> ParseOutcome:
@@ -358,22 +264,20 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     the permissive union grammar. Raises NumeralParseError on rejection.
     """
     toks: tuple[Morpheme, ...] = tuple(getattr(tokens, "tokens", tokens))
-    profile = _resolve_profile(era)
+    if era is None or isinstance(era, str) and era.strip().lower() == "lenient":
+        profile = None
+    else:
+        profile = era_profile(era)  # type: ignore[arg-type]
     n = len(toks)
     if n == 0:
         raise NumeralParseError(
             ParseErrorKind.EMPTY_INPUT, 0, "no tokens to parse"
         )
 
-    by_id = _CODE_BY_ID
-    codes = [by_id.get(id(t), 0) for t in toks]
-    if 0 in codes:
-        try:
-            codes = [_CODE[t] for t in toks]
-        except (KeyError, TypeError):
-            raise TypeError(
-                "parse expects a sequence of numeral Morphemes"
-            ) from None
+    try:
+        codes = [t.code for t in toks]
+    except AttributeError:
+        raise TypeError("parse expects a sequence of numeral Morphemes") from None
 
     lenient = profile is None
     strict_early = profile is not None and profile.era in EARLY_ERAS
@@ -404,7 +308,7 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
         return ParseOutcome(
             value=0,
             era_checked=profile.era if profile else None,
-            features=_features(toks, codes, False),
+            features=_features(codes, False),
             diagnostics=(),
             tokens=toks,
         )
@@ -851,7 +755,7 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     return ParseOutcome(
         value=total,
         era_checked=profile.era if profile else None,
-        features=_features(toks, codes, elliptic),
+        features=_features(codes, elliptic),
         diagnostics=tuple(diagnostics),
         tokens=toks,
     )
@@ -861,9 +765,7 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
 _FEATURE_CACHE: dict[tuple[bool, ...], Features] = {}
 
 
-def _features(
-    toks: tuple[Morpheme, ...], codes: list[int], elliptic: bool
-) -> Features:
+def _features(codes: list[int], elliptic: bool) -> Features:
     uses_you = _C_YOU in codes
     uses_dan = _C_DAN in codes or _C_LALT in codes
     uses_ling = uses_dan or _C_LING in codes

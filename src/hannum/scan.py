@@ -12,16 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chronolect import classify
-from .core import Era
+from .core import MORPHEMES, YOU, Era
 from .parse import NumeralParseError, ParseOutcome, parse
 from .parse import tokenize, ScriptHint
 
 __all__ = ["ScanRecord", "ScanSummary", "scan_text", "summary_csv_rows"]
 
 # Characters that always belong to a numeral span.
-_CORE_CHARS = frozenset("一二三四五六七八九兩两十百千萬万億亿零單单另")
+_CORE_CHARS = frozenset(g for m in MORPHEMES if m is not YOU for g in m.graphs)
 # Junction graphs admitted only between core numeral characters.
-_CONDITIONAL_CHARS = frozenset("有又")
+_CONDITIONAL_CHARS = frozenset(YOU.graphs)
 
 
 @dataclass(frozen=True, slots=True)

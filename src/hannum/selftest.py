@@ -182,7 +182,6 @@ def _render_phrase(fx: PhraseFixture) -> str:
 
 def run_selftest(
     max_value: int = 1000,
-    seed: int = 0,
     fixtures: tuple[IntegerFixture, ...] | None = None,
     phrase_fixtures: tuple[PhraseFixture, ...] | None = None,
 ) -> SelfTestReport:
@@ -192,7 +191,6 @@ def run_selftest(
     fixtures and phrase_fixtures exist so a harness can inject a corrupted
     table and confirm the self-test actually notices.
     """
-    del seed  # reserved for future sampled phases; sweep is exhaustive
     start = time.perf_counter()
     failures: list[str] = []
     checks = 0

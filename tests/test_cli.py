@@ -256,6 +256,14 @@ class TestUsage:
             main([])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("scan", "--lenient"), ("selftest", "--seed", "1")]
+    )
+    def test_removed_flags_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+
     def test_negative_value_rejected(self, capsys):
         code, _, err = run(capsys, "gen", "-5")
         assert code == 2 or "error" in err

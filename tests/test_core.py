@@ -1,7 +1,13 @@
 """Morpheme inventory, era profiles, and surface tables."""
 
+import copy
+import doctest
+import pickle
+
 import pytest
 
+import hannum
+import hannum.core
 from hannum.core import (
     CHRONOLOGY,
     DAN,
@@ -9,6 +15,7 @@ from hannum.core import (
     LIANG,
     LING,
     LING_ALT,
+    MORPHEMES,
     OUTER_EXPONENTS,
     RANK_EXPONENTS,
     YOU,
@@ -30,6 +37,8 @@ from hannum.core import (
     surface,
     token_notation,
 )
+from hannum.parse import _HAN_CHARS, ScriptHint, tokenize
+from hannum.scan import _CONDITIONAL_CHARS, _CORE_CHARS
 
 
 class TestMorphemes:
@@ -81,6 +90,63 @@ class TestMorphemes:
         assert token_notation(YOU) == "yòu"
         assert token_notation(DAN) == "dān"
         assert token_notation(LING_ALT) == "lìng"
+
+
+class TestInventoryTable:
+    def test_nineteen_rows_with_distinct_codes(self):
+        assert len(MORPHEMES) == 19
+        assert len({m.code for m in MORPHEMES}) == 19
+        assert len({m.notation for m in MORPHEMES}) == 19
+
+    @pytest.mark.parametrize("m", MORPHEMES, ids=token_notation)
+    def test_construction_returns_the_row(self, m):
+        assert Morpheme(m.kind, m.value, m.exponent) is m
+
+    @pytest.mark.parametrize("m", MORPHEMES, ids=token_notation)
+    def test_pickle_and_copy_return_the_row(self, m):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(m, protocol)) is m
+        assert copy.copy(m) is m
+        assert copy.deepcopy(m) is m
+        assert copy.deepcopy((m, [m])) == (m, [m])
+
+    @pytest.mark.parametrize("m", MORPHEMES, ids=token_notation)
+    def test_every_graph_and_syllable_tokenizes_to_the_row(self, m):
+        assert m.graphs
+        for graph in m.graphs:
+            assert tokenize(graph) == (m,)
+        assert tokenize(m.pinyin, ScriptHint.PINYIN) == (m,)
+
+    def test_rows_are_immutable(self):
+        with pytest.raises(AttributeError):
+            digit(5).value = 6
+        with pytest.raises(AttributeError):
+            del LING.code
+
+    def test_scan_span_sets_split_the_tokenizer_graphs(self):
+        you_graphs = {g for g, m in _HAN_CHARS.items() if m is YOU}
+        assert _CONDITIONAL_CHARS == you_graphs == {"有", "又"}
+        assert _CORE_CHARS == set(_HAN_CHARS) - you_graphs
+        assert _CORE_CHARS == set("一二三四五六七八九兩两十百千萬万億亿零單单另")
+
+    def test_toneless_syllables(self):
+        text = "er san si wu liu qi ba jiu liang shi bai qian wan ling you dan"
+        assert tokenize(text, toneless=True) == (
+            *(digit(v) for v in range(2, 10)),
+            LIANG,
+            *(pivot(e) for e in (1, 2, 3, 4)),
+            LING,
+            YOU,
+            DAN,
+        )
+
+
+class TestDoctests:
+    def test_package_doctests_pass(self):
+        result = doctest.testmod(hannum)
+        assert result.failed == 0
+        assert result.attempted >= 5
+        assert doctest.testmod(hannum.core).failed == 0
 
 
 class TestSurfaces:

@@ -18,6 +18,7 @@ from hannum import (
     ValueOutOfRange,
     ZeroInexpressible,
     digit,
+    era_profile,
     pivot,
     render_currency,
     render_duration,
@@ -267,6 +268,28 @@ class TestElliptic:
 
     def test_render_elliptic_direct(self):
         assert render_elliptic(56000).text() == "五萬六"
+
+
+class TestExpressionValue:
+    @pytest.mark.parametrize("era", list(Era), ids=lambda e: e.value)
+    def test_value_is_read_under_the_expressions_era(self, era):
+        profile = era_profile(era)
+        low = 0 if profile.zero_expressible else 1
+        for n in (*range(low, 1200), 10_005, 10_050, 150_000, profile.max_value):
+            assert render_integer(n, era).value == n
+
+    def test_elliptic_forms_and_bare_liang(self):
+        for style in (TwoStyle.ALWAYS_ER, TwoStyle.PREFER_LIANG):
+            opts = RenderOptions(two_style=style)
+            for n in range(1, 30_000, 7):
+                try:
+                    rendered = render_elliptic(n, Era.CONTEMPORARY, opts)
+                except EllipsisUnavailable:
+                    continue
+                assert rendered.value == n
+        bare_liang = render_quantity(2, "個").items[0]
+        assert bare_liang.tokens == (LIANG,)
+        assert bare_liang.value == 2
 
 
 class TestQuantity:
