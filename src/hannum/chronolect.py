@@ -1,9 +1,12 @@
 """Era consistency analysis for Han numeral expressions.
 
-Every era grammar is run over the same token sequence; the report records
-which grammars accept it, the value each one reads, and the surface features
-that narrow the plausible date range. Eras are treated as grammars, not as
-probability models: the result is a consistency set, never a likelihood.
+Every era grammar reads the same token sequence; the report records which
+grammars accept it, the value each one reads, and the surface features that
+narrow the plausible date range. classify does not parse once per era: it
+runs parse's single walk with one lane per era plus the lenient lane, so the
+eight verdicts and the lenient features come from one pass over the tokens.
+Eras are treated as grammars, not as probability models: the result is a
+consistency set, never a likelihood.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .parse import (
     ParseErrorKind,
     ScriptHint,
     _features,
+    _read_eras,
     parse,
     tokenize,
 )
@@ -184,18 +188,16 @@ def classify(source: object) -> EraConsistencyReport:
     errors propagate; grammar rejections become per-era Rejects verdicts.
     """
     toks = _coerce_tokens(source)
+    readings, features = _read_eras(toks)
     verdicts: list[EraVerdict] = []
     consistent: list[Era] = []
-    for era in CHRONOLOGY:
-        try:
-            outcome = parse(toks, era)
-        except NumeralParseError as exc:
-            verdicts.append(EraVerdict(era=era, error=exc))
+    for era, reading in zip(CHRONOLOGY, readings):
+        if isinstance(reading, NumeralParseError):
+            verdicts.append(EraVerdict(era=era, error=reading))
         else:
-            verdicts.append(EraVerdict(era=era, value=outcome.value))
+            verdicts.append(EraVerdict(era=era, value=reading))
             consistent.append(era)
 
-    features = feature_profile(toks)
     consistent_t = tuple(consistent)
     return EraConsistencyReport(
         input_tokens=toks,

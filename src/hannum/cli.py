@@ -43,6 +43,13 @@ def _int_arg(text: str) -> int:
         ) from None
 
 
+def _count_arg(text: str) -> int:
+    value = _int_arg(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more: {text!r}")
+    return value
+
+
 def _read_stdin_text() -> str:
     data = sys.stdin.buffer.read()
     try:
@@ -174,7 +181,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     st.add_argument(
         "--max",
-        type=_int_arg,
+        type=_count_arg,
         default=1000,
         dest="max_value",
         help="round-trip every era exhaustively up to this value "

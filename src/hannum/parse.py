@@ -1,18 +1,30 @@
 """Tokenization and parsing of Han numeral expressions.
 
-parse walks the token sequence once, left to right, accumulating digit-pivot
-compounds into the current myriad group and closing the group at each outer
-pivot. Checks that need only local context (rank descent, digit runs, liang
-slots, in-group gap links) run immediately with one token of lookahead; checks
-that need the group's absolute scale (cross-group gap links, the head
-compound's [1] policy) are deferred to the moment the group closes, when the
-outer pivot fixes the scale.
+The parser is one left-to-right walk over the token codes. It accumulates
+digit-pivot compounds into the current myriad group and closes the group at
+each outer pivot. Checks that need only local context (rank descent, digit
+runs, liang slots, in-group gap links) run immediately with one token of
+lookahead; checks that need the group's absolute scale (cross-group gap
+links, the head compound's [1] policy) are deferred to the moment the group
+closes, when the outer pivot fixes the scale.
 
-A trailing bare digit with no following pivot is resolved by the era: in
-profiles where rank gaps demand the link word ling, the digit is read at the
-rank just below the preceding pivot (the elliptic reading); in ling-free
-profiles it is the unit digit. Lenient mode takes the elliptic reading and
-reports both candidate values in diagnostics.
+The walk reads several grammars at once, one lane each: an era profile or
+the lenient grammar. It carries an alive bitmask over the lanes. Every
+era-dependent rule is a check that either rejects or does nothing, so the
+group state evolves the same way in every lane, and each such check is a
+mask, built once per lane table, of the lanes it applies to. A check that
+fires records the first failure of each lane it hits and drops them from
+the alive mask; nothing is raised inside the walk, and a NumeralParseError
+is built only for a lane that rejects. parse is the walk with one lane;
+chronolect's classify runs it once with the eight eras and the lenient
+grammar.
+
+The one place where lanes read differently is a trailing bare digit with no
+following pivot. Lanes whose rank gaps demand the link word ling, and the
+lenient lane, read it at the rank just below the preceding pivot (the
+elliptic reading); ling-free lanes read it as the unit digit. The walk forks
+there into at most two readings, and each closes the last group for its own
+lanes. The lenient lane reports both candidate values in diagnostics.
 
 Error positions are token indices into the parsed sequence, except
 UnknownCharacter and EmptyInput, which carry character offsets into the
@@ -24,13 +36,14 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, replace
 from enum import Enum, unique
-from typing import NoReturn
 
 from .core import (
+    CHRONOLOGY,
     DAN,
     EARLY_ERAS,
     MORPHEMES,
     Era,
+    EraProfile,
     LIANG,
     LING,
     LING_ALT,
@@ -249,12 +262,604 @@ def tokenize(
 # Parsing
 # ---------------------------------------------------------------------------
 
-# The state machine works on the table's integer codes: digits by value,
-# liang 11, pivots 20 + exponent, link and junction words from 31 up.
+# The walk works on the table's integer codes: digits by value, liang 11,
+# pivots 20 + exponent, link and junction words from 31 up.
 _C_LIANG = LIANG.code
 _C_LING, _C_YOU, _C_DAN, _C_LALT = LING.code, YOU.code, DAN.code, LING_ALT.code
+_NOTATION = {m.code: m.notation for m in MORPHEMES}
 
 _LENIENT_MAX = 10**12 - 1
+
+_K = ParseErrorKind
+
+# Failure tuples are (kind, position, message); a message names its lane's
+# grammar as {era} and that grammar's ceiling as {ceiling}.
+_Failure = tuple[ParseErrorKind, int, str]
+
+
+# The lane masks of a _Lanes table: for each era-dependent check, the lanes
+# to which it applies. head marks the lanes that check [1] policy at all.
+_MASKS = (
+    "all", "lenient", "elliptic", "liang_bad", "ling_forbid", "zero_bad",
+    "ling_req", "you_forbid", "dan_bad", "head", "lead_omit", "lead_all",
+    "lead_ten", "inner_omit", "inner_req",
+)
+
+
+class _Lanes:
+    """A set of grammars read together, one bit of an alive mask each.
+
+    Lane k is bit 1 << k; a profile of None is the lenient grammar. Every
+    era-dependent check of the walk is one of the _MASKS, built here once.
+    """
+
+    __slots__ = (
+        "profiles", "era_checked", "names", "maxes", "ceilings", "floor", *_MASKS
+    )
+
+    def __init__(self, profiles: tuple[EraProfile | None, ...]) -> None:
+        self.profiles = profiles
+        only = profiles[0] if len(profiles) == 1 else None
+        self.era_checked = only.era if only is not None else None
+        self.names = tuple(
+            p.era.value if p is not None else "the lenient grammar"
+            for p in profiles
+        )
+        self.maxes = tuple(
+            p.max_value if p is not None else _LENIENT_MAX for p in profiles
+        )
+        self.ceilings = tuple(
+            (mx, sum(1 << k for k, v in enumerate(self.maxes) if v == mx))
+            for mx in sorted(set(self.maxes))
+        )
+        self.floor = min(self.maxes)
+        masks = dict.fromkeys(_MASKS, 0)
+        for k, p in enumerate(profiles):
+            if p is None:
+                checks = {"lenient": True, "elliptic": True}
+            else:
+                ling_required = p.ling_policy is LingPolicy.REQUIRED
+                checks = {
+                    "elliptic": ling_required,
+                    "liang_bad": not p.liang_allowed,
+                    "ling_forbid": p.ling_policy is LingPolicy.FORBIDDEN,
+                    "zero_bad": not p.zero_expressible,
+                    "ling_req": ling_required,
+                    "you_forbid": p.you_policy is YouPolicy.FORBIDDEN,
+                    "dan_bad": p.era is not Era.SONG_QIN,
+                }
+                if p.era not in EARLY_ERAS:
+                    # The early scripts fuse digit and pivot, so their lanes
+                    # skip every [1] policy check.
+                    lead = p.leading_one_policy
+                    inner = p.inner_multiplicand_one
+                    checks.update(
+                        head=True,
+                        lead_omit=lead is LeadingOnePolicy.OMIT_BEFORE_HIGHEST,
+                        lead_all=lead is LeadingOnePolicy.REQUIRED_ALL,
+                        lead_ten=lead is LeadingOnePolicy.REQUIRED_EXCEPT_LEADING_TEN,
+                        inner_omit=inner is OneBeforeInnerMultiplicand.OMIT,
+                        inner_req=inner is OneBeforeInnerMultiplicand.REQUIRE,
+                    )
+            checks["all"] = True
+            for name, applies in checks.items():
+                if applies:
+                    masks[name] |= 1 << k
+        for name, mask in masks.items():
+            setattr(self, name, mask)
+
+    def error(self, lane: int, failure: _Failure) -> NumeralParseError:
+        """The NumeralParseError of one rejecting lane."""
+        kind, position, message = failure
+        return NumeralParseError(
+            kind,
+            position,
+            message.format(era=self.names[lane], ceiling=self.maxes[lane]),
+        )
+
+
+_LENIENT_LANES = _Lanes((None,))
+_ERA_LANES: dict[Era, _Lanes] = {e: _Lanes((era_profile(e),)) for e in CHRONOLOGY}
+# Every era in chronological order, then the lenient grammar.
+_ALL_LANES = _Lanes((*(era_profile(e) for e in CHRONOLOGY), None))
+_LENIENT_LANE = len(CHRONOLOGY)
+
+
+def _fail(fails: list[_Failure | None], bad: int, kind: ParseErrorKind,
+          pos: int, msg: str) -> None:
+    """Record the failure of every lane in bad; each lane fails only once."""
+    lane = 0
+    while bad:
+        if bad & 1:
+            fails[lane] = (kind, pos, msg)
+        bad >>= 1
+        lane += 1
+
+
+def _close(
+    L: _Lanes,
+    alive: int,
+    fails: list[_Failure | None],
+    diags: list[tuple[int, str]],
+    members: list[tuple[int, int, bool, int]],
+    coeff: int,
+    total: int,
+    prev_exp: int | None,
+    first_idx: int | None,
+    link_idx: int | None,
+    first_group: bool,
+    scale: int,
+    closer_idx: int,
+    end_idx: int,
+) -> tuple[int, int]:
+    """Close a myriad group at 10^scale; returns (alive, new total).
+
+    The checks that need the group's absolute scale run here: the [1]
+    policy on the numeral's first compound (whether an inner pivot is the
+    sole multiplier of an outer pivot is known only now), cross-group gap
+    links against the previous outer pivot, and each lane's ceiling.
+    """
+    head = alive & L.head
+    if head and first_group:
+        if not members:
+            # Bare outer pivot opens the numeral (coefficient 1 implicit).
+            bad = head & ~L.lead_omit
+            if bad:
+                _fail(fails, bad, _K.RANK_ORDER_VIOLATION,
+                      closer_idx if scale else 0,
+                      "{era} writes [1] before the opening pivot")
+                alive ^= bad
+        elif members[0][0] == 1:
+            _, exp, explicit, idx = members[0]
+            if exp == 0:
+                # A lone unit digit 1 under an outer pivot: [1][10^4] shape.
+                bad = head & L.lead_omit if scale else 0
+                if bad:
+                    _fail(fails, bad, _K.RANK_ORDER_VIOLATION, idx,
+                          "{era} omits [1] before the numeral's first pivot")
+                    alive ^= bad
+            else:
+                sole = head & L.inner_omit if scale and len(members) == 1 else 0
+                if sole and explicit:
+                    _fail(fails, sole, _K.RANK_ORDER_VIOLATION, idx,
+                          "{era} writes the sole multiplier of an outer pivot "
+                          "bare: no [1] before it")
+                    alive ^= sole
+                rest = head & ~sole
+                if explicit:
+                    bad = rest & L.lead_omit
+                    if bad:
+                        _fail(fails, bad, _K.RANK_ORDER_VIOLATION, idx,
+                              "{era} omits [1] before the numeral's first pivot")
+                        alive ^= bad
+                else:
+                    bad = rest & L.lead_all
+                    if bad:
+                        _fail(fails, bad, _K.RANK_ORDER_VIOLATION, idx,
+                              "{era} writes [1] before every pivot, "
+                              "including the first")
+                        alive ^= bad
+                    bad = rest & L.lead_ten if exp != 1 else 0
+                    if bad:
+                        _fail(fails, bad, _K.RANK_ORDER_VIOLATION, idx,
+                              "{era} writes [1] before an opening pivot "
+                              "above ten")
+                        alive ^= bad
+    elif head and scale and not members:
+        # A later group opened by a bare outer pivot (implicit 1).
+        _fail(fails, head, _K.RANK_ORDER_VIOLATION, closer_idx,
+              "{era} writes [1] before a non-initial pivot")
+        alive ^= head
+    if prev_exp is not None:
+        top_abs = scale + (members[0][1] if members else 0)
+        gap = top_abs != prev_exp - 1
+        if gap and link_idx is None:
+            bad = alive & L.ling_req
+            if bad:
+                _fail(fails, bad, _K.RANK_ORDER_VIOLATION,
+                      first_idx if first_idx is not None else end_idx,
+                      f"rank gap after the 10^{prev_exp} pivot needs "
+                      f"líng in {{era}}")
+                alive ^= bad
+            lenient = alive & L.lenient
+            if lenient:
+                diags.append((
+                    lenient,
+                    f"líng missing at the rank gap after the "
+                    f"10^{prev_exp} pivot; accepted leniently "
+                    f"(outer-pivot líng drop, a known regional elision)",
+                ))
+        elif not gap and link_idx is not None:
+            _fail(fails, alive, _K.MISPLACED_LING, link_idx,
+                  "líng marks a rank gap, but the following rank is "
+                  "adjacent to the pivot before it")
+            return 0, total
+    total += (coeff if members else 1) * 10**scale
+    if total > L.floor:
+        bad = 0
+        for ceiling, mask in L.ceilings:
+            if total > ceiling:
+                bad |= mask
+        bad &= alive
+        if bad:
+            _fail(fails, bad, _K.OVERFLOW, closer_idx,
+                  "value exceeds the {era} ceiling of {ceiling}")
+            alive ^= bad
+    return alive, total
+
+
+def _walk(
+    codes: list[int], L: _Lanes
+) -> tuple[list[int | None], int, list[_Failure | None], list[tuple[int, str]]]:
+    """Read codes under every lane of L in one left-to-right pass.
+
+    Returns (values, elliptic, fails, diagnostics): each lane's value, or
+    None where it rejects; the mask of accepting lanes that took the
+    elliptic reading; each rejecting lane's first failure; and the
+    diagnostics, each tagged with the mask of the lanes it belongs to.
+    """
+    n = len(codes)
+    alive = L.all
+    lanes = len(L.names)
+    values: list[int | None] = [None] * lanes
+    fails: list[_Failure | None] = [None] * lanes
+    diags: list[tuple[int, str]] = []
+    readings: list[tuple[int, int]] = []
+    elliptic = 0
+
+    if n == 1 and codes[0] == _C_LING:  # standalone zero
+        bad = alive & L.ling_forbid
+        if bad:
+            _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, 0,
+                  "líng does not occur in {era} numerals")
+            alive ^= bad
+        bad = alive & L.zero_bad
+        if bad:
+            _fail(fails, bad, _K.MISPLACED_LING, 0,
+                  "líng alone does not name zero in {era}")
+            alive ^= bad
+        readings.append((alive, 0))
+        alive = 0  # nothing left to walk
+
+    total = 0
+    prev_exp: int | None = None
+    # Current group state. members holds (digit_value, in_group_exp,
+    # explicit_one, token_index); exponent 0 marks the unit slot.
+    members: list[tuple[int, int, bool, int]] = []
+    coeff = 0
+    first_idx: int | None = None
+    link_idx: int | None = None
+    gap_idx: int | None = None
+    you = False
+    first_group = True
+    # The elliptic reading of a trailing digit: (lanes, members, coeff,
+    # first_idx) of the group it closes.
+    fork: tuple[int, list[tuple[int, int, bool, int]], int, int | None] | None = None
+
+    i = 0
+    while alive and i < n:
+        c = codes[i]
+
+        if c <= _C_LIANG:  # digit or liang
+            is_liang = c == _C_LIANG
+            value = 2 if is_liang else c
+            if is_liang:
+                bad = alive & L.liang_bad
+                if bad:
+                    _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, i,
+                          "the liang variant of 2 is not part of {era} numerals")
+                    alive ^= bad
+                    if not alive:
+                        break
+            nxt = codes[i + 1] if i + 1 < n else None
+            if nxt is not None and nxt <= _C_LIANG:
+                _fail(fails, alive, _K.DIGIT_RUN_WITHOUT_PIVOT, i + 1,
+                      "two digits in direct succession form no numeral")
+                break
+            if nxt is not None and 21 <= nxt <= 23:
+                # Digit + inner pivot: a multiplicative compound.
+                k = nxt - 20
+                if is_liang and k == 1:
+                    _fail(fails, alive, _K.LIANG_BEFORE_SHI, i,
+                          "liang never multiplies the pivot ten; only er does")
+                    break
+                if members and members[-1][1] <= k:
+                    _fail(fails, alive, _K.RANK_ORDER_VIOLATION, i + 1,
+                          "pivot ranks must descend within a myriad group")
+                    break
+                if gap_idx is not None:
+                    if not members:
+                        link_idx = gap_idx  # cross-group link, checked at close
+                    elif k == members[-1][1] - 1:
+                        _fail(fails, alive, _K.MISPLACED_LING, gap_idx,
+                              "líng marks a rank gap, but these ranks are adjacent")
+                        break
+                    gap_idx = None
+                elif you:
+                    you = False
+                elif members and k != members[-1][1] - 1:
+                    bad = alive & L.ling_req
+                    if bad:
+                        _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
+                              "rank gap inside the numeral needs líng in {era}")
+                        alive ^= bad
+                        if not alive:
+                            break
+                if not members and first_idx is None:
+                    first_idx = i
+                members.append((value, k, True, i))
+                coeff += value * 10**k
+                i += 2
+                continue
+            # Unit slot, elliptic tail, or a digit before an outer pivot.
+            if members and members[-1][1] == 0:
+                _fail(fails, alive, _K.RANK_ORDER_VIOLATION, i,
+                      "a second unit digit cannot follow the unit slot")
+                break
+            consumed_link = False
+            if gap_idx is not None:
+                if not members:
+                    link_idx = gap_idx
+                elif members[-1][1] == 1:
+                    _fail(fails, alive, _K.MISPLACED_LING, gap_idx,
+                          "líng marks a rank gap, but these ranks are adjacent")
+                    break
+                gap_idx = None
+                consumed_link = True
+            elif you:
+                you = False
+                consumed_link = True
+
+            if nxt is None and not consumed_link and i and 21 <= codes[i - 1] <= 28:
+                # A trailing bare digit after a pivot: the lanes that demand
+                # líng (and the lenient one) read it one rank below the pivot,
+                # the rest as the unit digit. Trailing liang is never a unit.
+                inferred = members[-1][1] - 1 if members else (prev_exp or 1) - 1
+                if inferred >= 1:
+                    if is_liang:
+                        if inferred == 1:
+                            _fail(fails, alive, _K.LIANG_BEFORE_SHI, i,
+                                  "the elliptic reading would put liang on "
+                                  "the pivot ten")
+                            break
+                        ell = alive
+                    else:
+                        ell = alive & L.elliptic
+                        lenient = alive & L.lenient
+                        if lenient:
+                            diags.append((
+                                lenient,
+                                f"AmbiguousElliptic: trailing digit reads as "
+                                f"the unit ({total + coeff + value}) or as an "
+                                f"elliptic rank "
+                                f"({total + coeff + value * 10**inferred}); the "
+                                f"contemporary elliptic reading is returned",
+                            ))
+                    if ell:
+                        fork = (
+                            ell,
+                            [*members, (value, inferred, True, i)],
+                            coeff + value * 10**inferred,
+                            i if not members and first_idx is None else first_idx,
+                        )
+                        alive ^= ell
+                        if not alive:
+                            break
+            if is_liang:
+                if members:
+                    _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
+                          "the unit slot of a complex numeral takes er, never liang")
+                    break
+                if nxt is None and n > 1:
+                    _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
+                          "a trailing liang after a link word reads as a unit "
+                          "digit, which liang cannot be")
+                    break
+                if nxt is not None and not 24 <= nxt <= 28:
+                    _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
+                          "standalone liang multiplies an outer pivot only")
+                    break
+            if not consumed_link and members and members[-1][1] != 1:
+                bad = alive & L.ling_req
+                if bad:
+                    _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
+                          "rank gap inside the numeral needs líng in {era}")
+                    alive ^= bad
+                    if not alive:
+                        break
+            if not members and first_idx is None:
+                first_idx = i
+            members.append((value, 0, True, i))
+            coeff += value
+            i += 1
+            continue
+
+        if 21 <= c <= 23:  # bare inner pivot: compound with implicit [1]
+            k = c - 20
+            if gap_idx is not None:
+                if not members:
+                    link_idx = gap_idx
+                elif k == members[-1][1] - 1:
+                    _fail(fails, alive, _K.MISPLACED_LING, gap_idx,
+                          "líng marks a rank gap, but these ranks are adjacent")
+                    break
+                gap_idx = None
+            elif you:
+                you = False
+            elif members and k != members[-1][1] - 1:
+                bad = alive & L.ling_req
+                if bad:
+                    _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
+                          "rank gap inside the numeral needs líng in {era}")
+                    alive ^= bad
+                    if not alive:
+                        break
+            if members and members[-1][1] <= k:
+                _fail(fails, alive, _K.RANK_ORDER_VIOLATION, i,
+                      "pivot ranks must descend within a myriad group")
+                break
+            head = alive & L.head
+            if head and (members or not first_group):
+                _fail(fails, head, _K.RANK_ORDER_VIOLATION, i,
+                      "{era} writes [1] before a non-initial pivot")
+                alive ^= head
+                if not alive:
+                    break
+            elif head:
+                # Without the sole-multiplier escape a bare opening pivot is
+                # already wrong; report it at its own token rather than at a
+                # later symptom.
+                bad = head & L.inner_req & L.lead_all
+                if bad:
+                    _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
+                          "{era} writes [1] before every pivot, "
+                          "including the first")
+                    alive ^= bad
+                bad = head & L.inner_req & L.lead_ten if k != 1 else 0
+                if bad:
+                    _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
+                          "{era} writes [1] before an opening pivot above ten")
+                    alive ^= bad
+                if not alive:
+                    break
+            if not members and first_idx is None:
+                first_idx = i
+            members.append((1, k, False, i))
+            coeff += 10**k
+            i += 1
+            continue
+
+        if c == 24 or c == 28:  # outer pivot closes the group
+            exp = c - 20
+            if gap_idx is not None:
+                _fail(fails, alive, _K.MISPLACED_LING, gap_idx,
+                      "a gap word must be followed by a digit, not a pivot "
+                      "that closes the group")
+                break
+            if you:
+                _fail(fails, alive, _K.MISPLACED_YOU, i - 1,
+                      "the conjunction must be followed by an additive term, "
+                      "not a group-closing pivot")
+                break
+            if prev_exp is not None and exp >= prev_exp:
+                _fail(fails, alive, _K.RANK_ORDER_VIOLATION, i,
+                      "outer pivots must descend across myriad groups")
+                break
+            if first_idx is None:
+                first_idx = i
+            alive, total = _close(
+                L, alive, fails, diags, members, coeff, total, prev_exp,
+                first_idx, link_idx, first_group, exp, i, i,
+            )
+            members = []
+            coeff = 0
+            first_idx = link_idx = None
+            prev_exp = exp
+            first_group = False
+            i += 1
+            continue
+
+        if c == _C_LING or c >= _C_DAN:  # gap words
+            if c == _C_LING:
+                bad = alive & L.ling_forbid
+                if bad:
+                    _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, i,
+                          "líng does not occur in {era} numerals")
+                    alive ^= bad
+            else:
+                bad = alive & L.dan_bad
+                if bad:
+                    _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, i,
+                          f"{_NOTATION[c]} is a 13th-century gap word, not "
+                          f"part of {{era}}")
+                    alive ^= bad
+                if alive:
+                    diags.append(
+                        (alive, f"historical gap word {_NOTATION[c]} read as líng")
+                    )
+            if not alive:
+                break
+            if not (i and 21 <= codes[i - 1] <= 28):
+                _fail(fails, alive, _K.MISPLACED_LING, i,
+                      "a gap word stands only between a pivot and a following "
+                      "digit")
+                break
+            if i == n - 1:
+                _fail(fails, alive, _K.MISPLACED_LING, i,
+                      "a trailing gap word marks no gap")
+                break
+            gap_idx = i
+            i += 1
+            continue
+
+        # You, the additive conjunction.
+        bad = alive & L.you_forbid
+        if bad:
+            _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, i,
+                  "the conjunction yòu is not part of {era} numerals")
+            alive ^= bad
+            if not alive:
+                break
+        if not (i and 21 <= codes[i - 1] <= 28):
+            _fail(fails, alive, _K.MISPLACED_YOU, i,
+                  "the conjunction joins a completed compound to a lower term")
+            break
+        if i == n - 1:
+            _fail(fails, alive, _K.MISPLACED_YOU, i,
+                  "the conjunction needs a following additive term")
+            break
+        you = True
+        i += 1
+    else:  # the walk was not cut short by a failure
+        closed = total
+        if alive and members:
+            alive, closed = _close(
+                L, alive, fails, diags, members, coeff, total, prev_exp,
+                first_idx, link_idx, first_group, 0, n - 1, n - 1,
+            )
+        if alive:
+            readings.append((alive, closed))
+
+    if fork is not None:
+        ell, members, coeff, first_idx = fork
+        elliptic, closed = _close(
+            L, ell, fails, diags, members, coeff, total, prev_exp,
+            first_idx, link_idx, first_group, 0, n - 1, n - 1,
+        )
+        readings.append((elliptic, closed))
+    for mask, value in readings:
+        lane = 0
+        while mask:
+            if mask & 1:
+                values[lane] = value
+            mask >>= 1
+            lane += 1
+    return values, elliptic, fails, diags
+
+
+def _codes(toks: tuple[Morpheme, ...]) -> list[int]:
+    try:
+        return [t.code for t in toks]
+    except AttributeError:
+        raise TypeError("parse expects a sequence of numeral Morphemes") from None
+
+
+def _read_eras(
+    toks: tuple[Morpheme, ...]
+) -> tuple[list[int | NumeralParseError], Features]:
+    """Every era's reading of toks from one walk, in chronological order.
+
+    Each entry is the value that era's parse returns or the error it raises.
+    The features are the lenient grammar's, or, where it rejects, the token
+    flags with elliptic False.
+    """
+    codes = _codes(toks)
+    values, elliptic, fails, _ = _walk(codes, _ALL_LANES)
+    readings: list[int | NumeralParseError] = [
+        value if value is not None else _ALL_LANES.error(lane, fails[lane])
+        for lane, value in enumerate(values[:_LENIENT_LANE])
+    ]
+    return readings, _features(codes, bool(elliptic >> _LENIENT_LANE & 1))
 
 
 def parse(tokens: object, era: object = None) -> ParseOutcome:
@@ -265,498 +870,28 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     """
     toks: tuple[Morpheme, ...] = tuple(getattr(tokens, "tokens", tokens))
     if era is None or isinstance(era, str) and era.strip().lower() == "lenient":
-        profile = None
+        lanes = _LENIENT_LANES
+    elif era.__class__ is Era:
+        lanes = _ERA_LANES[era]  # type: ignore[index]
     else:
         profile = era_profile(era)  # type: ignore[arg-type]
-    n = len(toks)
-    if n == 0:
+        lanes = _ERA_LANES[profile.era]
+        if lanes.profiles[0] is not profile:
+            lanes = _Lanes((profile,))
+    if not toks:
         raise NumeralParseError(
             ParseErrorKind.EMPTY_INPUT, 0, "no tokens to parse"
         )
-
-    try:
-        codes = [t.code for t in toks]
-    except AttributeError:
-        raise TypeError("parse expects a sequence of numeral Morphemes") from None
-
-    lenient = profile is None
-    strict_early = profile is not None and profile.era in EARLY_ERAS
-    ling_required = profile is not None and profile.ling_policy is LingPolicy.REQUIRED
-    max_value = profile.max_value if profile is not None else _LENIENT_MAX
-    era_name = profile.era.value if profile is not None else "the lenient grammar"
-
-    diagnostics: list[str] = []
-    elliptic = False
-
-    def err(kind: ParseErrorKind, pos: int, msg: str) -> NoReturn:
-        raise NumeralParseError(kind, pos, msg)
-
-    # Standalone zero.
-    if n == 1 and codes[0] == _C_LING:
-        if profile is not None and profile.ling_policy is LingPolicy.FORBIDDEN:
-            err(
-                ParseErrorKind.OUT_OF_ERA_MORPHEME,
-                0,
-                f"líng does not occur in {era_name} numerals",
-            )
-        if profile is not None and not profile.zero_expressible:
-            err(
-                ParseErrorKind.MISPLACED_LING,
-                0,
-                f"líng alone does not name zero in {era_name}",
-            )
-        return ParseOutcome(
-            value=0,
-            era_checked=profile.era if profile else None,
-            features=_features(codes, False),
-            diagnostics=(),
-            tokens=toks,
-        )
-
-    total = 0
-    prev_closer_exp: int | None = None
-    # Current group state. members holds (digit_value, in_group_exp,
-    # explicit_one, token_index); exponent 0 marks the unit slot.
-    members: list[tuple[int, int, bool, int]] = []
-    group_coeff = 0
-    group_first_idx: int | None = None
-    group_link_idx: int | None = None
-    pending_gap_idx: int | None = None
-    pending_you = False
-    is_first_group = True
-
-    def head_one_check(closer_exp: int | None, closer_idx: int | None) -> None:
-        """Validate the [1] policy on the numeral's first compound.
-
-        Runs when the first group closes, because whether an inner pivot is
-        the sole multiplier of an outer pivot is known only then.
-        """
-        if lenient or strict_early:
-            return
-        lead = profile.leading_one_policy
-        if not members:
-            # Bare outer pivot opens the numeral (coefficient 1 implicit).
-            if lead is not LeadingOnePolicy.OMIT_BEFORE_HIGHEST:
-                err(
-                    ParseErrorKind.RANK_ORDER_VIOLATION,
-                    closer_idx if closer_idx is not None else 0,
-                    f"{era_name} writes [1] before the opening pivot",
-                )
-            return
-        value, exp, explicit, idx = members[0]
-        if value != 1:
-            return
-        if exp == 0:
-            # A lone unit digit 1 under an outer pivot: [1][10^4] shape.
-            if closer_exp is None:
-                return  # the numeral is just the digit 1
-            if lead is LeadingOnePolicy.OMIT_BEFORE_HIGHEST:
-                err(
-                    ParseErrorKind.RANK_ORDER_VIOLATION,
-                    idx,
-                    f"{era_name} omits [1] before the numeral's first pivot",
-                )
-            return
-        sole = (
-            closer_exp is not None
-            and len(members) == 1
-            and profile.inner_multiplicand_one is OneBeforeInnerMultiplicand.OMIT
-        )
-        if sole:
-            if explicit:
-                err(
-                    ParseErrorKind.RANK_ORDER_VIOLATION,
-                    idx,
-                    f"{era_name} writes the sole multiplier of an outer pivot "
-                    f"bare: no [1] before it",
-                )
-            return
-        if lead is LeadingOnePolicy.OMIT_BEFORE_HIGHEST:
-            if explicit:
-                err(
-                    ParseErrorKind.RANK_ORDER_VIOLATION,
-                    idx,
-                    f"{era_name} omits [1] before the numeral's first pivot",
-                )
-        elif lead is LeadingOnePolicy.REQUIRED_ALL:
-            if not explicit:
-                err(
-                    ParseErrorKind.RANK_ORDER_VIOLATION,
-                    idx,
-                    f"{era_name} writes [1] before every pivot, "
-                    f"including the first",
-                )
-        else:  # REQUIRED_EXCEPT_LEADING_TEN
-            if exp != 1 and not explicit:
-                err(
-                    ParseErrorKind.RANK_ORDER_VIOLATION,
-                    idx,
-                    f"{era_name} writes [1] before an opening pivot "
-                    f"above ten",
-                )
-
-    def close_group(scale_exp: int, closer_idx: int, end_idx: int) -> None:
-        nonlocal total, members, group_coeff, group_first_idx
-        nonlocal group_link_idx, prev_closer_exp, is_first_group
-        if is_first_group:
-            head_one_check(
-                scale_exp if scale_exp else None,
-                closer_idx if scale_exp else None,
-            )
-        elif scale_exp and not members:
-            # A later group opened by a bare outer pivot (implicit 1).
-            if not (lenient or strict_early):
-                err(
-                    ParseErrorKind.RANK_ORDER_VIOLATION,
-                    closer_idx,
-                    f"{era_name} writes [1] before a non-initial pivot",
-                )
-        coeff = group_coeff if members else 1
-        # Cross-group gap accounting against the previous outer pivot.
-        if prev_closer_exp is not None:
-            top_abs = scale_exp + (members[0][1] if members else 0)
-            gap = top_abs != prev_closer_exp - 1
-            if gap and group_link_idx is None:
-                if ling_required:
-                    err(
-                        ParseErrorKind.RANK_ORDER_VIOLATION,
-                        group_first_idx if group_first_idx is not None else end_idx,
-                        f"rank gap after the 10^{prev_closer_exp} pivot needs "
-                        f"líng in {era_name}",
-                    )
-                if lenient:
-                    diagnostics.append(
-                        f"líng missing at the rank gap after the "
-                        f"10^{prev_closer_exp} pivot; accepted leniently "
-                        f"(outer-pivot líng drop, a known regional elision)"
-                    )
-            elif not gap and group_link_idx is not None:
-                err(
-                    ParseErrorKind.MISPLACED_LING,
-                    group_link_idx,
-                    "líng marks a rank gap, but the following rank is "
-                    "adjacent to the pivot before it",
-                )
-        new_total = total + coeff * 10**scale_exp
-        if new_total > max_value:
-            err(
-                ParseErrorKind.OVERFLOW,
-                closer_idx,
-                f"value exceeds the {era_name} ceiling of {max_value}",
-            )
-        total = new_total
-        members = []
-        group_coeff = 0
-        group_first_idx = None
-        group_link_idx = None
-        if scale_exp:
-            prev_closer_exp = scale_exp
-        is_first_group = False
-
-    def note_gap_word(idx: int, next_exp: int) -> None:
-        """Consume a pending gap word before a compound/unit at next_exp."""
-        nonlocal pending_gap_idx, group_link_idx
-        if members:
-            if next_exp == members[-1][1] - 1:
-                err(
-                    ParseErrorKind.MISPLACED_LING,
-                    idx,
-                    "líng marks a rank gap, but these ranks are adjacent",
-                )
-        else:
-            group_link_idx = idx  # cross-group link, validated at close
-        pending_gap_idx = None
-
-    def gap_check_plain(next_exp: int, next_idx: int) -> None:
-        """In-group gap with no link word: fine unless the era demands líng."""
-        if members and ling_required and next_exp != members[-1][1] - 1:
-            err(
-                ParseErrorKind.RANK_ORDER_VIOLATION,
-                next_idx,
-                f"rank gap inside the numeral needs líng in {era_name}",
-            )
-
-    i = 0
-    while i < n:
-        c = codes[i]
-
-        if c <= _C_LIANG:  # digit or liang
-            is_liang = c == _C_LIANG
-            value = 2 if is_liang else c
-            if is_liang and profile is not None and not profile.liang_allowed:
-                err(
-                    ParseErrorKind.OUT_OF_ERA_MORPHEME,
-                    i,
-                    f"the liang variant of 2 is not part of {era_name} numerals",
-                )
-            nxt = codes[i + 1] if i + 1 < n else None
-            if nxt is not None and nxt <= _C_LIANG:
-                err(
-                    ParseErrorKind.DIGIT_RUN_WITHOUT_PIVOT,
-                    i + 1,
-                    "two digits in direct succession form no numeral",
-                )
-            if nxt is not None and 21 <= nxt <= 23:
-                # Digit + inner pivot: a multiplicative compound.
-                k = nxt - 20
-                if is_liang and k == 1:
-                    err(
-                        ParseErrorKind.LIANG_BEFORE_SHI,
-                        i,
-                        "liang never multiplies the pivot ten; only er does",
-                    )
-                if members and members[-1][1] <= k:
-                    err(
-                        ParseErrorKind.RANK_ORDER_VIOLATION,
-                        i + 1,
-                        "pivot ranks must descend within a myriad group",
-                    )
-                if pending_gap_idx is not None:
-                    note_gap_word(pending_gap_idx, k)
-                elif pending_you:
-                    pending_you = False
-                else:
-                    gap_check_plain(k, i)
-                if not members and group_first_idx is None:
-                    group_first_idx = i
-                members.append((value, k, True, i))
-                group_coeff += value * 10**k
-                i += 2
-                continue
-            # Unit slot, elliptic tail, or a digit before an outer pivot.
-            if members and members[-1][1] == 0:
-                err(
-                    ParseErrorKind.RANK_ORDER_VIOLATION,
-                    i,
-                    "a second unit digit cannot follow the unit slot",
-                )
-            consumed_link = False
-            if pending_gap_idx is not None:
-                note_gap_word(pending_gap_idx, 0)
-                consumed_link = True
-            elif pending_you:
-                pending_you = False
-                consumed_link = True
-
-            if nxt is None and not consumed_link:
-                prev_is_pivot = i > 0 and 21 <= codes[i - 1] <= 28
-                if prev_is_pivot:
-                    inferred = (
-                        members[-1][1] - 1 if members else (prev_closer_exp or 1) - 1
-                    )
-                    if inferred >= 1:
-                        if is_liang:
-                            if inferred == 1:
-                                err(
-                                    ParseErrorKind.LIANG_BEFORE_SHI,
-                                    i,
-                                    "the elliptic reading would put liang on "
-                                    "the pivot ten",
-                                )
-                            take_elliptic = True
-                        elif lenient:
-                            unit_reading = total + group_coeff + value
-                            ell_reading = (
-                                total + group_coeff + value * 10**inferred
-                            )
-                            diagnostics.append(
-                                f"AmbiguousElliptic: trailing digit reads as "
-                                f"the unit ({unit_reading}) or as an elliptic "
-                                f"rank ({ell_reading}); the contemporary "
-                                f"elliptic reading is returned"
-                            )
-                            take_elliptic = True
-                        else:
-                            take_elliptic = ling_required
-                        if take_elliptic:
-                            if not members and group_first_idx is None:
-                                group_first_idx = i
-                            members.append((value, inferred, True, i))
-                            group_coeff += value * 10**inferred
-                            elliptic = True
-                            i += 1
-                            continue
-            if is_liang:
-                if members:
-                    err(
-                        ParseErrorKind.LIANG_IN_UNIT_SLOT,
-                        i,
-                        "the unit slot of a complex numeral takes er, never liang",
-                    )
-                if nxt is None and n > 1:
-                    err(
-                        ParseErrorKind.LIANG_IN_UNIT_SLOT,
-                        i,
-                        "a trailing liang after a link word reads as a unit "
-                        "digit, which liang cannot be",
-                    )
-                if nxt is not None and not 24 <= nxt <= 28:
-                    err(
-                        ParseErrorKind.LIANG_IN_UNIT_SLOT,
-                        i,
-                        "standalone liang multiplies an outer pivot only",
-                    )
-            if ling_required and not consumed_link and members:
-                gap_check_plain(0, i)
-            if not members and group_first_idx is None:
-                group_first_idx = i
-            members.append((value, 0, True, i))
-            group_coeff += value
-            i += 1
-            continue
-
-        if 21 <= c <= 23:  # bare inner pivot: compound with implicit [1]
-            k = c - 20
-            if pending_gap_idx is not None:
-                note_gap_word(pending_gap_idx, k)
-            elif pending_you:
-                pending_you = False
-            else:
-                gap_check_plain(k, i)
-            if members and members[-1][1] <= k:
-                err(
-                    ParseErrorKind.RANK_ORDER_VIOLATION,
-                    i,
-                    "pivot ranks must descend within a myriad group",
-                )
-            non_head = members or not is_first_group
-            if non_head and not (lenient or strict_early):
-                err(
-                    ParseErrorKind.RANK_ORDER_VIOLATION,
-                    i,
-                    f"{era_name} writes [1] before a non-initial pivot",
-                )
-            if (
-                not non_head
-                and not (lenient or strict_early)
-                and profile.inner_multiplicand_one
-                is OneBeforeInnerMultiplicand.REQUIRE
-            ):
-                # No sole-multiplier escape in this era, so a bare opening
-                # pivot is already wrong here; report it at its own token
-                # rather than at a later symptom.
-                lead = profile.leading_one_policy
-                if lead is LeadingOnePolicy.REQUIRED_ALL:
-                    err(
-                        ParseErrorKind.RANK_ORDER_VIOLATION,
-                        i,
-                        f"{era_name} writes [1] before every pivot, "
-                        f"including the first",
-                    )
-                if (
-                    lead is LeadingOnePolicy.REQUIRED_EXCEPT_LEADING_TEN
-                    and k != 1
-                ):
-                    err(
-                        ParseErrorKind.RANK_ORDER_VIOLATION,
-                        i,
-                        f"{era_name} writes [1] before an opening pivot "
-                        f"above ten",
-                    )
-            if not members and group_first_idx is None:
-                group_first_idx = i
-            members.append((1, k, False, i))
-            group_coeff += 10**k
-            i += 1
-            continue
-
-        if c in (24, 28):  # outer pivot closes the group
-            exp = c - 20
-            if pending_gap_idx is not None:
-                err(
-                    ParseErrorKind.MISPLACED_LING,
-                    pending_gap_idx,
-                    "a gap word must be followed by a digit, not a pivot "
-                    "that closes the group",
-                )
-            if pending_you:
-                err(
-                    ParseErrorKind.MISPLACED_YOU,
-                    i - 1,
-                    "the conjunction must be followed by an additive term, "
-                    "not a group-closing pivot",
-                )
-            if prev_closer_exp is not None and exp >= prev_closer_exp:
-                err(
-                    ParseErrorKind.RANK_ORDER_VIOLATION,
-                    i,
-                    "outer pivots must descend across myriad groups",
-                )
-            if group_first_idx is None:
-                group_first_idx = i
-            close_group(exp, i, i)
-            i += 1
-            continue
-
-        if c == _C_LING or c >= _C_DAN:  # gap words
-            if c == _C_LING:
-                if profile is not None and profile.ling_policy is LingPolicy.FORBIDDEN:
-                    err(
-                        ParseErrorKind.OUT_OF_ERA_MORPHEME,
-                        i,
-                        f"líng does not occur in {era_name} numerals",
-                    )
-            else:
-                if profile is not None and profile.era is not Era.SONG_QIN:
-                    err(
-                        ParseErrorKind.OUT_OF_ERA_MORPHEME,
-                        i,
-                        f"{token_notation(toks[i])} is a 13th-century gap "
-                        f"word, not part of {era_name}",
-                    )
-                diagnostics.append(
-                    f"historical gap word {token_notation(toks[i])} read as líng"
-                )
-            prev_is_pivot = i > 0 and 21 <= codes[i - 1] <= 28
-            if not prev_is_pivot:
-                err(
-                    ParseErrorKind.MISPLACED_LING,
-                    i,
-                    "a gap word stands only between a pivot and a following "
-                    "digit",
-                )
-            if i == n - 1:
-                err(
-                    ParseErrorKind.MISPLACED_LING,
-                    i,
-                    "a trailing gap word marks no gap",
-                )
-            pending_gap_idx = i
-            i += 1
-            continue
-
-        # You, the additive conjunction.
-        if profile is not None and profile.you_policy is YouPolicy.FORBIDDEN:
-            err(
-                ParseErrorKind.OUT_OF_ERA_MORPHEME,
-                i,
-                f"the conjunction yòu is not part of {era_name} numerals",
-            )
-        prev_is_pivot = i > 0 and 21 <= codes[i - 1] <= 28
-        if not prev_is_pivot:
-            err(
-                ParseErrorKind.MISPLACED_YOU,
-                i,
-                "the conjunction joins a completed compound to a lower term",
-            )
-        if i == n - 1:
-            err(
-                ParseErrorKind.MISPLACED_YOU,
-                i,
-                "the conjunction needs a following additive term",
-            )
-        pending_you = True
-        i += 1
-        continue
-
-    if members:
-        close_group(0, n - 1, n - 1)
-
+    codes = _codes(toks)
+    values, elliptic, fails, diags = _walk(codes, lanes)
+    value = values[0]
+    if value is None:
+        raise lanes.error(0, fails[0])  # type: ignore[arg-type]
     return ParseOutcome(
-        value=total,
-        era_checked=profile.era if profile else None,
-        features=_features(codes, elliptic),
-        diagnostics=tuple(diagnostics),
+        value=value,
+        era_checked=lanes.era_checked,
+        features=_features(codes, elliptic != 0),
+        diagnostics=tuple(text for _, text in diags),
         tokens=toks,
     )
 

@@ -3,8 +3,8 @@
 A span is a maximal run of numeral-inventory characters. The yòu graphs
 (有/又) double as everyday prose words, so they join a span only when both
 neighbors are unconditional numeral characters: precision over recall.
-Every span is parsed with the lenient grammar and classified for era
-consistency; the summary reports feature and era-set tallies.
+Every span is tokenized once, parsed with the lenient grammar and classified
+for era consistency; the summary reports feature and era-set tallies.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 from .chronolect import classify
 from .core import MORPHEMES, YOU, Era
-from .parse import NumeralParseError, ParseOutcome, parse
-from .parse import tokenize, ScriptHint
+from .parse import NumeralParseError, ParseOutcome, ScriptHint, parse, tokenize
 
 __all__ = ["ScanRecord", "ScanSummary", "scan_text", "summary_csv_rows"]
 
@@ -168,24 +167,18 @@ def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
 
     for (start, end), (boff, ln, cl) in zip(spans, positions):
         chunk = text[start:end]
+        # A span holds only Han inventory graphs, so it always tokenizes, and
+        # classify never raises on its tokens.
+        toks = tokenize(chunk, ScriptHint.HAN)
         outcome: ParseOutcome | None = None
         error: NumeralParseError | None = None
-        consistent: tuple[Era, ...] = ()
         try:
-            toks = tokenize(chunk, ScriptHint.HAN)
             outcome = parse(toks, None)
         except NumeralParseError as exc:
             error = exc
-        report = None
-        try:
-            report = classify(chunk)
-        except NumeralParseError:
-            pass
-        if report is not None:
-            consistent = report.consistent
-            feats = report.features
-        else:
-            feats = None
+        report = classify(toks)
+        consistent = report.consistent
+        feats = report.features
 
         records.append(
             ScanRecord(
@@ -204,19 +197,16 @@ def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
             tally["parsed"] += 1
         else:
             tally["errors"] += 1
-        if feats is not None:
-            if feats.uses_you:
-                tally["with_you"] += 1
-            else:
-                tally["without_you"] += 1
-            if feats.uses_ling:
-                tally["with_ling"] += 1
-            if feats.liang_present:
-                tally["with_liang"] += 1
-            if feats.elliptic:
-                tally["elliptic"] += 1
+        if feats.uses_you:
+            tally["with_you"] += 1
         else:
             tally["without_you"] += 1
+        if feats.uses_ling:
+            tally["with_ling"] += 1
+        if feats.liang_present:
+            tally["with_liang"] += 1
+        if feats.elliptic:
+            tally["elliptic"] += 1
         key = "+".join(e.value for e in consistent) if consistent else "none"
         era_sets[key] = era_sets.get(key, 0) + 1
 

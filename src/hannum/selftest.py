@@ -187,10 +187,13 @@ def run_selftest(
 ) -> SelfTestReport:
     """Check the example table, then round-trip every era up to max_value.
 
-    max_value 0 skips the sweep entirely (vacuous pass on the table alone).
+    max_value 0 skips the sweep entirely (vacuous pass on the table alone);
+    a negative max_value raises ValueError.
     fixtures and phrase_fixtures exist so a harness can inject a corrupted
     table and confirm the self-test actually notices.
     """
+    if max_value < 0:
+        raise ValueError(f"max_value must be 0 or more, got {max_value}")
     start = time.perf_counter()
     failures: list[str] = []
     checks = 0

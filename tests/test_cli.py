@@ -6,6 +6,7 @@ import json
 import pytest
 
 from hannum.cli import main
+from hannum.selftest import run_selftest
 
 
 def run(capsys, *argv):
@@ -248,6 +249,21 @@ class TestSelftest:
         assert code == 0
         assert out.startswith("selftest: pass")
         assert "0 failures" in out
+
+    def test_negative_max_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["selftest", "--max", "-1"])
+        assert info.value.code == 2
+        assert "--max" in capsys.readouterr().err
+
+    def test_zero_max_checks_table_only(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--max", "0")
+        assert code == 0
+        assert out.startswith("selftest: pass (100 checks")
+
+    def test_run_selftest_rejects_negative_max(self):
+        with pytest.raises(ValueError):
+            run_selftest(max_value=-1)
 
 
 class TestUsage:

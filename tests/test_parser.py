@@ -1,8 +1,13 @@
 """Tokenizing surface text and parsing morpheme sequences per era grammar."""
 
+import hashlib
+import itertools
+from dataclasses import replace
+
 import pytest
 
 from hannum import (
+    CHRONOLOGY,
     DAN,
     LIANG,
     LING,
@@ -15,6 +20,7 @@ from hannum import (
     Script,
     ScriptHint,
     TwoStyle,
+    classify,
     digit,
     parse,
     parse_text,
@@ -22,6 +28,7 @@ from hannum import (
     render_integer,
     tokenize,
 )
+from hannum.core import MORPHEMES, LingPolicy, era_profile
 
 
 def err(callable_, *args, **kwargs):
@@ -315,6 +322,25 @@ class TestLenientMode:
         assert any("toneless" in d for d in outcome.diagnostics)
 
 
+class TestCustomProfile:
+    def test_own_ceiling_and_name(self):
+        # A profile that is not one of the eight reads as its own lane.
+        tight = replace(era_profile(Era.CONTEMPORARY), max_value=999)
+        assert parse((digit(9), pivot(2)), tight).value == 900
+        e = err(parse, (digit(1), pivot(3)), tight)
+        assert e.kind is ParseErrorKind.OVERFLOW
+        assert e.message == "value exceeds the contemporary ceiling of 999"
+
+    def test_own_policies(self):
+        no_ling = replace(
+            era_profile(Era.CONTEMPORARY), ling_policy=LingPolicy.FORBIDDEN
+        )
+        e = err(parse, (digit(1), pivot(2), LING, digit(5)), no_ling)
+        assert e.kind is ParseErrorKind.OUT_OF_ERA_MORPHEME
+        # Without required líng the trailing digit is the unit, not elliptic.
+        assert parse((digit(1), pivot(2), digit(5)), no_ling).value == 105
+
+
 class TestRoundTripSpot:
     @pytest.mark.parametrize("era", [e for e in Era])
     def test_spot_values(self, era):
@@ -333,3 +359,54 @@ class TestRoundTripSpot:
         for n in (105, 1050, 115000, 1_305_000_080):
             surface = render_integer(n).text(Script.PINYIN)
             assert parse_text(surface, "contemporary").value == n
+
+
+# Every token sequence of length 1 to 3 over the 19 morphemes: 7,239 of them.
+SHORT_SEQUENCES = [
+    toks
+    for n in (1, 2, 3)
+    for toks in itertools.product(MORPHEMES, repeat=n)
+]
+
+
+class TestShortSequences:
+    """Exhaustive pins over SHORT_SEQUENCES under all nine grammars."""
+
+    # sha256 of the listing below, taken from the per-era parser that the
+    # one-walk parser replaced.
+    GOLDEN = "faa069c890abd3dc58adc0b95a274f16dbd672a2ceb9fa4d0855c2bf85c0f73a"
+
+    def test_golden_listing(self):
+        lines = []
+        for toks in SHORT_SEQUENCES:
+            for era in (*CHRONOLOGY, None):
+                try:
+                    out = parse(toks, era)
+                except NumeralParseError as exc:
+                    lines.append(f"{exc.kind.value} {exc.position} {exc.message}")
+                else:
+                    feats = "".join(
+                        "1" if flag else "0" for flag in out.features.as_dict().values()
+                    )
+                    lines.append(f"{out.value} {feats} {' | '.join(out.diagnostics)}")
+        assert len(lines) == 7239 * 9
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.GOLDEN
+
+    def test_classify_lanes_match_single_era_parses(self):
+        # classify reads all eras in one walk; each era's verdict must be
+        # exactly what that era's own parse returns or raises.
+        for toks in SHORT_SEQUENCES:
+            report = classify(toks)
+            for era in CHRONOLOGY:
+                verdict = report.verdict_for(era)
+                try:
+                    value = parse(toks, era).value
+                except NumeralParseError as exc:
+                    assert verdict.value is None, (toks, era)
+                    got = verdict.error
+                    assert (got.kind, got.position, got.message) == (
+                        exc.kind, exc.position, exc.message
+                    ), (toks, era)
+                else:
+                    assert verdict.value == value, (toks, era)
