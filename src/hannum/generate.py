@@ -30,6 +30,7 @@ from .core import (
     LING,
     LeadingOnePolicy,
     LingPolicy,
+    MORPHEMES,
     Morpheme,
     MorphemeKind,
     OneBeforeInnerMultiplicand,
@@ -169,16 +170,30 @@ class NumeralPhrase:
         return self.text()
 
 
+# Each script's written form of every generable morpheme, read straight off
+# the table; the parse-only gap words are absent.
+_WRITTEN = {
+    script: {
+        m: surface(m, script) for m in MORPHEMES if m.traditional is not None
+    }.__getitem__
+    for script in (Script.TRADITIONAL, Script.SIMPLIFIED, Script.PINYIN)
+}
+
+
 def _join_surface(tokens: tuple[Morpheme, ...], script: Script) -> str:
-    pieces = [surface(m, script) for m in tokens]
-    if script is Script.PINYIN:
-        return " ".join(pieces)
     if script is Script.TOKENS:
         # Bracket tokens run together; word tokens get surrounding spaces.
+        pieces = [m.notation for m in tokens]
         return " ".join(
             "".join(p if p.startswith("[") else f" {p} " for p in pieces).split()
         )
-    return "".join(pieces)
+    sep = " " if script is Script.PINYIN else ""
+    try:
+        return sep.join(map(_WRITTEN[script], tokens))
+    except KeyError:
+        pass
+    # A parse-only gap word has no written form: surface() raises for it.
+    return sep.join([surface(m, script) for m in tokens])
 
 
 # ---------------------------------------------------------------------------

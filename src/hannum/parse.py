@@ -95,6 +95,9 @@ class NumeralParseError(ValueError):
         self.position = position
         self.message = message
 
+    def __reduce__(self) -> tuple[object, ...]:
+        return type(self), (self.kind, self.position, self.message)
+
 
 @dataclass(frozen=True, slots=True)
 class Features:
@@ -178,67 +181,68 @@ _TONELESS_SYLLABLES: dict[str, Morpheme] = {
 def _tokenize_impl(
     text: str, script_hint: ScriptHint, toneless: bool
 ) -> tuple[tuple[Morpheme, ...], bool]:
-    """Returns (tokens, used_pinyin)."""
-    if script_hint is ScriptHint.AUTO:
-        mode = (
-            ScriptHint.HAN
-            if any(ch in _HAN_CHARS for ch in text)
-            else ScriptHint.PINYIN
-        )
-    else:
-        mode = script_hint
+    """Returns (tokens, used_pinyin).
 
-    tokens: list[Morpheme] = []
-    if mode is ScriptHint.HAN:
-        for offset, ch in enumerate(text):
-            if ch.isspace():
-                continue
-            m = _HAN_CHARS.get(ch)
-            if m is None:
-                raise NumeralParseError(
-                    ParseErrorKind.UNKNOWN_CHARACTER,
-                    offset,
-                    f"character {ch!r} is not in the numeral inventory",
-                )
-            tokens.append(m)
-        if not tokens:
-            raise NumeralParseError(
-                ParseErrorKind.EMPTY_INPUT, 0, "no numeral content in input"
+    The common case is one table lookup per character (Han) or per syllable
+    (pinyin), mapped in C. Only an input with a miss reads item by item.
+    """
+    # Lookups go into lists, then tuples: on CPython 3.11 a tuple built
+    # straight from map grows by resizing, and over repeated calls that made
+    # peak RSS creep up where list-then-tuple stays flat.
+    han = False
+    if script_hint is not ScriptHint.PINYIN:
+        # A lookup miss is None; a morpheme is always true.
+        found = list(map(_HAN_CHARS.get, text))
+        if found and all(found):
+            return tuple(found), False
+        # AUTO reads Han as soon as one character is a numeral graph.
+        han = script_hint is ScriptHint.HAN or any(found)
+
+    if han:
+        tokens = list(filter(None, found))
+        if len(tokens) < sum(map(len, text.split())):
+            # Some miss is not whitespace: report the first such character.
+            offset = next(
+                i for i, m in enumerate(found) if m is None and not text[i].isspace()
             )
-        return tuple(tokens), False
-
-    # Pinyin: whitespace-separated syllables, tracked with source offsets.
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < n and not text[i].isspace():
-            i += 1
-        syllable = unicodedata.normalize("NFC", text[start:i]).lower()
-        m = _PINYIN_SYLLABLES.get(syllable)
-        if m is None and toneless:
-            bare = _strip_tone_marks(syllable)
-            if bare == "yi":
-                if tokens and tokens[-1].code <= _C_LIANG:
-                    m = pivot(8)
-                else:
-                    m = digit(1)
-            else:
-                m = _TONELESS_SYLLABLES.get(bare)
-        if m is None:
             raise NumeralParseError(
                 ParseErrorKind.UNKNOWN_CHARACTER,
-                start,
-                f"syllable {text[start:i]!r} is not a numeral morpheme",
+                offset,
+                f"character {text[offset]!r} is not in the numeral inventory",
             )
-        tokens.append(m)
+    else:
+        # Pinyin: whitespace-separated syllables.
+        syllables = text.split()
+        tokens = list(map(_PINYIN_SYLLABLES.get, syllables))
+        if not all(tokens):
+            read: list[Morpheme] = []
+            for k, (syllable, m) in enumerate(zip(syllables, tokens)):
+                if m is None:
+                    key = unicodedata.normalize("NFC", syllable).lower()
+                    m = _PINYIN_SYLLABLES.get(key)
+                    if m is None and toneless:
+                        bare = _strip_tone_marks(key)
+                        if bare == "yi":
+                            after_digit = read and read[-1].code <= _C_LIANG
+                            m = pivot(8) if after_digit else digit(1)
+                        else:
+                            m = _TONELESS_SYLLABLES.get(bare)
+                    if m is None:
+                        start = 0
+                        for before in syllables[:k]:
+                            start = text.find(before, start) + len(before)
+                        raise NumeralParseError(
+                            ParseErrorKind.UNKNOWN_CHARACTER,
+                            text.find(syllable, start),
+                            f"syllable {syllable!r} is not a numeral morpheme",
+                        )
+                read.append(m)
+            tokens = read
     if not tokens:
         raise NumeralParseError(
             ParseErrorKind.EMPTY_INPUT, 0, "no numeral content in input"
         )
-    return tuple(tokens), True
+    return tuple(tokens), not han
 
 
 def tokenize(
@@ -254,6 +258,13 @@ def tokenize(
     sensitive unless toneless is set, in which case bare syllables are accepted
     and "yi" is read as the 10^8 pivot straight after a digit, as the digit 1
     otherwise.
+
+    Han text made only of inventory graphs, and pinyin whose syllables are
+    already NFC lower case with tone marks, cost one table lookup per
+    character or syllable. Only these inputs take the general path: Han text
+    holding whitespace (dropped in one more pass), syllables that need
+    normalisation (NFD or upper case), toneless syllables, and input that
+    raises, which is read item by item to find the offending offset.
     """
     return _tokenize_impl(text, script_hint, toneless)[0]
 

@@ -132,26 +132,23 @@ def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
     spans = _spans(text)
     records: list[ScanRecord] = []
 
-    # One forward walk computes byte offset, line, and column per span start.
+    # Each span start's byte offset, line and column, counted over the slice
+    # since the previous span start; text after the last span is never read.
+    # A lone surrogate counts as the 3 bytes surrogatepass writes for it.
+    positions: list[tuple[int, int, int]] = []
     byte_pos = 0
     line = 1
-    col = 1
-    char_pos = 0
-    walk = iter(text)
-    positions: list[tuple[int, int, int]] = []
-    starts = [s for s, _ in spans]
-    want = 0
-    for ch in walk:
-        if want < len(starts) and char_pos == starts[want]:
-            positions.append((byte_pos, line, col))
-            want += 1
-        byte_pos += len(ch.encode("utf-8"))
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-        char_pos += 1
+    line_start = 0
+    prev = 0
+    for start, _ in spans:
+        piece = text[prev:start]
+        newlines = piece.count("\n")
+        if newlines:
+            line += newlines
+            line_start = prev + piece.rfind("\n") + 1
+        byte_pos += len(piece.encode("utf-8", "surrogatepass"))
+        positions.append((byte_pos, line, start - line_start + 1))
+        prev = start
 
     tally = {
         "expressions": 0,

@@ -1,0 +1,187 @@
+"""The morpheme <-> surface layer against its per-item references.
+
+tokenize maps whole texts through lookup tables and reads item by item only
+on a miss; NumeralExpression.text joins per-script tables. Both must agree
+exactly with the per-character tokenizer in reference_tokenizer.py and with
+a join of core.surface over the tokens.
+"""
+
+import unicodedata
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hannum import (
+    Era,
+    NonGenerableMorpheme,
+    NumeralExpression,
+    RenderOptions,
+    Script,
+    TwoStyle,
+    era_profile,
+    render_integer,
+)
+from hannum.core import DAN, LING_ALT, MORPHEMES, digit, surface
+from hannum.parse import NumeralParseError, ScriptHint, _tokenize_impl
+from reference_tokenizer import reference_tokenize
+
+
+def _result(tokenizer, text, hint, toneless):
+    try:
+        return tokenizer(text, hint, toneless)
+    except NumeralParseError as exc:
+        return exc.kind, exc.position, exc.message
+
+
+def _assert_same(text, hint, toneless):
+    got = _result(_tokenize_impl, text, hint, toneless)
+    want = _result(reference_tokenize, text, hint, toneless)
+    assert got == want, (text, hint, toneless)
+
+
+_GRAPHS = sorted({g for m in MORPHEMES for g in m.graphs})
+_SYLLABLES = sorted({m.pinyin for m in MORPHEMES})
+_PINYIN_VARIANTS = sorted(
+    {
+        variant
+        for s in _SYLLABLES
+        for variant in (
+            s,
+            s[1:],
+            s.upper(),
+            s.capitalize(),
+            unicodedata.normalize("NFD", s),
+            unicodedata.normalize("NFD", s.upper()),
+            "".join(
+                ch for ch in unicodedata.normalize("NFD", s)
+                if not unicodedata.combining(ch)
+            ),
+        )
+    }
+    | {"yi", "YI", "Yi", "ling", "LING", "yí", "xyz", "shi2"}
+)
+_SPACES = [" ", "  ", "\t", "\n", "\u3000", "\x1c", "\x85", "\u2009"]
+_UNKNOWN = ["a", "山", "x", "é", "5", "人", "\ud800", "\u0304"]
+
+_atoms = st.one_of(
+    st.sampled_from(_GRAPHS),
+    st.sampled_from(_PINYIN_VARIANTS),
+    st.sampled_from(_SPACES),
+    st.sampled_from(_UNKNOWN),
+    st.text(max_size=2),
+)
+_texts = st.lists(_atoms, max_size=14).map("".join)
+# Pinyin phrases: syllables separated by whitespace, so most tokenize.
+_phrases = st.lists(
+    st.tuples(st.sampled_from(_SPACES), st.sampled_from(_PINYIN_VARIANTS)),
+    max_size=10,
+).map(lambda parts: "".join(sep + syl for sep, syl in parts))
+_hints = st.sampled_from(list(ScriptHint))
+
+
+class TestTokenizeMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(_texts, _hints, st.booleans())
+    def test_mixed_text(self, text, hint, toneless):
+        _assert_same(text, hint, toneless)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_phrases, _hints, st.booleans())
+    def test_pinyin_phrases(self, text, hint, toneless):
+        _assert_same(text, hint, toneless)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(list(Era)),
+        st.integers(min_value=1, max_value=10**12 - 1),
+        st.sampled_from([Script.TRADITIONAL, Script.SIMPLIFIED, Script.PINYIN]),
+        _hints,
+        st.booleans(),
+    )
+    def test_rendered_text(self, era, n, script, hint, toneless):
+        n = min(n, era_profile(era).max_value)
+        _assert_same(render_integer(n, era).text(script), hint, toneless)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "   ",
+            "\u3000\n",
+            "一百零五",
+            " 一 百\t零\n五 ",
+            "一百x五",
+            "一 百 x",
+            "x一",
+            "一 bǎi",
+            "yī bǎi 一",
+            "yī bǎi",
+            " yī  bǎi ",
+            "YĪ BǍI",
+            unicodedata.normalize("NFD", "yī bǎi líng wǔ"),
+            "yi bai",
+            "wu yi",
+            "yi yi",
+            "san yi san qian",
+            "liang yi",
+            "ling",
+            "ling wu",
+            "LING",
+            "yī bǎi xyz",
+            "yī\u3000bǎi\x1cxyz",
+            "bǎi ǎi",
+            "wàn qiān àn",
+            "bǎi bǎi\nbǎi",
+        ],
+    )
+    @pytest.mark.parametrize("hint", list(ScriptHint))
+    @pytest.mark.parametrize("toneless", [False, True])
+    def test_examples(self, text, hint, toneless):
+        _assert_same(text, hint, toneless)
+
+
+def _surface_join(tokens, script):
+    pieces = [surface(m, script) for m in tokens]
+    if script is Script.PINYIN:
+        return " ".join(pieces)
+    if script is Script.TOKENS:
+        return " ".join(
+            "".join(p if p.startswith("[") else f" {p} " for p in pieces).split()
+        )
+    return "".join(pieces)
+
+
+_OPTIONS = [
+    RenderOptions(),
+    RenderOptions(two_style=TwoStyle.PREFER_LIANG),
+    RenderOptions(use_you=True),
+]
+
+
+class TestTextMatchesSurfaceJoin:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(list(Era)),
+        st.integers(min_value=0, max_value=10**12 - 1),
+        st.sampled_from(_OPTIONS),
+    )
+    def test_rendered_expressions(self, era, n, options):
+        n = min(n, era_profile(era).max_value)
+        try:
+            expr = render_integer(n, era, options)
+        except ValueError:
+            return
+        for script in Script:
+            assert expr.text(script) == _surface_join(expr.tokens, script)
+
+    @pytest.mark.parametrize("gap_word", [DAN, LING_ALT])
+    def test_parse_only_gap_word_error_unchanged(self, gap_word):
+        expr = NumeralExpression((digit(1), gap_word, digit(5)), Era.SONG_QIN)
+        for script in (Script.TRADITIONAL, Script.SIMPLIFIED, Script.PINYIN):
+            with pytest.raises(NonGenerableMorpheme) as exc:
+                expr.text(script)
+            assert str(exc.value) == (
+                f"{gap_word.notation} is recognized on input only and has no "
+                f"generation surface"
+            )
+        assert expr.text(Script.TOKENS) == _surface_join(expr.tokens, Script.TOKENS)
