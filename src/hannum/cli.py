@@ -9,6 +9,7 @@ line for scan (records first, then a final {"summary": ...} object).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -70,7 +71,13 @@ def _text_or_stdin(text: str | None) -> str:
     return text
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    parse_args leaves the parser unchanged and fills a fresh Namespace, so
+    no option carries over from one main() call to the next.
+    """
     top = argparse.ArgumentParser(
         prog="hannum",
         description=(

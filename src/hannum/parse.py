@@ -17,7 +17,8 @@ fires records the first failure of each lane it hits and drops them from
 the alive mask; nothing is raised inside the walk, and a NumeralParseError
 is built only for a lane that rejects. parse is the walk with one lane;
 chronolect's classify runs it once with the eight eras and the lenient
-grammar.
+grammar, and so does scan_text, through _read_span, which keeps only the
+lenient reading, the accepting eras and the features of each span.
 
 The one place where lanes read differently is a trailing bare digit with no
 following pivot. Lanes whose rank gaps demand the link word ling, and the
@@ -855,22 +856,62 @@ def _codes(toks: tuple[Morpheme, ...]) -> list[int]:
         raise TypeError("parse expects a sequence of numeral Morphemes") from None
 
 
+def _walk_all(
+    toks: tuple[Morpheme, ...]
+) -> tuple[list[int | None], list[_Failure | None], list[tuple[int, str]], Features]:
+    """One walk of toks under every era and the lenient grammar.
+
+    Returns _walk's values, failures and diagnostics, and the features: the
+    lenient grammar's, or, where it rejects, the token flags with elliptic
+    False.
+    """
+    codes = _codes(toks)
+    values, elliptic, fails, diags = _walk(codes, _ALL_LANES)
+    return values, fails, diags, _features(codes, bool(elliptic >> _LENIENT_LANE & 1))
+
+
 def _read_eras(
     toks: tuple[Morpheme, ...]
 ) -> tuple[list[int | NumeralParseError], Features]:
     """Every era's reading of toks from one walk, in chronological order.
 
     Each entry is the value that era's parse returns or the error it raises.
-    The features are the lenient grammar's, or, where it rejects, the token
-    flags with elliptic False.
     """
-    codes = _codes(toks)
-    values, elliptic, fails, _ = _walk(codes, _ALL_LANES)
+    values, fails, _, features = _walk_all(toks)
     readings: list[int | NumeralParseError] = [
         value if value is not None else _ALL_LANES.error(lane, fails[lane])
         for lane, value in enumerate(values[:_LENIENT_LANE])
     ]
-    return readings, _features(codes, bool(elliptic >> _LENIENT_LANE & 1))
+    return readings, features
+
+
+_LENIENT_BIT = 1 << _LENIENT_LANE
+
+
+def _read_span(
+    toks: tuple[Morpheme, ...]
+) -> tuple[ParseOutcome | None, NumeralParseError | None, tuple[Era, ...], Features]:
+    """What scan keeps of a span, from one walk: (outcome, error, eras, features).
+
+    outcome or error is exactly what parse(toks, None) returns or raises; eras
+    are the accepting eras in chronological order, as classify reports them.
+    No error is built for a rejecting era.
+    """
+    values, fails, diags, features = _walk_all(toks)
+    consistent = tuple(era for era, v in zip(CHRONOLOGY, values) if v is not None)
+    value = values[_LENIENT_LANE]
+    if value is None:
+        failure = fails[_LENIENT_LANE]
+        assert failure is not None
+        return None, _ALL_LANES.error(_LENIENT_LANE, failure), consistent, features
+    outcome = ParseOutcome(
+        value=value,
+        era_checked=None,
+        features=features,
+        diagnostics=tuple(text for mask, text in diags if mask & _LENIENT_BIT),
+        tokens=toks,
+    )
+    return outcome, None, consistent, features
 
 
 def parse(tokens: object, era: object = None) -> ParseOutcome:

@@ -3,17 +3,22 @@
 A span is a maximal run of numeral-inventory characters. The yòu graphs
 (有/又) double as everyday prose words, so they join a span only when both
 neighbors are unconditional numeral characters: precision over recall.
-Every span is tokenized once, parsed with the lenient grammar and classified
-for era consistency; the summary reports feature and era-set tallies.
+Every span is tokenized once and read in one walk over all nine grammars (the
+eight eras and the lenient one), which gives its lenient value or error, the
+eras it is consistent with and its features; the summary reports feature and
+era-set tallies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chronolect import classify
 from .core import MORPHEMES, YOU, Era
-from .parse import NumeralParseError, ParseOutcome, ScriptHint, parse, tokenize
+from .parse import NumeralParseError, ParseOutcome, ScriptHint, _read_span, tokenize
+
+# Unused here; a traced run of bench/spans.py wraps both by these names.
+from .chronolect import classify  # noqa: F401
+from .parse import parse  # noqa: F401
 
 __all__ = ["ScanRecord", "ScanSummary", "scan_text", "summary_csv_rows"]
 
@@ -164,18 +169,10 @@ def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
 
     for (start, end), (boff, ln, cl) in zip(spans, positions):
         chunk = text[start:end]
-        # A span holds only Han inventory graphs, so it always tokenizes, and
-        # classify never raises on its tokens.
-        toks = tokenize(chunk, ScriptHint.HAN)
-        outcome: ParseOutcome | None = None
-        error: NumeralParseError | None = None
-        try:
-            outcome = parse(toks, None)
-        except NumeralParseError as exc:
-            error = exc
-        report = classify(toks)
-        consistent = report.consistent
-        feats = report.features
+        # A span holds only Han inventory graphs, so it always tokenizes.
+        outcome, error, consistent, feats = _read_span(
+            tokenize(chunk, ScriptHint.HAN)
+        )
 
         records.append(
             ScanRecord(

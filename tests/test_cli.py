@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hannum.cli import main
+from hannum.cli import _parser, main
 from hannum.selftest import run_selftest
 
 
@@ -283,3 +283,54 @@ class TestUsage:
     def test_negative_value_rejected(self, capsys):
         code, _, err = run(capsys, "gen", "-5")
         assert code == 2 or "error" in err
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once per process; no option may carry over
+    from one call to the next."""
+
+    def test_parser_built_once(self):
+        assert _parser() is _parser()
+
+    def test_scan_csv_then_json(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("十有五", encoding="utf-8")
+        code, out, _ = run(capsys, "scan", str(corpus), "--csv")
+        assert code == 0
+        assert out.splitlines()[0] == "key,count"
+        code, out, _ = run(capsys, "scan", str(corpus), "--json")
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert lines[0]["text"] == "十有五"
+        assert lines[-1]["summary"]["with_you"] == 1
+
+    def test_lenient_then_default_era(self, capsys):
+        code, out, _ = run(capsys, "parse", "--lenient", "一百五", "--json")
+        assert code == 0
+        assert json.loads(out)["era_checked"] == "lenient"
+        code, out, _ = run(capsys, "parse", "一百五", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["era_checked"] == "contemporary"
+        assert payload["diagnostics"] == []
+
+    def test_you_then_default(self, capsys):
+        code, out, _ = run(
+            capsys, "gen", "5", "--you", "--era", "zhou-bronze", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["flags"]["use_you"] is True
+        code, out, _ = run(capsys, "gen", "5", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["era"] == "contemporary"
+        assert payload["flags"]["use_you"] is None
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "5", "--era", "no-such-era"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, "gen", "5")
+        assert code == 0
+        assert out == "五\n"

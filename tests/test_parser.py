@@ -29,6 +29,7 @@ from hannum import (
     tokenize,
 )
 from hannum.core import MORPHEMES, LingPolicy, era_profile
+from hannum.parse import _read_span
 
 
 def err(callable_, *args, **kwargs):
@@ -410,3 +411,24 @@ class TestShortSequences:
                     ), (toks, era)
                 else:
                     assert verdict.value == value, (toks, era)
+
+    def test_read_span_matches_parse_and_classify(self):
+        # scan reads each span in one walk; its lenient reading must be what
+        # parse(toks, None) returns or raises, and its eras and features what
+        # classify reports.
+        assert len(SHORT_SEQUENCES) == 7239
+        for toks in SHORT_SEQUENCES:
+            outcome, error, consistent, features = _read_span(toks)
+            try:
+                expected = parse(toks, None)
+            except NumeralParseError as exc:
+                assert outcome is None, toks
+                assert (error.kind, error.position, error.message) == (
+                    exc.kind, exc.position, exc.message
+                ), toks
+            else:
+                assert error is None, toks
+                assert outcome == expected, toks
+            report = classify(toks)
+            assert consistent == report.consistent, toks
+            assert features == report.features, toks
