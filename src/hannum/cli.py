@@ -1,7 +1,8 @@
 """Command-line front end: gen, parse, classify, scan, selftest.
 
 Exit codes: 0 success, 1 parse or era rejection (and self-test failure),
-2 invalid arguments or style/range errors, 3 I/O or encoding errors.
+2 invalid arguments or style/range errors, 3 I/O or encoding errors, which
+include output that stdout cannot encode and a reader that closes the pipe.
 JSON output is a single object for gen/parse/classify and one object per
 line for scan (records first, then a final {"summary": ...} object).
 """
@@ -11,13 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .chronolect import classify
 from .core import Era, RenderOptions, Script, TwoStyle, token_notation
 from .generate import RenderError, render_integer
 from .parse import NumeralParseError, parse_text
-from .scan import scan_text, summary_csv_rows
+from .scan import _MEMO_TEXTS, scan_text, summary_csv_rows
 from .selftest import run_selftest
 
 __all__ = ["main"]
@@ -304,8 +306,21 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(f"{key},{count}")
         return _EXIT_OK
     if args.as_json:
+        # A record's JSON after "column" depends only on its text: serialize
+        # it once per distinct text (as many as scan_text remembers) and
+        # write each record as its position fields plus that tail. With the
+        # default separators this equals json.dumps(rec.as_dict()).
+        tails: dict[str, str] = {}
         for rec in records:
-            print(json.dumps(rec.as_dict(), ensure_ascii=False))
+            tail = tails.get(rec.text)
+            if tail is None:
+                tail = json.dumps(rec.reading_dict(), ensure_ascii=False)[1:]
+                if len(tails) < _MEMO_TEXTS:
+                    tails[rec.text] = tail
+            print(
+                f'{{"byte_offset": {rec.byte_offset}, "line": {rec.line}, '
+                f'"column": {rec.column}, {tail}'
+            )
         print(json.dumps({"summary": summary.as_dict()}, ensure_ascii=False))
         return _EXIT_OK
     for rec in records:
@@ -343,7 +358,27 @@ def main(argv: list[str] | None = None) -> int:
         "scan": _cmd_scan,
         "selftest": _cmd_selftest,
     }
-    return handlers[args.command](args)
+    # Only a write to stdout raises these here (stderr escapes what it cannot
+    # encode, and reading has its own errors): output failures are I/O errors.
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone. Point stdout at devnull so that the final
+        # flush at exit does not raise again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return _EXIT_IO
+    except UnicodeEncodeError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return _EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

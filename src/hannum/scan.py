@@ -3,14 +3,18 @@
 A span is a maximal run of numeral-inventory characters. The yòu graphs
 (有/又) double as everyday prose words, so they join a span only when both
 neighbors are unconditional numeral characters: precision over recall.
-Every span is tokenized once and read in one walk over all nine grammars (the
-eight eras and the lenient one), which gives its lenient value or error, the
-eras it is consistent with and its features; the summary reports feature and
-era-set tallies.
+A span is read in one walk over all nine grammars (the eight eras and the
+lenient one), which gives its lenient value or error, the eras it is
+consistent with and its features; the summary reports feature and era-set
+tallies. The reading depends only on the span text, so one scan_text call
+tokenizes and reads each distinct text once and reuses the result for every
+repeat. That memo holds at most _MEMO_TEXTS texts: once it is full, new texts
+are read every time they occur, so memory stays bounded on any input.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .core import MORPHEMES, YOU, Era
@@ -26,6 +30,17 @@ __all__ = ["ScanRecord", "ScanSummary", "scan_text", "summary_csv_rows"]
 _CORE_CHARS = frozenset(g for m in MORPHEMES if m is not YOU for g in m.graphs)
 # Junction graphs admitted only between core numeral characters.
 _CONDITIONAL_CHARS = frozenset(YOU.graphs)
+# A maximal numeral run: core characters, with at most one junction graph
+# between two of them.
+_SPAN = re.compile(
+    "[{core}](?:[{cond}]?[{core}])*".format(
+        core=re.escape("".join(sorted(_CORE_CHARS))),
+        cond=re.escape("".join(sorted(_CONDITIONAL_CHARS))),
+    )
+)
+# Distinct span texts remembered per scan_text call (and per `hannum scan
+# --json` run, for serialized records).
+_MEMO_TEXTS = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +49,10 @@ class ScanRecord:
 
     byte_offset is the span start in the UTF-8 byte stream; line and column
     are 1-based, with column counted in characters. Exactly one of outcome
-    and error is set.
+    and error is set. Records of one scan_text call with equal text share the
+    same outcome or error object: ParseOutcome is frozen, and an error should
+    be treated as read-only too (raising it sets its traceback for every
+    record that holds it).
     """
 
     byte_offset: int
@@ -50,10 +68,16 @@ class ScanRecord:
         return self.outcome is not None
 
     def as_dict(self) -> dict[str, object]:
-        base: dict[str, object] = {
+        return {
             "byte_offset": self.byte_offset,
             "line": self.line,
             "column": self.column,
+            **self.reading_dict(),
+        }
+
+    def reading_dict(self) -> dict[str, object]:
+        """The as_dict fields after column; they depend only on the text."""
+        base: dict[str, object] = {
             "text": self.text,
             "consistent_eras": [e.value for e in self.consistent_eras],
         }
@@ -72,6 +96,19 @@ class ScanRecord:
                 "message": err.message,
             }
         return base
+
+
+# The summary's counts, in output order.
+_COUNTS = (
+    "expressions",
+    "parsed",
+    "errors",
+    "with_you",
+    "without_you",
+    "with_ling",
+    "with_liang",
+    "elliptic",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,125 +141,100 @@ class ScanSummary:
 
 def _spans(text: str) -> list[tuple[int, int]]:
     """Maximal numeral runs as (start, end) character indexes."""
-    spans: list[tuple[int, int]] = []
-    n = len(text)
-    i = 0
-    while i < n:
-        if text[i] not in _CORE_CHARS:
-            i += 1
-            continue
-        start = i
-        j = i + 1
-        while j < n:
-            c = text[j]
-            if c in _CORE_CHARS:
-                j += 1
-                continue
-            if (
-                c in _CONDITIONAL_CHARS
-                and text[j - 1] in _CORE_CHARS
-                and j + 1 < n
-                and text[j + 1] in _CORE_CHARS
-            ):
-                j += 1
-                continue
-            break
-        spans.append((start, j))
-        i = j
-    return spans
+    return [m.span() for m in _SPAN.finditer(text)]
+
+
+_Signature = tuple[bool, bool, bool, bool, bool, str]
+_Reading = tuple[
+    ParseOutcome | None, NumeralParseError | None, tuple[Era, ...], _Signature
+]
+
+
+def _read(chunk: str) -> _Reading:
+    """A span text's outcome, error and consistent eras, and its signature.
+
+    The signature is what the summary counts of a span: (parsed, with yòu,
+    with líng, with liǎng, elliptic, era-set key).
+    """
+    # A span holds only Han inventory graphs, so it always tokenizes.
+    outcome, error, consistent, feats = _read_span(
+        tokenize(chunk, ScriptHint.HAN)
+    )
+    key = "+".join(e.value for e in consistent) if consistent else "none"
+    signature = (
+        outcome is not None,
+        feats.uses_you,
+        feats.uses_ling,
+        feats.liang_present,
+        feats.elliptic,
+        key,
+    )
+    return outcome, error, consistent, signature
 
 
 def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
     """Locate, parse, and classify every numeral span in text."""
-    spans = _spans(text)
     records: list[ScanRecord] = []
+    readings: dict[str, _Reading] = {}
+    # Spans per signature, in order of first occurrence. Counting spans, not
+    # memo entries, keeps the tallies exact once the memo is full.
+    counts: dict[_Signature, int] = {}
 
     # Each span start's byte offset, line and column, counted over the slice
     # since the previous span start; text after the last span is never read.
     # A lone surrogate counts as the 3 bytes surrogatepass writes for it.
-    positions: list[tuple[int, int, int]] = []
     byte_pos = 0
     line = 1
     line_start = 0
     prev = 0
-    for start, _ in spans:
+    for match in _SPAN.finditer(text):
+        start = match.start()
         piece = text[prev:start]
         newlines = piece.count("\n")
         if newlines:
             line += newlines
             line_start = prev + piece.rfind("\n") + 1
         byte_pos += len(piece.encode("utf-8", "surrogatepass"))
-        positions.append((byte_pos, line, start - line_start + 1))
         prev = start
 
-    tally = {
-        "expressions": 0,
-        "parsed": 0,
-        "errors": 0,
-        "with_you": 0,
-        "without_you": 0,
-        "with_ling": 0,
-        "with_liang": 0,
-        "elliptic": 0,
-    }
-    era_sets: dict[str, int] = {}
-
-    for (start, end), (boff, ln, cl) in zip(spans, positions):
-        chunk = text[start:end]
-        # A span holds only Han inventory graphs, so it always tokenizes.
-        outcome, error, consistent, feats = _read_span(
-            tokenize(chunk, ScriptHint.HAN)
-        )
-
+        chunk = match.group()
+        reading = readings.get(chunk)
+        if reading is None:
+            reading = _read(chunk)
+            if len(readings) < _MEMO_TEXTS:
+                readings[chunk] = reading
+        outcome, error, consistent, signature = reading
+        column = start - line_start + 1
         records.append(
-            ScanRecord(
-                byte_offset=boff,
-                line=ln,
-                column=cl,
-                text=chunk,
-                outcome=outcome,
-                error=error,
-                consistent_eras=consistent,
-            )
+            ScanRecord(byte_pos, line, column, chunk, outcome, error, consistent)
         )
+        counts[signature] = counts.get(signature, 0) + 1
 
-        tally["expressions"] += 1
-        if outcome is not None:
-            tally["parsed"] += 1
-        else:
-            tally["errors"] += 1
-        if feats.uses_you:
-            tally["with_you"] += 1
-        else:
-            tally["without_you"] += 1
-        if feats.uses_ling:
-            tally["with_ling"] += 1
-        if feats.liang_present:
-            tally["with_liang"] += 1
-        if feats.elliptic:
-            tally["elliptic"] += 1
-        key = "+".join(e.value for e in consistent) if consistent else "none"
-        era_sets[key] = era_sets.get(key, 0) + 1
+    return records, _summary(counts)
 
-    summary = ScanSummary(era_sets=era_sets, **tally)
-    return records, summary
+
+def _summary(counts: dict[_Signature, int]) -> ScanSummary:
+    tally = dict.fromkeys(_COUNTS, 0)
+    # Signatures come in order of first occurrence, so era-set keys do too.
+    era_sets: dict[str, int] = {}
+    for (ok, you, ling, liang, elliptic, key), n in counts.items():
+        tally["expressions"] += n
+        tally["parsed" if ok else "errors"] += n
+        tally["with_you" if you else "without_you"] += n
+        if ling:
+            tally["with_ling"] += n
+        if liang:
+            tally["with_liang"] += n
+        if elliptic:
+            tally["elliptic"] += n
+        era_sets[key] = era_sets.get(key, 0) + n
+    return ScanSummary(era_sets=era_sets, **tally)
 
 
 def summary_csv_rows(summary: ScanSummary) -> list[tuple[str, str]]:
     """Flatten a summary to (key, count) rows for CSV output."""
     d = summary.as_dict()
-    rows: list[tuple[str, str]] = []
-    for key in (
-        "expressions",
-        "parsed",
-        "errors",
-        "with_you",
-        "without_you",
-        "with_ling",
-        "with_liang",
-        "elliptic",
-    ):
-        rows.append((key, str(d[key])))
+    rows = [(key, str(d[key])) for key in _COUNTS]
     for name, count in d["era_sets"].items():  # type: ignore[union-attr]
         rows.append((f"era_set:{name}", str(count)))
     return rows

@@ -38,6 +38,9 @@ from hannum import (
     tokenize,
 )
 
+# The whole gate is deselected by the fast suite: pytest -m "not gate".
+pytestmark = pytest.mark.gate
+
 SEED = 20260818
 
 
