@@ -3,11 +3,14 @@
 The core operation is render_integer: split the value into myriad groups
 (units, x10^4, x10^8), render each group's coefficient with descending
 [digit][pivot] compounds, and join groups with their outer pivots. Everything
-era-dependent is driven by the EraProfile:
+era-dependent comes from the EraProfile the caller passes (standard or
+custom), resolved once per render, together with the options, into a few
+group rules; each group is rendered, and cached, from those rules alone:
 
 * gap marking: in ling-required eras exactly one Ling precedes an emitted
   digit whose rank is not one below the preceding pivot's rank, no matter how
-  many zero digits the gap spans; in earlier eras gaps are plain juxtaposition;
+  many zero digits the gap spans, within a group or across groups; in earlier
+  eras gaps are plain juxtaposition;
 * [1] before pivots: omitted at the head, required everywhere, or required
   except before a numeral-initial ten, with the compound [10^k][10^4] class
   kept bare where the era demands it;
@@ -15,11 +18,14 @@ era-dependent is driven by the EraProfile:
 * the liang variant of 2 where the whole multiplier of a pivot >= 10^2 is 2;
 * elliptic names that drop a final inner pivot recoverable from the digit
   before it.
+
+A rendered NumeralExpression keeps the profile that rendered it, so its value
+reads the tokens back under that same profile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .core import (
@@ -106,12 +112,15 @@ class NumeralExpression:
 
     elliptic marks a form whose final pivot was dropped; such forms cannot be
     incorporated before classifiers or measure words, so incorporable is
-    always the negation of elliptic.
+    always the negation of elliptic. profile is the profile that rendered the
+    expression, set by the renderers and None for one built by hand; it takes
+    no part in equality, hashing or repr.
     """
 
     tokens: tuple[Morpheme, ...]
     era: Era
     elliptic: bool = False
+    profile: EraProfile | None = field(default=None, compare=False, repr=False)
 
     @property
     def incorporable(self) -> bool:
@@ -119,8 +128,9 @@ class NumeralExpression:
 
     @property
     def value(self) -> int:
-        """The integer this expression denotes, read under its own era."""
-        return parse(self.tokens, self.era).value
+        """The integer this expression denotes, read under the profile that
+        rendered it, or under its era's standard profile."""
+        return parse(self.tokens, self.profile or self.era).value
 
     def text(self, script: Script = Script.TRADITIONAL) -> str:
         return _join_surface(self.tokens, script)
@@ -240,142 +250,113 @@ def unit_word(text: "str | UnitWord") -> UnitWord:
 # Group rendering
 # ---------------------------------------------------------------------------
 
-_LIANG_MIN_EXP = 2  # liang only ever multiplies pivots of rank 10^2 and above
+# The rules a group render reads, resolved once per call from (profile,
+# options) into one small int, so the group cache keys on ints only.
+_LING_ON = 1  # one Ling per rank gap
+_YOU_ON = 2  # You at hundreds-tens, tens-units and hundreds-units junctions
+_LIANG_ON = 4  # liang for a 2 that is the whole multiplier of a pivot >= 10^2
+_HEAD_ONE = 8  # [1] before the numeral's first pivot above ten
+_HEAD_TEN_ONE = 16  # [1] before a numeral-initial ten
+_BARE_SOLE = 32  # no [1] before an inner pivot that is an outer one's sole multiplier
 
-
-def _one_is_explicit(
-    profile: EraProfile,
-    *,
-    pivot_exp: int,
-    is_numeral_head: bool,
-    sole_multiplicand: bool,
-    leading_ten_one: bool,
-) -> bool:
-    """Decide whether a coefficient-1 compound spells out the [1].
-
-    sole_multiplicand means the compound is the entire multiplier of an outer
-    pivot (the [10][10^4] / [10^2][10^4] / [10^3][10^4] shapes).
-    """
-    if sole_multiplicand and (
-        profile.inner_multiplicand_one is OneBeforeInnerMultiplicand.OMIT
-    ):
-        return False
-    policy = profile.leading_one_policy
-    if is_numeral_head:
-        if policy is LeadingOnePolicy.OMIT_BEFORE_HIGHEST:
-            return False
-        if policy is LeadingOnePolicy.REQUIRED_ALL:
-            return True
-        # REQUIRED_EXCEPT_LEADING_TEN
-        if pivot_exp == 1:
-            return leading_ten_one
-        return True
-    # Non-head coefficient-1 compounds are spelled out in every era; the
-    # early inscriptional eras never reach here (their renders also spell
-    # non-head ones, matching the strips' qian/bai usage).
-    return True
+# Enum members read once here: a member read at call time costs more than the
+# rest of resolving the rules.
+_LING_REQUIRED = LingPolicy.REQUIRED
+_YOU_FORBIDDEN = YouPolicy.FORBIDDEN
+_YOU_DEFAULT_ON = YouPolicy.OPTIONAL_DEFAULT_ON
+_OMIT_BEFORE_HIGHEST = LeadingOnePolicy.OMIT_BEFORE_HIGHEST
+_REQUIRED_ALL = LeadingOnePolicy.REQUIRED_ALL
+_EXCEPT_LEADING_TEN = LeadingOnePolicy.REQUIRED_EXCEPT_LEADING_TEN
+_INNER_OMIT = OneBeforeInnerMultiplicand.OMIT
+_ALWAYS_ER = TwoStyle.ALWAYS_ER
+_PREFER_LIANG = TwoStyle.PREFER_LIANG
 
 
 @lru_cache(maxsize=1 << 18)
 def _group_tokens(
-    era: Era,
-    coeff: int,
-    scale: int,
-    is_head: bool,
-    prefer_liang: bool,
-    leading_ten_one: bool,
-    you_on: bool,
+    rules: int, coeff: int, scale: int, prev_scale: int | None
 ) -> tuple[Morpheme, ...]:
     """Tokens for one myriad group: coefficient 1..9999 plus its outer pivot.
 
-    scale is the group's outer exponent (0, 4, or 8); internal Ling links and
-    You junctions are included, so callers only add the between-group links.
+    scale is the group's outer exponent (0, 4, or 8) and prev_scale the
+    previous group's, None for the numeral's first group. The Ling that
+    links this group to the previous one is included, as are the internal
+    Ling links and You junctions, so callers only concatenate groups.
     """
-    profile = era_profile(era)
-    ling_on = profile.ling_policy is LingPolicy.REQUIRED
-    closer = pivot(scale) if scale else None
-
-    if coeff == 1 and closer is not None:
-        explicit = _one_is_explicit(
-            profile,
-            pivot_exp=scale,
-            is_numeral_head=is_head,
-            sole_multiplicand=False,
-            leading_ten_one=leading_ten_one,
-        )
-        return (digit(1), closer) if explicit else (closer,)
-
     d3, rem = divmod(coeff, 1000)
     d2, rem = divmod(rem, 100)
     d1, d0 = divmod(rem, 10)
-    digits = ((3, d3), (2, d2), (1, d1))
-    compound_count = sum(1 for _, d in digits if d)
-    sole = closer is not None and compound_count == 1 and d0 == 0
-
+    sole = scale and not d0 and (d3 > 0) + (d2 > 0) + (d1 > 0) == 1
+    # Exponents count from this group's scale, and the previous group's outer
+    # pivot is the term before the first one, so a gap across groups takes one
+    # Ling just like a gap inside a group. None: the numeral's first term.
+    prev_exp = None if prev_scale is None else prev_scale - scale
     out: list[Morpheme] = []
-    first = True
-    prev_exp: int | None = None
-    for exp, d in digits:
+    for exp, d in ((3, d3), (2, d2), (1, d1), (0, d0)):
         if not d:
             continue
         if prev_exp is not None:
-            if exp != prev_exp - 1:  # rank gap inside the group
-                if ling_on:
-                    out.append(LING)
-            elif you_on and prev_exp == 2:
+            if exp != prev_exp - 1 and rules & _LING_ON:
+                out.append(LING)
+            elif prev_exp <= 2 and rules & _YOU_ON:
                 out.append(YOU)
-        if d == 1:
-            if _one_is_explicit(
-                profile,
-                pivot_exp=exp,
-                is_numeral_head=is_head and first,
-                sole_multiplicand=sole,
-                leading_ten_one=leading_ten_one,
+        # The pivot this digit multiplies: its own, or the outer pivot when
+        # the digit is the group's whole coefficient.
+        mult = exp or (scale if coeff < 10 else 0)
+        # [1] is written before every pivot except the numeral's first, which
+        # the head rules decide, and a bare sole inner multiplicand.
+        if d == 1 and mult:
+            if not (sole and rules & _BARE_SOLE) and (
+                prev_exp is not None
+                or rules & (_HEAD_TEN_ONE if mult == 1 else _HEAD_ONE)
             ):
                 out.append(digit(1))
-        elif d == 2 and prefer_liang and exp >= _LIANG_MIN_EXP:
+        elif d == 2 and mult >= 2 and rules & _LIANG_ON:
             out.append(LIANG)
         else:
             out.append(digit(d))
-        out.append(pivot(exp))
+        if exp:
+            out.append(pivot(exp))
         prev_exp = exp
-        first = False
-    if d0:
-        if prev_exp is not None:
-            if prev_exp != 1:
-                if ling_on:
-                    out.append(LING)
-                elif you_on and prev_exp == 2:
-                    out.append(YOU)
-            elif you_on:
-                out.append(YOU)
-        whole_group_two = coeff == 2 and closer is not None
-        if d0 == 2 and prefer_liang and whole_group_two:
-            out.append(LIANG)
-        else:
-            out.append(digit(d0))
-    if closer is not None:
-        out.append(closer)
+    if scale:
+        out.append(pivot(scale))
     return tuple(out)
 
 
 def _resolve_you(profile: EraProfile, opts: RenderOptions) -> bool:
     policy = profile.you_policy
-    if policy is YouPolicy.FORBIDDEN:
+    if policy is _YOU_FORBIDDEN:
         if opts.use_you:
             raise StyleNotAllowed(
                 f"the conjunction you is not used in {profile.era.value} integer names"
             )
         return False
     if opts.use_you is None:
-        return policy is YouPolicy.OPTIONAL_DEFAULT_ON
+        return policy is _YOU_DEFAULT_ON
     return opts.use_you
+
+
+def _rules(profile: EraProfile, opts: RenderOptions) -> int:
+    """The group rules of one render; raises where the era forbids You."""
+    lead = profile.leading_one_policy
+    rules = _YOU_ON if _resolve_you(profile, opts) else 0
+    if profile.ling_policy is _LING_REQUIRED:
+        rules |= _LING_ON
+    if opts.two_style is _PREFER_LIANG:
+        rules |= _LIANG_ON
+    if lead is not _OMIT_BEFORE_HIGHEST:
+        rules |= _HEAD_ONE
+    if lead is _REQUIRED_ALL or (lead is _EXCEPT_LEADING_TEN and opts.leading_ten_one):
+        rules |= _HEAD_TEN_ONE
+    if profile.inner_multiplicand_one is _INNER_OMIT:
+        rules |= _BARE_SOLE
+    return rules
 
 
 def _check_style(
     profile: EraProfile, opts: RenderOptions, elliptic: bool
 ) -> None:
-    if opts.two_style is not TwoStyle.ALWAYS_ER and not profile.liang_allowed:
+    if opts.two_style is not _ALWAYS_ER and not profile.liang_allowed:
         raise StyleNotAllowed(
             f"the liang variant of 2 is not part of {profile.era.value} numerals"
         )
@@ -417,40 +398,18 @@ def _render_full(
             raise ZeroInexpressible(
                 f"{profile.era.value} numerals have no standalone zero word"
             )
-        return NumeralExpression(tokens=(LING,), era=profile.era)
+        return NumeralExpression((LING,), profile.era, False, profile)
 
-    you_on = _resolve_you(profile, opts)
-    prefer_liang = opts.two_style is TwoStyle.PREFER_LIANG
-    ling_on = profile.ling_policy is LingPolicy.REQUIRED
-
+    rules = _rules(profile, opts)
     g8, rem = divmod(n, 10**8)
     g4, g0 = divmod(rem, 10**4)
     tokens: list[Morpheme] = []
     prev_scale: int | None = None
-    is_head = True
     for coeff, scale in ((g8, 8), (g4, 4), (g0, 0)):
-        if not coeff:
-            continue
-        if prev_scale is not None and ling_on:
-            # Highest digit of this group vs the successor rank of the
-            # previous outer pivot: any shortfall is one gap, one Ling.
-            high_exp = 3 if coeff >= 1000 else 2 if coeff >= 100 else 1 if coeff >= 10 else 0
-            if scale + high_exp != prev_scale - 1:
-                tokens.append(LING)
-        tokens.extend(
-            _group_tokens(
-                profile.era,
-                coeff,
-                scale,
-                is_head,
-                prefer_liang,
-                opts.leading_ten_one,
-                you_on,
-            )
-        )
-        prev_scale = scale
-        is_head = False
-    return NumeralExpression(tokens=tuple(tokens), era=profile.era)
+        if coeff:
+            tokens += _group_tokens(rules, coeff, scale, prev_scale)
+            prev_scale = scale
+    return NumeralExpression(tuple(tokens), profile.era, False, profile)
 
 
 def render_elliptic(
@@ -474,13 +433,13 @@ def render_elliptic(
         or t[-1].exponent not in (1, 2, 3)
         or t[-2].kind not in (MorphemeKind.DIGIT, MorphemeKind.LIANG)
         or t[-3].kind is not MorphemeKind.PIVOT
-        or t[-3].exponent != (t[-1].exponent or 0) + 1
+        or t[-3].exponent != t[-1].exponent + 1
     ):
         raise EllipsisUnavailable(
             f"{n} has no droppable final pivot: its name does not end with a "
             f"digit one rank below the preceding pivot"
         )
-    return NumeralExpression(tokens=t[:-1], era=profile.era, elliptic=True)
+    return NumeralExpression(t[:-1], profile.era, True, profile)
 
 
 def render_quantity(

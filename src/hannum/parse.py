@@ -397,12 +397,11 @@ def _close(
     coeff: int,
     total: int,
     prev_exp: int | None,
-    first_idx: int | None,
+    first_idx: int,
     link_idx: int | None,
     first_group: bool,
     scale: int,
     closer_idx: int,
-    end_idx: int,
 ) -> tuple[int, int]:
     """Close a myriad group at 10^scale; returns (alive, new total).
 
@@ -468,8 +467,7 @@ def _close(
         if gap and link_idx is None:
             bad = alive & L.ling_req
             if bad:
-                _fail(fails, bad, _K.RANK_ORDER_VIOLATION,
-                      first_idx if first_idx is not None else end_idx,
+                _fail(fails, bad, _K.RANK_ORDER_VIOLATION, first_idx,
                       f"rank gap after the 10^{prev_exp} pivot needs "
                       f"líng in {{era}}")
                 alive ^= bad
@@ -761,7 +759,7 @@ def _walk(
                 first_idx = i
             alive, total = _close(
                 L, alive, fails, diags, members, coeff, total, prev_exp,
-                first_idx, link_idx, first_group, exp, i, i,
+                first_idx, link_idx, first_group, exp, i,
             )
             members = []
             coeff = 0
@@ -827,7 +825,7 @@ def _walk(
         if alive and members:
             alive, closed = _close(
                 L, alive, fails, diags, members, coeff, total, prev_exp,
-                first_idx, link_idx, first_group, 0, n - 1, n - 1,
+                first_idx, link_idx, first_group, 0, n - 1,
             )
         if alive:
             readings.append((alive, closed))
@@ -836,7 +834,7 @@ def _walk(
         ell, members, coeff, first_idx = fork
         elliptic, closed = _close(
             L, ell, fails, diags, members, coeff, total, prev_exp,
-            first_idx, link_idx, first_group, 0, n - 1, n - 1,
+            first_idx, link_idx, first_group, 0, n - 1,
         )
         readings.append((elliptic, closed))
     for mask, value in readings:

@@ -3,6 +3,8 @@
 import copy
 import doctest
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +41,8 @@ from hannum.core import (
 )
 from hannum.parse import _HAN_CHARS, ScriptHint, tokenize
 from hannum.scan import _CONDITIONAL_CHARS, _CORE_CHARS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestMorphemes:
@@ -147,6 +151,65 @@ class TestDoctests:
         assert result.failed == 0
         assert result.attempted >= 5
         assert doctest.testmod(hannum.core).failed == 0
+
+    def test_readme_examples_pass(self):
+        # Only the code block is handed to doctest: read as part of the
+        # prose, the closing fence would be taken for expected output.
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```python\n(>>> .*?)```", readme, re.S).group(1)
+        test = doctest.DocTestParser().get_doctest(block, {}, "README", "README.md", 0)
+        result = doctest.DocTestRunner().run(test)
+        assert result.failed == 0
+        assert result.attempted >= 4
+
+
+_LEADING_ONE_CELLS = {
+    LeadingOnePolicy.OMIT_BEFORE_HIGHEST: "omitted before highest pivot",
+    LeadingOnePolicy.REQUIRED_ALL: "required before every pivot",
+    LeadingOnePolicy.REQUIRED_EXCEPT_LEADING_TEN: "required except before a leading ten",
+}
+_SUPERSCRIPTS = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+
+
+def _readme_era_rows():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = readme.index("| era id |")
+    lines = readme[start:].split("\n\n", 1)[0].splitlines()
+    header, rule, *rows = ([c.strip() for c in line.strip("|").split("|")] for line in lines)
+    return header, rule, rows
+
+
+class TestReadmeEraTable:
+    def test_every_row_has_every_cell(self):
+        header, rule, rows = _readme_era_rows()
+        assert len(header) == len(rule) == 10
+        assert [row[0].strip("`") for row in rows] == [e.value for e in CHRONOLOGY]
+        for row in rows:
+            assert len(row) == len(header), row[0]
+
+    @pytest.mark.parametrize("era", CHRONOLOGY)
+    def test_row_matches_profile(self, era):
+        _, _, rows = _readme_era_rows()
+        (row,) = [r for r in rows if r[0] == f"`{era.value}`"]
+        _, period, you, ling, lead, inner, liang, elliptic, zero, ceiling = row
+        profile = era_profile(era)
+        yes_no = {True: "yes", False: "no"}
+        assert period == era.period.replace("centuries", "c.").replace("century", "c.")
+        assert (you == "no") == (profile.you_policy is YouPolicy.FORBIDDEN)
+        if you != "no":
+            default_on = profile.you_policy is YouPolicy.OPTIONAL_DEFAULT_ON
+            assert you == f"optional, default {'on' if default_on else 'off'}"
+        required = profile.ling_policy is LingPolicy.REQUIRED
+        assert ling == ("required at rank gaps" if required else "no")
+        assert lead.startswith(_LEADING_ONE_CELLS[profile.leading_one_policy])
+        omit = profile.inner_multiplicand_one is OneBeforeInnerMultiplicand.OMIT
+        assert inner == ("omitted" if omit else "required")
+        assert liang == yes_no[profile.liang_allowed]
+        assert elliptic == yes_no[profile.elliptic_allowed]
+        assert zero == yes_no[profile.zero_expressible]
+        power, minus_one = ceiling.translate(_SUPERSCRIPTS).split(" − ")
+        assert power.startswith("10") and minus_one == "1"
+        assert 10 ** int(power[2:]) - 1 == profile.max_value
 
 
 class TestSurfaces:

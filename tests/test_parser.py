@@ -177,6 +177,14 @@ class TestEraRejections:
         e = err(parse_text, "一千八十九", "contemporary")
         assert e.kind is ParseErrorKind.RANK_ORDER_VIOLATION
 
+    @pytest.mark.parametrize("text", ["一萬五十", "一億三十萬五"])
+    def test_missing_cross_group_ling_points_at_group_start(self, text):
+        # The rank gap after an outer pivot is blamed on the first token of
+        # the next group, not on the pivot that closes it.
+        e = err(parse_text, text, "contemporary")
+        assert e.kind is ParseErrorKind.RANK_ORDER_VIOLATION
+        assert e.position == 2
+
     def test_missing_one_where_required(self):
         e = err(parse_text, "百五", "contemporary")
         assert e.position == 0
