@@ -478,15 +478,18 @@ _PROFILES: dict[Era, EraProfile] = {
 def era_profile(era: Era | EraProfile | str) -> EraProfile:
     """The frozen profile for an era.
 
-    Accepts the enum, a profile (returned as is) or a loose era name.
+    Accepts the enum, a profile (returned as is) or a loose era name; any
+    other type raises TypeError.
     """
     if era.__class__ is Era:
         return _PROFILES[era]  # type: ignore[index]
     if isinstance(era, EraProfile):
         return era
     if isinstance(era, str):
-        era = Era.from_string(era)
-    return _PROFILES[era]
+        return _PROFILES[Era.from_string(era)]
+    raise TypeError(
+        f"expected an Era, an EraProfile or an era name, not {type(era).__name__}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,29 @@
 """Tokenization and parsing of Han numeral expressions.
 
 The parser is one left-to-right walk over the token codes. It accumulates
-digit-pivot compounds into the current myriad group and closes the group at
-each outer pivot. Checks that need only local context (rank descent, digit
-runs, liang slots, in-group gap links) run immediately with one token of
-lookahead; checks that need the group's absolute scale (cross-group gap
-links, the head compound's [1] policy) are deferred to the moment the group
-closes, when the outer pivot fixes the scale.
+the terms of the current myriad group and closes the group at each outer
+pivot. A term is a digit times an inner pivot, a bare inner pivot (implicit
+[1]) or a digit with no pivot after it; one step reads all three kinds, and
+that step is the one place where a pending link word (ling or you) joins a
+term to the one before it. Checks that need only local context (rank
+descent, digit runs, liang slots, in-group gap links) run immediately with
+one token of lookahead; checks that need the group's absolute scale
+(cross-group gap links, the head compound's [1] policy) are deferred to the
+moment the group closes, when the outer pivot fixes the scale.
 
 The walk reads several grammars at once, one lane each: an era profile or
 the lenient grammar. It carries an alive bitmask over the lanes. Every
 era-dependent rule is a check that either rejects or does nothing, so the
 group state evolves the same way in every lane, and each such check is a
-mask, built once per lane table, of the lanes it applies to. A check that
-fires records the first failure of each lane it hits and drops them from
-the alive mask; nothing is raised inside the walk, and a NumeralParseError
-is built only for a lane that rejects. parse is the walk with one lane;
-chronolect's classify runs it once with the eight eras and the lenient
-grammar, and so does scan_text, through _read_span, which keeps only the
-lenient reading, the accepting eras and the features of each span.
+mask, built once per lane table, of the lanes it applies to. Which eras
+lack which morphemes (you, ling, liang, dan and its variant ling) is one
+such mask per token code, checked before anything else on each token. A
+check that fires records the first failure of each lane it hits and drops
+them from the alive mask; nothing is raised inside the walk, and a
+NumeralParseError is built only for a lane that rejects. parse is the walk
+with one lane; chronolect's classify runs it once with the eight eras and
+the lenient grammar, and so does scan_text, through _read_span, which keeps
+only the lenient reading, the accepting eras and the features of each span.
 
 The one place where lanes read differently is a trailing bare digit with no
 following pivot. Lanes whose rank gaps demand the link word ling, and the
@@ -37,6 +42,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, replace
 from enum import Enum, unique
+from functools import lru_cache
 
 from .core import (
     CHRONOLOGY,
@@ -292,21 +298,32 @@ _Failure = tuple[ParseErrorKind, int, str]
 # The lane masks of a _Lanes table: for each era-dependent check, the lanes
 # to which it applies. head marks the lanes that check [1] policy at all.
 _MASKS = (
-    "all", "lenient", "elliptic", "liang_bad", "ling_forbid", "zero_bad",
-    "ling_req", "you_forbid", "dan_bad", "head", "lead_omit", "lead_all",
-    "lead_ten", "inner_omit", "inner_req",
+    "all", "lenient", "elliptic", "zero_bad", "ling_req", "head", "lead_omit",
+    "lead_all", "lead_ten", "inner_omit", "inner_req",
 )
+
+# The OutOfEraMorpheme message of each morpheme that some era lacks.
+_OUT_OF_ERA = {
+    _C_LIANG: "the liang variant of 2 is not part of {era} numerals",
+    _C_LING: "líng does not occur in {era} numerals",
+    _C_YOU: "the conjunction yòu is not part of {era} numerals",
+    _C_DAN: "dān is a 13th-century gap word, not part of {era}",
+    _C_LALT: "lìng is a 13th-century gap word, not part of {era}",
+}
 
 
 class _Lanes:
     """A set of grammars read together, one bit of an alive mask each.
 
     Lane k is bit 1 << k; a profile of None is the lenient grammar. Every
-    era-dependent check of the walk is one of the _MASKS, built here once.
+    era-dependent check of the walk is one of the _MASKS, built here once,
+    except era membership: banned[code] is the mask of the lanes whose era
+    lacks that morpheme.
     """
 
     __slots__ = (
-        "profiles", "era_checked", "names", "maxes", "ceilings", "floor", *_MASKS
+        "profiles", "era_checked", "names", "maxes", "ceilings", "floor",
+        "banned", *_MASKS,
     )
 
     def __init__(self, profiles: tuple[EraProfile | None, ...]) -> None:
@@ -326,6 +343,7 @@ class _Lanes:
         )
         self.floor = min(self.maxes)
         masks = dict.fromkeys(_MASKS, 0)
+        banned = [0] * (max(_NOTATION) + 1)
         for k, p in enumerate(profiles):
             if p is None:
                 checks = {"lenient": True, "elliptic": True}
@@ -333,13 +351,19 @@ class _Lanes:
                 ling_required = p.ling_policy is LingPolicy.REQUIRED
                 checks = {
                     "elliptic": ling_required,
-                    "liang_bad": not p.liang_allowed,
-                    "ling_forbid": p.ling_policy is LingPolicy.FORBIDDEN,
                     "zero_bad": not p.zero_expressible,
                     "ling_req": ling_required,
-                    "you_forbid": p.you_policy is YouPolicy.FORBIDDEN,
-                    "dan_bad": p.era is not Era.SONG_QIN,
                 }
+                lacks = {
+                    _C_LIANG: not p.liang_allowed,
+                    _C_LING: p.ling_policy is LingPolicy.FORBIDDEN,
+                    _C_YOU: p.you_policy is YouPolicy.FORBIDDEN,
+                    _C_DAN: p.era is not Era.SONG_QIN,
+                    _C_LALT: p.era is not Era.SONG_QIN,
+                }
+                for code, lacked in lacks.items():
+                    if lacked:
+                        banned[code] |= 1 << k
                 if p.era not in EARLY_ERAS:
                     # The early scripts fuse digit and pivot, so their lanes
                     # skip every [1] policy check.
@@ -359,6 +383,7 @@ class _Lanes:
                     masks[name] |= 1 << k
         for name, mask in masks.items():
             setattr(self, name, mask)
+        self.banned = banned
 
     def error(self, lane: int, failure: _Failure) -> NumeralParseError:
         """The NumeralParseError of one rejecting lane."""
@@ -375,6 +400,12 @@ _ERA_LANES: dict[Era, _Lanes] = {e: _Lanes((era_profile(e),)) for e in CHRONOLOG
 # Every era in chronological order, then the lenient grammar.
 _ALL_LANES = _Lanes((*(era_profile(e) for e in CHRONOLOGY), None))
 _LENIENT_LANE = len(CHRONOLOGY)
+
+
+@lru_cache(maxsize=64)
+def _profile_lanes(profile: EraProfile) -> _Lanes:
+    """The one-lane table of a profile that is not a standard era's own."""
+    return _Lanes((profile,))
 
 
 def _fail(fails: list[_Failure | None], bad: int, kind: ParseErrorKind,
@@ -510,27 +541,13 @@ def _walk(
     """
     n = len(codes)
     alive = L.all
+    banned = L.banned
     lanes = len(L.names)
     values: list[int | None] = [None] * lanes
     fails: list[_Failure | None] = [None] * lanes
     diags: list[tuple[int, str]] = []
     readings: list[tuple[int, int]] = []
     elliptic = 0
-
-    if n == 1 and codes[0] == _C_LING:  # standalone zero
-        bad = alive & L.ling_forbid
-        if bad:
-            _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, 0,
-                  "líng does not occur in {era} numerals")
-            alive ^= bad
-        bad = alive & L.zero_bad
-        if bad:
-            _fail(fails, bad, _K.MISPLACED_LING, 0,
-                  "líng alone does not name zero in {era}")
-            alive ^= bad
-        readings.append((alive, 0))
-        alive = 0  # nothing left to walk
-
     total = 0
     prev_exp: int | None = None
     # Current group state. members holds (digit_value, in_group_exp,
@@ -549,45 +566,108 @@ def _walk(
     i = 0
     while alive and i < n:
         c = codes[i]
-
-        if c <= _C_LIANG:  # digit or liang
-            is_liang = c == _C_LIANG
-            value = 2 if is_liang else c
-            if is_liang:
-                bad = alive & L.liang_bad
-                if bad:
-                    _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, i,
-                          "the liang variant of 2 is not part of {era} numerals")
-                    alive ^= bad
-                    if not alive:
-                        break
-            nxt = codes[i + 1] if i + 1 < n else None
-            if nxt is not None and nxt <= _C_LIANG:
-                _fail(fails, alive, _K.DIGIT_RUN_WITHOUT_PIVOT, i + 1,
-                      "two digits in direct succession form no numeral")
+        bad = alive & banned[c]
+        if bad:
+            _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, i, _OUT_OF_ERA[c])
+            alive ^= bad
+            if not alive:
                 break
-            if nxt is not None and 21 <= nxt <= 23:
-                # Digit + inner pivot: a multiplicative compound.
-                k = nxt - 20
-                if is_liang and k == 1:
-                    _fail(fails, alive, _K.LIANG_BEFORE_SHI, i,
-                          "liang never multiplies the pivot ten; only er does")
+
+        if c <= 23:
+            # A term: a digit times an inner pivot, a bare inner pivot, or
+            # a digit with no pivot after it (the unit slot, an elliptic
+            # tail, or the multiplier of an outer pivot). k is its rank in
+            # the group, 0 for the unit slot.
+            explicit = c <= _C_LIANG
+            nxt = codes[i + 1] if i + 1 < n else None
+            if not explicit:
+                value, k, step = 1, c - 20, 1
+            else:
+                if nxt is not None and nxt <= _C_LIANG:
+                    _fail(fails, alive, _K.DIGIT_RUN_WITHOUT_PIVOT, i + 1,
+                          "two digits in direct succession form no numeral")
                     break
-                if members and members[-1][1] <= k:
-                    _fail(fails, alive, _K.RANK_ORDER_VIOLATION, i + 1,
-                          "pivot ranks must descend within a myriad group")
-                    break
-                if gap_idx is not None:
-                    if not members:
-                        link_idx = gap_idx  # cross-group link, checked at close
-                    elif k == members[-1][1] - 1:
-                        _fail(fails, alive, _K.MISPLACED_LING, gap_idx,
-                              "líng marks a rank gap, but these ranks are adjacent")
+                value = 2 if c == _C_LIANG else c
+                if nxt is not None and 21 <= nxt <= 23:
+                    k, step = nxt - 20, 2
+                    if k == 1 and c == _C_LIANG:
+                        _fail(fails, alive, _K.LIANG_BEFORE_SHI, i,
+                              "liang never multiplies the pivot ten; only er does")
                         break
-                    gap_idx = None
-                elif you:
-                    you = False
-                elif members and k != members[-1][1] - 1:
+                else:
+                    k, step = 0, 1
+            above = members[-1][1] if members else None
+            # A pending líng or yòu links this term to the one before it.
+            linked = gap_idx is not None or you
+            if gap_idx is not None:
+                if above is None:
+                    link_idx = gap_idx  # cross-group link, checked at close
+                elif k == above - 1:
+                    _fail(fails, alive, _K.MISPLACED_LING, gap_idx,
+                          "líng marks a rank gap, but these ranks are adjacent")
+                    break
+                gap_idx = None
+            you = False
+
+            if not k:
+                if nxt is None and not linked and i and 21 <= codes[i - 1] <= 28:
+                    # A trailing bare digit after a pivot: the lanes that
+                    # demand líng (and the lenient one) read it one rank
+                    # below the pivot, the rest as the unit digit. Trailing
+                    # liang is never a unit.
+                    inferred = above - 1 if above is not None else (prev_exp or 1) - 1
+                    if inferred >= 1:
+                        if c == _C_LIANG:
+                            if inferred == 1:
+                                _fail(fails, alive, _K.LIANG_BEFORE_SHI, i,
+                                      "the elliptic reading would put liang on "
+                                      "the pivot ten")
+                                break
+                            ell = alive
+                        else:
+                            ell = alive & L.elliptic
+                            lenient = alive & L.lenient
+                            if lenient:
+                                diags.append((
+                                    lenient,
+                                    f"AmbiguousElliptic: trailing digit reads as "
+                                    f"the unit ({total + coeff + value}) or as an "
+                                    f"elliptic rank "
+                                    f"({total + coeff + value * 10**inferred}); the "
+                                    f"contemporary elliptic reading is returned",
+                                ))
+                        if ell:
+                            fork = (
+                                ell,
+                                [*members, (value, inferred, True, i)],
+                                coeff + value * 10**inferred,
+                                i if not members and first_idx is None else first_idx,
+                            )
+                            alive ^= ell
+                            if not alive:
+                                break
+                if c == _C_LIANG:
+                    if members:
+                        _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
+                              "the unit slot of a complex numeral takes er, "
+                              "never liang")
+                        break
+                    if nxt is None and n > 1:
+                        _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
+                              "a trailing liang after a link word reads as a "
+                              "unit digit, which liang cannot be")
+                        break
+                    if nxt is not None and not 24 <= nxt <= 28:
+                        _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
+                              "standalone liang multiplies an outer pivot only")
+                        break
+
+            if above is not None:
+                # A digit-led term that breaks descent reports only that; a
+                # bare pivot first reports the missing líng where required.
+                # The unit slot is never filled twice: after a unit digit
+                # only an outer pivot is not already rejected.
+                if not linked and k != above - 1 and (k < above or not explicit):
                     bad = alive & L.ling_req
                     if bad:
                         _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
@@ -595,148 +675,40 @@ def _walk(
                         alive ^= bad
                         if not alive:
                             break
-                if not members and first_idx is None:
-                    first_idx = i
-                members.append((value, k, True, i))
-                coeff += value * 10**k
-                i += 2
-                continue
-            # Unit slot, elliptic tail, or a digit before an outer pivot.
-            if members and members[-1][1] == 0:
-                _fail(fails, alive, _K.RANK_ORDER_VIOLATION, i,
-                      "a second unit digit cannot follow the unit slot")
-                break
-            consumed_link = False
-            if gap_idx is not None:
-                if not members:
-                    link_idx = gap_idx
-                elif members[-1][1] == 1:
-                    _fail(fails, alive, _K.MISPLACED_LING, gap_idx,
-                          "líng marks a rank gap, but these ranks are adjacent")
+                if k >= above:
+                    _fail(fails, alive, _K.RANK_ORDER_VIOLATION, i + step - 1,
+                          "pivot ranks must descend within a myriad group")
                     break
-                gap_idx = None
-                consumed_link = True
-            elif you:
-                you = False
-                consumed_link = True
-
-            if nxt is None and not consumed_link and i and 21 <= codes[i - 1] <= 28:
-                # A trailing bare digit after a pivot: the lanes that demand
-                # líng (and the lenient one) read it one rank below the pivot,
-                # the rest as the unit digit. Trailing liang is never a unit.
-                inferred = members[-1][1] - 1 if members else (prev_exp or 1) - 1
-                if inferred >= 1:
-                    if is_liang:
-                        if inferred == 1:
-                            _fail(fails, alive, _K.LIANG_BEFORE_SHI, i,
-                                  "the elliptic reading would put liang on "
-                                  "the pivot ten")
-                            break
-                        ell = alive
-                    else:
-                        ell = alive & L.elliptic
-                        lenient = alive & L.lenient
-                        if lenient:
-                            diags.append((
-                                lenient,
-                                f"AmbiguousElliptic: trailing digit reads as "
-                                f"the unit ({total + coeff + value}) or as an "
-                                f"elliptic rank "
-                                f"({total + coeff + value * 10**inferred}); the "
-                                f"contemporary elliptic reading is returned",
-                            ))
-                    if ell:
-                        fork = (
-                            ell,
-                            [*members, (value, inferred, True, i)],
-                            coeff + value * 10**inferred,
-                            i if not members and first_idx is None else first_idx,
-                        )
-                        alive ^= ell
-                        if not alive:
-                            break
-            if is_liang:
-                if members:
-                    _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
-                          "the unit slot of a complex numeral takes er, never liang")
-                    break
-                if nxt is None and n > 1:
-                    _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
-                          "a trailing liang after a link word reads as a unit "
-                          "digit, which liang cannot be")
-                    break
-                if nxt is not None and not 24 <= nxt <= 28:
-                    _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
-                          "standalone liang multiplies an outer pivot only")
-                    break
-            if not consumed_link and members and members[-1][1] != 1:
-                bad = alive & L.ling_req
-                if bad:
-                    _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
-                          "rank gap inside the numeral needs líng in {era}")
-                    alive ^= bad
+            if not explicit:
+                head = alive & L.head
+                if head and (members or not first_group):
+                    _fail(fails, head, _K.RANK_ORDER_VIOLATION, i,
+                          "{era} writes [1] before a non-initial pivot")
+                    alive ^= head
+                    if not alive:
+                        break
+                elif head:
+                    # Without the sole-multiplier escape a bare opening pivot
+                    # is already wrong; report it at its own token rather
+                    # than at a later symptom.
+                    bad = head & L.inner_req & L.lead_all
+                    if bad:
+                        _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
+                              "{era} writes [1] before every pivot, "
+                              "including the first")
+                        alive ^= bad
+                    bad = head & L.inner_req & L.lead_ten if k != 1 else 0
+                    if bad:
+                        _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
+                              "{era} writes [1] before an opening pivot above ten")
+                        alive ^= bad
                     if not alive:
                         break
             if not members and first_idx is None:
                 first_idx = i
-            members.append((value, 0, True, i))
-            coeff += value
-            i += 1
-            continue
-
-        if 21 <= c <= 23:  # bare inner pivot: compound with implicit [1]
-            k = c - 20
-            if gap_idx is not None:
-                if not members:
-                    link_idx = gap_idx
-                elif k == members[-1][1] - 1:
-                    _fail(fails, alive, _K.MISPLACED_LING, gap_idx,
-                          "líng marks a rank gap, but these ranks are adjacent")
-                    break
-                gap_idx = None
-            elif you:
-                you = False
-            elif members and k != members[-1][1] - 1:
-                bad = alive & L.ling_req
-                if bad:
-                    _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
-                          "rank gap inside the numeral needs líng in {era}")
-                    alive ^= bad
-                    if not alive:
-                        break
-            if members and members[-1][1] <= k:
-                _fail(fails, alive, _K.RANK_ORDER_VIOLATION, i,
-                      "pivot ranks must descend within a myriad group")
-                break
-            head = alive & L.head
-            if head and (members or not first_group):
-                _fail(fails, head, _K.RANK_ORDER_VIOLATION, i,
-                      "{era} writes [1] before a non-initial pivot")
-                alive ^= head
-                if not alive:
-                    break
-            elif head:
-                # Without the sole-multiplier escape a bare opening pivot is
-                # already wrong; report it at its own token rather than at a
-                # later symptom.
-                bad = head & L.inner_req & L.lead_all
-                if bad:
-                    _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
-                          "{era} writes [1] before every pivot, "
-                          "including the first")
-                    alive ^= bad
-                bad = head & L.inner_req & L.lead_ten if k != 1 else 0
-                if bad:
-                    _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
-                          "{era} writes [1] before an opening pivot above ten")
-                    alive ^= bad
-                if not alive:
-                    break
-            if not members and first_idx is None:
-                first_idx = i
-            members.append((1, k, False, i))
-            coeff += 10**k
-            i += 1
+            members.append((value, k, explicit, i))
+            coeff += value * 10**k
+            i += step
             continue
 
         if c == 24 or c == 28:  # outer pivot closes the group
@@ -770,24 +742,17 @@ def _walk(
             continue
 
         if c == _C_LING or c >= _C_DAN:  # gap words
-            if c == _C_LING:
-                bad = alive & L.ling_forbid
+            if c != _C_LING:
+                diags.append(
+                    (alive, f"historical gap word {_NOTATION[c]} read as líng")
+                )
+            elif n == 1:  # standalone zero
+                bad = alive & L.zero_bad
                 if bad:
-                    _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, i,
-                          "líng does not occur in {era} numerals")
+                    _fail(fails, bad, _K.MISPLACED_LING, 0,
+                          "líng alone does not name zero in {era}")
                     alive ^= bad
-            else:
-                bad = alive & L.dan_bad
-                if bad:
-                    _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, i,
-                          f"{_NOTATION[c]} is a 13th-century gap word, not "
-                          f"part of {{era}}")
-                    alive ^= bad
-                if alive:
-                    diags.append(
-                        (alive, f"historical gap word {_NOTATION[c]} read as líng")
-                    )
-            if not alive:
+                readings.append((alive, 0))
                 break
             if not (i and 21 <= codes[i - 1] <= 28):
                 _fail(fails, alive, _K.MISPLACED_LING, i,
@@ -803,13 +768,6 @@ def _walk(
             continue
 
         # You, the additive conjunction.
-        bad = alive & L.you_forbid
-        if bad:
-            _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, i,
-                  "the conjunction yòu is not part of {era} numerals")
-            alive ^= bad
-            if not alive:
-                break
         if not (i and 21 <= codes[i - 1] <= 28):
             _fail(fails, alive, _K.MISPLACED_YOU, i,
                   "the conjunction joins a completed compound to a lower term")
@@ -927,7 +885,7 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
         profile = era_profile(era)  # type: ignore[arg-type]
         lanes = _ERA_LANES[profile.era]
         if lanes.profiles[0] is not profile:
-            lanes = _Lanes((profile,))
+            lanes = _profile_lanes(profile)
     if not toks:
         raise NumeralParseError(
             ParseErrorKind.EMPTY_INPUT, 0, "no tokens to parse"

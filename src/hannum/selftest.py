@@ -180,17 +180,11 @@ def _render_phrase(fx: PhraseFixture) -> str:
     raise ValueError(f"unknown phrase fixture kind {fx.kind!r}")
 
 
-def run_selftest(
-    max_value: int = 1000,
-    fixtures: tuple[IntegerFixture, ...] | None = None,
-    phrase_fixtures: tuple[PhraseFixture, ...] | None = None,
-) -> SelfTestReport:
+def run_selftest(max_value: int = 1000) -> SelfTestReport:
     """Check the example table, then round-trip every era up to max_value.
 
     max_value 0 skips the sweep entirely (vacuous pass on the table alone);
     a negative max_value raises ValueError.
-    fixtures and phrase_fixtures exist so a harness can inject a corrupted
-    table and confirm the self-test actually notices.
     """
     if max_value < 0:
         raise ValueError(f"max_value must be 0 or more, got {max_value}")
@@ -198,12 +192,10 @@ def run_selftest(
     failures: list[str] = []
     checks = 0
 
-    for fx in fixtures if fixtures is not None else INTEGER_FIXTURES:
+    for fx in INTEGER_FIXTURES:
         checks += _check_integer_fixture(fx, failures)
 
-    for pfx in (
-        phrase_fixtures if phrase_fixtures is not None else PHRASE_FIXTURES
-    ):
+    for pfx in PHRASE_FIXTURES:
         checks += 1
         try:
             got = _render_phrase(pfx)

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
+from hannum import selftest
 from hannum.cli import _parser, main
-from hannum.selftest import run_selftest
+from hannum.selftest import IntegerFixture, PhraseFixture, run_selftest
 
 
 def run(capsys, *argv):
@@ -264,6 +265,23 @@ class TestSelftest:
     def test_run_selftest_rejects_negative_max(self):
         with pytest.raises(ValueError):
             run_selftest(max_value=-1)
+
+    @pytest.mark.parametrize(
+        "table, row",
+        [
+            ("INTEGER_FIXTURES", IntegerFixture(105, "contemporary", "一百五",
+                                                "[1] [10^2] [5]")),
+            ("PHRASE_FIXTURES", PhraseFixture("currency", (3, 0, 5), "三元五分")),
+        ],
+    )
+    def test_corrupted_row_fails(self, capsys, monkeypatch, table, row):
+        monkeypatch.setattr(selftest, table, (*getattr(selftest, table), row))
+        report = run_selftest(max_value=0)
+        assert not report.passed
+        code, out, _ = run(capsys, "selftest", "--max", "0")
+        assert code == 1
+        assert out.startswith("selftest: FAIL")
+        assert "  counterexample: " in out
 
 
 class TestUsage:

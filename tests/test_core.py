@@ -39,7 +39,8 @@ from hannum.core import (
     surface,
     token_notation,
 )
-from hannum.parse import _HAN_CHARS, ScriptHint, tokenize
+from hannum.generate import render_integer
+from hannum.parse import _HAN_CHARS, ScriptHint, parse, tokenize
 from hannum.scan import _CONDITIONAL_CHARS, _CORE_CHARS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -369,6 +370,20 @@ class TestProfiles:
 
     def test_era_profile_accepts_strings(self):
         assert era_profile("sss") is era_profile(Era.SUANSHUSHU)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: era_profile(3.0),
+            lambda: era_profile(None),
+            lambda: parse(tokenize("五"), 5),
+            lambda: render_integer(5, None),
+        ],
+        ids=["era_profile-float", "era_profile-None", "parse-int", "render-None"],
+    )
+    def test_other_types_raise_type_error(self, call):
+        with pytest.raises(TypeError, match="Era, an EraProfile or an era name"):
+            call()
 
 
 class TestRenderOptions:

@@ -3,6 +3,7 @@ both parse(tokens, profile) and the expression's own value read it back."""
 
 import copy
 import dataclasses
+import importlib
 import pickle
 import random
 
@@ -92,3 +93,22 @@ def test_rendered_expression_is_its_positional_twin(era, n):
         assert hash(twin) == hash(built)
         assert repr(twin) == repr(built)
         assert twin.value == n
+
+
+def test_custom_profile_lane_table_is_built_once(monkeypatch):
+    # The package exports the function parse under the submodule's name.
+    parse_module = importlib.import_module("hannum.parse")
+    builds = []
+    real = parse_module._Lanes
+
+    def counting(profiles):
+        builds.append(profiles)
+        return real(profiles)
+
+    monkeypatch.setattr(parse_module, "_Lanes", counting)
+    profile = _custom(Era.CONTEMPORARY, max_value=10**9 + 7)
+    tokens = render_integer(12_345, profile).tokens
+    for _ in range(5):
+        assert parse(tokens, profile).value == 12_345
+        assert parse(tokens, dataclasses.replace(profile)).value == 12_345
+    assert len(builds) <= 1

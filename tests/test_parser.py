@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -440,3 +441,29 @@ class TestShortSequences:
             report = classify(toks)
             assert consistent == report.consistent, toks
             assert features == report.features, toks
+
+
+# sha256 of test_length_four_listing's listing, taken before the walk folded
+# its era checks into one mask table and its term kinds into one branch.
+LENGTH_FOUR_SHA256 = "9f94df9f4c5ef051b2fa905f5b320eebccbb5a619200ae83ed11f291d8efb48e"
+
+
+@pytest.mark.gate
+def test_length_four_listing():
+    # Every token sequence of length 4 (130,321 of them): classify's report
+    # and the lenient parse's reading. About 14 s, so it runs with the gate.
+    digest = hashlib.sha256()
+    count = 0
+    for toks in itertools.product(MORPHEMES, repeat=4):
+        report = json.dumps(classify(toks).as_dict(), ensure_ascii=False)
+        try:
+            out = parse(toks, None)
+        except NumeralParseError as exc:
+            lenient = f"{exc.kind.value} {exc.position} {exc.message}"
+        else:
+            lenient = f"{out.value} {' | '.join(out.diagnostics)}"
+        digest.update(f"{report}\n{lenient}\n".encode())
+        count += 1
+    assert count == 19**4 == 130_321
+    assert digest.hexdigest() == LENGTH_FOUR_SHA256
+
