@@ -53,23 +53,30 @@ def _count_arg(text: str) -> int:
     return value
 
 
-def _read_stdin_text() -> str:
-    data = sys.stdin.buffer.read()
+class _InputError(Exception):
+    """Input that cannot be read or is not UTF-8; main exits with 3."""
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at path, or of stdin when path is '-'."""
+    try:
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
+    except OSError as exc:
+        raise _InputError(str(exc)) from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        _fail_io(f"malformed UTF-8 on stdin at byte {exc.start}")
-        raise AssertionError  # unreachable
-
-
-def _fail_io(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(_EXIT_IO)
+        where = "on stdin" if path == "-" else f"in {path}"
+        raise _InputError(f"malformed UTF-8 {where} at byte {exc.start}") from None
 
 
 def _text_or_stdin(text: str | None) -> str:
     if text is None or text == "-":
-        return _read_stdin_text().strip()
+        return _read_text("-").strip()
     return text
 
 
@@ -281,24 +288,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if args.path == "-":
-        text = _read_stdin_text()
-    else:
-        try:
-            with open(args.path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return _EXIT_IO
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            print(
-                f"error: malformed UTF-8 in {args.path} at byte {exc.start}",
-                file=sys.stderr,
-            )
-            return _EXIT_IO
-
+    text = _read_text(args.path)
     records, summary = scan_text(text)
     if args.csv:
         print("key,count")
@@ -358,8 +348,9 @@ def main(argv: list[str] | None = None) -> int:
         "scan": _cmd_scan,
         "selftest": _cmd_selftest,
     }
-    # Only a write to stdout raises these here (stderr escapes what it cannot
-    # encode, and reading has its own errors): output failures are I/O errors.
+    # Input that cannot be read raises _InputError. Only a write to stdout
+    # raises the other two here (stderr escapes what it cannot encode): output
+    # failures are I/O errors too.
     try:
         code = handlers[args.command](args)
         sys.stdout.flush()
@@ -377,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
         return _EXIT_IO
     except UnicodeEncodeError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return _EXIT_IO
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return _EXIT_IO
     return code
 

@@ -257,7 +257,7 @@ _YOU_ON = 2  # You at hundreds-tens, tens-units and hundreds-units junctions
 _LIANG_ON = 4  # liang for a 2 that is the whole multiplier of a pivot >= 10^2
 _HEAD_ONE = 8  # [1] before the numeral's first pivot above ten
 _HEAD_TEN_ONE = 16  # [1] before a numeral-initial ten
-_BARE_SOLE = 32  # no [1] before an inner pivot that is an outer one's sole multiplier
+_BARE_SOLE = 32  # no [1] before the first group's sole inner multiplier
 
 # Enum members read once here: a member read at call time costs more than the
 # rest of resolving the rules.
@@ -304,11 +304,11 @@ def _group_tokens(
         # the digit is the group's whole coefficient.
         mult = exp or (scale if coeff < 10 else 0)
         # [1] is written before every pivot except the numeral's first, which
-        # the head rules decide, and a bare sole inner multiplicand.
+        # the head rules decide unless it is a bare sole inner multiplicand.
         if d == 1 and mult:
-            if not (sole and rules & _BARE_SOLE) and (
-                prev_exp is not None
-                or rules & (_HEAD_TEN_ONE if mult == 1 else _HEAD_ONE)
+            if prev_exp is not None or (
+                not (sole and rules & _BARE_SOLE)
+                and rules & (_HEAD_TEN_ONE if mult == 1 else _HEAD_ONE)
             ):
                 out.append(digit(1))
         elif d == 2 and mult >= 2 and rules & _LIANG_ON:

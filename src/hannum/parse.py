@@ -8,8 +8,13 @@ that step is the one place where a pending link word (ling or you) joins a
 term to the one before it. Checks that need only local context (rank
 descent, digit runs, liang slots, in-group gap links) run immediately with
 one token of lookahead; checks that need the group's absolute scale
-(cross-group gap links, the head compound's [1] policy) are deferred to the
-moment the group closes, when the outer pivot fixes the scale.
+(cross-group gap links, the [1] rule on the numeral's first term) are
+deferred to the moment the group closes, when the outer pivot fixes the
+scale. An error names the first offending token, but for that deferred
+[1] check: dunhuang 百五五 and suanshushu 一百五五 report their digit run,
+not the [1] at token 0. Lanes that require [1] before an outer pivot's
+sole inner multiplier check a bare opening pivot at once, so contemporary
+百五五 fails at 0.
 
 The walk reads several grammars at once, one lane each: an era profile or
 the lenient grammar. It carries an alive bitmask over the lanes. Every
@@ -17,7 +22,8 @@ era-dependent rule is a check that either rejects or does nothing, so the
 group state evolves the same way in every lane, and each such check is a
 mask, built once per lane table, of the lanes it applies to. Which eras
 lack which morphemes (you, ling, liang, dan and its variant ling) is one
-such mask per token code, checked before anything else on each token. A
+such mask per token code, checked before anything else on each token; the
+[1] rule is one list of masks per slot, built from _one_rule. A
 check that fires records the first failure of each lane it hits and drops
 them from the alive mask; nothing is raised inside the walk, and a
 NumeralParseError is built only for a lane that rejects. parse is the walk
@@ -295,13 +301,6 @@ _K = ParseErrorKind
 _Failure = tuple[ParseErrorKind, int, str]
 
 
-# The lane masks of a _Lanes table: for each era-dependent check, the lanes
-# to which it applies. head marks the lanes that check [1] policy at all.
-_MASKS = (
-    "all", "lenient", "elliptic", "zero_bad", "ling_req", "head", "lead_omit",
-    "lead_all", "lead_ten", "inner_omit", "inner_req",
-)
-
 # The OutOfEraMorpheme message of each morpheme that some era lacks.
 _OUT_OF_ERA = {
     _C_LIANG: "the liang variant of 2 is not part of {era} numerals",
@@ -312,18 +311,53 @@ _OUT_OF_ERA = {
 }
 
 
+# The slots of the [1] rule: the numeral's first term as a ten or a higher
+# inner pivot, either of those as an outer pivot's sole multiplier, or an
+# outer pivot; and any later pivot. _Lanes.one[slot + written] is a slot's
+# rule with [1] omitted or written.
+_TEN, _HIGH, _SOLE_TEN, _SOLE_HIGH, _OUTER, _LATER = range(0, 12, 2)
+
+
+def _one_rule(profile: EraProfile, slot: int, written: bool) -> str | None:
+    """The message of the [1] rule that profile breaks in slot, or None."""
+    if slot == _LATER:
+        return None if written else "{era} writes [1] before a non-initial pivot"
+    if (
+        slot in (_SOLE_TEN, _SOLE_HIGH)
+        and profile.inner_multiplicand_one is OneBeforeInnerMultiplicand.OMIT
+    ):
+        return (
+            "{era} writes the sole multiplier of an outer pivot bare: "
+            "no [1] before it"
+        ) if written else None
+    lead = profile.leading_one_policy
+    if lead is LeadingOnePolicy.OMIT_BEFORE_HIGHEST:
+        return "{era} omits [1] before the numeral's first pivot" if written else None
+    if written:
+        return None
+    if slot == _OUTER:
+        return "{era} writes [1] before the opening pivot"
+    if lead is LeadingOnePolicy.REQUIRED_ALL:
+        return "{era} writes [1] before every pivot, including the first"
+    if slot in (_HIGH, _SOLE_HIGH):
+        return "{era} writes [1] before an opening pivot above ten"
+    return None
+
+
 class _Lanes:
     """A set of grammars read together, one bit of an alive mask each.
 
     Lane k is bit 1 << k; a profile of None is the lenient grammar. Every
-    era-dependent check of the walk is one of the _MASKS, built here once,
-    except era membership: banned[code] is the mask of the lanes whose era
-    lacks that morpheme.
+    era-dependent check of the walk reads a lane mask built here once, or
+    one of two tables of them: banned[code], the lanes whose era lacks that
+    morpheme, and one[slot + written], the [1] rule of a slot as (lanes,
+    message) pairs from _one_rule, which early-era lanes do not read.
     """
 
     __slots__ = (
         "profiles", "era_checked", "names", "maxes", "ceilings", "floor",
-        "banned", *_MASKS,
+        "banned", "one", "all", "lenient", "elliptic", "zero_bad", "ling_req",
+        "inner_req",
     )
 
     def __init__(self, profiles: tuple[EraProfile | None, ...]) -> None:
@@ -342,48 +376,44 @@ class _Lanes:
             for mx in sorted(set(self.maxes))
         )
         self.floor = min(self.maxes)
-        masks = dict.fromkeys(_MASKS, 0)
+        self.all = (1 << len(profiles)) - 1
+        self.lenient = self.elliptic = self.zero_bad = self.ling_req = self.inner_req = 0
         banned = [0] * (max(_NOTATION) + 1)
+        one: list[dict[str, int]] = [{} for _ in range(_LATER + 2)]
         for k, p in enumerate(profiles):
+            bit = 1 << k
             if p is None:
-                checks = {"lenient": True, "elliptic": True}
-            else:
-                ling_required = p.ling_policy is LingPolicy.REQUIRED
-                checks = {
-                    "elliptic": ling_required,
-                    "zero_bad": not p.zero_expressible,
-                    "ling_req": ling_required,
-                }
-                lacks = {
-                    _C_LIANG: not p.liang_allowed,
-                    _C_LING: p.ling_policy is LingPolicy.FORBIDDEN,
-                    _C_YOU: p.you_policy is YouPolicy.FORBIDDEN,
-                    _C_DAN: p.era is not Era.SONG_QIN,
-                    _C_LALT: p.era is not Era.SONG_QIN,
-                }
-                for code, lacked in lacks.items():
-                    if lacked:
-                        banned[code] |= 1 << k
-                if p.era not in EARLY_ERAS:
-                    # The early scripts fuse digit and pivot, so their lanes
-                    # skip every [1] policy check.
-                    lead = p.leading_one_policy
-                    inner = p.inner_multiplicand_one
-                    checks.update(
-                        head=True,
-                        lead_omit=lead is LeadingOnePolicy.OMIT_BEFORE_HIGHEST,
-                        lead_all=lead is LeadingOnePolicy.REQUIRED_ALL,
-                        lead_ten=lead is LeadingOnePolicy.REQUIRED_EXCEPT_LEADING_TEN,
-                        inner_omit=inner is OneBeforeInnerMultiplicand.OMIT,
-                        inner_req=inner is OneBeforeInnerMultiplicand.REQUIRE,
-                    )
-            checks["all"] = True
-            for name, applies in checks.items():
-                if applies:
-                    masks[name] |= 1 << k
-        for name, mask in masks.items():
-            setattr(self, name, mask)
+                self.lenient |= bit
+                self.elliptic |= bit
+                continue
+            if p.ling_policy is LingPolicy.REQUIRED:
+                self.elliptic |= bit
+                self.ling_req |= bit
+            if not p.zero_expressible:
+                self.zero_bad |= bit
+            lacks = {
+                _C_LIANG: not p.liang_allowed,
+                _C_LING: p.ling_policy is LingPolicy.FORBIDDEN,
+                _C_YOU: p.you_policy is YouPolicy.FORBIDDEN,
+                _C_DAN: p.era is not Era.SONG_QIN,
+                _C_LALT: p.era is not Era.SONG_QIN,
+            }
+            for code, lacked in lacks.items():
+                if lacked:
+                    banned[code] |= bit
+            if p.era in EARLY_ERAS:
+                continue
+            if p.inner_multiplicand_one is OneBeforeInnerMultiplicand.REQUIRE:
+                self.inner_req |= bit
+            for index, rules in enumerate(one):
+                message = _one_rule(p, index & ~1, bool(index & 1))
+                if message is not None:
+                    rules[message] = rules.get(message, 0) | bit
         self.banned = banned
+        self.one = tuple(
+            tuple((mask, message) for message, mask in rules.items())
+            for rules in one
+        )
 
     def error(self, lane: int, failure: _Failure) -> NumeralParseError:
         """The NumeralParseError of one rejecting lane."""
@@ -419,6 +449,18 @@ def _fail(fails: list[_Failure | None], bad: int, kind: ParseErrorKind,
         lane += 1
 
 
+def _break_one(fails: list[_Failure | None], lanes: int,
+               rules: tuple[tuple[int, str], ...], pos: int) -> int:
+    """Record where the lanes break one of rules; returns their mask."""
+    broken = 0
+    for mask, message in rules:
+        bad = lanes & mask
+        if bad:
+            _fail(fails, bad, _K.RANK_ORDER_VIOLATION, pos, message)
+            broken |= bad
+    return broken
+
+
 def _close(
     L: _Lanes,
     alive: int,
@@ -436,62 +478,28 @@ def _close(
 ) -> tuple[int, int]:
     """Close a myriad group at 10^scale; returns (alive, new total).
 
-    The checks that need the group's absolute scale run here: the [1]
-    policy on the numeral's first compound (whether an inner pivot is the
-    sole multiplier of an outer pivot is known only now), cross-group gap
-    links against the previous outer pivot, and each lane's ceiling.
+    The checks that need the group's absolute scale run here, in this order:
+    the [1] rule on the numeral's first term (whether an inner pivot is the
+    sole multiplier of an outer pivot is known only now) or on a later group
+    opened by a bare outer pivot, read from L.one; cross-group gap links
+    against the previous outer pivot; and each lane's ceiling.
     """
-    head = alive & L.head
-    if head and first_group:
-        if not members:
-            # Bare outer pivot opens the numeral (coefficient 1 implicit).
-            bad = head & ~L.lead_omit
-            if bad:
-                _fail(fails, bad, _K.RANK_ORDER_VIOLATION,
-                      closer_idx if scale else 0,
-                      "{era} writes [1] before the opening pivot")
-                alive ^= bad
-        elif members[0][0] == 1:
-            _, exp, explicit, idx = members[0]
-            if exp == 0:
-                # A lone unit digit 1 under an outer pivot: [1][10^4] shape.
-                bad = head & L.lead_omit if scale else 0
-                if bad:
-                    _fail(fails, bad, _K.RANK_ORDER_VIOLATION, idx,
-                          "{era} omits [1] before the numeral's first pivot")
-                    alive ^= bad
-            else:
-                sole = head & L.inner_omit if scale and len(members) == 1 else 0
-                if sole and explicit:
-                    _fail(fails, sole, _K.RANK_ORDER_VIOLATION, idx,
-                          "{era} writes the sole multiplier of an outer pivot "
-                          "bare: no [1] before it")
-                    alive ^= sole
-                rest = head & ~sole
-                if explicit:
-                    bad = rest & L.lead_omit
-                    if bad:
-                        _fail(fails, bad, _K.RANK_ORDER_VIOLATION, idx,
-                              "{era} omits [1] before the numeral's first pivot")
-                        alive ^= bad
-                else:
-                    bad = rest & L.lead_all
-                    if bad:
-                        _fail(fails, bad, _K.RANK_ORDER_VIOLATION, idx,
-                              "{era} writes [1] before every pivot, "
-                              "including the first")
-                        alive ^= bad
-                    bad = rest & L.lead_ten if exp != 1 else 0
-                    if bad:
-                        _fail(fails, bad, _K.RANK_ORDER_VIOLATION, idx,
-                              "{era} writes [1] before an opening pivot "
-                              "above ten")
-                        alive ^= bad
-    elif head and scale and not members:
-        # A later group opened by a bare outer pivot (implicit 1).
-        _fail(fails, head, _K.RANK_ORDER_VIOLATION, closer_idx,
-              "{era} writes [1] before a non-initial pivot")
-        alive ^= head
+    slot = None
+    if not members:
+        # A bare outer pivot opens the group (coefficient 1 implicit).
+        slot, pos = _OUTER if first_group else _LATER, closer_idx
+    elif first_group and members[0][0] == 1:
+        _, exp, written, pos = members[0]
+        if not exp:
+            # A lone unit digit 1 under an outer pivot: [1][10^4] shape.
+            slot = _OUTER + written if scale else None
+        elif scale and len(members) == 1:
+            slot = (_SOLE_TEN if exp == 1 else _SOLE_HIGH) + written
+        else:
+            slot = (_TEN if exp == 1 else _HIGH) + written
+    rules = L.one[slot] if slot is not None else ()
+    if rules:
+        alive ^= _break_one(fails, alive, rules, pos)
     if prev_exp is not None:
         top_abs = scale + (members[0][1] if members else 0)
         gap = top_abs != prev_exp - 1
@@ -680,28 +688,16 @@ def _walk(
                           "pivot ranks must descend within a myriad group")
                     break
             if not explicit:
-                head = alive & L.head
-                if head and (members or not first_group):
-                    _fail(fails, head, _K.RANK_ORDER_VIOLATION, i,
-                          "{era} writes [1] before a non-initial pivot")
-                    alive ^= head
-                    if not alive:
-                        break
-                elif head:
+                if members or not first_group:
+                    rules, lanes = L.one[_LATER], alive
+                else:
                     # Without the sole-multiplier escape a bare opening pivot
                     # is already wrong; report it at its own token rather
                     # than at a later symptom.
-                    bad = head & L.inner_req & L.lead_all
-                    if bad:
-                        _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
-                              "{era} writes [1] before every pivot, "
-                              "including the first")
-                        alive ^= bad
-                    bad = head & L.inner_req & L.lead_ten if k != 1 else 0
-                    if bad:
-                        _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
-                              "{era} writes [1] before an opening pivot above ten")
-                        alive ^= bad
+                    rules = L.one[_TEN if k == 1 else _HIGH]
+                    lanes = alive & L.inner_req
+                if rules:
+                    alive ^= _break_one(fails, lanes, rules, i)
                     if not alive:
                         break
             if not members and first_idx is None:

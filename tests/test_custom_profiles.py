@@ -38,6 +38,8 @@ PROFILES = {
     "dunhuang-one-everywhere": _custom(
         Era.DUNHUANG, leading_one_policy=LeadingOnePolicy.REQUIRED_ALL
     ),
+    # A bare sole inner multiplier in a group past the first.
+    "suanshushu-to-trillion": _custom(Era.SUANSHUSHU, max_value=10**12 - 1),
 }
 
 
@@ -65,11 +67,42 @@ def test_custom_profile_round_trips(name):
         ("suanshushu-ling", 101, "百零一"),
         ("contemporary-no-ling", 100_005, "十萬五"),
         ("contemporary-no-ling", 100_105, "十萬一百五"),
+        ("suanshushu-to-trillion", 100_100_000, "億一十萬"),
     ],
 )
 def test_custom_profile_examples(name, n, text):
     expr = render_integer(n, PROFILES[name])
     assert (expr.text(), expr.value) == (text, n)
+
+
+# Values whose later group's whole coefficient is 10, 100 or 1000, among
+# others: under an inner-multiplicand-OMIT profile only the numeral's first
+# group may write that multiplier bare.
+SOLE_VALUES = sorted({
+    a * 10**8 + b * 10**4 + c
+    for a in (0, 1, 10, 100, 1000, 2001)
+    for b in (0, 1, 10, 100, 1000, 1010, 9999)
+    for c in (0, 1, 10, 100, 1000, 105)
+})
+
+
+@pytest.mark.parametrize("era", CHRONOLOGY)
+@pytest.mark.parametrize("lead", LeadingOnePolicy)
+@pytest.mark.parametrize("inner", OneBeforeInnerMultiplicand)
+def test_every_one_policy_round_trips_later_groups(era, lead, inner):
+    profile = _custom(
+        era,
+        leading_one_policy=lead,
+        inner_multiplicand_one=inner,
+        max_value=10**12 - 1,
+    )
+    for n in SOLE_VALUES:
+        try:
+            expr = render_integer(n, profile)
+        except RenderError:
+            continue
+        assert parse(expr.tokens, profile).value == n, (n, expr.text())
+        assert expr.value == n, (n, expr.text())
 
 
 def _twins(obj):

@@ -29,7 +29,13 @@ from hannum import (
     render_integer,
     tokenize,
 )
-from hannum.core import MORPHEMES, LingPolicy, era_profile
+from hannum.core import (
+    MORPHEMES,
+    LeadingOnePolicy,
+    LingPolicy,
+    OneBeforeInnerMultiplicand,
+    era_profile,
+)
 from hannum.parse import _read_span
 
 
@@ -191,6 +197,20 @@ class TestEraRejections:
         assert e.position == 0
         e = err(parse_text, "千八十九", "contemporary")
         assert e.position == 0
+
+    @pytest.mark.parametrize(
+        "text, era, kind, position",
+        [
+            ("百五五", "dunhuang", "DigitRunWithoutPivot", 2),
+            ("一百五五", "suanshushu", "DigitRunWithoutPivot", 3),
+            ("百五五", "contemporary", "RankOrderViolation", 0),
+        ],
+    )
+    def test_first_term_one_rule_waits_for_group_close(self, text, era, kind, position):
+        # Where a bare sole multiplier may stand, the first term's [1] rule
+        # is read when the group closes, after the group's other checks.
+        e = err(parse_text, text, era)
+        assert (e.kind.value, e.position) == (kind, position)
 
     def test_early_eras_accept_both_leading_one_shapes(self):
         # The old scripts leave the leading one unknowable, so both shapes
@@ -379,29 +399,53 @@ SHORT_SEQUENCES = [
 ]
 
 
+def _listing(grammars):
+    """The sha256 of one line per sequence of SHORT_SEQUENCES and grammar:
+    the parse's value, feature bits and diagnostics, or its error."""
+    lines = []
+    for toks in SHORT_SEQUENCES:
+        for grammar in grammars:
+            try:
+                out = parse(toks, grammar)
+            except NumeralParseError as exc:
+                lines.append(f"{exc.kind.value} {exc.position} {exc.message}")
+            else:
+                feats = "".join(
+                    "1" if flag else "0" for flag in out.features.as_dict().values()
+                )
+                lines.append(f"{out.value} {feats} {' | '.join(out.diagnostics)}")
+    assert len(lines) == 7239 * len(grammars)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# Contemporary under each pairing of the two [1] policies; the standard eras
+# never pair, for example, a bare sole multiplier with [1] before every pivot.
+ONE_POLICY_PROFILES = [
+    replace(
+        era_profile(Era.CONTEMPORARY),
+        leading_one_policy=lead,
+        inner_multiplicand_one=inner,
+    )
+    for lead in LeadingOnePolicy
+    for inner in OneBeforeInnerMultiplicand
+]
+
+
 class TestShortSequences:
     """Exhaustive pins over SHORT_SEQUENCES under all nine grammars."""
 
     # sha256 of the listing below, taken from the per-era parser that the
     # one-walk parser replaced.
     GOLDEN = "faa069c890abd3dc58adc0b95a274f16dbd672a2ceb9fa4d0855c2bf85c0f73a"
+    # sha256 of the listing under ONE_POLICY_PROFILES, taken before the [1]
+    # rule became one table.
+    ONE_POLICY_GOLDEN = "507efe781c870ab2f25657453bc9c353ca5ac2d0f861a5ab009a6505f4f67af6"
 
     def test_golden_listing(self):
-        lines = []
-        for toks in SHORT_SEQUENCES:
-            for era in (*CHRONOLOGY, None):
-                try:
-                    out = parse(toks, era)
-                except NumeralParseError as exc:
-                    lines.append(f"{exc.kind.value} {exc.position} {exc.message}")
-                else:
-                    feats = "".join(
-                        "1" if flag else "0" for flag in out.features.as_dict().values()
-                    )
-                    lines.append(f"{out.value} {feats} {' | '.join(out.diagnostics)}")
-        assert len(lines) == 7239 * 9
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == self.GOLDEN
+        assert _listing((*CHRONOLOGY, None)) == self.GOLDEN
+
+    def test_one_policy_listing(self):
+        assert _listing(ONE_POLICY_PROFILES) == self.ONE_POLICY_GOLDEN
 
     def test_classify_lanes_match_single_era_parses(self):
         # classify reads all eras in one walk; each era's verdict must be
