@@ -25,8 +25,8 @@ from .parse import (
     NumeralParseError,
     ParseErrorKind,
     ScriptHint,
-    _features,
     _read_eras,
+    _walk_all,
     parse,
     tokenize,
 )
@@ -219,4 +219,6 @@ def feature_profile(source: object) -> Features:
     try:
         return parse(toks, None).features
     except NumeralParseError:
-        return _features([t.code for t in toks], False)
+        # The walk of every grammar gives the token flags where the lenient
+        # grammar rejects.
+        return _walk_all(toks)[3]

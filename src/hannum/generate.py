@@ -19,6 +19,13 @@ group rules; each group is rendered, and cached, from those rules alone:
 * elliptic names that drop a final inner pivot recoverable from the digit
   before it.
 
+Each group's tokens are memoized in a plain dict keyed by one int packed
+from the group rules, the coefficient, the group's scale and the previous
+group's. It holds at most _GROUP_MEMO (262,144) groups, about 174 bytes
+each, so about 46 MB at its bound; past the bound new groups are rendered
+every time and not stored. The eight eras' groups of a sweep of every
+value up to 10^6, plus samples up to each ceiling, fit under it.
+
 A rendered NumeralExpression keeps the profile that rendered it, so its value
 reads the tokens back under that same profile.
 """
@@ -26,7 +33,6 @@ reads the tokens back under that same profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .core import (
     DEFAULT_OPTIONS,
@@ -272,7 +278,13 @@ _ALWAYS_ER = TwoStyle.ALWAYS_ER
 _PREFER_LIANG = TwoStyle.PREFER_LIANG
 
 
-@lru_cache(maxsize=1 << 18)
+# The rendered groups, keyed by _render_full's packed (coefficient, rules,
+# scale, previous scale). Past _GROUP_MEMO entries new groups are rendered
+# every time and not stored.
+_GROUP_MEMO = 1 << 18
+_group_memo: dict[int, tuple[Morpheme, ...]] = {}
+
+
 def _group_tokens(
     rules: int, coeff: int, scale: int, prev_scale: int | None
 ) -> tuple[Morpheme, ...]:
@@ -387,7 +399,7 @@ def render_integer(
 def _render_full(
     n: int, profile: EraProfile, opts: RenderOptions
 ) -> NumeralExpression:
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueOutOfRange(f"expected a non-negative integer, got {n!r}")
     if n > profile.max_value:
         raise ValueOutOfRange(
@@ -407,7 +419,13 @@ def _render_full(
     prev_scale: int | None = None
     for coeff, scale in ((g8, 8), (g4, 4), (g0, 0)):
         if coeff:
-            tokens += _group_tokens(rules, coeff, scale, prev_scale)
+            key = (coeff << 6 | rules) << 8 | scale << 4 | (prev_scale or 0)
+            group = _group_memo.get(key)
+            if group is None:
+                group = _group_tokens(rules, coeff, scale, prev_scale)
+                if len(_group_memo) < _GROUP_MEMO:
+                    _group_memo[key] = group
+            tokens += group
             prev_scale = scale
     return NumeralExpression(tuple(tokens), profile.era, False, profile)
 

@@ -1,16 +1,18 @@
 """Tokenization and parsing of Han numeral expressions.
 
-The parser is one left-to-right walk over the token codes. It accumulates
-the terms of the current myriad group and closes the group at each outer
-pivot. A term is a digit times an inner pivot, a bare inner pivot (implicit
-[1]) or a digit with no pivot after it; one step reads all three kinds, and
-that step is the one place where a pending link word (ling or you) joins a
-term to the one before it. Checks that need only local context (rank
-descent, digit runs, liang slots, in-group gap links) run immediately with
-one token of lookahead; checks that need the group's absolute scale
-(cross-group gap links, the [1] rule on the numeral's first term) are
-deferred to the moment the group closes, when the outer pivot fixes the
-scale. An error names the first offending token, but for that deferred
+The parser walks the token codes left to right, one myriad group at a
+time: a group runs from just after an outer pivot (or the numeral's start)
+up to and including the next outer pivot, and any link word that opens it
+belongs to it. Within a group the walk accumulates terms and closes the
+group at its outer pivot, or at the numeral's end. A term is a digit times
+an inner pivot, a bare inner pivot (implicit [1]) or a digit with no pivot
+after it; one step reads all three kinds, and that step is the one place
+where a pending link word (ling or you) joins a term to the one before it.
+Checks that need only local context (rank descent, digit runs, liang
+slots, in-group gap links) run immediately with one token of lookahead;
+checks that need the group's absolute scale (cross-group gap links, the
+[1] rule on the numeral's first term) are deferred to the moment the group
+closes, when the outer pivot fixes the scale. An error names the first offending token, but for that deferred
 [1] check: dunhuang 百五五 and suanshushu 一百五五 report their digit run,
 not the [1] at token 0. Lanes that require [1] before an outer pivot's
 sole inner multiplier check a bare opening pivot at once, so contemporary
@@ -38,6 +40,27 @@ elliptic reading); ling-free lanes read it as the unit digit. The walk forks
 there into at most two readings, and each closes the last group for its own
 lanes. The lenient lane reports both candidate values in diagnostics.
 
+A group's reading depends only on its codes and the exponent of the outer
+pivot before it, so each lane table memoizes it: _group reads a group
+token by token under every lane of the table, closing it with _close, and
+the table's memo, a plain dict, keeps the result under the group's codes
+preceded by that outer pivot. The reading holds the lanes alive once the
+group closes, each lane's failure at a position relative to the group, the
+diagnostics, the value the group adds, the elliptic fork and the group's
+feature bits, so the features need no second scan of the codes. Lanes
+never change the walk's state, only whether they are still on it, so the
+join cuts a reading down to the lanes alive as the group opens. The join
+also does what depends on the groups before: it adds the value to the
+running total, checks each lane's ceiling against that total, shifts the
+positions, and writes the AmbiguousElliptic diagnostic, which shows the
+total. A memo stores at most _GROUP_MEMO (32,768) readings and never a
+group longer than _LONGEST_GROUP (11) tokens, the longest any grammar
+accepts; past the bound new groups are read every time and not stored. At
+its bound a one-lane table's memo takes about 6.5 MB and the nine-lane
+table's about 8 to 10 MB, so the ten standard tables take under 70 MB, and
+each of the up to 64 custom-profile tables that _profile_lanes keeps up to
+6.5 MB more.
+
 Error positions are token indices into the parsed sequence, except
 UnknownCharacter and EmptyInput, which carry character offsets into the
 source text.
@@ -45,6 +68,7 @@ source text.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, replace
 from enum import Enum, unique
@@ -311,6 +335,34 @@ _OUT_OF_ERA = {
 }
 
 
+# The feature bits, one per Features field in field order. A group's bits
+# are read off its codes once, when its reading enters the memo.
+_F_YOU, _F_LING, _F_DAN, _F_LIANG, _F_ELLIPTIC, _F_LEADING_ONE, _F_INNER_ONE = (
+    1 << k for k in range(7)
+)
+# [1] before an inner pivot that is an outer pivot's sole multiplier.
+_ONE_BEFORE_SOLE = re.compile(rb"\x01[\x15-\x17][\x18\x1c]").search
+
+
+def _group_bits(g: bytes, first: bool) -> int:
+    """The feature bits of codes g, one or more whole groups; first says
+    whether g opens the numeral. Ellipsis is a reading, not read here."""
+    bits = 0
+    if _C_YOU in g:
+        bits |= _F_YOU
+    if _C_DAN in g or _C_LALT in g:
+        bits |= _F_DAN | _F_LING
+    elif _C_LING in g:
+        bits |= _F_LING
+    if _C_LIANG in g:
+        bits |= _F_LIANG
+    if first and len(g) >= 2 and g[0] == 1 and 21 <= g[1] <= 28:
+        bits |= _F_LEADING_ONE
+    if 1 in g and _ONE_BEFORE_SOLE(g):
+        bits |= _F_INNER_ONE
+    return bits
+
+
 # The slots of the [1] rule: the numeral's first term as a ten or a higher
 # inner pivot, either of those as an outer pivot's sole multiplier, or an
 # outer pivot; and any later pivot. _Lanes.one[slot + written] is a slot's
@@ -351,13 +403,14 @@ class _Lanes:
     era-dependent check of the walk reads a lane mask built here once, or
     one of two tables of them: banned[code], the lanes whose era lacks that
     morpheme, and one[slot + written], the [1] rule of a slot as (lanes,
-    message) pairs from _one_rule, which early-era lanes do not read.
+    message) pairs from _one_rule, which early-era lanes do not read. memo
+    keeps the reading of each group read under these lanes (see _walk).
     """
 
     __slots__ = (
         "profiles", "era_checked", "names", "maxes", "ceilings", "floor",
         "banned", "one", "all", "lenient", "elliptic", "zero_bad", "ling_req",
-        "inner_req",
+        "inner_req", "memo",
     )
 
     def __init__(self, profiles: tuple[EraProfile | None, ...]) -> None:
@@ -410,6 +463,7 @@ class _Lanes:
                 if message is not None:
                     rules[message] = rules.get(message, 0) | bit
         self.banned = banned
+        self.memo: dict[bytes, _Entry] = {}
         self.one = tuple(
             tuple((mask, message) for message, mask in rules.items())
             for rules in one
@@ -438,18 +492,18 @@ def _profile_lanes(profile: EraProfile) -> _Lanes:
     return _Lanes((profile,))
 
 
-def _fail(fails: list[_Failure | None], bad: int, kind: ParseErrorKind,
-          pos: int, msg: str) -> None:
-    """Record the failure of every lane in bad; each lane fails only once."""
-    lane = 0
-    while bad:
-        if bad & 1:
-            fails[lane] = (kind, pos, msg)
-        bad >>= 1
-        lane += 1
+# A group's failures: (lanes, kind, position, message), one per check that
+# fires. A lane fails at most once, since a failing lane leaves the walk.
+_Failures = list[tuple[int, ParseErrorKind, int, str]]
 
 
-def _break_one(fails: list[_Failure | None], lanes: int,
+def _fail(fails: _Failures, bad: int, kind: ParseErrorKind, pos: int,
+          msg: str) -> None:
+    """Record the failure of every lane in bad."""
+    fails.append((bad, kind, pos, msg))
+
+
+def _break_one(fails: _Failures, lanes: int,
                rules: tuple[tuple[int, str], ...], pos: int) -> int:
     """Record where the lanes break one of rules; returns their mask."""
     broken = 0
@@ -464,31 +518,30 @@ def _break_one(fails: list[_Failure | None], lanes: int,
 def _close(
     L: _Lanes,
     alive: int,
-    fails: list[_Failure | None],
-    diags: list[tuple[int, str]],
+    fails: _Failures,
+    diags: list[tuple[int, "str | tuple[int, int]"]],
     members: list[tuple[int, int, bool, int]],
     coeff: int,
-    total: int,
-    prev_exp: int | None,
+    prev_exp: int,
     first_idx: int,
     link_idx: int | None,
-    first_group: bool,
     scale: int,
     closer_idx: int,
 ) -> tuple[int, int]:
-    """Close a myriad group at 10^scale; returns (alive, new total).
+    """Close a myriad group at 10^scale; returns (alive, the group's value).
 
     The checks that need the group's absolute scale run here, in this order:
     the [1] rule on the numeral's first term (whether an inner pivot is the
     sole multiplier of an outer pivot is known only now) or on a later group
-    opened by a bare outer pivot, read from L.one; cross-group gap links
-    against the previous outer pivot; and each lane's ceiling.
+    opened by a bare outer pivot, read from L.one; and cross-group gap links
+    against the previous outer pivot, prev_exp (0 before the first group).
+    Each lane's ceiling is checked where _walk adds the value to the total.
     """
     slot = None
     if not members:
         # A bare outer pivot opens the group (coefficient 1 implicit).
-        slot, pos = _OUTER if first_group else _LATER, closer_idx
-    elif first_group and members[0][0] == 1:
+        slot, pos = _LATER if prev_exp else _OUTER, closer_idx
+    elif not prev_exp and members[0][0] == 1:
         _, exp, written, pos = members[0]
         if not exp:
             # A lone unit digit 1 under an outer pivot: [1][10^4] shape.
@@ -500,7 +553,7 @@ def _close(
     rules = L.one[slot] if slot is not None else ()
     if rules:
         alive ^= _break_one(fails, alive, rules, pos)
-    if prev_exp is not None:
+    if prev_exp:
         top_abs = scale + (members[0][1] if members else 0)
         gap = top_abs != prev_exp - 1
         if gap and link_idx is None:
@@ -522,58 +575,64 @@ def _close(
             _fail(fails, alive, _K.MISPLACED_LING, link_idx,
                   "líng marks a rank gap, but the following rank is "
                   "adjacent to the pivot before it")
-            return 0, total
-    total += (coeff if members else 1) * 10**scale
-    if total > L.floor:
-        bad = 0
-        for ceiling, mask in L.ceilings:
-            if total > ceiling:
-                bad |= mask
-        bad &= alive
-        if bad:
-            _fail(fails, bad, _K.OVERFLOW, closer_idx,
-                  "value exceeds the {era} ceiling of {ceiling}")
-            alive ^= bad
-    return alive, total
+            return 0, 0
+    return alive, (coeff if members else 1) * 10**scale
 
 
-def _walk(
-    codes: list[int], L: _Lanes
-) -> tuple[list[int | None], int, list[_Failure | None], list[tuple[int, str]]]:
-    """Read codes under every lane of L in one left-to-right pass.
+def _over(L: _Lanes, alive: int, fails: list[_Failure | None], total: int,
+          pos: int) -> int:
+    """Fail the lanes of alive whose ceiling total exceeds; returns the rest."""
+    bad = 0
+    for ceiling, mask in L.ceilings:
+        if total > ceiling:
+            bad |= mask
+    bad &= alive
+    if bad:
+        _set(fails, bad, (_K.OVERFLOW, pos,
+                          "value exceeds the {era} ceiling of {ceiling}"))
+    return alive ^ bad
 
-    Returns (values, elliptic, fails, diagnostics): each lane's value, or
-    None where it rejects; the mask of accepting lanes that took the
-    elliptic reading; each rejecting lane's first failure; and the
-    diagnostics, each tagged with the mask of the lanes it belongs to.
+
+# A group's reading under every lane, as its lane table's memo keeps it:
+# (lanes alive once it closes, events, feature bits, exponent of its outer
+# pivot or 0, value it adds to the total or 0). events is None, or the
+# group's (failures, diagnostics, fork) where it has any. Positions count
+# from the group's first token, and a diagnostic whose text shows the
+# running total holds the two terms to add to it instead. fork is the
+# elliptic reading of a trailing digit, (lanes, value), or None.
+_Entry = tuple[int, "tuple[tuple, tuple, tuple[int, int] | None] | None", int, int, int]
+
+
+def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
+    """Read one myriad group under every lane of L: the miss path of _walk.
+
+    g runs from just after an outer pivot, or from the numeral's start, up
+    to and including the next outer pivot; only the last group ends without
+    one. prev_exp is the exponent of the outer pivot before g, 0 for the
+    first group; that pivot is the token before a later group's first.
     """
-    n = len(codes)
+    m = len(g)
+    first_group = not prev_exp
     alive = L.all
     banned = L.banned
-    lanes = len(L.names)
-    values: list[int | None] = [None] * lanes
-    fails: list[_Failure | None] = [None] * lanes
-    diags: list[tuple[int, str]] = []
-    readings: list[tuple[int, int]] = []
-    elliptic = 0
-    total = 0
-    prev_exp: int | None = None
-    # Current group state. members holds (digit_value, in_group_exp,
-    # explicit_one, token_index); exponent 0 marks the unit slot.
+    fails: _Failures = []
+    diags: list[tuple[int, "str | tuple[int, int]"]] = []
+    # Group state. members holds (digit_value, in_group_exp, explicit_one,
+    # token_index); exponent 0 marks the unit slot.
     members: list[tuple[int, int, bool, int]] = []
     coeff = 0
     first_idx: int | None = None
     link_idx: int | None = None
     gap_idx: int | None = None
     you = False
-    first_group = True
+    out = scale = value = 0
     # The elliptic reading of a trailing digit: (lanes, members, coeff,
     # first_idx) of the group it closes.
-    fork: tuple[int, list[tuple[int, int, bool, int]], int, int | None] | None = None
+    tail: tuple[int, list[tuple[int, int, bool, int]], int, int | None] | None = None
 
     i = 0
-    while alive and i < n:
-        c = codes[i]
+    while alive and i < m:
+        c = g[i]
         bad = alive & banned[c]
         if bad:
             _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, i, _OUT_OF_ERA[c])
@@ -587,7 +646,7 @@ def _walk(
             # tail, or the multiplier of an outer pivot). k is its rank in
             # the group, 0 for the unit slot.
             explicit = c <= _C_LIANG
-            nxt = codes[i + 1] if i + 1 < n else None
+            nxt = g[i + 1] if i + 1 < m else None
             if not explicit:
                 value, k, step = 1, c - 20, 1
             else:
@@ -618,7 +677,9 @@ def _walk(
             you = False
 
             if not k:
-                if nxt is None and not linked and i and 21 <= codes[i - 1] <= 28:
+                if nxt is None and not linked and (
+                    21 <= g[i - 1] <= 28 if i else not first_group
+                ):
                     # A trailing bare digit after a pivot: the lanes that
                     # demand líng (and the lenient one) read it one rank
                     # below the pivot, the rest as the unit digit. Trailing
@@ -636,16 +697,13 @@ def _walk(
                             ell = alive & L.elliptic
                             lenient = alive & L.lenient
                             if lenient:
+                                # Both readings, less the running total.
                                 diags.append((
                                     lenient,
-                                    f"AmbiguousElliptic: trailing digit reads as "
-                                    f"the unit ({total + coeff + value}) or as an "
-                                    f"elliptic rank "
-                                    f"({total + coeff + value * 10**inferred}); the "
-                                    f"contemporary elliptic reading is returned",
+                                    (coeff + value, coeff + value * 10**inferred),
                                 ))
                         if ell:
-                            fork = (
+                            tail = (
                                 ell,
                                 [*members, (value, inferred, True, i)],
                                 coeff + value * 10**inferred,
@@ -660,7 +718,7 @@ def _walk(
                               "the unit slot of a complex numeral takes er, "
                               "never liang")
                         break
-                    if nxt is None and n > 1:
+                    if nxt is None and (i or not first_group):
                         _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
                               "a trailing liang after a link word reads as a "
                               "unit digit, which liang cannot be")
@@ -707,7 +765,7 @@ def _walk(
             i += step
             continue
 
-        if c == 24 or c == 28:  # outer pivot closes the group
+        if c == 24 or c == 28:  # outer pivot closes the group, and ends it
             exp = c - 20
             if gap_idx is not None:
                 _fail(fails, alive, _K.MISPLACED_LING, gap_idx,
@@ -719,43 +777,36 @@ def _walk(
                       "the conjunction must be followed by an additive term, "
                       "not a group-closing pivot")
                 break
-            if prev_exp is not None and exp >= prev_exp:
+            if prev_exp and exp >= prev_exp:
                 _fail(fails, alive, _K.RANK_ORDER_VIOLATION, i,
                       "outer pivots must descend across myriad groups")
                 break
-            if first_idx is None:
-                first_idx = i
-            alive, total = _close(
-                L, alive, fails, diags, members, coeff, total, prev_exp,
-                first_idx, link_idx, first_group, exp, i,
+            scale = exp
+            out, value = _close(
+                L, alive, fails, diags, members, coeff, prev_exp,
+                i if first_idx is None else first_idx, link_idx, exp, i,
             )
-            members = []
-            coeff = 0
-            first_idx = link_idx = None
-            prev_exp = exp
-            first_group = False
-            i += 1
-            continue
+            break
 
         if c == _C_LING or c >= _C_DAN:  # gap words
             if c != _C_LING:
                 diags.append(
                     (alive, f"historical gap word {_NOTATION[c]} read as líng")
                 )
-            elif n == 1:  # standalone zero
+            elif first_group and m == 1:  # standalone zero
                 bad = alive & L.zero_bad
                 if bad:
                     _fail(fails, bad, _K.MISPLACED_LING, 0,
                           "líng alone does not name zero in {era}")
                     alive ^= bad
-                readings.append((alive, 0))
+                out = alive
                 break
-            if not (i and 21 <= codes[i - 1] <= 28):
+            if not (21 <= g[i - 1] <= 28 if i else not first_group):
                 _fail(fails, alive, _K.MISPLACED_LING, i,
                       "a gap word stands only between a pivot and a following "
                       "digit")
                 break
-            if i == n - 1:
+            if i == m - 1:
                 _fail(fails, alive, _K.MISPLACED_LING, i,
                       "a trailing gap word marks no gap")
                 break
@@ -764,48 +815,158 @@ def _walk(
             continue
 
         # You, the additive conjunction.
-        if not (i and 21 <= codes[i - 1] <= 28):
+        if not (21 <= g[i - 1] <= 28 if i else not first_group):
             _fail(fails, alive, _K.MISPLACED_YOU, i,
                   "the conjunction joins a completed compound to a lower term")
             break
-        if i == n - 1:
+        if i == m - 1:
             _fail(fails, alive, _K.MISPLACED_YOU, i,
                   "the conjunction needs a following additive term")
             break
         you = True
         i += 1
-    else:  # the walk was not cut short by a failure
-        closed = total
+    else:  # the last group's walk ran to its end
+        out = alive
         if alive and members:
-            alive, closed = _close(
-                L, alive, fails, diags, members, coeff, total, prev_exp,
-                first_idx, link_idx, first_group, 0, n - 1,
+            out, value = _close(
+                L, alive, fails, diags, members, coeff, prev_exp, first_idx,
+                link_idx, 0, m - 1,
             )
-        if alive:
-            readings.append((alive, closed))
-
-    if fork is not None:
-        ell, members, coeff, first_idx = fork
-        elliptic, closed = _close(
-            L, ell, fails, diags, members, coeff, total, prev_exp,
-            first_idx, link_idx, first_group, 0, n - 1,
+    fork = None
+    if tail is not None:
+        ell, members, coeff, first_idx = tail
+        ell, ell_value = _close(
+            L, ell, fails, diags, members, coeff, prev_exp, first_idx,
+            link_idx, 0, m - 1,
         )
-        readings.append((elliptic, closed))
-    for mask, value in readings:
-        lane = 0
-        while mask:
-            if mask & 1:
-                values[lane] = value
-            mask >>= 1
-            lane += 1
-    return values, elliptic, fails, diags
+        if ell:
+            fork = (ell, ell_value)
+
+    events = (tuple(fails), tuple(diags), fork) if fails or diags or fork else None
+    return out, events, _group_bits(g, first_group), scale, value
 
 
-def _codes(toks: tuple[Morpheme, ...]) -> list[int]:
+# Each lane table's group memo holds at most this many readings; past that,
+# new groups are read every time. A group longer than _LONGEST_GROUP tokens
+# is rejected by every lane and never stored. A valid group has at most four
+# terms of at most two tokens (the unit term has one) and three link words
+# between them; then either its outer pivot, or, in a last group that skips
+# the thousands adjacent to the pivot before it, a leading link word:
+# 一億零三千有五百有六十有七 ends in such a group of eleven.
+_GROUP_MEMO = 1 << 15
+_LONGEST_GROUP = 11
+
+# Splitting codes at this table's code 24 splits them at every outer pivot:
+# [10^8] (28) reads as [10^4] (24).
+_OUTER_AS_24 = bytes.maketrans(b"\x1c", b"\x18")
+
+
+def _ambiguous(total: int, unit: int, elliptic: int) -> str:
+    return (
+        f"AmbiguousElliptic: trailing digit reads as the unit ({total + unit}) "
+        f"or as an elliptic rank ({total + elliptic}); the contemporary "
+        f"elliptic reading is returned"
+    )
+
+
+def _walk(
+    codes: bytes, L: _Lanes
+) -> tuple[list[int | None], int, list[_Failure | None], list[tuple[int, str]], int]:
+    """Read codes under every lane of L, one myriad group at a time.
+
+    Returns (values, elliptic, fails, diagnostics, bits): each lane's value,
+    or None where it rejects; the mask of accepting lanes that took the
+    elliptic reading; each rejecting lane's first failure; the diagnostics,
+    each tagged with the mask of the lanes it belongs to; and the feature
+    bits of the codes.
+
+    A group's reading under every lane depends only on its codes and the
+    exponent of the outer pivot before it (none for the first group); the
+    codes also say whether it is the last, which alone may end without an
+    outer pivot. _group reads it, and L.memo keeps it under those codes
+    preceded by that pivot. The reading of the lanes alive as the group
+    opens is that reading cut down to them. Only what needs the running
+    total is done here per call: each lane's ceiling and the diagnostics
+    that show the total.
+    """
+    alive = L.all
+    lanes = len(L.names)
+    values: list[int | None] = [None] * lanes
+    fails: list[_Failure | None] = [None] * lanes
+    diags: list[tuple[int, str]] = []
+    memo = L.memo
+    floor = L.floor
+    n = len(codes)
+    total = prev_exp = end = bits = elliptic = 0
+    # Each group runs up to and including an outer pivot; the last may end
+    # without one, and past the last outer pivot there may be none.
+    for head in codes.translate(_OUTER_AS_24).split(b"\x18"):
+        if end == n:
+            break
+        start = end
+        end = start + len(head) + 1
+        if end > n:
+            end = n
+        key = codes[start - 1:end] if start else codes[:end]
+        entry = memo.get(key)
+        if entry is None:
+            entry = _group(key[1:] if start else key, L, prev_exp)
+            if len(memo) < _GROUP_MEMO and end - start <= _LONGEST_GROUP:
+                memo[key] = entry
+        out, events, group_bits, scale, value = entry
+        bits |= group_bits
+        if events is not None:
+            failures, group_diags, fork = events
+            for mask, kind, at, message in failures:
+                mask &= alive
+                if mask:
+                    _set(fails, mask, (kind, start + at, message))
+            for mask, text in group_diags:
+                mask &= alive
+                if mask:
+                    if text.__class__ is not str:
+                        text = _ambiguous(total, *text)
+                    diags.append((mask, text))
+            if fork is not None:  # the last group's elliptic reading
+                elliptic = fork[0] & alive
+                if elliptic:
+                    closed = total + fork[1]
+                    if closed > floor:
+                        elliptic = _over(L, elliptic, fails, closed, end - 1)
+                    _set(values, elliptic, closed)
+        alive &= out
+        total += value
+        if total > floor and alive:
+            alive = _over(L, alive, fails, total, end - 1)
+        if not alive:
+            # The features count every token, read or not.
+            bits |= _group_bits(codes[end:], False)
+            break
+        prev_exp = scale
+
+    if alive:
+        _set(values, alive, total)
+    return values, elliptic, fails, diags, bits
+
+
+def _set(values: list, mask: int, value: object) -> None:
+    """Give every lane in mask the value."""
+    lane = 0
+    while mask:
+        if mask & 1:
+            values[lane] = value
+        mask >>= 1
+        lane += 1
+
+
+def _codes(toks: tuple[Morpheme, ...]) -> bytes:
     try:
-        return [t.code for t in toks]
+        return bytes([t.code for t in toks])
     except AttributeError:
         raise TypeError("parse expects a sequence of numeral Morphemes") from None
+
+
+_LENIENT_BIT = 1 << _LENIENT_LANE
 
 
 def _walk_all(
@@ -817,9 +978,10 @@ def _walk_all(
     lenient grammar's, or, where it rejects, the token flags with elliptic
     False.
     """
-    codes = _codes(toks)
-    values, elliptic, fails, diags = _walk(codes, _ALL_LANES)
-    return values, fails, diags, _features(codes, bool(elliptic >> _LENIENT_LANE & 1))
+    values, elliptic, fails, diags, bits = _walk(_codes(toks), _ALL_LANES)
+    if elliptic & _LENIENT_BIT:
+        bits |= _F_ELLIPTIC
+    return values, fails, diags, _features(bits)
 
 
 def _read_eras(
@@ -835,9 +997,6 @@ def _read_eras(
         for lane, value in enumerate(values[:_LENIENT_LANE])
     ]
     return readings, features
-
-
-_LENIENT_BIT = 1 << _LENIENT_LANE
 
 
 def _read_span(
@@ -886,52 +1045,30 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
         raise NumeralParseError(
             ParseErrorKind.EMPTY_INPUT, 0, "no tokens to parse"
         )
-    codes = _codes(toks)
-    values, elliptic, fails, diags = _walk(codes, lanes)
+    values, elliptic, fails, diags, bits = _walk(_codes(toks), lanes)
     value = values[0]
     if value is None:
         raise lanes.error(0, fails[0])  # type: ignore[arg-type]
     return ParseOutcome(
         value=value,
         era_checked=lanes.era_checked,
-        features=_features(codes, elliptic != 0),
-        diagnostics=tuple(text for _, text in diags),
+        features=_features(bits | _F_ELLIPTIC if elliptic else bits),
+        diagnostics=tuple([text for _, text in diags]) if diags else (),
         tokens=toks,
     )
 
 
 # Only 2**7 feature vectors exist; intern them so parsing never rebuilds one.
-_FEATURE_CACHE: dict[tuple[bool, ...], Features] = {}
+_FEATURE_CACHE: dict[int, Features] = {}
 
 
-def _features(codes: list[int], elliptic: bool) -> Features:
-    uses_you = _C_YOU in codes
-    uses_dan = _C_DAN in codes or _C_LALT in codes
-    uses_ling = uses_dan or _C_LING in codes
-    liang_present = _C_LIANG in codes
-    leading_one = len(codes) >= 2 and codes[0] == 1 and 21 <= codes[1] <= 28
-    one_inner_mult = False
-    if 1 in codes:
-        for j in range(len(codes) - 2):
-            if (
-                codes[j] == 1
-                and 21 <= codes[j + 1] <= 23
-                and codes[j + 2] in (24, 28)
-            ):
-                one_inner_mult = True
-                break
-    key = (
-        uses_you,
-        uses_ling,
-        uses_dan,
-        liang_present,
-        elliptic,
-        leading_one,
-        one_inner_mult,
-    )
-    cached = _FEATURE_CACHE.get(key)
+def _features(bits: int) -> Features:
+    """The Features of a set of feature bits."""
+    cached = _FEATURE_CACHE.get(bits)
     if cached is None:
-        cached = _FEATURE_CACHE.setdefault(key, Features(*key))
+        cached = _FEATURE_CACHE.setdefault(
+            bits, Features(*(bool(bits >> k & 1) for k in range(7)))
+        )
     return cached
 
 

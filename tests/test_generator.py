@@ -94,6 +94,18 @@ class TestContemporary:
         with pytest.raises(ValueOutOfRange):
             render_integer(-1)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_rejected(self, flag):
+        # bool is an int subclass, but True is not the numeral 1.
+        message = f"^expected a non-negative integer, got {flag}$"
+        for era in (Era.CONTEMPORARY, Era.SUANSHUSHU):
+            with pytest.raises(ValueOutOfRange, match=message):
+                render_integer(flag, era)
+        with pytest.raises(ValueOutOfRange, match=message):
+            render_integer(flag, opts=RenderOptions(elliptic=True))
+        with pytest.raises(ValueOutOfRange, match=message):
+            render_quantity(flag, "個")
+
 
 class TestLiangStyle:
     def test_liang_before_high_pivots(self):
