@@ -405,6 +405,9 @@ def _render_full(
         raise ValueOutOfRange(
             f"{n} exceeds the {profile.era.value} ceiling of {profile.max_value}"
         )
+    if n >= 10**12:
+        # A custom profile's ceiling may lie past the largest pivot's reach.
+        raise ValueOutOfRange(f"{n} needs a rank above 10^8, and none exists")
     if n == 0:
         if not profile.zero_expressible:
             raise ZeroInexpressible(

@@ -18,8 +18,14 @@ not the [1] at token 0. Lanes that require [1] before an outer pivot's
 sole inner multiplier check a bare opening pivot at once, so contemporary
 百五五 fails at 0.
 
-The walk reads several grammars at once, one lane each: an era profile or
-the lenient grammar. It carries an alive bitmask over the lanes. Every
+The walk reads several grammars at once, one lane each: an era grammar or
+the lenient one. An era grammar is what the walk reads of a profile (see
+_grammar): whether you, ling, liang, the zero word and the 13th-century gap
+words are admitted, and the two [1] policies, which the early eras do not
+read. Its era name and its ceiling are not part of it: the caller passes
+the ceiling, which the walk checks as it joins the groups, and gives the
+name when it builds an error. The walk carries an alive bitmask over the
+lanes. Every
 era-dependent rule is a check that either rejects or does nothing, so the
 group state evolves the same way in every lane, and each such check is a
 mask, built once per lane table, of the lanes it applies to. Which eras
@@ -29,9 +35,11 @@ such mask per token code, checked before anything else on each token; the
 check that fires records the first failure of each lane it hits and drops
 them from the alive mask; nothing is raised inside the walk, and a
 NumeralParseError is built only for a lane that rejects. parse is the walk
-with one lane; chronolect's classify runs it once with the eight eras and
-the lenient grammar, and so does scan_text, through _read_span, which keeps
-only the lenient reading, the accepting eras and the features of each span.
+with one lane; chronolect's classify runs it once over seven lanes and fans
+them out to the eight eras (the three early eras differ only in how often
+they attest you, so they share a lane), and so does scan_text, through
+_read_span, which keeps only the lenient reading, the accepting eras and the
+features of each span.
 
 The one place where lanes read differently is a trailing bare digit with no
 following pivot. Lanes whose rank gaps demand the link word ling, and the
@@ -53,13 +61,20 @@ join cuts a reading down to the lanes alive as the group opens. The join
 also does what depends on the groups before: it adds the value to the
 running total, checks each lane's ceiling against that total, shifts the
 positions, and writes the AmbiguousElliptic diagnostic, which shows the
-total. A memo stores at most _GROUP_MEMO (32,768) readings and never a
-group longer than _LONGEST_GROUP (11) tokens, the longest any grammar
-accepts; past the bound new groups are read every time and not stored. At
-its bound a one-lane table's memo takes about 6.5 MB and the nine-lane
-table's about 8 to 10 MB, so the ten standard tables take under 70 MB, and
-each of the up to 64 custom-profile tables that _profile_lanes keeps up to
-6.5 MB more.
+total.
+
+Lane tables are keyed by grammar, so every profile of one grammar, custom
+or standard, reads through one table and one memo of readings. There are
+208 era grammars and the lenient one, so the one-lane tables (_TABLES) are
+built on first use and never evicted; with the seven-lane table of
+classify they are at most 210. Their memos share one budget: together they
+store at most _GROUP_MEMO (262,144) readings, and never a group longer
+than _LONGEST_GROUP (11) tokens, the longest any grammar accepts; past the
+budget new groups are read every time and not stored. At the budget the
+memos take about 74 MB by tracemalloc when parse and classify both
+read renderings of every era, three in ten mutated (283 bytes a reading),
+and about 98 MB if classify alone fills them (374 bytes a seven-lane
+reading), whatever the number of profiles.
 
 Error positions are token indices into the parsed sequence, except
 UnknownCharacter and EmptyInput, which carry character offsets into the
@@ -72,7 +87,6 @@ import re
 import unicodedata
 from dataclasses import dataclass, replace
 from enum import Enum, unique
-from functools import lru_cache
 
 from .core import (
     CHRONOLOGY,
@@ -370,19 +384,20 @@ def _group_bits(g: bytes, first: bool) -> int:
 _TEN, _HIGH, _SOLE_TEN, _SOLE_HIGH, _OUTER, _LATER = range(0, 12, 2)
 
 
-def _one_rule(profile: EraProfile, slot: int, written: bool) -> str | None:
-    """The message of the [1] rule that profile breaks in slot, or None."""
+def _one_rule(lead: LeadingOnePolicy, inner: OneBeforeInnerMultiplicand,
+              slot: int, written: bool) -> str | None:
+    """The message of the [1] rule that the two [1] policies break in slot,
+    or None."""
     if slot == _LATER:
         return None if written else "{era} writes [1] before a non-initial pivot"
     if (
         slot in (_SOLE_TEN, _SOLE_HIGH)
-        and profile.inner_multiplicand_one is OneBeforeInnerMultiplicand.OMIT
+        and inner is OneBeforeInnerMultiplicand.OMIT
     ):
         return (
             "{era} writes the sole multiplier of an outer pivot bare: "
             "no [1] before it"
         ) if written else None
-    lead = profile.leading_one_policy
     if lead is LeadingOnePolicy.OMIT_BEFORE_HIGHEST:
         return "{era} omits [1] before the numeral's first pivot" if written else None
     if written:
@@ -396,70 +411,80 @@ def _one_rule(profile: EraProfile, slot: int, written: bool) -> str | None:
     return None
 
 
+def _grammar(p: EraProfile) -> tuple[object, ...]:
+    """What a lane table reads of p, the key of p's table: whether you is
+    banned; the ling policy; whether liang and the zero word are admitted;
+    whether the 13th-century gap words dan and ling are, as in song-qin
+    alone; and the two [1] policies, or None in an early era, which reads no
+    [1] rule.
+
+    Profiles that differ only in era name, ceiling or how often they write
+    you share a grammar. That makes 2 x 2 x 2 x 2 x 13 = 208 era grammars:
+    one early, six [1] pairings without the gap words and six with them.
+    """
+    return (
+        p.you_policy is YouPolicy.FORBIDDEN,
+        p.ling_policy,
+        p.liang_allowed,
+        p.zero_expressible,
+        p.era is Era.SONG_QIN,
+        None if p.era in EARLY_ERAS
+        else (p.leading_one_policy, p.inner_multiplicand_one),
+    )
+
+
 class _Lanes:
     """A set of grammars read together, one bit of an alive mask each.
 
-    Lane k is bit 1 << k; a profile of None is the lenient grammar. Every
-    era-dependent check of the walk reads a lane mask built here once, or
-    one of two tables of them: banned[code], the lanes whose era lacks that
-    morpheme, and one[slot + written], the [1] rule of a slot as (lanes,
-    message) pairs from _one_rule, which early-era lanes do not read. memo
-    keeps the reading of each group read under these lanes (see _walk).
+    Lane k is bit 1 << k, and reads a grammar as _grammar gives it, or the
+    lenient grammar for None. A table knows no profile, so it serves every
+    profile of its grammars; the caller applies each profile's name and
+    ceiling. Every era-dependent check of the walk reads a lane mask built
+    here once, or one of two tables of them: banned[code], the lanes whose
+    era lacks that morpheme, and one[slot + written], the [1] rule of a
+    slot as (lanes, message) pairs from _one_rule, which early-era lanes do
+    not read. memo keeps the reading of each group read under these lanes
+    (see _walk).
     """
 
     __slots__ = (
-        "profiles", "era_checked", "names", "maxes", "ceilings", "floor",
         "banned", "one", "all", "lenient", "elliptic", "zero_bad", "ling_req",
         "inner_req", "memo",
     )
 
-    def __init__(self, profiles: tuple[EraProfile | None, ...]) -> None:
-        self.profiles = profiles
-        only = profiles[0] if len(profiles) == 1 else None
-        self.era_checked = only.era if only is not None else None
-        self.names = tuple(
-            p.era.value if p is not None else "the lenient grammar"
-            for p in profiles
-        )
-        self.maxes = tuple(
-            p.max_value if p is not None else _LENIENT_MAX for p in profiles
-        )
-        self.ceilings = tuple(
-            (mx, sum(1 << k for k, v in enumerate(self.maxes) if v == mx))
-            for mx in sorted(set(self.maxes))
-        )
-        self.floor = min(self.maxes)
-        self.all = (1 << len(profiles)) - 1
+    def __init__(self, grammars: list[tuple[object, ...] | None]) -> None:
+        self.all = (1 << len(grammars)) - 1
         self.lenient = self.elliptic = self.zero_bad = self.ling_req = self.inner_req = 0
         banned = [0] * (max(_NOTATION) + 1)
         one: list[dict[str, int]] = [{} for _ in range(_LATER + 2)]
-        for k, p in enumerate(profiles):
+        for k, grammar in enumerate(grammars):
             bit = 1 << k
-            if p is None:
+            if grammar is None:
                 self.lenient |= bit
                 self.elliptic |= bit
                 continue
-            if p.ling_policy is LingPolicy.REQUIRED:
+            no_you, ling, liang, zero, gap_words, ones = grammar
+            if ling is LingPolicy.REQUIRED:
                 self.elliptic |= bit
                 self.ling_req |= bit
-            if not p.zero_expressible:
+            if not zero:
                 self.zero_bad |= bit
             lacks = {
-                _C_LIANG: not p.liang_allowed,
-                _C_LING: p.ling_policy is LingPolicy.FORBIDDEN,
-                _C_YOU: p.you_policy is YouPolicy.FORBIDDEN,
-                _C_DAN: p.era is not Era.SONG_QIN,
-                _C_LALT: p.era is not Era.SONG_QIN,
+                _C_LIANG: not liang,
+                _C_LING: ling is LingPolicy.FORBIDDEN,
+                _C_YOU: no_you,
+                _C_DAN: not gap_words,
+                _C_LALT: not gap_words,
             }
             for code, lacked in lacks.items():
                 if lacked:
                     banned[code] |= bit
-            if p.era in EARLY_ERAS:
+            if ones is None:
                 continue
-            if p.inner_multiplicand_one is OneBeforeInnerMultiplicand.REQUIRE:
+            if ones[1] is OneBeforeInnerMultiplicand.REQUIRE:
                 self.inner_req |= bit
             for index, rules in enumerate(one):
-                message = _one_rule(p, index & ~1, bool(index & 1))
+                message = _one_rule(*ones, index & ~1, bool(index & 1))
                 if message is not None:
                     rules[message] = rules.get(message, 0) | bit
         self.banned = banned
@@ -469,27 +494,53 @@ class _Lanes:
             for rules in one
         )
 
-    def error(self, lane: int, failure: _Failure) -> NumeralParseError:
-        """The NumeralParseError of one rejecting lane."""
-        kind, position, message = failure
-        return NumeralParseError(
-            kind,
-            position,
-            message.format(era=self.names[lane], ceiling=self.maxes[lane]),
-        )
+
+def _error(failure: _Failure, name: str, ceiling: int) -> NumeralParseError:
+    """The NumeralParseError of a lane that rejects under the grammar of that
+    name and ceiling."""
+    kind, position, message = failure
+    return NumeralParseError(kind, position, message.format(era=name, ceiling=ceiling))
 
 
-_LENIENT_LANES = _Lanes((None,))
-_ERA_LANES: dict[Era, _Lanes] = {e: _Lanes((era_profile(e),)) for e in CHRONOLOGY}
-# Every era in chronological order, then the lenient grammar.
-_ALL_LANES = _Lanes((*(era_profile(e) for e in CHRONOLOGY), None))
-_LENIENT_LANE = len(CHRONOLOGY)
+# The one-lane tables by grammar, None for the lenient one. The grammars
+# are finitely many, so a table, once built, is kept.
+_TABLES: dict[tuple[object, ...] | None, _Lanes] = {}
 
 
-@lru_cache(maxsize=64)
-def _profile_lanes(profile: EraProfile) -> _Lanes:
-    """The one-lane table of a profile that is not a standard era's own."""
-    return _Lanes((profile,))
+def _table(grammar: tuple[object, ...] | None) -> _Lanes:
+    """The one-lane table of grammar."""
+    lanes = _TABLES.get(grammar)
+    if lanes is None:
+        lanes = _TABLES[grammar] = _Lanes([grammar])
+    return lanes
+
+
+def _reader(p: EraProfile) -> tuple[_Lanes, tuple[int, ...], Era | None, str]:
+    """What parse reads under profile p with: its lane table, the lane's
+    ceiling as _walk takes it, the era it reports and the name its errors
+    give."""
+    return _table(_grammar(p)), (p.max_value,), p.era, p.era.value
+
+
+_LENIENT_NAME = "the lenient grammar"
+_LENIENT_READER = (_table(None), (_LENIENT_MAX,), None, _LENIENT_NAME)
+_ERA_PROFILES = tuple(map(era_profile, CHRONOLOGY))
+_ERA_READERS = {p.era: _reader(p) for p in _ERA_PROFILES}
+
+# classify and scan read every era and the lenient grammar in one walk,
+# one lane per distinct (grammar, ceiling), so the three early eras share
+# one. _FAN_OUT holds each era, its lane, name and ceiling, in chronological
+# order.
+_era_keys = [(_grammar(p), p.max_value) for p in _ERA_PROFILES]
+_LANE_KEYS = [*dict.fromkeys(_era_keys), (None, _LENIENT_MAX)]
+_ALL_LANES = _Lanes([grammar for grammar, _ in _LANE_KEYS])
+_ALL_MAXES = tuple(ceiling for _, ceiling in _LANE_KEYS)
+_FAN_OUT = tuple(
+    (p.era, _LANE_KEYS.index(key), p.era.value, p.max_value)
+    for key, p in zip(_era_keys, _ERA_PROFILES)
+)
+_LENIENT_LANE = len(_LANE_KEYS) - 1
+_LENIENT_BIT = 1 << _LENIENT_LANE
 
 
 # A group's failures: (lanes, kind, position, message), one per check that
@@ -579,14 +630,10 @@ def _close(
     return alive, (coeff if members else 1) * 10**scale
 
 
-def _over(L: _Lanes, alive: int, fails: list[_Failure | None], total: int,
-          pos: int) -> int:
+def _over(maxes: tuple[int, ...], alive: int, fails: list[_Failure | None],
+          total: int, pos: int) -> int:
     """Fail the lanes of alive whose ceiling total exceeds; returns the rest."""
-    bad = 0
-    for ceiling, mask in L.ceilings:
-        if total > ceiling:
-            bad |= mask
-    bad &= alive
+    bad = alive & sum(1 << lane for lane, mx in enumerate(maxes) if total > mx)
     if bad:
         _set(fails, bad, (_K.OVERFLOW, pos,
                           "value exceeds the {era} ceiling of {ceiling}"))
@@ -846,15 +893,17 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
     return out, events, _group_bits(g, first_group), scale, value
 
 
-# Each lane table's group memo holds at most this many readings; past that,
-# new groups are read every time. A group longer than _LONGEST_GROUP tokens
-# is rejected by every lane and never stored. A valid group has at most four
-# terms of at most two tokens (the unit term has one) and three link words
-# between them; then either its outer pivot, or, in a last group that skips
-# the thousands adjacent to the pivot before it, a leading link word:
-# 一億零三千有五百有六十有七 ends in such a group of eleven.
-_GROUP_MEMO = 1 << 15
+# The memos of all lane tables store at most _GROUP_MEMO readings in all,
+# counted in _STORED; past that, new groups are read every time. A group
+# longer than _LONGEST_GROUP tokens is rejected by every lane and never
+# stored. A valid group has at most four terms of at most two tokens (the
+# unit term has one) and three link words between them; then either its
+# outer pivot, or, in a last group that skips the thousands adjacent to the
+# pivot before it, a leading link word: 一億零三千有五百有六十有七 ends in
+# such a group of eleven.
+_GROUP_MEMO = 1 << 18
 _LONGEST_GROUP = 11
+_STORED = [0]
 
 # Splitting codes at this table's code 24 splits them at every outer pivot:
 # [10^8] (28) reads as [10^4] (24).
@@ -870,9 +919,10 @@ def _ambiguous(total: int, unit: int, elliptic: int) -> str:
 
 
 def _walk(
-    codes: bytes, L: _Lanes
+    codes: bytes, L: _Lanes, maxes: tuple[int, ...], floor: int
 ) -> tuple[list[int | None], int, list[_Failure | None], list[tuple[int, str]], int]:
-    """Read codes under every lane of L, one myriad group at a time.
+    """Read codes under every lane of L, one myriad group at a time; maxes
+    holds each lane's ceiling, and floor the lowest of them.
 
     Returns (values, elliptic, fails, diagnostics, bits): each lane's value,
     or None where it rejects; the mask of accepting lanes that took the
@@ -890,12 +940,11 @@ def _walk(
     that show the total.
     """
     alive = L.all
-    lanes = len(L.names)
+    lanes = len(maxes)
     values: list[int | None] = [None] * lanes
     fails: list[_Failure | None] = [None] * lanes
     diags: list[tuple[int, str]] = []
     memo = L.memo
-    floor = L.floor
     n = len(codes)
     total = prev_exp = end = bits = elliptic = 0
     # Each group runs up to and including an outer pivot; the last may end
@@ -911,8 +960,9 @@ def _walk(
         entry = memo.get(key)
         if entry is None:
             entry = _group(key[1:] if start else key, L, prev_exp)
-            if len(memo) < _GROUP_MEMO and end - start <= _LONGEST_GROUP:
+            if _STORED[0] < _GROUP_MEMO and end - start <= _LONGEST_GROUP:
                 memo[key] = entry
+                _STORED[0] += 1
         out, events, group_bits, scale, value = entry
         bits |= group_bits
         if events is not None:
@@ -932,12 +982,12 @@ def _walk(
                 if elliptic:
                     closed = total + fork[1]
                     if closed > floor:
-                        elliptic = _over(L, elliptic, fails, closed, end - 1)
+                        elliptic = _over(maxes, elliptic, fails, closed, end - 1)
                     _set(values, elliptic, closed)
         alive &= out
         total += value
         if total > floor and alive:
-            alive = _over(L, alive, fails, total, end - 1)
+            alive = _over(maxes, alive, fails, total, end - 1)
         if not alive:
             # The features count every token, read or not.
             bits |= _group_bits(codes[end:], False)
@@ -966,19 +1016,18 @@ def _codes(toks: tuple[Morpheme, ...]) -> bytes:
         raise TypeError("parse expects a sequence of numeral Morphemes") from None
 
 
-_LENIENT_BIT = 1 << _LENIENT_LANE
-
-
 def _walk_all(
     toks: tuple[Morpheme, ...]
 ) -> tuple[list[int | None], list[_Failure | None], list[tuple[int, str]], Features]:
     """One walk of toks under every era and the lenient grammar.
 
-    Returns _walk's values, failures and diagnostics, and the features: the
-    lenient grammar's, or, where it rejects, the token flags with elliptic
-    False.
+    Returns _walk's values, failures and diagnostics over the lanes of
+    _ALL_LANES, and the features: the lenient grammar's, or, where it
+    rejects, the token flags with elliptic False.
     """
-    values, elliptic, fails, diags, bits = _walk(_codes(toks), _ALL_LANES)
+    values, elliptic, fails, diags, bits = _walk(
+        _codes(toks), _ALL_LANES, _ALL_MAXES, min(_ALL_MAXES)
+    )
     if elliptic & _LENIENT_BIT:
         bits |= _F_ELLIPTIC
     return values, fails, diags, _features(bits)
@@ -993,8 +1042,8 @@ def _read_eras(
     """
     values, fails, _, features = _walk_all(toks)
     readings: list[int | NumeralParseError] = [
-        value if value is not None else _ALL_LANES.error(lane, fails[lane])
-        for lane, value in enumerate(values[:_LENIENT_LANE])
+        values[lane] if values[lane] is not None else _error(fails[lane], name, ceiling)
+        for _, lane, name, ceiling in _FAN_OUT
     ]
     return readings, features
 
@@ -1009,12 +1058,12 @@ def _read_span(
     No error is built for a rejecting era.
     """
     values, fails, diags, features = _walk_all(toks)
-    consistent = tuple(era for era, v in zip(CHRONOLOGY, values) if v is not None)
+    consistent = tuple(era for era, lane, _, _ in _FAN_OUT if values[lane] is not None)
     value = values[_LENIENT_LANE]
     if value is None:
         failure = fails[_LENIENT_LANE]
         assert failure is not None
-        return None, _ALL_LANES.error(_LENIENT_LANE, failure), consistent, features
+        return None, _error(failure, _LENIENT_NAME, _LENIENT_MAX), consistent, features
     outcome = ParseOutcome(
         value=value,
         era_checked=None,
@@ -1033,25 +1082,22 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     """
     toks: tuple[Morpheme, ...] = tuple(getattr(tokens, "tokens", tokens))
     if era is None or isinstance(era, str) and era.strip().lower() == "lenient":
-        lanes = _LENIENT_LANES
+        lanes, maxes, era_checked, name = _LENIENT_READER
     elif era.__class__ is Era:
-        lanes = _ERA_LANES[era]  # type: ignore[index]
+        lanes, maxes, era_checked, name = _ERA_READERS[era]  # type: ignore[index]
     else:
-        profile = era_profile(era)  # type: ignore[arg-type]
-        lanes = _ERA_LANES[profile.era]
-        if lanes.profiles[0] is not profile:
-            lanes = _profile_lanes(profile)
+        lanes, maxes, era_checked, name = _reader(era_profile(era))  # type: ignore[arg-type]
     if not toks:
         raise NumeralParseError(
             ParseErrorKind.EMPTY_INPUT, 0, "no tokens to parse"
         )
-    values, elliptic, fails, diags, bits = _walk(_codes(toks), lanes)
+    values, elliptic, fails, diags, bits = _walk(_codes(toks), lanes, maxes, maxes[0])
     value = values[0]
     if value is None:
-        raise lanes.error(0, fails[0])  # type: ignore[arg-type]
+        raise _error(fails[0], name, maxes[0])  # type: ignore[arg-type]
     return ParseOutcome(
         value=value,
-        era_checked=lanes.era_checked,
+        era_checked=era_checked,
         features=_features(bits | _F_ELLIPTIC if elliptic else bits),
         diagnostics=tuple([text for _, text in diags]) if diags else (),
         tokens=toks,

@@ -3,29 +3,41 @@
 This is the walk as it read before it went one myriad group at a time:
 _walk steps through every token of every numeral, closing each group with
 _close at its outer pivot, and _features scans the whole code list for the
-feature flags. Nothing is memoized. It reads the same lane tables as
-hannum.parse (the lane masks, the [1] rule table and the error builder), so
-parse, classify and _read_span here must match hannum's value for value,
-error for error (kind, position and message), and diagnostic for diagnostic.
+feature flags. Nothing is memoized. It keeps its own lane tables, one lane
+per era as the parser had them before it keyed its tables by grammar: the
+nine-lane table of classify and _read_span reads every era apart, and each
+profile gets a table of its own, with its name and ceiling. Only the morpheme
+codes, the failure messages and the [1] rule messages (_one_rule) come from
+hannum.parse, so parse, classify and _read_span here must match hannum's
+value for value, error for error (kind, position and message), and
+diagnostic for diagnostic.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from hannum.chronolect import EraConsistencyReport, EraVerdict, _coerce_tokens, _notes
-from hannum.core import CHRONOLOGY, Era, era_profile
+from hannum.core import (
+    CHRONOLOGY,
+    EARLY_ERAS,
+    Era,
+    EraProfile,
+    LingPolicy,
+    OneBeforeInnerMultiplicand,
+    YouPolicy,
+    era_profile,
+)
 from hannum.parse import (
-    _ALL_LANES,
     _C_DAN,
     _C_LALT,
     _C_LIANG,
     _C_LING,
     _C_YOU,
-    _ERA_LANES,
     _HIGH,
     _K,
     _LATER,
-    _LENIENT_LANE,
-    _LENIENT_LANES,
+    _LENIENT_MAX,
     _NOTATION,
     _OUT_OF_ERA,
     _OUTER,
@@ -36,8 +48,94 @@ from hannum.parse import (
     NumeralParseError,
     ParseErrorKind,
     ParseOutcome,
-    _profile_lanes,
+    _one_rule,
 )
+
+
+class _Lanes:
+    """A set of grammars read together, one bit of an alive mask each.
+
+    Lane k is bit 1 << k; a profile of None is the lenient grammar. Each
+    lane keeps its profile's name and ceiling.
+    """
+
+    def __init__(self, profiles: tuple[EraProfile | None, ...]) -> None:
+        only = profiles[0] if len(profiles) == 1 else None
+        self.era_checked = only.era if only is not None else None
+        self.names = tuple(
+            p.era.value if p is not None else "the lenient grammar"
+            for p in profiles
+        )
+        self.maxes = tuple(
+            p.max_value if p is not None else _LENIENT_MAX for p in profiles
+        )
+        self.ceilings = tuple(
+            (mx, sum(1 << k for k, v in enumerate(self.maxes) if v == mx))
+            for mx in sorted(set(self.maxes))
+        )
+        self.floor = min(self.maxes)
+        self.all = (1 << len(profiles)) - 1
+        self.lenient = self.elliptic = self.zero_bad = self.ling_req = self.inner_req = 0
+        banned = [0] * (max(_NOTATION) + 1)
+        one: list[dict[str, int]] = [{} for _ in range(_LATER + 2)]
+        for k, p in enumerate(profiles):
+            bit = 1 << k
+            if p is None:
+                self.lenient |= bit
+                self.elliptic |= bit
+                continue
+            if p.ling_policy is LingPolicy.REQUIRED:
+                self.elliptic |= bit
+                self.ling_req |= bit
+            if not p.zero_expressible:
+                self.zero_bad |= bit
+            lacks = {
+                _C_LIANG: not p.liang_allowed,
+                _C_LING: p.ling_policy is LingPolicy.FORBIDDEN,
+                _C_YOU: p.you_policy is YouPolicy.FORBIDDEN,
+                _C_DAN: p.era is not Era.SONG_QIN,
+                _C_LALT: p.era is not Era.SONG_QIN,
+            }
+            for code, lacked in lacks.items():
+                if lacked:
+                    banned[code] |= bit
+            if p.era in EARLY_ERAS:
+                continue
+            if p.inner_multiplicand_one is OneBeforeInnerMultiplicand.REQUIRE:
+                self.inner_req |= bit
+            for index, rules in enumerate(one):
+                message = _one_rule(
+                    p.leading_one_policy, p.inner_multiplicand_one,
+                    index & ~1, bool(index & 1),
+                )
+                if message is not None:
+                    rules[message] = rules.get(message, 0) | bit
+        self.banned = banned
+        self.one = tuple(
+            tuple((mask, message) for message, mask in rules.items())
+            for rules in one
+        )
+
+    def error(self, lane, failure):
+        """The NumeralParseError of one rejecting lane."""
+        kind, position, message = failure
+        return NumeralParseError(
+            kind,
+            position,
+            message.format(era=self.names[lane], ceiling=self.maxes[lane]),
+        )
+
+
+_LENIENT_LANES = _Lanes((None,))
+# Every era in chronological order, then the lenient grammar.
+_ALL_LANES = _Lanes((*(era_profile(e) for e in CHRONOLOGY), None))
+_LENIENT_LANE = len(CHRONOLOGY)
+
+
+@cache
+def _profile_lanes(profile):
+    """The one-lane table of a profile."""
+    return _Lanes((profile,))
 
 
 def _fail(fails, bad, kind, pos, msg):
@@ -458,13 +556,8 @@ def parse(tokens, era=None):
     toks = tuple(getattr(tokens, "tokens", tokens))
     if era is None or isinstance(era, str) and era.strip().lower() == "lenient":
         lanes = _LENIENT_LANES
-    elif era.__class__ is Era:
-        lanes = _ERA_LANES[era]
     else:
-        profile = era_profile(era)
-        lanes = _ERA_LANES[profile.era]
-        if lanes.profiles[0] is not profile:
-            lanes = _profile_lanes(profile)
+        lanes = _profile_lanes(era_profile(era))
     if not toks:
         raise NumeralParseError(ParseErrorKind.EMPTY_INPUT, 0, "no tokens to parse")
     codes = _codes(toks)

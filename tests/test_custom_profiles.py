@@ -9,7 +9,15 @@ import random
 
 import pytest
 
-from hannum import CHRONOLOGY, Era, NumeralExpression, parse, render_integer
+from hannum import (
+    CHRONOLOGY,
+    Era,
+    NumeralExpression,
+    NumeralParseError,
+    ParseErrorKind,
+    parse,
+    render_integer,
+)
 from hannum.core import (
     LeadingOnePolicy,
     LingPolicy,
@@ -129,14 +137,16 @@ def test_rendered_expression_is_its_positional_twin(era, n):
 
 
 def test_custom_profile_lane_table_is_built_once(monkeypatch):
+    # Lane tables are keyed by grammar: a profile that changes only the
+    # ceiling reads through its era's table and applies its own ceiling.
     # The package exports the function parse under the submodule's name.
     parse_module = importlib.import_module("hannum.parse")
     builds = []
     real = parse_module._Lanes
 
-    def counting(profiles):
-        builds.append(profiles)
-        return real(profiles)
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
 
     monkeypatch.setattr(parse_module, "_Lanes", counting)
     profile = _custom(Era.CONTEMPORARY, max_value=10**9 + 7)
@@ -144,4 +154,11 @@ def test_custom_profile_lane_table_is_built_once(monkeypatch):
     for _ in range(5):
         assert parse(tokens, profile).value == 12_345
         assert parse(tokens, dataclasses.replace(profile)).value == 12_345
-    assert len(builds) <= 1
+    table = parse_module._reader(profile)[0]
+    assert table is parse_module._reader(era_profile(Era.CONTEMPORARY))[0]
+    over = render_integer(10**9 + 8, Era.CONTEMPORARY).tokens
+    with pytest.raises(NumeralParseError) as info:
+        parse(over, profile)
+    assert info.value.kind is ParseErrorKind.OVERFLOW
+    assert info.value.message == "value exceeds the contemporary ceiling of 1000000007"
+    assert builds == []

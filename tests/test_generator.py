@@ -1,5 +1,7 @@
 """Rendering integers and unit phrases under each era grammar."""
 
+from dataclasses import replace
+
 import pytest
 
 from hannum import (
@@ -89,6 +91,17 @@ class TestContemporary:
         render_integer(top, Era.CONTEMPORARY)
         with pytest.raises(ValueOutOfRange):
             render_integer(top + 1, Era.CONTEMPORARY)
+
+    @pytest.mark.parametrize("n", [10**12, 10**12 + 5, 10**15])
+    def test_no_rank_above_the_myriad_myriad(self, n):
+        # A custom ceiling past 10^12 - 1 does not make 10^12 nameable.
+        profile = replace(era_profile(Era.CONTEMPORARY), max_value=10**15)
+        message = f"^{n} needs a rank above 10\\^8, and none exists$"
+        with pytest.raises(ValueOutOfRange, match=message):
+            render_integer(n, profile)
+        with pytest.raises(ValueOutOfRange, match=message):
+            render_quantity(n, "個", profile)
+        assert render_integer(10**12 - 1, profile).value == 10**12 - 1
 
     def test_negative_rejected(self):
         with pytest.raises(ValueOutOfRange):

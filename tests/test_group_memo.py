@@ -1,8 +1,9 @@
 """The group-memoized parser against the token-at-a-time reference walk.
 
 hannum.parse reads a numeral one myriad group at a time and keeps each
-group's reading in its lane table's memo; tests/reference_walk.py keeps the
-walk that stepped through every token and memoized nothing. Under every
+group's reading in the memo of its lane table, which is keyed by grammar;
+tests/reference_walk.py keeps the walk that stepped through every
+token, memoized nothing and read every era in a lane of its own. Under every
 grammar both must read every input alike: value, error kind, position and
 message, diagnostics and features, and so must classify() and _read_span().
 Each input is read cold (every memo empty), warm, and again with both the
@@ -23,6 +24,7 @@ from hannum.core import (
     Era,
     LeadingOnePolicy,
     OneBeforeInnerMultiplicand,
+    YouPolicy,
     era_profile,
 )
 from hannum.generate import RenderError
@@ -37,8 +39,10 @@ def _custom(era, **changes):
 
 
 # Contemporary under each pairing of the two [1] policies, suanshushu up to
-# 10^12 - 1 (a bare sole multiplier past the first group), and dunhuang with
-# [1] before every pivot and before every sole multiplier.
+# 10^12 - 1 (a bare sole multiplier past the first group), dunhuang with
+# [1] before every pivot and before every sole multiplier, contemporary with
+# only its ceiling changed (read through contemporary's own table), and
+# zhou-bronze without you (a grammar no standard era has).
 CUSTOM = [
     *(
         _custom(Era.CONTEMPORARY, leading_one_policy=lead, inner_multiplicand_one=inner)
@@ -51,20 +55,20 @@ CUSTOM = [
         leading_one_policy=LeadingOnePolicy.REQUIRED_ALL,
         inner_multiplicand_one=OneBeforeInnerMultiplicand.REQUIRE,
     ),
+    _custom(Era.CONTEMPORARY, max_value=10**9 + 7),
+    _custom(Era.ZHOU_BRONZE, you_policy=YouPolicy.FORBIDDEN),
 ]
 GRAMMARS = [None, *CHRONOLOGY, *CUSTOM]
 
 
 def _lane_tables():
-    return [
-        P._LENIENT_LANES, P._ALL_LANES, *P._ERA_LANES.values(),
-        *(P._profile_lanes(profile) for profile in CUSTOM),
-    ]
+    return [*P._TABLES.values(), P._ALL_LANES]
 
 
 def _clear_memos():
     for lanes in _lane_tables():
         lanes.memo.clear()
+    P._STORED[0] = 0
     G._group_memo.clear()
 
 
@@ -152,7 +156,7 @@ def _check(toks, monkeypatch):
         _clear_memos()
         assert _memoized(toks) == want, toks
         assert _memoized(toks) == want, toks
-        assert all(len(lanes.memo) <= 2 for lanes in _lane_tables())
+        assert sum(len(lanes.memo) for lanes in _lane_tables()) <= 2
 
 
 def test_rendered_and_mutated_inputs(monkeypatch):
@@ -217,9 +221,9 @@ def test_longest_valid_group_is_stored():
     assert P.parse(toks, None).value == 100_003_567
     last = P._codes(toks)[1:]  # the group, preceded by the 億 before it
     assert len(last) - 1 == P._LONGEST_GROUP
-    assert last in P._LENIENT_LANES.memo
+    assert last in P._table(None).memo
     # A longer group is read but never stored.
     longer = P.tokenize("一億零三千有五百有六十有七有")
     with pytest.raises(NumeralParseError):
         P.parse(longer, None)
-    assert len(P._LENIENT_LANES.memo) == 2
+    assert len(P._table(None).memo) == 2

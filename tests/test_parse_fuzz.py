@@ -1,9 +1,12 @@
 """parse_text on hostile input: only NumeralParseError escapes, whatever it
-accepts lies within the grammar's ceiling and agrees with classify, and no
-group memo grows past its bound or keeps a group longer than a valid one."""
+accepts lies within the grammar's ceiling and agrees with classify, and the
+group memos of all lane tables together never grow past their one budget or
+keep a group longer than a valid one, whatever grammars they are read
+under."""
 
 import gc
 import importlib
+import itertools
 import random
 from dataclasses import replace
 
@@ -21,7 +24,14 @@ from hannum import (
     render_integer,
     tokenize,
 )
-from hannum.core import MORPHEMES
+from hannum.core import (
+    MORPHEMES,
+    Era,
+    LeadingOnePolicy,
+    LingPolicy,
+    OneBeforeInnerMultiplicand,
+    YouPolicy,
+)
 
 _LENIENT_CEILING = 10**12 - 1
 
@@ -95,18 +105,19 @@ _parse = importlib.import_module("hannum.parse")
 _NO_OUTER_PIVOT = [g for g in _GRAPHS if g not in "萬万億亿"]
 
 
-def _standard_tables():
-    return [_parse._LENIENT_LANES, _parse._ALL_LANES, *_parse._ERA_LANES.values()]
-
-
 def _live_tables():
     gc.collect()
     return [o for o in gc.get_objects() if isinstance(o, _parse._Lanes)]
 
 
-def _assert_memos_bounded(tables):
-    for lanes in tables:
-        assert len(lanes.memo) <= _parse._GROUP_MEMO
+def _stored():
+    """The readings stored in all lane tables' memos."""
+    return sum(len(lanes.memo) for lanes in _live_tables())
+
+
+def _assert_memo_bounded():
+    assert _stored() == _parse._STORED[0] <= _parse._GROUP_MEMO
+    for lanes in _live_tables():
         for key in lanes.memo:
             # A later group's key starts with the outer pivot before it.
             group = len(key) - (len(key) > 1 and key[0] in (24, 28))
@@ -146,22 +157,24 @@ def _run_together(draw):
 @given(text=_run_together())
 def test_run_together_numerals_keep_memos_bounded(text):
     _read_everywhere(text)
-    _assert_memos_bounded(_standard_tables())
+    _assert_memo_bounded()
 
 
 def test_long_input_without_outer_pivot():
     rng = random.Random(100_000)
     text = "".join(rng.choices(_NO_OUTER_PIVOT, k=100_000))
-    before = [len(lanes.memo) for lanes in _standard_tables()]
+    before = _stored()
     _read_everywhere(text)
     # The whole input is one group, too long to be valid: never stored.
-    assert [len(lanes.memo) for lanes in _standard_tables()] == before
-    _assert_memos_bounded(_standard_tables())
+    assert _stored() == before
+    _assert_memo_bounded()
 
 
 def test_distinct_inputs_past_the_bound(monkeypatch):
+    # The budget holds for all lane tables together, not for each.
     monkeypatch.setattr(_parse, "_GROUP_MEMO", 1_000)
-    for lanes in _standard_tables():
+    monkeypatch.setattr(_parse, "_STORED", [0])
+    for lanes in _live_tables():
         monkeypatch.setattr(lanes, "memo", {})
     rng = random.Random(10_000)
     texts = set()
@@ -169,27 +182,55 @@ def test_distinct_inputs_past_the_bound(monkeypatch):
         texts.add("".join(rng.choices(_GRAPHS, k=rng.randint(1, 14))))
     for text in texts:
         _read_everywhere(text)
-    assert max(len(lanes.memo) for lanes in _standard_tables()) == 1_000
-    _assert_memos_bounded(_standard_tables())
+    assert _stored() == 1_000
+    # Every table read shares the budget: the eras' (the three early eras
+    # share one), the lenient grammar's and the all-era table of classify,
+    # which has a lane for each of them.
+    tables = {_parse._reader(era_profile(era))[0] for era in CHRONOLOGY}
+    tables |= {_parse._table(None), _parse._ALL_LANES}
+    assert len(tables) == 8
+    assert _parse._ALL_LANES.all.bit_length() == 7
+    assert {lanes for lanes in _live_tables() if lanes.memo} == tables
+    _assert_memo_bounded()
 
 
-def test_many_custom_profiles_stay_within_the_table_cache():
-    profiles = [
-        replace(era_profile(CHRONOLOGY[k % 8]), max_value=10**8 - 1 - k)
-        for k in range(100)
-    ]
-    assert len(set(profiles)) == 100
+def _one_profile_per_grammar():
+    """A profile of each of the 208 era grammars, each with a ceiling of its
+    own: an early era, a later one and song-qin, under every setting of the
+    fields a grammar keeps."""
+    rng = random.Random(208)
+    profiles = []
+    for era in (Era.SHANG_ORACLE, Era.SUANSHUSHU, Era.SONG_QIN):
+        ones = [(LeadingOnePolicy.OMIT_BEFORE_HIGHEST, OneBeforeInnerMultiplicand.OMIT)]
+        if era is not Era.SHANG_ORACLE:
+            ones = list(itertools.product(LeadingOnePolicy, OneBeforeInnerMultiplicand))
+        for you, ling, liang, zero, (lead, inner) in itertools.product(
+            (YouPolicy.FORBIDDEN, YouPolicy.OPTIONAL_DEFAULT_OFF),
+            LingPolicy, (False, True), (False, True), ones,
+        ):
+            profiles.append(replace(
+                era_profile(era), you_policy=you, ling_policy=ling,
+                liang_allowed=liang, zero_expressible=zero,
+                leading_one_policy=lead, inner_multiplicand_one=inner,
+                max_value=rng.randint(10**6, 10**12 - 1),
+            ))
+    return profiles
+
+
+def test_every_grammar_stays_within_the_memo_budget():
+    profiles = _one_profile_per_grammar()
+    assert len({_parse._grammar(p) for p in profiles}) == len(profiles) == 208
     rng = random.Random(64)
     for profile in profiles:
         for _ in range(20):
-            toks = render_integer(rng.randint(1, 10**6), profile).tokens
-            assert parse(toks, profile).value <= profile.max_value
+            n = rng.randint(1, 10**6)
+            assert parse(render_integer(n, profile).tokens, profile).value == n
             try:
                 parse(tuple(rng.choices(MORPHEMES, k=rng.randint(1, 14))), profile)
             except NumeralParseError:
                 pass
-    standard = {id(lanes) for lanes in _standard_tables()}
-    custom = [lanes for lanes in _live_tables() if id(lanes) not in standard]
-    assert _parse._profile_lanes.cache_info().currsize <= 64
-    assert len(custom) <= 64
-    _assert_memos_bounded(custom)
+    # One table per grammar and the lenient grammar, and the table of all
+    # eras at once.
+    assert len(_parse._TABLES) == 209
+    assert len(_live_tables()) == 210
+    _assert_memo_bounded()

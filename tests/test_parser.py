@@ -3,9 +3,12 @@
 import hashlib
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
+from enum import Enum
 
 import pytest
+
+import reference_walk
 
 from hannum import (
     CHRONOLOGY,
@@ -31,12 +34,13 @@ from hannum import (
 )
 from hannum.core import (
     MORPHEMES,
+    EraProfile,
     LeadingOnePolicy,
     LingPolicy,
     OneBeforeInnerMultiplicand,
     era_profile,
 )
-from hannum.parse import _read_span
+from hannum.parse import _grammar, _read_span
 
 
 def err(callable_, *args, **kwargs):
@@ -399,14 +403,14 @@ SHORT_SEQUENCES = [
 ]
 
 
-def _listing(grammars):
+def _listing(grammars, read=parse):
     """The sha256 of one line per sequence of SHORT_SEQUENCES and grammar:
-    the parse's value, feature bits and diagnostics, or its error."""
+    the value, feature bits and diagnostics read returns, or its error."""
     lines = []
     for toks in SHORT_SEQUENCES:
         for grammar in grammars:
             try:
-                out = parse(toks, grammar)
+                out = read(toks, grammar)
             except NumeralParseError as exc:
                 lines.append(f"{exc.kind.value} {exc.position} {exc.message}")
             else:
@@ -485,6 +489,35 @@ class TestShortSequences:
             report = classify(toks)
             assert consistent == report.consistent, toks
             assert features == report.features, toks
+
+
+def _other(value):
+    """A value of the same field that differs from value."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, Enum):
+        members = list(type(value))
+        return members[(members.index(value) + 1) % len(members)]
+    return value // 10  # a ceiling
+
+
+@pytest.mark.parametrize("era", CHRONOLOGY)
+def test_grammar_key_keeps_every_field_the_walk_reads(era):
+    # A profile that changes one field of a standard era either gets a
+    # grammar of its own, or shares the era's lane table; then it must read
+    # every short sequence as a table built from it alone would. The
+    # reference walk builds a table per profile. elliptic_allowed is read
+    # by neither.
+    base = era_profile(era)
+    shared = 0
+    for field in fields(EraProfile):
+        changed = replace(base, **{field.name: _other(getattr(base, field.name))})
+        if _grammar(changed) == _grammar(base):
+            shared += 1
+            assert _listing([changed]) == _listing(
+                [changed], reference_walk.parse
+            ), field.name
+    assert shared >= 2  # the ceiling and elliptic_allowed at least
 
 
 # sha256 of test_length_four_listing's listing, taken before the walk folded
