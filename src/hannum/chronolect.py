@@ -7,6 +7,11 @@ runs parse's single walk with one lane per era plus the lenient lane, so the
 eight verdicts and the lenient features come from one pass over the tokens.
 Eras are treated as grammars, not as probability models: the result is a
 consistency set, never a likelihood.
+
+classify builds its verdicts and its report through core's positional
+builder, which fills their slots directly and keeps the verdict's
+exactly-one-of check; the public constructors stay the dataclass ones, so a
+caller that builds, copies or replaces a record sees no change.
 """
 
 from __future__ import annotations
@@ -18,13 +23,13 @@ from .core import (
     EARLY_ERAS,
     Era,
     Morpheme,
+    _builder,
     token_notation,
 )
 from .parse import (
     Features,
     NumeralParseError,
     ParseErrorKind,
-    ScriptHint,
     _read_eras,
     _walk_all,
     parse,
@@ -124,9 +129,16 @@ class EraConsistencyReport:
         }
 
 
+# classify builds its records through these positional constructors:
+# (era, value, error) and (input_tokens, verdicts, features, consistent,
+# notes).
+_verdict = _builder(EraVerdict, "(value is None) == (error is None)")
+_report = _builder(EraConsistencyReport)
+
+
 def _coerce_tokens(source: object) -> tuple[Morpheme, ...]:
     if isinstance(source, str):
-        return tokenize(source, ScriptHint.AUTO)
+        return tokenize(source)
     toks = tuple(getattr(source, "tokens", source))
     if not toks:
         raise NumeralParseError(
@@ -193,18 +205,14 @@ def classify(source: object) -> EraConsistencyReport:
     consistent: list[Era] = []
     for era, reading in zip(CHRONOLOGY, readings):
         if isinstance(reading, NumeralParseError):
-            verdicts.append(EraVerdict(era=era, error=reading))
+            verdicts.append(_verdict(era, None, reading))
         else:
-            verdicts.append(EraVerdict(era=era, value=reading))
+            verdicts.append(_verdict(era, reading, None))
             consistent.append(era)
 
     consistent_t = tuple(consistent)
-    return EraConsistencyReport(
-        input_tokens=toks,
-        verdicts=tuple(verdicts),
-        features=features,
-        consistent=consistent_t,
-        notes=_notes(features, consistent_t),
+    return _report(
+        toks, tuple(verdicts), features, consistent_t, _notes(features, consistent_t)
     )
 
 

@@ -14,6 +14,13 @@ parameterize both generation and parsing. The rank scale is 10, 10^2, 10^3
 each outer pivot takes a coefficient of 1..9999 built from the inner pivots,
 so no further rank is ever needed below 10^12, and none exists in the table.
 
+Era and Script hash by identity, so the era- and script-keyed tables of
+every module are read at C speed. _builder gives the other modules a
+positional constructor for their frozen result records that fills the slots
+directly, for their hot paths; the public constructors stay the dataclass
+ones, with their defaults and checks, so a caller that builds, copies,
+pickles or replaces a record sees no change.
+
 >>> pivot(4).traditional, pivot(4).simplified, pivot(4).pinyin
 ('萬', '万', 'wàn')
 >>> Morpheme(MorphemeKind.PIVOT, exponent=4) is pivot(4)
@@ -22,8 +29,9 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, unique
+from typing import Any, Callable
 
 __all__ = [
     "CHRONOLOGY",
@@ -58,6 +66,33 @@ __all__ = [
 
 class NonGenerableMorpheme(ValueError):
     """A parse-only morpheme was asked for in a Han or pinyin script."""
+
+
+def _builder(cls: type, invalid: str = "") -> Callable[..., Any]:
+    """A positional constructor for the frozen slotted dataclass cls.
+
+    It takes every field in order, with no defaults, makes the instance
+    with object.__new__ and stores each field through its slot descriptor:
+    the frozen __init__ instead sets each field by name through
+    object.__setattr__. The record is the one the dataclass constructor
+    builds from the same values. invalid is an expression over the field
+    names that holds when the values break the class's __post_init__
+    check; the builder then calls __post_init__, so the check raises its
+    own error.
+    """
+    names = [f.name for f in fields(cls)]
+    scope: dict[str, Any] = {"_new": object.__new__, "_cls": cls}
+    body = ["    self = _new(_cls)"]
+    for name in names:
+        scope[f"_set_{name}"] = getattr(cls, name).__set__
+        body.append(f"    _set_{name}(self, {name})")
+    if invalid:
+        body.append(f"    if {invalid}:\n        self.__post_init__()")
+    body.append("    return self")
+    exec(f"def build({', '.join(names)}):\n" + "\n".join(body), scope)
+    build = scope["build"]
+    build.__qualname__ = f"_builder({cls.__name__})"
+    return build
 
 
 RANK_EXPONENTS: tuple[int, ...] = (1, 2, 3, 4, 8)
@@ -229,6 +264,10 @@ class Script(Enum):
     PINYIN = "pinyin"
     TOKENS = "tokens"
 
+    # Members are singletons that compare by identity: hash them by identity
+    # too, in C, rather than by Enum's Python-level hash of the name.
+    __hash__ = object.__hash__
+
 
 def surface(morpheme: Morpheme, script: Script) -> str:
     """Written form of one morpheme in one script.
@@ -268,6 +307,9 @@ class Era(Enum):
     NINE_CHAPTERS = "nine-chapters"
     SONG_QIN = "song-qin"
     CONTEMPORARY = "contemporary"
+
+    # See Script.
+    __hash__ = object.__hash__
 
     @property
     def label(self) -> str:

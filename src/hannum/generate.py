@@ -26,8 +26,16 @@ each, so about 46 MB at its bound; past the bound new groups are rendered
 every time and not stored. The eight eras' groups of a sweep of every
 value up to 10^6, plus samples up to each ceiling, fit under it.
 
+render_integer keeps one render plan per era, eight at most: the era's
+standard profile and group rules under the options it last rendered with,
+reused while callers pass that same options object. A custom profile, an era
+name or elliptic options take no plan.
+
 A rendered NumeralExpression keeps the profile that rendered it, so its value
-reads the tokens back under that same profile.
+reads the tokens back under that same profile. The renders build it through
+core's positional builder, which fills its slots directly; the public
+constructor stays the dataclass one, so a caller that builds, copies or
+replaces an expression sees no change.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from .core import (
     TwoStyle,
     YOU,
     YouPolicy,
+    _builder,
     digit,
     era_profile,
     pivot,
@@ -145,6 +154,11 @@ class NumeralExpression:
         return self.text()
 
 
+# The renders build expressions through this positional constructor:
+# (tokens, era, elliptic, profile).
+_expression = _builder(NumeralExpression)
+
+
 @dataclass(frozen=True, slots=True)
 class UnitWord:
     """A measure word, classifier, or rank word appearing next to a numeral."""
@@ -194,16 +208,19 @@ _WRITTEN = {
     }.__getitem__
     for script in (Script.TRADITIONAL, Script.SIMPLIFIED, Script.PINYIN)
 }
+# Enum members read once here: on CPython 3.11 each member read at call time
+# costs about a fifth of what text() of a short numeral does.
+_TOKENS, _PINYIN = Script.TOKENS, Script.PINYIN
 
 
 def _join_surface(tokens: tuple[Morpheme, ...], script: Script) -> str:
-    if script is Script.TOKENS:
+    if script is _TOKENS:
         # Bracket tokens run together; word tokens get surrounding spaces.
         pieces = [m.notation for m in tokens]
         return " ".join(
             "".join(p if p.startswith("[") else f" {p} " for p in pieces).split()
         )
-    sep = " " if script is Script.PINYIN else ""
+    sep = " " if script is _PINYIN else ""
     try:
         return sep.join(map(_WRITTEN[script], tokens))
     except KeyError:
@@ -264,6 +281,9 @@ _LIANG_ON = 4  # liang for a 2 that is the whole multiplier of a pivot >= 10^2
 _HEAD_ONE = 8  # [1] before the numeral's first pivot above ten
 _HEAD_TEN_ONE = 16  # [1] before a numeral-initial ten
 _BARE_SOLE = 32  # no [1] before the first group's sole inner multiplier
+# Not rules: the options demand You where the profile forbids it.
+# _render_full raises for it once the value has passed its checks.
+_YOU_BANNED = -1
 
 # Enum members read once here: a member read at call time costs more than the
 # rest of resolving the rules.
@@ -335,23 +355,18 @@ def _group_tokens(
     return tuple(out)
 
 
-def _resolve_you(profile: EraProfile, opts: RenderOptions) -> bool:
+def _rules(profile: EraProfile, opts: RenderOptions) -> int:
+    """The group rules of one render, or _YOU_BANNED."""
     policy = profile.you_policy
     if policy is _YOU_FORBIDDEN:
         if opts.use_you:
-            raise StyleNotAllowed(
-                f"the conjunction you is not used in {profile.era.value} integer names"
-            )
-        return False
-    if opts.use_you is None:
-        return policy is _YOU_DEFAULT_ON
-    return opts.use_you
-
-
-def _rules(profile: EraProfile, opts: RenderOptions) -> int:
-    """The group rules of one render; raises where the era forbids You."""
+            return _YOU_BANNED
+        rules = 0
+    elif opts.use_you is None:
+        rules = _YOU_ON if policy is _YOU_DEFAULT_ON else 0
+    else:
+        rules = _YOU_ON if opts.use_you else 0
     lead = profile.leading_one_policy
-    rules = _YOU_ON if _resolve_you(profile, opts) else 0
     if profile.ling_policy is _LING_REQUIRED:
         rules |= _LING_ON
     if opts.two_style is _PREFER_LIANG:
@@ -383,22 +398,32 @@ def _check_style(
 # ---------------------------------------------------------------------------
 
 
+# The render plan of each era: (options, the era's profile, their group
+# rules), kept for the options object last rendered with under that era and
+# read only while render_integer gets that same object. Keyed by Era, so it
+# holds at most one plan per era.
+_plans: dict[Era, tuple[RenderOptions, EraProfile, int]] = {}
+
+
 def render_integer(
     n: int,
     era: "Era | EraProfile | str" = Era.CONTEMPORARY,
     opts: RenderOptions = DEFAULT_OPTIONS,
 ) -> NumeralExpression:
     """Render a non-negative integer under an era profile and options."""
-    profile = era_profile(era)
-    if opts.elliptic:
-        return render_elliptic(n, profile, opts)
-    _check_style(profile, opts, False)
-    return _render_full(n, profile, opts)
+    plan = _plans.get(era) if era.__class__ is Era else None
+    if plan is None or plan[0] is not opts:
+        profile = era_profile(era)
+        if opts.elliptic:
+            return render_elliptic(n, profile, opts)
+        _check_style(profile, opts, False)
+        plan = opts, profile, _rules(profile, opts)
+        if era.__class__ is Era:
+            _plans[era] = plan  # type: ignore[index]
+    return _render_full(n, plan[1], plan[2])
 
 
-def _render_full(
-    n: int, profile: EraProfile, opts: RenderOptions
-) -> NumeralExpression:
+def _render_full(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueOutOfRange(f"expected a non-negative integer, got {n!r}")
     if n > profile.max_value:
@@ -413,9 +438,12 @@ def _render_full(
             raise ZeroInexpressible(
                 f"{profile.era.value} numerals have no standalone zero word"
             )
-        return NumeralExpression((LING,), profile.era, False, profile)
+        return _expression((LING,), profile.era, False, profile)
+    if rules == _YOU_BANNED:
+        raise StyleNotAllowed(
+            f"the conjunction you is not used in {profile.era.value} integer names"
+        )
 
-    rules = _rules(profile, opts)
     g8, rem = divmod(n, 10**8)
     g4, g0 = divmod(rem, 10**4)
     tokens: list[Morpheme] = []
@@ -430,7 +458,7 @@ def _render_full(
                     _group_memo[key] = group
             tokens += group
             prev_scale = scale
-    return NumeralExpression(tuple(tokens), profile.era, False, profile)
+    return _expression(tuple(tokens), profile.era, False, profile)
 
 
 def render_elliptic(
@@ -446,7 +474,7 @@ def render_elliptic(
     """
     profile = era_profile(era)
     _check_style(profile, opts, True)
-    full = _render_full(n, profile, opts)
+    full = _render_full(n, profile, _rules(profile, opts))
     t = full.tokens
     if (
         len(t) < 3
@@ -460,7 +488,7 @@ def render_elliptic(
             f"{n} has no droppable final pivot: its name does not end with a "
             f"digit one rank below the preceding pivot"
         )
-    return NumeralExpression(t[:-1], profile.era, True, profile)
+    return _expression(t[:-1], profile.era, True, profile)
 
 
 def render_quantity(
@@ -486,7 +514,7 @@ def render_quantity(
     if n == 2 and clf.traditional not in ("兩", "两"):
         num = NumeralExpression(tokens=(LIANG,), era=profile.era)
     else:
-        num = _render_full(n, profile, opts)
+        num = _render_full(n, profile, _rules(profile, opts))
     return NumeralPhrase(items=(num, clf))
 
 
@@ -501,7 +529,7 @@ def render_ordinal(
         raise StyleNotAllowed("ordinals are rendered in the contemporary profile only")
     if n < 1:
         raise ValueOutOfRange(f"ordinal positions start at 1, got {n}")
-    num = _render_full(n, profile, DEFAULT_OPTIONS)  # AlwaysEr in every slot
+    num = render_integer(n, profile)  # AlwaysEr in every slot
     items = (DI, num) if with_prefix else (num,)
     return NumeralPhrase(items=items)
 
@@ -554,4 +582,4 @@ def _component(n: int) -> NumeralExpression:
     """A numeral incorporated before a measure word; 2 surfaces as liang."""
     if n == 2:
         return NumeralExpression(tokens=(LIANG,), era=Era.CONTEMPORARY)
-    return _render_full(n, era_profile(Era.CONTEMPORARY), DEFAULT_OPTIONS)
+    return render_integer(n)

@@ -79,6 +79,11 @@ reading), whatever the number of profiles.
 Error positions are token indices into the parsed sequence, except
 UnknownCharacter and EmptyInput, which carry character offsets into the
 source text.
+
+parse and _read_span build each ParseOutcome through core's positional
+builder, which fills its slots directly; the public constructor stays the
+dataclass one, so a caller that builds, copies or replaces an outcome sees
+no change.
 """
 
 from __future__ import annotations
@@ -104,6 +109,7 @@ from .core import (
     OneBeforeInnerMultiplicand,
     YOU,
     YouPolicy,
+    _builder,
     digit,
     era_profile,
     pivot,
@@ -198,6 +204,11 @@ class ParseOutcome:
         }
 
 
+# parse and _read_span build their outcomes through this positional
+# constructor: (value, era_checked, features, diagnostics, tokens).
+_outcome = _builder(ParseOutcome)
+
+
 # ---------------------------------------------------------------------------
 # Tokenization
 # ---------------------------------------------------------------------------
@@ -216,6 +227,10 @@ def _strip_tone_marks(syllable: str) -> str:
 
 
 _HAN_CHARS: dict[str, Morpheme] = {g: m for m in MORPHEMES for g in m.graphs}
+_HAN_GRAPHS = frozenset(_HAN_CHARS)
+# Enum members read once here: on CPython 3.11 a member read at call time
+# costs more than the set test on Han text.
+_AUTO_HINT, _HAN_HINT = ScriptHint.AUTO, ScriptHint.HAN
 
 _PINYIN_SYLLABLES: dict[str, Morpheme] = {
     unicodedata.normalize("NFC", m.pinyin): m for m in MORPHEMES
@@ -237,19 +252,19 @@ def _tokenize_impl(
     The common case is one table lookup per character (Han) or per syllable
     (pinyin), mapped in C. Only an input with a miss reads item by item.
     """
+    # AUTO reads Han as soon as one character is a numeral graph; one set
+    # test says so without a lookup per character of a pinyin string.
+    han = script_hint is _HAN_HINT or (
+        script_hint is _AUTO_HINT and not _HAN_GRAPHS.isdisjoint(text)
+    )
     # Lookups go into lists, then tuples: on CPython 3.11 a tuple built
     # straight from map grows by resizing, and over repeated calls that made
     # peak RSS creep up where list-then-tuple stays flat.
-    han = False
-    if script_hint is not ScriptHint.PINYIN:
+    if han:
         # A lookup miss is None; a morpheme is always true.
         found = list(map(_HAN_CHARS.get, text))
         if found and all(found):
             return tuple(found), False
-        # AUTO reads Han as soon as one character is a numeral graph.
-        han = script_hint is ScriptHint.HAN or any(found)
-
-    if han:
         tokens = list(filter(None, found))
         if len(tokens) < sum(map(len, text.split())):
             # Some miss is not whitespace: report the first such character.
@@ -1064,12 +1079,12 @@ def _read_span(
         failure = fails[_LENIENT_LANE]
         assert failure is not None
         return None, _error(failure, _LENIENT_NAME, _LENIENT_MAX), consistent, features
-    outcome = ParseOutcome(
-        value=value,
-        era_checked=None,
-        features=features,
-        diagnostics=tuple(text for mask, text in diags if mask & _LENIENT_BIT),
-        tokens=toks,
+    outcome = _outcome(
+        value,
+        None,
+        features,
+        tuple(text for mask, text in diags if mask & _LENIENT_BIT),
+        toks,
     )
     return outcome, None, consistent, features
 
@@ -1095,12 +1110,12 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     value = values[0]
     if value is None:
         raise _error(fails[0], name, maxes[0])  # type: ignore[arg-type]
-    return ParseOutcome(
-        value=value,
-        era_checked=era_checked,
-        features=_features(bits | _F_ELLIPTIC if elliptic else bits),
-        diagnostics=tuple([text for _, text in diags]) if diags else (),
-        tokens=toks,
+    return _outcome(
+        value,
+        era_checked,
+        _features(bits | _F_ELLIPTIC if elliptic else bits),
+        tuple([text for _, text in diags]) if diags else (),
+        toks,
     )
 
 

@@ -10,6 +10,10 @@ tallies. The reading depends only on the span text, so one scan_text call
 tokenizes and reads each distinct text once and reuses the result for every
 repeat. That memo holds at most _MEMO_TEXTS texts: once it is full, new texts
 are read every time they occur, so memory stays bounded on any input.
+
+scan_text builds its records through core's positional builder, which fills
+their slots directly; the public ScanRecord constructor stays the dataclass
+one, so a caller that builds, copies or replaces a record sees no change.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .core import MORPHEMES, YOU, Era
+from .core import MORPHEMES, YOU, Era, _builder
 from .parse import NumeralParseError, ParseOutcome, ScriptHint, _read_span, tokenize
 
 # Unused here; a traced run of bench/spans.py wraps both by these names.
@@ -96,6 +100,11 @@ class ScanRecord:
                 "message": err.message,
             }
         return base
+
+
+# scan_text builds its records through this positional constructor, which
+# takes the fields in the order above.
+_record = _builder(ScanRecord)
 
 
 # The summary's counts, in output order.
@@ -206,7 +215,7 @@ def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
         outcome, error, consistent, signature = reading
         column = start - line_start + 1
         records.append(
-            ScanRecord(byte_pos, line, column, chunk, outcome, error, consistent)
+            _record(byte_pos, line, column, chunk, outcome, error, consistent)
         )
         counts[signature] = counts.get(signature, 0) + 1
 

@@ -40,7 +40,7 @@ from hannum.core import (
     token_notation,
 )
 from hannum.generate import render_integer
-from hannum.parse import _HAN_CHARS, ScriptHint, parse, tokenize
+from hannum.parse import _ERA_READERS, _HAN_CHARS, ScriptHint, parse, tokenize
 from hannum.scan import _CONDITIONAL_CHARS, _CORE_CHARS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -277,6 +277,31 @@ class TestEras:
         for era in Era:
             assert era.label
             assert era.period
+
+
+class TestIdentityHash:
+    @pytest.mark.parametrize("member", [*Era, *Script], ids=str)
+    def test_hash_survives_copy_and_pickle(self, member):
+        twins = [copy.copy(member), copy.deepcopy(member)] + [
+            pickle.loads(pickle.dumps(member, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for twin in twins:
+            assert twin is member
+            assert hash(twin) == hash(member)
+        assert hash(member) == object.__hash__(member)
+
+    @pytest.mark.parametrize(
+        "resolve",
+        [lambda: Era("contemporary"), lambda: Era.from_string("modern"),
+         lambda: Era["CONTEMPORARY"]],
+        ids=["by-value", "by-alias", "by-name"],
+    )
+    def test_resolved_members_find_the_era_tables(self, resolve):
+        era = resolve()
+        assert _ERA_READERS[era] is _ERA_READERS[Era.CONTEMPORARY]
+        assert hannum.core._PROFILES[era] is era_profile(Era.CONTEMPORARY)
+        assert era_profile(era).era is Era.CONTEMPORARY
 
 
 class TestProfiles:

@@ -1,9 +1,11 @@
 """Rendering integers and unit phrases under each era grammar."""
 
+import itertools
 from dataclasses import replace
 
 import pytest
 
+from hannum import generate
 from hannum import (
     LIANG,
     LING,
@@ -11,6 +13,7 @@ from hannum import (
     AllZeroAmount,
     EllipsisUnavailable,
     Era,
+    LingPolicy,
     MonthOutOfRange,
     MorphemeKind,
     RenderOptions,
@@ -423,3 +426,81 @@ class TestGeneratorInvariants:
     def test_tokens_start_sane(self):
         rendered = render_integer(42)
         assert rendered.tokens[0] in (digit(4), pivot(1))
+
+
+class TestRenderPlan:
+    """render_integer keeps one plan per era for the options object it last
+    rendered with. Each case renders twice in a row with the same options
+    object, so the second call reads the plan the first one left."""
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    @pytest.mark.parametrize(
+        "era, calls",
+        [
+            (
+                Era.CONTEMPORARY,
+                [(0, "零"), ("x", ValueOutOfRange), (5, StyleNotAllowed)],
+            ),
+            (
+                Era.SUANSHUSHU,
+                [
+                    (0, ZeroInexpressible),
+                    (10**8, ValueOutOfRange),
+                    (5, StyleNotAllowed),
+                ],
+            ),
+        ],
+    )
+    def test_value_errors_come_before_a_banned_you(self, era, calls, order):
+        opts = RenderOptions(use_you=True)
+        for k in order:
+            n, want = calls[k]
+            for _ in range(2):
+                if isinstance(want, str):
+                    assert render_integer(n, era, opts).text() == want
+                else:
+                    with pytest.raises(want):
+                        render_integer(n, era, opts)
+
+    def test_style_errors_come_before_value_errors(self):
+        opts = RenderOptions(two_style=TwoStyle.PREFER_LIANG)
+        for n in ("x", 0, 5, 5):
+            with pytest.raises(StyleNotAllowed, match="liang"):
+                render_integer(n, Era.SUANSHUSHU, opts)
+        assert generate._plans.get(Era.SUANSHUSHU, (None,))[0] is not opts
+
+    def test_equal_but_distinct_options(self):
+        a = RenderOptions(two_style=TwoStyle.PREFER_LIANG)
+        b = RenderOptions(two_style=TwoStyle.PREFER_LIANG)
+        assert a == b and a is not b
+        for opts in (a, a, b, b, a, RenderOptions(), a):
+            want = "兩千兩百二十二" if opts == a else "二千二百二十二"
+            assert render_integer(2222, Era.CONTEMPORARY, opts).text() == want
+
+    def test_custom_profile_never_reads_the_eras_plan(self):
+        opts = RenderOptions()
+        assert render_integer(105, Era.CONTEMPORARY, opts).text() == "一百零五"
+        plan = generate._plans[Era.CONTEMPORARY]
+        assert plan[0] is opts
+        custom = replace(
+            era_profile(Era.CONTEMPORARY), ling_policy=LingPolicy.FORBIDDEN
+        )
+        for _ in range(2):
+            expr = render_integer(105, custom, opts)
+            assert expr.text() == "一百五"
+            assert expr.profile is custom
+            assert render_integer(105, "contemporary", opts).text() == "一百零五"
+            assert generate._plans[Era.CONTEMPORARY] is plan
+        assert render_integer(105, Era.CONTEMPORARY, opts).profile is era_profile(
+            Era.CONTEMPORARY
+        )
+
+    def test_plans_stay_within_their_bound(self):
+        for era in Era:
+            for n in range(1, 40):
+                opts = RenderOptions(use_you=None if n % 2 else False)
+                render_integer(n, era, opts)
+                render_integer(n, era.value, opts)
+                render_integer(n, era_profile(era), opts)
+        assert set(generate._plans) <= set(Era)
+        assert len(generate._plans) <= len(Era)

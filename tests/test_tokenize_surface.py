@@ -22,7 +22,7 @@ from hannum import (
     render_integer,
 )
 from hannum.core import DAN, LING_ALT, MORPHEMES, digit, surface
-from hannum.parse import NumeralParseError, ScriptHint, _tokenize_impl
+from hannum.parse import NumeralParseError, ParseErrorKind, ScriptHint, _tokenize_impl
 from reference_tokenizer import reference_tokenize
 
 
@@ -158,6 +158,14 @@ _OPTIONS = [
 ]
 
 
+def _renders(n, era, options):
+    """render_integer(n, era, options), or nothing where the era rejects it."""
+    try:
+        return [render_integer(n, era, options)]
+    except ValueError:
+        return []
+
+
 class TestTextMatchesSurfaceJoin:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -167,12 +175,9 @@ class TestTextMatchesSurfaceJoin:
     )
     def test_rendered_expressions(self, era, n, options):
         n = min(n, era_profile(era).max_value)
-        try:
-            expr = render_integer(n, era, options)
-        except ValueError:
-            return
-        for script in Script:
-            assert expr.text(script) == _surface_join(expr.tokens, script)
+        for expr in _renders(n, era, options):
+            for script in Script:
+                assert expr.text(script) == _surface_join(expr.tokens, script)
 
     @pytest.mark.parametrize("gap_word", [DAN, LING_ALT])
     def test_parse_only_gap_word_error_unchanged(self, gap_word):
@@ -185,3 +190,43 @@ class TestTextMatchesSurfaceJoin:
                 f"generation surface"
             )
         assert expr.text(Script.TOKENS) == _surface_join(expr.tokens, Script.TOKENS)
+
+
+# Pinyin renderings of every era under each option set of _OPTIONS: small
+# values, gaps and both outer pivots.
+_PINYIN_POOL = sorted(
+    {
+        expr.text(Script.PINYIN)
+        for era in Era
+        for options in _OPTIONS
+        for n in (*range(0, 121), 1001, 10_005, 30_070, 115_000, 2_222_222,
+                  10**8 + 1, 10**8 - 1, 10**12 - 1)
+        if n <= era_profile(era).max_value
+        for expr in _renders(n, era, options)
+    }
+)
+
+
+class TestAutoOnPinyin:
+    """AUTO reads pinyin unless some character is a Han numeral graph."""
+
+    @pytest.mark.parametrize("toneless", [False, True])
+    def test_pure_pinyin_reads_as_pinyin(self, toneless):
+        for text in _PINYIN_POOL:
+            auto = _tokenize_impl(text, ScriptHint.AUTO, toneless)
+            assert auto == _tokenize_impl(text, ScriptHint.PINYIN, toneless), text
+            assert auto[1] is True
+            _assert_same(text, ScriptHint.AUTO, toneless)
+
+    @pytest.mark.parametrize("graph", _GRAPHS)
+    def test_one_han_graph_switches_to_han(self, graph):
+        for k, text in enumerate(_PINYIN_POOL[::7]):
+            at = k % (len(text) + 1)
+            spliced = text[:at] + graph + text[at:]
+            with pytest.raises(NumeralParseError) as info:
+                _tokenize_impl(spliced, ScriptHint.AUTO, False)
+            assert info.value.kind is ParseErrorKind.UNKNOWN_CHARACTER
+            # The first character that is neither the graph nor a space.
+            assert info.value.position == (1 if at == 0 else 0)
+            for toneless in (False, True):
+                _assert_same(spliced, ScriptHint.AUTO, toneless)
