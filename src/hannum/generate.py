@@ -510,6 +510,7 @@ def render_quantity(
         opts = DEFAULT_OPTIONS
     if opts.elliptic:
         raise StyleNotAllowed("elliptic numerals cannot be incorporated before a classifier")
+    _check_style(profile, opts, False)
     clf = unit_word(classifier)
     if n == 2 and clf.traditional not in ("兩", "两"):
         num = NumeralExpression(tokens=(LIANG,), era=profile.era)

@@ -3,16 +3,20 @@
 The parser walks the token codes left to right, one myriad group at a
 time: a group runs from just after an outer pivot (or the numeral's start)
 up to and including the next outer pivot, and any link word that opens it
-belongs to it. Within a group the walk accumulates terms and closes the
-group at its outer pivot, or at the numeral's end. A term is a digit times
-an inner pivot, a bare inner pivot (implicit [1]) or a digit with no pivot
-after it; one step reads all three kinds, and that step is the one place
-where a pending link word (ling or you) joins a term to the one before it.
-Checks that need only local context (rank descent, digit runs, liang
-slots, in-group gap links) run immediately with one token of lookahead;
-checks that need the group's absolute scale (cross-group gap links, the
-[1] rule on the numeral's first term) are deferred to the moment the group
-closes, when the outer pivot fixes the scale. An error names the first offending token, but for that deferred
+belongs to it. Within a group the walk keeps only its terms (the first,
+the rank of the last, how many and their sum) and closes the group at its
+outer pivot, or at the numeral's end. A term is a digit times an inner
+pivot, a bare inner pivot (implicit [1]) or a digit with no pivot after
+it; one step reads all three kinds. Every token is either consumed or
+fails the group, so a pending link word (ling or you) is always the token
+before: the term step reads it there, joining a term to the one before
+it, and a gap word at a later group's first token links the group to the
+outer pivot before it. Checks that need only local context (rank descent,
+digit runs, liang slots, in-group gap links) run immediately with one
+token of lookahead; checks that need the group's absolute scale
+(cross-group gap links, the [1] rule on the numeral's first term) are
+deferred to the moment the group closes, when the outer pivot fixes the
+scale. An error names the first offending token, but for that deferred
 [1] check: dunhuang 百五五 and suanshushu 一百五五 report their digit run,
 not the [1] at token 0. Lanes that require [1] before an outer pivot's
 sole inner multiplier check a bare opening pivot at once, so contemporary
@@ -25,15 +29,14 @@ words are admitted, and the two [1] policies, which the early eras do not
 read. Its era name and its ceiling are not part of it: the caller passes
 the ceiling, which the walk checks as it joins the groups, and gives the
 name when it builds an error. The walk carries an alive bitmask over the
-lanes. Every
-era-dependent rule is a check that either rejects or does nothing, so the
-group state evolves the same way in every lane, and each such check is a
-mask, built once per lane table, of the lanes it applies to. Which eras
-lack which morphemes (you, ling, liang, dan and its variant ling) is one
-such mask per token code, checked before anything else on each token; the
-[1] rule is one list of masks per slot, built from _one_rule. A
-check that fires records the first failure of each lane it hits and drops
-them from the alive mask; nothing is raised inside the walk, and a
+lanes. Every era-dependent rule is a check that either rejects or does
+nothing, so the group state evolves the same way in every lane, and each
+such check is a mask, built once per lane table, of the lanes it applies
+to. Which eras lack which morphemes (you, ling, liang, dan and its variant
+ling) is one such mask per token code, checked before anything else on
+each token; the [1] rule is one list of masks per slot, built from
+_one_rule. A check that fires records the first failure of each lane it
+hits and drops them from the alive mask; nothing is raised inside the walk, and a
 NumeralParseError is built only for a lane that rejects. parse is the walk
 with one lane; chronolect's classify runs it once over seven lanes and fans
 them out to the eight eras (the three early eras differ only in how often
@@ -44,9 +47,11 @@ features of each span.
 The one place where lanes read differently is a trailing bare digit with no
 following pivot. Lanes whose rank gaps demand the link word ling, and the
 lenient lane, read it at the rank just below the preceding pivot (the
-elliptic reading); ling-free lanes read it as the unit digit. The walk forks
-there into at most two readings, and each closes the last group for its own
-lanes. The lenient lane reports both candidate values in diagnostics.
+elliptic reading); ling-free lanes read it as the unit digit. Such a digit
+is the group's last token, so the walk forks there into at most two
+readings and closes the elliptic one at once, for its own lanes; the main
+reading closes after it. The lenient lane reports both candidate values in
+diagnostics.
 
 A group's reading depends only on its codes and the exponent of the outer
 pivot before it, so each lane table memoizes it: _group reads a group
@@ -563,12 +568,6 @@ _LENIENT_BIT = 1 << _LENIENT_LANE
 _Failures = list[tuple[int, ParseErrorKind, int, str]]
 
 
-def _fail(fails: _Failures, bad: int, kind: ParseErrorKind, pos: int,
-          msg: str) -> None:
-    """Record the failure of every lane in bad."""
-    fails.append((bad, kind, pos, msg))
-
-
 def _break_one(fails: _Failures, lanes: int,
                rules: tuple[tuple[int, str], ...], pos: int) -> int:
     """Record where the lanes break one of rules; returns their mask."""
@@ -576,7 +575,7 @@ def _break_one(fails: _Failures, lanes: int,
     for mask, message in rules:
         bad = lanes & mask
         if bad:
-            _fail(fails, bad, _K.RANK_ORDER_VIOLATION, pos, message)
+            fails.append((bad, _K.RANK_ORDER_VIOLATION, pos, message))
             broken |= bad
     return broken
 
@@ -586,15 +585,20 @@ def _close(
     alive: int,
     fails: _Failures,
     diags: list[tuple[int, "str | tuple[int, int]"]],
-    members: list[tuple[int, int, bool, int]],
+    lead: tuple[int, int, bool, int] | None,
+    sole: bool,
     coeff: int,
     prev_exp: int,
-    first_idx: int,
-    link_idx: int | None,
+    crossed: bool,
     scale: int,
-    closer_idx: int,
+    closer: int,
 ) -> tuple[int, int]:
     """Close a myriad group at 10^scale; returns (alive, the group's value).
+
+    lead is the group's first term and sole says whether it is the only
+    one; a group without terms is a bare outer pivot at token closer.
+    coeff is the sum of the terms. crossed says whether a gap word opens
+    the group, linking it to the outer pivot before it.
 
     The checks that need the group's absolute scale run here, in this order:
     the [1] rule on the numeral's first term (whether an inner pivot is the
@@ -603,16 +607,17 @@ def _close(
     against the previous outer pivot, prev_exp (0 before the first group).
     Each lane's ceiling is checked where _walk adds the value to the total.
     """
+    pos = lead[3] if lead else closer
     slot = None
-    if not members:
+    if not lead:
         # A bare outer pivot opens the group (coefficient 1 implicit).
-        slot, pos = _LATER if prev_exp else _OUTER, closer_idx
-    elif not prev_exp and members[0][0] == 1:
-        _, exp, written, pos = members[0]
+        slot = _LATER if prev_exp else _OUTER
+    elif not prev_exp and lead[0] == 1:
+        _, exp, written, _ = lead
         if not exp:
             # A lone unit digit 1 under an outer pivot: [1][10^4] shape.
             slot = _OUTER + written if scale else None
-        elif scale and len(members) == 1:
+        elif scale and sole:
             slot = (_SOLE_TEN if exp == 1 else _SOLE_HIGH) + written
         else:
             slot = (_TEN if exp == 1 else _HIGH) + written
@@ -620,14 +625,14 @@ def _close(
     if rules:
         alive ^= _break_one(fails, alive, rules, pos)
     if prev_exp:
-        top_abs = scale + (members[0][1] if members else 0)
+        top_abs = scale + (lead[1] if lead else 0)
         gap = top_abs != prev_exp - 1
-        if gap and link_idx is None:
+        if gap and not crossed:
             bad = alive & L.ling_req
             if bad:
-                _fail(fails, bad, _K.RANK_ORDER_VIOLATION, first_idx,
-                      f"rank gap after the 10^{prev_exp} pivot needs "
-                      f"líng in {{era}}")
+                fails.append((bad, _K.RANK_ORDER_VIOLATION, pos,
+                              f"rank gap after the 10^{prev_exp} pivot needs "
+                              f"líng in {{era}}"))
                 alive ^= bad
             lenient = alive & L.lenient
             if lenient:
@@ -637,12 +642,12 @@ def _close(
                     f"10^{prev_exp} pivot; accepted leniently "
                     f"(outer-pivot líng drop, a known regional elision)",
                 ))
-        elif not gap and link_idx is not None:
-            _fail(fails, alive, _K.MISPLACED_LING, link_idx,
-                  "líng marks a rank gap, but the following rank is "
-                  "adjacent to the pivot before it")
+        elif not gap and crossed:
+            fails.append((alive, _K.MISPLACED_LING, 0,
+                          "líng marks a rank gap, but the following rank is "
+                          "adjacent to the pivot before it"))
             return 0, 0
-    return alive, (coeff if members else 1) * 10**scale
+    return alive, (coeff if lead else 1) * 10**scale
 
 
 def _over(maxes: tuple[int, ...], alive: int, fails: list[_Failure | None],
@@ -672,6 +677,14 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
     to and including the next outer pivot; only the last group ends without
     one. prev_exp is the exponent of the outer pivot before g, 0 for the
     first group; that pivot is the token before a later group's first.
+
+    The walk keeps only the group's terms; the rest is read off the codes.
+    Every token is consumed or fails the group, so a pending link word is
+    the token before, and a gap word at token 0 of a later group is the
+    link to the outer pivot before it. A trailing bare digit is the group's
+    last token, so its elliptic reading forks and closes there; the main
+    reading closes at the group's outer pivot or, in the last group, after
+    its last token.
     """
     m = len(g)
     first_group = not prev_exp
@@ -679,69 +692,63 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
     banned = L.banned
     fails: _Failures = []
     diags: list[tuple[int, "str | tuple[int, int]"]] = []
-    # Group state. members holds (digit_value, in_group_exp, explicit_one,
-    # token_index); exponent 0 marks the unit slot.
-    members: list[tuple[int, int, bool, int]] = []
-    coeff = 0
-    first_idx: int | None = None
-    link_idx: int | None = None
-    gap_idx: int | None = None
-    you = False
+    crossed = not first_group and (g[0] == _C_LING or g[0] >= _C_DAN)
+    # The terms: the first as (digit_value, in_group_exp, explicit_one,
+    # token_index), the exponent of the last (0 marks the unit slot), how
+    # many there are and their sum.
+    lead: tuple[int, int, bool, int] | None = None
+    above: int | None = None
+    terms = coeff = 0
     out = scale = value = 0
-    # The elliptic reading of a trailing digit: (lanes, members, coeff,
-    # first_idx) of the group it closes.
-    tail: tuple[int, list[tuple[int, int, bool, int]], int, int | None] | None = None
+    closer: int | None = None
+    fork: tuple[int, int] | None = None
 
     i = 0
     while alive and i < m:
         c = g[i]
+        prev = g[i - 1] if i else (20 + prev_exp if prev_exp else 0)
+        after_pivot = 21 <= prev <= 28
         bad = alive & banned[c]
         if bad:
-            _fail(fails, bad, _K.OUT_OF_ERA_MORPHEME, i, _OUT_OF_ERA[c])
+            fails.append((bad, _K.OUT_OF_ERA_MORPHEME, i, _OUT_OF_ERA[c]))
             alive ^= bad
             if not alive:
                 break
 
         if c <= 23:
             # A term: a digit times an inner pivot, a bare inner pivot, or
-            # a digit with no pivot after it (the unit slot, an elliptic
-            # tail, or the multiplier of an outer pivot). k is its rank in
-            # the group, 0 for the unit slot.
+            # a digit with no pivot after it (the unit slot, a trailing
+            # elliptic digit, or the multiplier of an outer pivot). k is its
+            # rank in the group, 0 for the unit slot.
             explicit = c <= _C_LIANG
             nxt = g[i + 1] if i + 1 < m else None
             if not explicit:
                 value, k, step = 1, c - 20, 1
             else:
                 if nxt is not None and nxt <= _C_LIANG:
-                    _fail(fails, alive, _K.DIGIT_RUN_WITHOUT_PIVOT, i + 1,
-                          "two digits in direct succession form no numeral")
+                    fails.append((alive, _K.DIGIT_RUN_WITHOUT_PIVOT, i + 1,
+                                  "two digits in direct succession form no numeral"))
                     break
                 value = 2 if c == _C_LIANG else c
                 if nxt is not None and 21 <= nxt <= 23:
                     k, step = nxt - 20, 2
                     if k == 1 and c == _C_LIANG:
-                        _fail(fails, alive, _K.LIANG_BEFORE_SHI, i,
-                              "liang never multiplies the pivot ten; only er does")
+                        fails.append((alive, _K.LIANG_BEFORE_SHI, i,
+                                      "liang never multiplies the pivot ten; "
+                                      "only er does"))
                         break
                 else:
                     k, step = 0, 1
-            above = members[-1][1] if members else None
-            # A pending líng or yòu links this term to the one before it.
-            linked = gap_idx is not None or you
-            if gap_idx is not None:
-                if above is None:
-                    link_idx = gap_idx  # cross-group link, checked at close
-                elif k == above - 1:
-                    _fail(fails, alive, _K.MISPLACED_LING, gap_idx,
-                          "líng marks a rank gap, but these ranks are adjacent")
-                    break
-                gap_idx = None
-            you = False
+            # A pending líng or yòu links this term to the one before it;
+            # a gap word before the first term is checked at close.
+            linked = prev >= _C_LING
+            if linked and prev != _C_YOU and above is not None and k == above - 1:
+                fails.append((alive, _K.MISPLACED_LING, i - 1,
+                              "líng marks a rank gap, but these ranks are adjacent"))
+                break
 
             if not k:
-                if nxt is None and not linked and (
-                    21 <= g[i - 1] <= 28 if i else not first_group
-                ):
+                if nxt is None and not linked and after_pivot:
                     # A trailing bare digit after a pivot: the lanes that
                     # demand líng (and the lenient one) read it one rank
                     # below the pivot, the rest as the unit digit. Trailing
@@ -750,9 +757,9 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
                     if inferred >= 1:
                         if c == _C_LIANG:
                             if inferred == 1:
-                                _fail(fails, alive, _K.LIANG_BEFORE_SHI, i,
-                                      "the elliptic reading would put liang on "
-                                      "the pivot ten")
+                                fails.append((alive, _K.LIANG_BEFORE_SHI, i,
+                                              "the elliptic reading would put liang on "
+                                              "the pivot ten"))
                                 break
                             ell = alive
                         else:
@@ -765,29 +772,32 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
                                     (coeff + value, coeff + value * 10**inferred),
                                 ))
                         if ell:
-                            tail = (
-                                ell,
-                                [*members, (value, inferred, True, i)],
-                                coeff + value * 10**inferred,
-                                i if not members and first_idx is None else first_idx,
-                            )
+                            # The elliptic lanes close the group here.
                             alive ^= ell
+                            ell, ell_value = _close(
+                                L, ell, fails, diags,
+                                lead or (value, inferred, True, i), not terms,
+                                coeff + value * 10**inferred, prev_exp, crossed, 0, i,
+                            )
+                            if ell:
+                                fork = (ell, ell_value)
                             if not alive:
                                 break
                 if c == _C_LIANG:
-                    if members:
-                        _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
-                              "the unit slot of a complex numeral takes er, "
-                              "never liang")
+                    if lead:
+                        fails.append((alive, _K.LIANG_IN_UNIT_SLOT, i,
+                                      "the unit slot of a complex numeral takes er, "
+                                      "never liang"))
                         break
                     if nxt is None and (i or not first_group):
-                        _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
-                              "a trailing liang after a link word reads as a "
-                              "unit digit, which liang cannot be")
+                        fails.append((alive, _K.LIANG_IN_UNIT_SLOT, i,
+                                      "a trailing liang after a link word reads as a "
+                                      "unit digit, which liang cannot be"))
                         break
                     if nxt is not None and not 24 <= nxt <= 28:
-                        _fail(fails, alive, _K.LIANG_IN_UNIT_SLOT, i,
-                              "standalone liang multiplies an outer pivot only")
+                        fails.append((alive, _K.LIANG_IN_UNIT_SLOT, i,
+                                      "standalone liang multiplies an outer "
+                                      "pivot only"))
                         break
 
             if above is not None:
@@ -798,17 +808,18 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
                 if not linked and k != above - 1 and (k < above or not explicit):
                     bad = alive & L.ling_req
                     if bad:
-                        _fail(fails, bad, _K.RANK_ORDER_VIOLATION, i,
-                              "rank gap inside the numeral needs líng in {era}")
+                        fails.append((bad, _K.RANK_ORDER_VIOLATION, i,
+                                      "rank gap inside the numeral needs líng "
+                                      "in {era}"))
                         alive ^= bad
                         if not alive:
                             break
                 if k >= above:
-                    _fail(fails, alive, _K.RANK_ORDER_VIOLATION, i + step - 1,
-                          "pivot ranks must descend within a myriad group")
+                    fails.append((alive, _K.RANK_ORDER_VIOLATION, i + step - 1,
+                                  "pivot ranks must descend within a myriad group"))
                     break
             if not explicit:
-                if members or not first_group:
+                if lead or not first_group:
                     rules, lanes = L.one[_LATER], alive
                 else:
                     # Without the sole-multiplier escape a bare opening pivot
@@ -820,34 +831,30 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
                     alive ^= _break_one(fails, lanes, rules, i)
                     if not alive:
                         break
-            if not members and first_idx is None:
-                first_idx = i
-            members.append((value, k, explicit, i))
+            lead = lead or (value, k, explicit, i)
+            above = k
+            terms += 1
             coeff += value * 10**k
             i += step
             continue
 
         if c == 24 or c == 28:  # outer pivot closes the group, and ends it
-            exp = c - 20
-            if gap_idx is not None:
-                _fail(fails, alive, _K.MISPLACED_LING, gap_idx,
-                      "a gap word must be followed by a digit, not a pivot "
-                      "that closes the group")
+            if prev == _C_YOU:
+                fails.append((alive, _K.MISPLACED_YOU, i - 1,
+                              "the conjunction must be followed by an additive term, "
+                              "not a group-closing pivot"))
                 break
-            if you:
-                _fail(fails, alive, _K.MISPLACED_YOU, i - 1,
-                      "the conjunction must be followed by an additive term, "
-                      "not a group-closing pivot")
+            if prev >= _C_LING:
+                fails.append((alive, _K.MISPLACED_LING, i - 1,
+                              "a gap word must be followed by a digit, not a pivot "
+                              "that closes the group"))
                 break
-            if prev_exp and exp >= prev_exp:
-                _fail(fails, alive, _K.RANK_ORDER_VIOLATION, i,
-                      "outer pivots must descend across myriad groups")
+            scale = c - 20
+            if prev_exp and scale >= prev_exp:
+                fails.append((alive, _K.RANK_ORDER_VIOLATION, i,
+                              "outer pivots must descend across myriad groups"))
                 break
-            scale = exp
-            out, value = _close(
-                L, alive, fails, diags, members, coeff, prev_exp,
-                i if first_idx is None else first_idx, link_idx, exp, i,
-            )
+            closer = i
             break
 
         if c == _C_LING or c >= _C_DAN:  # gap words
@@ -858,51 +865,42 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
             elif first_group and m == 1:  # standalone zero
                 bad = alive & L.zero_bad
                 if bad:
-                    _fail(fails, bad, _K.MISPLACED_LING, 0,
-                          "líng alone does not name zero in {era}")
+                    fails.append((bad, _K.MISPLACED_LING, 0,
+                                  "líng alone does not name zero in {era}"))
                     alive ^= bad
                 out = alive
                 break
-            if not (21 <= g[i - 1] <= 28 if i else not first_group):
-                _fail(fails, alive, _K.MISPLACED_LING, i,
-                      "a gap word stands only between a pivot and a following "
-                      "digit")
+            if not after_pivot:
+                fails.append((alive, _K.MISPLACED_LING, i,
+                              "a gap word stands only between a pivot and a following "
+                              "digit"))
                 break
             if i == m - 1:
-                _fail(fails, alive, _K.MISPLACED_LING, i,
-                      "a trailing gap word marks no gap")
+                fails.append((alive, _K.MISPLACED_LING, i,
+                              "a trailing gap word marks no gap"))
                 break
-            gap_idx = i
             i += 1
             continue
 
         # You, the additive conjunction.
-        if not (21 <= g[i - 1] <= 28 if i else not first_group):
-            _fail(fails, alive, _K.MISPLACED_YOU, i,
-                  "the conjunction joins a completed compound to a lower term")
+        if not after_pivot:
+            fails.append((alive, _K.MISPLACED_YOU, i,
+                          "the conjunction joins a completed compound to a lower term"))
             break
         if i == m - 1:
-            _fail(fails, alive, _K.MISPLACED_YOU, i,
-                  "the conjunction needs a following additive term")
+            fails.append((alive, _K.MISPLACED_YOU, i,
+                          "the conjunction needs a following additive term"))
             break
-        you = True
         i += 1
     else:  # the last group's walk ran to its end
         out = alive
-        if alive and members:
-            out, value = _close(
-                L, alive, fails, diags, members, coeff, prev_exp, first_idx,
-                link_idx, 0, m - 1,
-            )
-    fork = None
-    if tail is not None:
-        ell, members, coeff, first_idx = tail
-        ell, ell_value = _close(
-            L, ell, fails, diags, members, coeff, prev_exp, first_idx,
-            link_idx, 0, m - 1,
+        if alive and terms:
+            closer = m - 1
+    if closer is not None:
+        out, value = _close(
+            L, alive, fails, diags, lead, terms == 1, coeff, prev_exp, crossed,
+            scale, closer,
         )
-        if ell:
-            fork = (ell, ell_value)
 
     events = (tuple(fails), tuple(diags), fork) if fails or diags or fork else None
     return out, events, _group_bits(g, first_group), scale, value

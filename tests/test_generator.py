@@ -340,6 +340,24 @@ class TestQuantity:
         with pytest.raises(StyleNotAllowed):
             render_quantity(3, "個", era="song-qin")
 
+    def test_options_checked_against_the_profile(self):
+        # A contemporary profile without liang refuses a liang style here as
+        # render_integer does, bare 2 included; the standard profile's
+        # quantities do not change.
+        no_liang = replace(era_profile(Era.CONTEMPORARY), liang_allowed=False)
+        for style in (TwoStyle.PREFER_LIANG, TwoStyle.READING):
+            opts = RenderOptions(two_style=style)
+            with pytest.raises(StyleNotAllowed) as expected:
+                render_integer(2000, no_liang, opts)
+            for n in (2000, 2):
+                with pytest.raises(StyleNotAllowed) as got:
+                    render_quantity(n, "個", no_liang, opts)
+                assert str(got.value) == str(expected.value)
+            assert render_quantity(2000, "個", opts=opts).text() == (
+                "兩千個" if style is TwoStyle.PREFER_LIANG else "二千個"
+            )
+            assert render_quantity(2, "個", opts=opts).text() == "兩個"
+
 
 class TestOrdinal:
     def test_ordinal_keeps_er(self):

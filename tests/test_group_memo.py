@@ -25,9 +25,12 @@ from hannum.core import (
     LeadingOnePolicy,
     OneBeforeInnerMultiplicand,
     YouPolicy,
+    digit,
     era_profile,
+    pivot,
 )
 from hannum.generate import RenderError
+from test_parser import SHORT_SEQUENCES
 from test_render_pin import OPTION_SETS
 
 P = importlib.import_module("hannum.parse")
@@ -227,3 +230,57 @@ def test_longest_valid_group_is_stored():
     with pytest.raises(NumeralParseError):
         P.parse(longer, None)
     assert len(P._table(None).memo) == 2
+
+
+# Every sequence of one to three morphemes after [5][10^4], after [5][10^8]
+# and after a bare [10^8]: 21,717 inputs whose tail the walk reads as a later
+# group, with the outer pivot before it fixing the ranks and the links.
+LATER_GROUPS = [
+    (*head, *tail)
+    for head in ((digit(5), pivot(4)), (digit(5), pivot(8)), (pivot(8),))
+    for tail in SHORT_SEQUENCES
+]
+
+
+def _assert_memo_entries_sound():
+    """Check every stored reading: _walk applies a group's failures in
+    order, the last write winning, and the elliptic fork after them. That is
+    sound only if every failure names some lane, no lane fails twice, and no
+    failing lane is also alive at the close or on the fork."""
+    stored = 0
+    for lanes in _lane_tables():
+        for out, events, _, _, _ in lanes.memo.values():
+            stored += 1
+            if events is None:
+                continue
+            failures, _, fork = events
+            seen = out | (fork[0] if fork else 0)
+            for mask, _, _, _ in failures:
+                assert mask, events
+                assert not mask & seen, (out, events)
+                seen |= mask
+    return stored
+
+
+@pytest.mark.gate
+def test_later_groups_match_reference():
+    # About 15 s on two CPUs, so it runs with the gate.
+    assert len(LATER_GROUPS) == 3 * 7239 == 21_717
+    _clear_memos()
+    for toks in LATER_GROUPS:
+        assert _memoized(toks) == _reference(toks), toks
+    assert _assert_memo_entries_sound() > 100_000
+
+
+def test_memo_entries_keep_each_lane_in_one_outcome():
+    # The memos of the nine standard grammars' tables and classify's, filled
+    # by every short sequence and every later group above.
+    _clear_memos()
+    for toks in (*SHORT_SEQUENCES, *LATER_GROUPS):
+        P._walk_all(toks)
+        for grammar in (None, *CHRONOLOGY):
+            try:
+                P.parse(toks, grammar)
+            except NumeralParseError:
+                pass
+    assert _assert_memo_entries_sound() == 116_660
