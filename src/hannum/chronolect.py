@@ -30,6 +30,7 @@ from .parse import (
     Features,
     NumeralParseError,
     ParseErrorKind,
+    _error_dict,
     _read_eras,
     _walk_all,
     parse,
@@ -72,16 +73,11 @@ class EraVerdict:
                 "verdict": "accepts",
                 "value": self.value,
             }
-        err = self.error
-        assert err is not None
+        assert self.error is not None
         return {
             "era": self.era.value,
             "verdict": "rejects",
-            "error": {
-                "kind": err.kind.value,
-                "position": err.position,
-                "message": err.message,
-            },
+            "error": _error_dict(self.error),
         }
 
 

@@ -8,11 +8,12 @@ integer code, its token notation, its written forms per script, and the
 graphs read as it on input. The tokenizer, the scanner, the parser and the
 surface writer all read this table; none keeps a copy of the inventory.
 
-The module also defines the scripts and the eight era profiles that
-parameterize both generation and parsing. The rank scale is 10, 10^2, 10^3
-(inner pivots) and 10^4, 10^8 (outer pivots). Numbers are named by myriads:
-each outer pivot takes a coefficient of 1..9999 built from the inner pivots,
-so no further rank is ever needed below 10^12, and none exists in the table.
+The module also defines the scripts and the one era table: a row per era
+holds its label, period and loose names and the profile that parameterizes
+both generation and parsing. The rank scale is 10, 10^2, 10^3 (inner
+pivots) and 10^4, 10^8 (outer pivots). Numbers are named by myriads: each
+outer pivot takes a coefficient of 1..9999 built from the inner pivots, so
+no further rank is ever needed below 10^12, and none exists in the table.
 
 Era and Script hash by identity, so the era- and script-keyed tables of
 every module are read at C speed. _builder gives the other modules a
@@ -313,11 +314,11 @@ class Era(Enum):
 
     @property
     def label(self) -> str:
-        return _ERA_LABELS[self]
+        return _ERAS[self][0]
 
     @property
     def period(self) -> str:
-        return _ERA_PERIODS[self]
+        return _ERAS[self][1]
 
     @classmethod
     def from_string(cls, name: str) -> "Era":
@@ -331,46 +332,6 @@ class Era(Enum):
 
 
 CHRONOLOGY: tuple[Era, ...] = tuple(Era)
-
-_ERA_LABELS: dict[Era, str] = {
-    Era.SHANG_ORACLE: "Shang oracle bones",
-    Era.ZHOU_BRONZE: "Zhou bronze inscriptions",
-    Era.WARRING_STATES: "Warring States inscriptions",
-    Era.SUANSHUSHU: "Suan shu shu bamboo strips",
-    Era.DUNHUANG: "Dunhuang manuscripts",
-    Era.NINE_CHAPTERS: "Nine Chapters received text",
-    Era.SONG_QIN: "Song mathematical usage",
-    Era.CONTEMPORARY: "Contemporary standard",
-}
-
-_ERA_PERIODS: dict[Era, str] = {
-    Era.SHANG_ORACLE: "13th to 11th centuries BCE",
-    Era.ZHOU_BRONZE: "11th to 5th centuries BCE",
-    Era.WARRING_STATES: "5th to 3rd centuries BCE",
-    Era.SUANSHUSHU: "early 2nd century BCE",
-    Era.DUNHUANG: "1st to 10th centuries CE",
-    Era.NINE_CHAPTERS: "7th century CE redaction",
-    Era.SONG_QIN: "13th century CE",
-    Era.CONTEMPORARY: "20th century onward",
-}
-
-_ERA_ALIASES: dict[str, Era] = {e.value.replace("-", ""): e for e in Era}
-_ERA_ALIASES.update(
-    {
-        "shang": Era.SHANG_ORACLE,
-        "oracle": Era.SHANG_ORACLE,
-        "zhou": Era.ZHOU_BRONZE,
-        "bronze": Era.ZHOU_BRONZE,
-        "warring": Era.WARRING_STATES,
-        "sss": Era.SUANSHUSHU,
-        "ninechapters": Era.NINE_CHAPTERS,
-        "nine": Era.NINE_CHAPTERS,
-        "songqin": Era.SONG_QIN,
-        "song": Era.SONG_QIN,
-        "qin": Era.SONG_QIN,
-        "modern": Era.CONTEMPORARY,
-    }
-)
 
 # Eras whose script fuses digit and pivot into one graph, so [1]-usage before
 # pivots is unrecoverable; parsing accepts both shapes everywhere.
@@ -425,95 +386,65 @@ class EraProfile:
     max_value: int
 
 
+_Y = YouPolicy
+_G = LingPolicy
+_L = LeadingOnePolicy
+_I = OneBeforeInnerMultiplicand
+
+# One row per era, in chronological order: label, period, the loose names
+# Era.from_string accepts besides the id, then EraProfile's fields after era:
+# you_policy, ling_policy, leading_one_policy, inner_multiplicand_one,
+# liang_allowed, elliptic_allowed, zero_expressible, max_value.
+_ERAS: dict[Era, tuple[Any, ...]] = {
+    Era.SHANG_ORACLE: (
+        "Shang oracle bones", "13th to 11th centuries BCE", ("shang", "oracle"),
+        _Y.OPTIONAL_DEFAULT_OFF, _G.FORBIDDEN, _L.OMIT_BEFORE_HIGHEST, _I.OMIT,
+        False, False, False, 10**8 - 1,
+    ),
+    Era.ZHOU_BRONZE: (
+        "Zhou bronze inscriptions", "11th to 5th centuries BCE", ("zhou", "bronze"),
+        _Y.OPTIONAL_DEFAULT_ON, _G.FORBIDDEN, _L.OMIT_BEFORE_HIGHEST, _I.OMIT,
+        False, False, False, 10**8 - 1,
+    ),
+    Era.WARRING_STATES: (
+        "Warring States inscriptions", "5th to 3rd centuries BCE", ("warring",),
+        _Y.OPTIONAL_DEFAULT_OFF, _G.FORBIDDEN, _L.OMIT_BEFORE_HIGHEST, _I.OMIT,
+        False, False, False, 10**8 - 1,
+    ),
+    Era.SUANSHUSHU: (
+        "Suan shu shu bamboo strips", "early 2nd century BCE", ("sss",),
+        _Y.FORBIDDEN, _G.FORBIDDEN, _L.OMIT_BEFORE_HIGHEST, _I.OMIT,
+        False, False, False, 10**8 - 1,
+    ),
+    Era.DUNHUANG: (
+        "Dunhuang manuscripts", "1st to 10th centuries CE", (),
+        _Y.FORBIDDEN, _G.FORBIDDEN, _L.REQUIRED_EXCEPT_LEADING_TEN, _I.OMIT,
+        False, False, False, 10**8 - 1,
+    ),
+    Era.NINE_CHAPTERS: (
+        "Nine Chapters received text", "7th century CE redaction", ("nine",),
+        _Y.FORBIDDEN, _G.FORBIDDEN, _L.REQUIRED_ALL, _I.REQUIRE,
+        False, False, False, 10**8 - 1,
+    ),
+    Era.SONG_QIN: (
+        "Song mathematical usage", "13th century CE", ("song", "qin"),
+        _Y.FORBIDDEN, _G.REQUIRED, _L.REQUIRED_ALL, _I.REQUIRE,
+        False, False, False, 10**12 - 1,
+    ),
+    Era.CONTEMPORARY: (
+        "Contemporary standard", "20th century onward", ("modern",),
+        _Y.FORBIDDEN, _G.REQUIRED, _L.REQUIRED_EXCEPT_LEADING_TEN, _I.REQUIRE,
+        True, True, True, 10**12 - 1,
+    ),
+}
+
+# Era.from_string's keys: each id without its hyphen, and each loose name.
+_ERA_ALIASES: dict[str, Era] = {
+    name: e for e, row in _ERAS.items() for name in (e.value.replace("-", ""), *row[2])
+}
+
 _PROFILES: dict[Era, EraProfile] = {
-    Era.SHANG_ORACLE: EraProfile(
-        era=Era.SHANG_ORACLE,
-        you_policy=YouPolicy.OPTIONAL_DEFAULT_OFF,
-        ling_policy=LingPolicy.FORBIDDEN,
-        leading_one_policy=LeadingOnePolicy.OMIT_BEFORE_HIGHEST,
-        inner_multiplicand_one=OneBeforeInnerMultiplicand.OMIT,
-        liang_allowed=False,
-        elliptic_allowed=False,
-        zero_expressible=False,
-        max_value=10**8 - 1,
-    ),
-    Era.ZHOU_BRONZE: EraProfile(
-        era=Era.ZHOU_BRONZE,
-        you_policy=YouPolicy.OPTIONAL_DEFAULT_ON,
-        ling_policy=LingPolicy.FORBIDDEN,
-        leading_one_policy=LeadingOnePolicy.OMIT_BEFORE_HIGHEST,
-        inner_multiplicand_one=OneBeforeInnerMultiplicand.OMIT,
-        liang_allowed=False,
-        elliptic_allowed=False,
-        zero_expressible=False,
-        max_value=10**8 - 1,
-    ),
-    Era.WARRING_STATES: EraProfile(
-        era=Era.WARRING_STATES,
-        you_policy=YouPolicy.OPTIONAL_DEFAULT_OFF,
-        ling_policy=LingPolicy.FORBIDDEN,
-        leading_one_policy=LeadingOnePolicy.OMIT_BEFORE_HIGHEST,
-        inner_multiplicand_one=OneBeforeInnerMultiplicand.OMIT,
-        liang_allowed=False,
-        elliptic_allowed=False,
-        zero_expressible=False,
-        max_value=10**8 - 1,
-    ),
-    Era.SUANSHUSHU: EraProfile(
-        era=Era.SUANSHUSHU,
-        you_policy=YouPolicy.FORBIDDEN,
-        ling_policy=LingPolicy.FORBIDDEN,
-        leading_one_policy=LeadingOnePolicy.OMIT_BEFORE_HIGHEST,
-        inner_multiplicand_one=OneBeforeInnerMultiplicand.OMIT,
-        liang_allowed=False,
-        elliptic_allowed=False,
-        zero_expressible=False,
-        max_value=10**8 - 1,
-    ),
-    Era.DUNHUANG: EraProfile(
-        era=Era.DUNHUANG,
-        you_policy=YouPolicy.FORBIDDEN,
-        ling_policy=LingPolicy.FORBIDDEN,
-        leading_one_policy=LeadingOnePolicy.REQUIRED_EXCEPT_LEADING_TEN,
-        inner_multiplicand_one=OneBeforeInnerMultiplicand.OMIT,
-        liang_allowed=False,
-        elliptic_allowed=False,
-        zero_expressible=False,
-        max_value=10**8 - 1,
-    ),
-    Era.NINE_CHAPTERS: EraProfile(
-        era=Era.NINE_CHAPTERS,
-        you_policy=YouPolicy.FORBIDDEN,
-        ling_policy=LingPolicy.FORBIDDEN,
-        leading_one_policy=LeadingOnePolicy.REQUIRED_ALL,
-        inner_multiplicand_one=OneBeforeInnerMultiplicand.REQUIRE,
-        liang_allowed=False,
-        elliptic_allowed=False,
-        zero_expressible=False,
-        max_value=10**8 - 1,
-    ),
-    Era.SONG_QIN: EraProfile(
-        era=Era.SONG_QIN,
-        you_policy=YouPolicy.FORBIDDEN,
-        ling_policy=LingPolicy.REQUIRED,
-        leading_one_policy=LeadingOnePolicy.REQUIRED_ALL,
-        inner_multiplicand_one=OneBeforeInnerMultiplicand.REQUIRE,
-        liang_allowed=False,
-        elliptic_allowed=False,
-        zero_expressible=False,
-        max_value=10**12 - 1,
-    ),
-    Era.CONTEMPORARY: EraProfile(
-        era=Era.CONTEMPORARY,
-        you_policy=YouPolicy.FORBIDDEN,
-        ling_policy=LingPolicy.REQUIRED,
-        leading_one_policy=LeadingOnePolicy.REQUIRED_EXCEPT_LEADING_TEN,
-        inner_multiplicand_one=OneBeforeInnerMultiplicand.REQUIRE,
-        liang_allowed=True,
-        elliptic_allowed=True,
-        zero_expressible=True,
-        max_value=10**12 - 1,
-    ),
+    era: EraProfile(era, *row[3:]) for era, row in _ERAS.items()
 }
 
 

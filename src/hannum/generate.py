@@ -500,8 +500,8 @@ def render_quantity(
     """Render "numeral + classifier", always with the full (incorporable) form.
 
     A numeral that is just the digit 2 surfaces as liang before the
-    classifier, except before the 50-gram measure word liang itself, where
-    euphony keeps er.
+    classifier where the profile has liang, except before the 50-gram
+    measure word liang itself, where euphony keeps er.
     """
     profile = era_profile(era)
     if profile.era is not Era.CONTEMPORARY:
@@ -512,11 +512,8 @@ def render_quantity(
         raise StyleNotAllowed("elliptic numerals cannot be incorporated before a classifier")
     _check_style(profile, opts, False)
     clf = unit_word(classifier)
-    if n == 2 and clf.traditional not in ("兩", "两"):
-        num = NumeralExpression(tokens=(LIANG,), era=profile.era)
-    else:
-        num = _render_full(n, profile, _rules(profile, opts))
-    return NumeralPhrase(items=(num, clf))
+    render = _render_full if clf.traditional in ("兩", "两") else _counted
+    return NumeralPhrase(items=(render(n, profile, _rules(profile, opts)), clf))
 
 
 def render_ordinal(
@@ -579,8 +576,18 @@ def render_duration(years: int, months: int) -> NumeralPhrase:
     )
 
 
+def _counted(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
+    """n as the count before a measure word.
+
+    A bare 2 is liang where the profile has liang; any other n, and 2 under
+    a profile without liang, is the profile's own rendering.
+    """
+    if n == 2 and profile.liang_allowed:
+        return _expression((LIANG,), profile.era, False, profile)
+    return _render_full(n, profile, rules)
+
+
 def _component(n: int) -> NumeralExpression:
     """A numeral incorporated before a measure word; 2 surfaces as liang."""
-    if n == 2:
-        return NumeralExpression(tokens=(LIANG,), era=Era.CONTEMPORARY)
-    return render_integer(n)
+    profile = era_profile(Era.CONTEMPORARY)
+    return _counted(n, profile, _rules(profile, DEFAULT_OPTIONS))

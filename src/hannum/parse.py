@@ -161,6 +161,11 @@ class NumeralParseError(ValueError):
         return type(self), (self.kind, self.position, self.message)
 
 
+def _error_dict(err: NumeralParseError) -> dict[str, object]:
+    """A rejection's fields as the JSON output of classify and scan writes them."""
+    return {"kind": err.kind.value, "position": err.position, "message": err.message}
+
+
 @dataclass(frozen=True, slots=True)
 class Features:
     """Structural traits of one numeral, the classifier's raw evidence."""

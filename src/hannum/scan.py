@@ -19,10 +19,17 @@ one, so a caller that builds, copies or replaces a record sees no change.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .core import MORPHEMES, YOU, Era, _builder
-from .parse import NumeralParseError, ParseOutcome, ScriptHint, _read_span, tokenize
+from .parse import (
+    NumeralParseError,
+    ParseOutcome,
+    ScriptHint,
+    _error_dict,
+    _read_span,
+    tokenize,
+)
 
 # Unused here; a traced run of bench/spans.py wraps both by these names.
 from .chronolect import classify  # noqa: F401
@@ -91,33 +98,15 @@ class ScanRecord:
             base["features"] = self.outcome.features.as_dict()
             base["diagnostics"] = list(self.outcome.diagnostics)
         else:
-            err = self.error
-            assert err is not None
+            assert self.error is not None
             base["status"] = "error"
-            base["error"] = {
-                "kind": err.kind.value,
-                "position": err.position,
-                "message": err.message,
-            }
+            base["error"] = _error_dict(self.error)
         return base
 
 
 # scan_text builds its records through this positional constructor, which
 # takes the fields in the order above.
 _record = _builder(ScanRecord)
-
-
-# The summary's counts, in output order.
-_COUNTS = (
-    "expressions",
-    "parsed",
-    "errors",
-    "with_you",
-    "without_you",
-    "with_ling",
-    "with_liang",
-    "elliptic",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,17 +124,13 @@ class ScanSummary:
     era_sets: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "expressions": self.expressions,
-            "parsed": self.parsed,
-            "errors": self.errors,
-            "with_you": self.with_you,
-            "without_you": self.without_you,
-            "with_ling": self.with_ling,
-            "with_liang": self.with_liang,
-            "elliptic": self.elliptic,
-            "era_sets": dict(sorted(self.era_sets.items())),
-        }
+        d: dict[str, object] = {key: getattr(self, key) for key in _COUNTS}
+        d["era_sets"] = dict(sorted(self.era_sets.items()))
+        return d
+
+
+# The summary's counts, in output order: every field but era_sets.
+_COUNTS = tuple(f.name for f in fields(ScanSummary) if f.name != "era_sets")
 
 
 def _spans(text: str) -> list[tuple[int, int]]:

@@ -278,6 +278,44 @@ class TestEras:
             assert era.label
             assert era.period
 
+    def test_from_string_key_map(self):
+        keys = {
+            "shangoracle": Era.SHANG_ORACLE,
+            "shang": Era.SHANG_ORACLE,
+            "oracle": Era.SHANG_ORACLE,
+            "zhoubronze": Era.ZHOU_BRONZE,
+            "zhou": Era.ZHOU_BRONZE,
+            "bronze": Era.ZHOU_BRONZE,
+            "warringstates": Era.WARRING_STATES,
+            "warring": Era.WARRING_STATES,
+            "suanshushu": Era.SUANSHUSHU,
+            "sss": Era.SUANSHUSHU,
+            "dunhuang": Era.DUNHUANG,
+            "ninechapters": Era.NINE_CHAPTERS,
+            "nine": Era.NINE_CHAPTERS,
+            "songqin": Era.SONG_QIN,
+            "song": Era.SONG_QIN,
+            "qin": Era.SONG_QIN,
+            "contemporary": Era.CONTEMPORARY,
+            "modern": Era.CONTEMPORARY,
+        }
+        assert hannum.core._ERA_ALIASES == keys
+        for key, era in keys.items():
+            assert Era.from_string(key) is era
+            assert Era.from_string(f" {key.upper()} ") is era
+
+    def test_labels(self):
+        assert {era: era.label for era in Era} == {
+            Era.SHANG_ORACLE: "Shang oracle bones",
+            Era.ZHOU_BRONZE: "Zhou bronze inscriptions",
+            Era.WARRING_STATES: "Warring States inscriptions",
+            Era.SUANSHUSHU: "Suan shu shu bamboo strips",
+            Era.DUNHUANG: "Dunhuang manuscripts",
+            Era.NINE_CHAPTERS: "Nine Chapters received text",
+            Era.SONG_QIN: "Song mathematical usage",
+            Era.CONTEMPORARY: "Contemporary standard",
+        }
+
 
 class TestIdentityHash:
     @pytest.mark.parametrize("member", [*Era, *Script], ids=str)

@@ -358,6 +358,20 @@ class TestQuantity:
             )
             assert render_quantity(2, "個", opts=opts).text() == "兩個"
 
+    def test_bare_two_is_liang_only_under_a_profile_with_liang(self):
+        no_liang = replace(era_profile(Era.CONTEMPORARY), liang_allowed=False)
+        two = render_quantity(2, "個", no_liang)
+        assert two.text() == "二個"
+        assert two.items[0].tokens == (digit(2),)
+        assert two.items[0].value == 2
+        assert render_quantity(2, "兩", no_liang).text() == "二兩"
+        assert render_quantity(2, "個").text() == "兩個"
+        assert render_quantity(2, "層").text() == "兩層"
+        assert render_quantity(2, "兩").text() == "二兩"
+        assert render_currency(2, 2, 2).text() == "兩元兩角兩分"
+        assert render_duration(2, 2).text() == "兩年零兩個月"
+        assert render_duration(22, 2).text() == "二十二年零兩個月"
+
 
 class TestOrdinal:
     def test_ordinal_keeps_er(self):

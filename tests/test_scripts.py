@@ -28,3 +28,11 @@ def test_synthetic_corpus_scan_matches_manifest():
     for key in ("expressions", "with_you", "with_ling", "with_liang",
                 "elliptic", "errors"):
         assert getattr(summary, key) == planted[key], key
+
+
+def test_code_lines_counts_main(capsys):
+    main = _SCRIPTS.parent / "src" / "hannum" / "__main__.py"
+    assert _load("code_lines").main([str(main)]) == 0
+    first, total = capsys.readouterr().out.splitlines()
+    assert first.split(maxsplit=1) == ["4", str(main)]
+    assert total.split() == ["4", "total"]
