@@ -225,4 +225,4 @@ def feature_profile(source: object) -> Features:
     except NumeralParseError:
         # The walk of every grammar gives the token flags where the lenient
         # grammar rejects.
-        return _walk_all(toks)[3]
+        return _walk_all(toks)[6]

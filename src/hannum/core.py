@@ -275,10 +275,12 @@ def surface(morpheme: Morpheme, script: Script) -> str:
 
     Token notation is defined for every morpheme; the Han and pinyin scripts
     cover only generable morphemes and raise NonGenerableMorpheme for the
-    parse-only gap words.
+    parse-only gap words. A script that is not a Script raises TypeError.
     """
     if script is Script.TOKENS:
         return morpheme.notation
+    if script.__class__ is not Script:
+        raise TypeError(f"expected a Script, not {type(script).__name__}")
     if morpheme.traditional is None:
         raise NonGenerableMorpheme(
             f"{morpheme.notation} is recognized on input only and has no "

@@ -168,13 +168,13 @@ class UnitWord:
     pinyin: str
 
     def text(self, script: Script = Script.TRADITIONAL) -> str:
+        if script is Script.TRADITIONAL:
+            return self.traditional
         if script is Script.SIMPLIFIED:
             return self.simplified
-        if script is Script.PINYIN:
+        if script is Script.PINYIN or script is Script.TOKENS:
             return self.pinyin
-        if script is Script.TOKENS:
-            return self.pinyin
-        return self.traditional
+        raise TypeError(f"expected a Script, not {type(script).__name__}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,19 +285,6 @@ _BARE_SOLE = 32  # no [1] before the first group's sole inner multiplier
 # _render_full raises for it once the value has passed its checks.
 _YOU_BANNED = -1
 
-# Enum members read once here: a member read at call time costs more than the
-# rest of resolving the rules.
-_LING_REQUIRED = LingPolicy.REQUIRED
-_YOU_FORBIDDEN = YouPolicy.FORBIDDEN
-_YOU_DEFAULT_ON = YouPolicy.OPTIONAL_DEFAULT_ON
-_OMIT_BEFORE_HIGHEST = LeadingOnePolicy.OMIT_BEFORE_HIGHEST
-_REQUIRED_ALL = LeadingOnePolicy.REQUIRED_ALL
-_EXCEPT_LEADING_TEN = LeadingOnePolicy.REQUIRED_EXCEPT_LEADING_TEN
-_INNER_OMIT = OneBeforeInnerMultiplicand.OMIT
-_ALWAYS_ER = TwoStyle.ALWAYS_ER
-_PREFER_LIANG = TwoStyle.PREFER_LIANG
-
-
 # The rendered groups, keyed by _render_full's packed (coefficient, rules,
 # scale, previous scale). Past _GROUP_MEMO entries new groups are rendered
 # every time and not stored.
@@ -358,24 +345,26 @@ def _group_tokens(
 def _rules(profile: EraProfile, opts: RenderOptions) -> int:
     """The group rules of one render, or _YOU_BANNED."""
     policy = profile.you_policy
-    if policy is _YOU_FORBIDDEN:
+    if policy is YouPolicy.FORBIDDEN:
         if opts.use_you:
             return _YOU_BANNED
         rules = 0
     elif opts.use_you is None:
-        rules = _YOU_ON if policy is _YOU_DEFAULT_ON else 0
+        rules = _YOU_ON if policy is YouPolicy.OPTIONAL_DEFAULT_ON else 0
     else:
         rules = _YOU_ON if opts.use_you else 0
     lead = profile.leading_one_policy
-    if profile.ling_policy is _LING_REQUIRED:
+    if profile.ling_policy is LingPolicy.REQUIRED:
         rules |= _LING_ON
-    if opts.two_style is _PREFER_LIANG:
+    if opts.two_style is TwoStyle.PREFER_LIANG:
         rules |= _LIANG_ON
-    if lead is not _OMIT_BEFORE_HIGHEST:
+    if lead is not LeadingOnePolicy.OMIT_BEFORE_HIGHEST:
         rules |= _HEAD_ONE
-    if lead is _REQUIRED_ALL or (lead is _EXCEPT_LEADING_TEN and opts.leading_ten_one):
+    if lead is LeadingOnePolicy.REQUIRED_ALL or (
+        lead is LeadingOnePolicy.REQUIRED_EXCEPT_LEADING_TEN and opts.leading_ten_one
+    ):
         rules |= _HEAD_TEN_ONE
-    if profile.inner_multiplicand_one is _INNER_OMIT:
+    if profile.inner_multiplicand_one is OneBeforeInnerMultiplicand.OMIT:
         rules |= _BARE_SOLE
     return rules
 
@@ -383,7 +372,7 @@ def _rules(profile: EraProfile, opts: RenderOptions) -> int:
 def _check_style(
     profile: EraProfile, opts: RenderOptions, elliptic: bool
 ) -> None:
-    if opts.two_style is not _ALWAYS_ER and not profile.liang_allowed:
+    if opts.two_style is not TwoStyle.ALWAYS_ER and not profile.liang_allowed:
         raise StyleNotAllowed(
             f"the liang variant of 2 is not part of {profile.era.value} numerals"
         )
@@ -580,11 +569,13 @@ def _counted(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
     """n as the count before a measure word.
 
     A bare 2 is liang where the profile has liang; any other n, and 2 under
-    a profile without liang, is the profile's own rendering.
+    a profile without liang, is the profile's own rendering. Every n passes
+    the rendering's checks first, so 2 is refused wherever 3 would be.
     """
+    full = _render_full(n, profile, rules)
     if n == 2 and profile.liang_allowed:
         return _expression((LIANG,), profile.era, False, profile)
-    return _render_full(n, profile, rules)
+    return full
 
 
 def _component(n: int) -> NumeralExpression:

@@ -35,14 +35,19 @@ such check is a mask, built once per lane table, of the lanes it applies
 to. Which eras lack which morphemes (you, ling, liang, dan and its variant
 ling) is one such mask per token code, checked before anything else on
 each token; the [1] rule is one list of masks per slot, built from
-_one_rule. A check that fires records the first failure of each lane it
-hits and drops them from the alive mask; nothing is raised inside the walk, and a
-NumeralParseError is built only for a lane that rejects. parse is the walk
-with one lane; chronolect's classify runs it once over seven lanes and fans
-them out to the eight eras (the three early eras differ only in how often
-they attest you, so they share a lane), and so does scan_text, through
-_read_span, which keeps only the lenient reading, the accepting eras and the
-features of each span.
+_one_rule. A check that fires records one failure, (lanes, kind, position,
+message), for the lanes it hits and drops them from the alive mask. A
+failure keeps that one shape from a group's memoized reading to every
+reader: the walk answers with two masks of accepting lanes (the unit
+reading and the elliptic one) and their values, and the failures in walk
+order, and every lane is in exactly one mask or one failure. Nothing is
+raised inside the walk, and a NumeralParseError is built only for a lane
+that rejects, from its failure. parse is the walk with one lane, so it
+raises from the first failure; chronolect's classify runs it once over
+seven lanes and fans them out to the eight eras (the three early eras
+differ only in how often they attest you, so they share a lane), and so
+does scan_text, through _read_span, which keeps only the lenient reading,
+the accepting eras and the features of each span.
 
 The one place where lanes read differently is a trailing bare digit with no
 following pivot. Lanes whose rank gaps demand the link word ling, and the
@@ -58,7 +63,7 @@ pivot before it, so each lane table memoizes it: _group reads a group
 token by token under every lane of the table, closing it with _close, and
 the table's memo, a plain dict, keeps the result under the group's codes
 preceded by that outer pivot. The reading holds the lanes alive once the
-group closes, each lane's failure at a position relative to the group, the
+group closes, the group's failures at positions relative to the group, the
 diagnostics, the value the group adds, the elliptic fork and the group's
 feature bits, so the features need no second scan of the codes. Lanes
 never change the walk's state, only whether they are still on it, so the
@@ -95,7 +100,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum, unique
 
 from .core import (
@@ -179,15 +184,10 @@ class Features:
     one_before_inner_multiplicand: bool = False
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "uses_you": self.uses_you,
-            "uses_ling": self.uses_ling,
-            "uses_dan_or_lingalt": self.uses_dan_or_lingalt,
-            "liang_present": self.liang_present,
-            "elliptic": self.elliptic,
-            "leading_one_before_highest": self.leading_one_before_highest,
-            "one_before_inner_multiplicand": self.one_before_inner_multiplicand,
-        }
+        return {name: getattr(self, name) for name in _FEATURE_NAMES}
+
+
+_FEATURE_NAMES = tuple(f.name for f in fields(Features))
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,9 +359,11 @@ _LENIENT_MAX = 10**12 - 1
 
 _K = ParseErrorKind
 
-# Failure tuples are (kind, position, message); a message names its lane's
-# grammar as {era} and that grammar's ceiling as {ceiling}.
-_Failure = tuple[ParseErrorKind, int, str]
+# Failures are (lanes, kind, position, message), one per check that fires,
+# in walk order; a message names its lane's grammar as {era} and that
+# grammar's ceiling as {ceiling}. A lane fails at most once, since a failing
+# lane leaves the walk.
+_Failures = list[tuple[int, ParseErrorKind, int, str]]
 
 
 # The OutOfEraMorpheme message of each morpheme that some era lacks.
@@ -378,6 +380,11 @@ _OUT_OF_ERA = {
 # are read off its codes once, when its reading enters the memo.
 _F_YOU, _F_LING, _F_DAN, _F_LIANG, _F_ELLIPTIC, _F_LEADING_ONE, _F_INNER_ONE = (
     1 << k for k in range(7)
+)
+# The Features of every pattern of the bits, indexed by it: only 2**7 exist,
+# so parsing never builds one.
+_FEATURES = tuple(
+    Features(*(bool(bits >> k & 1) for k in range(7))) for bits in range(1 << 7)
 )
 # [1] before an inner pivot that is an outer pivot's sole multiplier.
 _ONE_BEFORE_SOLE = re.compile(rb"\x01[\x15-\x17][\x18\x1c]").search
@@ -520,10 +527,10 @@ class _Lanes:
         )
 
 
-def _error(failure: _Failure, name: str, ceiling: int) -> NumeralParseError:
-    """The NumeralParseError of a lane that rejects under the grammar of that
-    name and ceiling."""
-    kind, position, message = failure
+def _error(failure: tuple, name: str, ceiling: int) -> NumeralParseError:
+    """The NumeralParseError of a failure (see _Failures), for a lane that
+    rejects under the grammar of that name and ceiling."""
+    _, kind, position, message = failure
     return NumeralParseError(kind, position, message.format(era=name, ceiling=ceiling))
 
 
@@ -554,23 +561,18 @@ _ERA_READERS = {p.era: _reader(p) for p in _ERA_PROFILES}
 
 # classify and scan read every era and the lenient grammar in one walk,
 # one lane per distinct (grammar, ceiling), so the three early eras share
-# one. _FAN_OUT holds each era, its lane, name and ceiling, in chronological
-# order.
+# one. _FAN_OUT holds each era, its lane bit, name and ceiling, in
+# chronological order.
 _era_keys = [(_grammar(p), p.max_value) for p in _ERA_PROFILES]
 _LANE_KEYS = [*dict.fromkeys(_era_keys), (None, _LENIENT_MAX)]
 _ALL_LANES = _Lanes([grammar for grammar, _ in _LANE_KEYS])
 _ALL_MAXES = tuple(ceiling for _, ceiling in _LANE_KEYS)
+_ALL_FLOOR = min(_ALL_MAXES)
 _FAN_OUT = tuple(
-    (p.era, _LANE_KEYS.index(key), p.era.value, p.max_value)
+    (p.era, 1 << _LANE_KEYS.index(key), p.era.value, p.max_value)
     for key, p in zip(_era_keys, _ERA_PROFILES)
 )
-_LENIENT_LANE = len(_LANE_KEYS) - 1
-_LENIENT_BIT = 1 << _LENIENT_LANE
-
-
-# A group's failures: (lanes, kind, position, message), one per check that
-# fires. A lane fails at most once, since a failing lane leaves the walk.
-_Failures = list[tuple[int, ParseErrorKind, int, str]]
+_LENIENT_BIT = _ALL_LANES.lenient
 
 
 def _break_one(fails: _Failures, lanes: int,
@@ -655,13 +657,13 @@ def _close(
     return alive, (coeff if lead else 1) * 10**scale
 
 
-def _over(maxes: tuple[int, ...], alive: int, fails: list[_Failure | None],
+def _over(maxes: tuple[int, ...], alive: int, fails: _Failures,
           total: int, pos: int) -> int:
     """Fail the lanes of alive whose ceiling total exceeds; returns the rest."""
     bad = alive & sum(1 << lane for lane, mx in enumerate(maxes) if total > mx)
     if bad:
-        _set(fails, bad, (_K.OVERFLOW, pos,
-                          "value exceeds the {era} ceiling of {ceiling}"))
+        fails.append((bad, _K.OVERFLOW, pos,
+                      "value exceeds the {era} ceiling of {ceiling}"))
     return alive ^ bad
 
 
@@ -938,15 +940,19 @@ def _ambiguous(total: int, unit: int, elliptic: int) -> str:
 
 def _walk(
     codes: bytes, L: _Lanes, maxes: tuple[int, ...], floor: int
-) -> tuple[list[int | None], int, list[_Failure | None], list[tuple[int, str]], int]:
+) -> tuple[int, int, int, int, _Failures, list[tuple[int, str]], int]:
     """Read codes under every lane of L, one myriad group at a time; maxes
     holds each lane's ceiling, and floor the lowest of them.
 
-    Returns (values, elliptic, fails, diagnostics, bits): each lane's value,
-    or None where it rejects; the mask of accepting lanes that took the
-    elliptic reading; each rejecting lane's first failure; the diagnostics,
-    each tagged with the mask of the lanes it belongs to; and the feature
-    bits of the codes.
+    Returns (alive, total, elliptic, closed, fails, diagnostics, bits): the
+    mask of the lanes that accept with the unit reading, and their value;
+    the mask of the lanes that accept with the elliptic reading, and theirs;
+    the failures in walk order, in the shape a memo entry keeps them (see
+    _Failures) but with positions counted from the numeral's first token;
+    the diagnostics, each tagged with the mask of the lanes it belongs to;
+    and the feature bits of the codes. Every lane of L is in exactly one of
+    alive, elliptic and one failure. The walk stops once no lane is alive,
+    so a value means something only where its mask is not empty.
 
     A group's reading under every lane depends only on its codes and the
     exponent of the outer pivot before it (none for the first group); the
@@ -958,13 +964,11 @@ def _walk(
     that show the total.
     """
     alive = L.all
-    lanes = len(maxes)
-    values: list[int | None] = [None] * lanes
-    fails: list[_Failure | None] = [None] * lanes
+    fails: _Failures = []
     diags: list[tuple[int, str]] = []
     memo = L.memo
     n = len(codes)
-    total = prev_exp = end = bits = elliptic = 0
+    total = prev_exp = end = bits = elliptic = closed = 0
     # Each group runs up to and including an outer pivot; the last may end
     # without one, and past the last outer pivot there may be none.
     for head in codes.translate(_OUTER_AS_24).split(b"\x18"):
@@ -988,7 +992,7 @@ def _walk(
             for mask, kind, at, message in failures:
                 mask &= alive
                 if mask:
-                    _set(fails, mask, (kind, start + at, message))
+                    fails.append((mask, kind, start + at, message))
             for mask, text in group_diags:
                 mask &= alive
                 if mask:
@@ -1001,7 +1005,6 @@ def _walk(
                     closed = total + fork[1]
                     if closed > floor:
                         elliptic = _over(maxes, elliptic, fails, closed, end - 1)
-                    _set(values, elliptic, closed)
         alive &= out
         total += value
         if total > floor and alive:
@@ -1011,20 +1014,14 @@ def _walk(
             bits |= _group_bits(codes[end:], False)
             break
         prev_exp = scale
-
-    if alive:
-        _set(values, alive, total)
-    return values, elliptic, fails, diags, bits
+    return alive, total, elliptic, closed, fails, diags, bits
 
 
-def _set(values: list, mask: int, value: object) -> None:
-    """Give every lane in mask the value."""
-    lane = 0
-    while mask:
-        if mask & 1:
-            values[lane] = value
-        mask >>= 1
-        lane += 1
+def _failure(fails: _Failures, bit: int) -> tuple:
+    """The one failure of the rejecting lane bit."""
+    for failure in fails:
+        if failure[0] & bit:
+            return failure
 
 
 def _codes(toks: tuple[Morpheme, ...]) -> bytes:
@@ -1036,19 +1033,19 @@ def _codes(toks: tuple[Morpheme, ...]) -> bytes:
 
 def _walk_all(
     toks: tuple[Morpheme, ...]
-) -> tuple[list[int | None], list[_Failure | None], list[tuple[int, str]], Features]:
+) -> tuple[int, int, int, int, _Failures, list[tuple[int, str]], Features]:
     """One walk of toks under every era and the lenient grammar.
 
-    Returns _walk's values, failures and diagnostics over the lanes of
-    _ALL_LANES, and the features: the lenient grammar's, or, where it
-    rejects, the token flags with elliptic False.
+    Returns _walk's result over the lanes of _ALL_LANES, with the features
+    in place of the bits: the lenient grammar's, or, where it rejects, the
+    token flags with elliptic False.
     """
-    values, elliptic, fails, diags, bits = _walk(
-        _codes(toks), _ALL_LANES, _ALL_MAXES, min(_ALL_MAXES)
+    alive, total, elliptic, closed, fails, diags, bits = _walk(
+        _codes(toks), _ALL_LANES, _ALL_MAXES, _ALL_FLOOR
     )
     if elliptic & _LENIENT_BIT:
         bits |= _F_ELLIPTIC
-    return values, fails, diags, _features(bits)
+    return alive, total, elliptic, closed, fails, diags, _FEATURES[bits]
 
 
 def _read_eras(
@@ -1058,10 +1055,11 @@ def _read_eras(
 
     Each entry is the value that era's parse returns or the error it raises.
     """
-    values, fails, _, features = _walk_all(toks)
+    alive, total, elliptic, closed, fails, _, features = _walk_all(toks)
     readings: list[int | NumeralParseError] = [
-        values[lane] if values[lane] is not None else _error(fails[lane], name, ceiling)
-        for _, lane, name, ceiling in _FAN_OUT
+        total if alive & bit else closed if elliptic & bit
+        else _error(_failure(fails, bit), name, ceiling)
+        for _, bit, name, ceiling in _FAN_OUT
     ]
     return readings, features
 
@@ -1075,20 +1073,16 @@ def _read_span(
     are the accepting eras in chronological order, as classify reports them.
     No error is built for a rejecting era.
     """
-    values, fails, diags, features = _walk_all(toks)
-    consistent = tuple(era for era, lane, _, _ in _FAN_OUT if values[lane] is not None)
-    value = values[_LENIENT_LANE]
-    if value is None:
-        failure = fails[_LENIENT_LANE]
-        assert failure is not None
-        return None, _error(failure, _LENIENT_NAME, _LENIENT_MAX), consistent, features
-    outcome = _outcome(
-        value,
-        None,
-        features,
-        tuple(text for mask, text in diags if mask & _LENIENT_BIT),
-        toks,
-    )
+    alive, total, elliptic, closed, fails, diags, features = _walk_all(toks)
+    accepting = alive | elliptic
+    consistent = tuple(era for era, bit, _, _ in _FAN_OUT if accepting & bit)
+    if elliptic & _LENIENT_BIT:
+        total = closed
+    elif not alive & _LENIENT_BIT:
+        error = _error(_failure(fails, _LENIENT_BIT), _LENIENT_NAME, _LENIENT_MAX)
+        return None, error, consistent, features
+    diagnostics = tuple(text for mask, text in diags if mask & _LENIENT_BIT)
+    outcome = _outcome(total, None, features, diagnostics, toks)
     return outcome, None, consistent, features
 
 
@@ -1109,31 +1103,16 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
         raise NumeralParseError(
             ParseErrorKind.EMPTY_INPUT, 0, "no tokens to parse"
         )
-    values, elliptic, fails, diags, bits = _walk(_codes(toks), lanes, maxes, maxes[0])
-    value = values[0]
-    if value is None:
-        raise _error(fails[0], name, maxes[0])  # type: ignore[arg-type]
-    return _outcome(
-        value,
-        era_checked,
-        _features(bits | _F_ELLIPTIC if elliptic else bits),
-        tuple([text for _, text in diags]) if diags else (),
-        toks,
+    alive, total, elliptic, closed, fails, diags, bits = _walk(
+        _codes(toks), lanes, maxes, maxes[0]
     )
-
-
-# Only 2**7 feature vectors exist; intern them so parsing never rebuilds one.
-_FEATURE_CACHE: dict[int, Features] = {}
-
-
-def _features(bits: int) -> Features:
-    """The Features of a set of feature bits."""
-    cached = _FEATURE_CACHE.get(bits)
-    if cached is None:
-        cached = _FEATURE_CACHE.setdefault(
-            bits, Features(*(bool(bits >> k & 1) for k in range(7)))
-        )
-    return cached
+    # One lane: it accepts with one reading or fails once.
+    if elliptic:
+        total, bits = closed, bits | _F_ELLIPTIC
+    elif not alive:
+        raise _error(fails[0], name, maxes[0])
+    diagnostics = tuple([text for _, text in diags]) if diags else ()
+    return _outcome(total, era_checked, _FEATURES[bits], diagnostics, toks)
 
 
 def parse_text(

@@ -242,6 +242,12 @@ class TestSurfaces:
                 with pytest.raises(NonGenerableMorpheme):
                     surface(m, script)
 
+    @pytest.mark.parametrize("script", ["traditional", "pinyin", None])
+    def test_other_script_types_raise_type_error(self, script):
+        for m in (digit(5), LING, DAN):
+            with pytest.raises(TypeError, match="^expected a Script, not "):
+                surface(m, script)
+
 
 class TestEras:
     def test_chronology_order(self):

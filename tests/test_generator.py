@@ -20,6 +20,7 @@ from hannum import (
     Script,
     StyleNotAllowed,
     TwoStyle,
+    UnitWord,
     ValueOutOfRange,
     ZeroInexpressible,
     digit,
@@ -372,6 +373,22 @@ class TestQuantity:
         assert render_duration(2, 2).text() == "兩年零兩個月"
         assert render_duration(22, 2).text() == "二十二年零兩個月"
 
+    def test_bare_two_refuses_a_banned_you(self):
+        # The contemporary profile bans you: a bare 2 before a measure word
+        # is refused as 3 is there, and as render_integer refuses 2.
+        opts = RenderOptions(use_you=True)
+        with pytest.raises(StyleNotAllowed) as expected:
+            render_integer(2, opts=opts)
+        for n in (2, 3):
+            with pytest.raises(StyleNotAllowed) as got:
+                render_quantity(n, "個", opts=opts)
+            assert type(got.value) is type(expected.value)
+            assert str(got.value) == str(expected.value)
+
+    def test_unknown_classifier_is_written_as_given(self):
+        assert unit_word("本") == UnitWord("本", "本", "本")
+        assert render_quantity(3, "本").text() == "三本"
+
 
 class TestOrdinal:
     def test_ordinal_keeps_er(self):
@@ -380,6 +397,16 @@ class TestOrdinal:
 
     def test_ordinal_larger(self):
         assert render_ordinal(105).text() == "第一百零五"
+
+    def test_positions_start_at_one(self):
+        with pytest.raises(ValueOutOfRange) as info:
+            render_ordinal(0)
+        assert str(info.value) == "ordinal positions start at 1, got 0"
+
+    def test_contemporary_only(self):
+        with pytest.raises(StyleNotAllowed) as info:
+            render_ordinal(3, "song-qin")
+        assert str(info.value) == "ordinals are rendered in the contemporary profile only"
 
 
 class TestCurrency:
@@ -408,6 +435,21 @@ class TestCurrency:
         with pytest.raises(AllZeroAmount):
             render_currency(0, 0, 0)
 
+    @pytest.mark.parametrize(
+        "amount, message",
+        [
+            ((-1,), "yuan must be non-negative, got -1"),
+            ((1, -1), "jiao must be a single digit, got -1"),
+            ((1, 10), "jiao must be a single digit, got 10"),
+            ((1, 0, -1), "fen must be a single digit, got -1"),
+            ((1, 0, 10), "fen must be a single digit, got 10"),
+        ],
+    )
+    def test_component_out_of_range(self, amount, message):
+        with pytest.raises(ValueOutOfRange) as info:
+            render_currency(*amount)
+        assert str(info.value) == message
+
 
 class TestDuration:
     def test_link_word_always_present(self):
@@ -423,6 +465,11 @@ class TestDuration:
         with pytest.raises(MonthOutOfRange):
             render_duration(1, 12)
 
+    def test_years_start_at_one(self):
+        with pytest.raises(ValueOutOfRange) as info:
+            render_duration(0, 5)
+        assert str(info.value) == "years must be at least 1, got 0"
+
 
 class TestUnitWord:
     def test_idempotent(self):
@@ -431,6 +478,39 @@ class TestUnitWord:
 
     def test_text(self):
         assert unit_word("個").text() == "個"
+
+    @pytest.mark.parametrize(
+        "script, written",
+        [
+            (Script.TRADITIONAL, "個"),
+            (Script.SIMPLIFIED, "个"),
+            (Script.PINYIN, "ge"),
+            (Script.TOKENS, "ge"),
+        ],
+        ids=lambda v: v.value if isinstance(v, Script) else v,
+    )
+    def test_text_in_each_script(self, script, written):
+        assert unit_word("個").text(script) == written
+        assert unit_word("个").text(script) == written
+
+
+class TestScriptType:
+    # text() takes a Script member only; a name or None is an error, never
+    # a silent fallback to another script.
+    @pytest.mark.parametrize("script", ["traditional", "simplified", "pinyin", None])
+    @pytest.mark.parametrize(
+        "written",
+        [
+            lambda: render_integer(105),
+            lambda: render_currency(3, 0, 5),
+            lambda: render_quantity(2, "個"),
+            lambda: UnitWord("個", "个", "ge"),
+        ],
+        ids=["expression", "currency-phrase", "quantity-phrase", "unit-word"],
+    )
+    def test_text_rejects_other_types(self, written, script):
+        with pytest.raises(TypeError, match="^expected a Script, not "):
+            written().text(script)
 
 
 class TestGeneratorInvariants:

@@ -243,10 +243,11 @@ LATER_GROUPS = [
 
 
 def _assert_memo_entries_sound():
-    """Check every stored reading: _walk applies a group's failures in
-    order, the last write winning, and the elliptic fork after them. That is
-    sound only if every failure names some lane, no lane fails twice, and no
-    failing lane is also alive at the close or on the fork."""
+    """Check every stored reading: _walk appends a group's failures, cut
+    down to the lanes alive as the group opens, and reads the elliptic fork
+    after them. That is sound only if every failure names some lane, no lane
+    fails twice, and no failing lane is also alive at the close or on the
+    fork."""
     stored = 0
     for lanes in _lane_tables():
         for out, events, _, _, _ in lanes.memo.values():
@@ -274,10 +275,18 @@ def test_later_groups_match_reference():
 
 def test_memo_entries_keep_each_lane_in_one_outcome():
     # The memos of the nine standard grammars' tables and classify's, filled
-    # by every short sequence and every later group above.
+    # by every short sequence and every later group above. Every walk of
+    # classify's table puts each lane in exactly one place: the unit
+    # reading, the elliptic one, or one failure.
     _clear_memos()
     for toks in (*SHORT_SEQUENCES, *LATER_GROUPS):
-        P._walk_all(toks)
+        alive, _, elliptic, _, fails, _, _ = P._walk_all(toks)
+        assert not alive & elliptic, toks
+        seen = alive | elliptic
+        for mask, _, _, _ in fails:
+            assert mask and not mask & seen, (toks, fails)
+            seen |= mask
+        assert seen == P._ALL_LANES.all, (toks, fails)
         for grammar in (None, *CHRONOLOGY):
             try:
                 P.parse(toks, grammar)

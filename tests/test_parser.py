@@ -104,6 +104,17 @@ class TestTokenize:
         e = err(tokenize, "   ")
         assert e.kind is ParseErrorKind.EMPTY_INPUT
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [(parse, "no tokens to parse"), (classify, "no tokens to classify")],
+        ids=["parse", "classify"],
+    )
+    def test_empty_token_sequence(self, call, message):
+        e = err(call, ())
+        assert (e.kind, e.position, e.message) == (
+            ParseErrorKind.EMPTY_INPUT, 0, message
+        )
+
     def test_script_hint_forced_han(self):
         e = err(tokenize, "yi", ScriptHint.HAN)
         assert e.kind is ParseErrorKind.UNKNOWN_CHARACTER
