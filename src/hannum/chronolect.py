@@ -30,6 +30,7 @@ from .parse import (
     Features,
     NumeralParseError,
     ParseErrorKind,
+    _error,
     _error_dict,
     _read_eras,
     _walk_all,
@@ -137,9 +138,7 @@ def _coerce_tokens(source: object) -> tuple[Morpheme, ...]:
         return tokenize(source)
     toks = tuple(getattr(source, "tokens", source))
     if not toks:
-        raise NumeralParseError(
-            ParseErrorKind.EMPTY_INPUT, 0, "no tokens to classify"
-        )
+        raise _error(ParseErrorKind.EMPTY_INPUT, 0, "no tokens to classify")
     return toks
 
 
@@ -173,7 +172,7 @@ def _notes(features: Features, consistent: tuple[Era, ...]) -> tuple[str, ...]:
     notes: list[str] = []
     if features.uses_you:
         notes.append(_YOU_NOTE)
-    if any(e in EARLY_ERAS for e in consistent):
+    if not EARLY_ERAS.isdisjoint(consistent):
         notes.append(_YOU_FREQUENCY_NOTE)
     if features.uses_dan_or_lingalt:
         notes.append(_DAN_NOTE)

@@ -223,9 +223,10 @@ def _join_surface(tokens: tuple[Morpheme, ...], script: Script) -> str:
     sep = " " if script is _PINYIN else ""
     try:
         return sep.join(map(_WRITTEN[script], tokens))
-    except KeyError:
+    except (KeyError, TypeError):
         pass
-    # A parse-only gap word has no written form: surface() raises for it.
+    # A parse-only gap word has no written form, and a value that is not a
+    # Script, hashable or not, none: surface() raises for either.
     return sep.join([surface(m, script) for m in tokens])
 
 

@@ -93,7 +93,11 @@ source text.
 parse and _read_span build each ParseOutcome through core's positional
 builder, which fills its slots directly; the public constructor stays the
 dataclass one, so a caller that builds, copies or replaces an outcome sees
-no change.
+no change. Errors are built the same way: every NumeralParseError that
+hannum raises or stores comes from _error, which makes the instance with
+ValueError.__new__ and sets its three fields without running __init__, and
+keeps each message the standard readers format. The public constructor,
+str, args and pickling are unchanged.
 """
 
 from __future__ import annotations
@@ -154,7 +158,12 @@ class ParseErrorKind(Enum):
 
 
 class NumeralParseError(ValueError):
-    """A rejected input, carrying the failure kind and offending position."""
+    """A rejected input, carrying the failure kind and offending position.
+
+    hannum builds every error it raises or stores in one step, through
+    parse._error, which makes the same error as this constructor; the
+    constructor and pickling are the public ones.
+    """
 
     def __init__(self, kind: ParseErrorKind, position: int, message: str) -> None:
         super().__init__(f"{kind.value} at {position}: {message}")
@@ -166,9 +175,47 @@ class NumeralParseError(ValueError):
         return type(self), (self.kind, self.position, self.message)
 
 
+_K = ParseErrorKind
+_new_error = ValueError.__new__
+
+# The formatted messages of failures under the standard readers, by
+# (template, grammar name, ceiling): see _error.
+_MESSAGES: dict[tuple[str, str, int], str] = {}
+
+
+def _error(kind: ParseErrorKind, position: int, message: str,
+           name: str | None = None, ceiling: int = 0) -> NumeralParseError:
+    """NumeralParseError(kind, position, message), built in one step.
+
+    ValueError.__new__ sets args to the text the constructor passes up, and
+    the fields are stored as its __init__ stores them, so the error is the
+    one the constructor builds; no __init__ runs, and the kind's text is
+    read as _value_, not through the Enum descriptor.
+
+    Given a name, message is a failure's template (see _Failures), and the
+    error's message is that template for the grammar of that name and
+    ceiling. It is kept in _MESSAGES only for the nine standard readers
+    (_STANDARD), so the memo holds at most one entry per template and
+    standard reader; a custom ceiling is formatted on every call.
+    """
+    if name is not None:
+        key = (message, name, ceiling)
+        text = _MESSAGES.get(key)
+        if text is None:
+            text = message.format(era=name, ceiling=ceiling)
+            if (name, ceiling) in _STANDARD:
+                _MESSAGES[key] = text
+        message = text
+    err = _new_error(NumeralParseError, f"{kind._value_} at {position}: {message}")
+    err.kind = kind
+    err.position = position
+    err.message = message
+    return err
+
+
 def _error_dict(err: NumeralParseError) -> dict[str, object]:
     """A rejection's fields as the JSON output of classify and scan writes them."""
-    return {"kind": err.kind.value, "position": err.position, "message": err.message}
+    return {"kind": err.kind._value_, "position": err.position, "message": err.message}
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,8 +328,8 @@ def _tokenize_impl(
             offset = next(
                 i for i, m in enumerate(found) if m is None and not text[i].isspace()
             )
-            raise NumeralParseError(
-                ParseErrorKind.UNKNOWN_CHARACTER,
+            raise _error(
+                _K.UNKNOWN_CHARACTER,
                 offset,
                 f"character {text[offset]!r} is not in the numeral inventory",
             )
@@ -307,17 +354,15 @@ def _tokenize_impl(
                         start = 0
                         for before in syllables[:k]:
                             start = text.find(before, start) + len(before)
-                        raise NumeralParseError(
-                            ParseErrorKind.UNKNOWN_CHARACTER,
+                        raise _error(
+                            _K.UNKNOWN_CHARACTER,
                             text.find(syllable, start),
                             f"syllable {syllable!r} is not a numeral morpheme",
                         )
                 read.append(m)
             tokens = read
     if not tokens:
-        raise NumeralParseError(
-            ParseErrorKind.EMPTY_INPUT, 0, "no numeral content in input"
-        )
+        raise _error(_K.EMPTY_INPUT, 0, "no numeral content in input")
     return tuple(tokens), not han
 
 
@@ -356,8 +401,6 @@ _C_LING, _C_YOU, _C_DAN, _C_LALT = LING.code, YOU.code, DAN.code, LING_ALT.code
 _NOTATION = {m.code: m.notation for m in MORPHEMES}
 
 _LENIENT_MAX = 10**12 - 1
-
-_K = ParseErrorKind
 
 # Failures are (lanes, kind, position, message), one per check that fires,
 # in walk order; a message names its lane's grammar as {era} and that
@@ -527,13 +570,6 @@ class _Lanes:
         )
 
 
-def _error(failure: tuple, name: str, ceiling: int) -> NumeralParseError:
-    """The NumeralParseError of a failure (see _Failures), for a lane that
-    rejects under the grammar of that name and ceiling."""
-    _, kind, position, message = failure
-    return NumeralParseError(kind, position, message.format(era=name, ceiling=ceiling))
-
-
 # The one-lane tables by grammar, None for the lenient one. The grammars
 # are finitely many, so a table, once built, is kept.
 _TABLES: dict[tuple[object, ...] | None, _Lanes] = {}
@@ -573,6 +609,12 @@ _FAN_OUT = tuple(
     for key, p in zip(_era_keys, _ERA_PROFILES)
 )
 _LENIENT_BIT = _ALL_LANES.lenient
+# The name and ceiling of each standard reader, the eight eras and the
+# lenient grammar: the only ones whose messages _error keeps.
+_STANDARD = frozenset(
+    [(name, ceiling) for _, _, name, ceiling in _FAN_OUT]
+    + [(_LENIENT_NAME, _LENIENT_MAX)]
+)
 
 
 def _break_one(fails: _Failures, lanes: int,
@@ -1017,11 +1059,14 @@ def _walk(
     return alive, total, elliptic, closed, fails, diags, bits
 
 
-def _failure(fails: _Failures, bit: int) -> tuple:
-    """The one failure of the rejecting lane bit."""
-    for failure in fails:
-        if failure[0] & bit:
-            return failure
+def _rejection(
+    fails: _Failures, bit: int, name: str, ceiling: int
+) -> NumeralParseError:
+    """The error of the rejecting lane bit, from its one failure, under the
+    grammar of that name and ceiling."""
+    for lanes, kind, position, message in fails:
+        if lanes & bit:
+            return _error(kind, position, message, name, ceiling)
 
 
 def _codes(toks: tuple[Morpheme, ...]) -> bytes:
@@ -1058,7 +1103,7 @@ def _read_eras(
     alive, total, elliptic, closed, fails, _, features = _walk_all(toks)
     readings: list[int | NumeralParseError] = [
         total if alive & bit else closed if elliptic & bit
-        else _error(_failure(fails, bit), name, ceiling)
+        else _rejection(fails, bit, name, ceiling)
         for _, bit, name, ceiling in _FAN_OUT
     ]
     return readings, features
@@ -1079,7 +1124,7 @@ def _read_span(
     if elliptic & _LENIENT_BIT:
         total = closed
     elif not alive & _LENIENT_BIT:
-        error = _error(_failure(fails, _LENIENT_BIT), _LENIENT_NAME, _LENIENT_MAX)
+        error = _rejection(fails, _LENIENT_BIT, _LENIENT_NAME, _LENIENT_MAX)
         return None, error, consistent, features
     diagnostics = tuple(text for mask, text in diags if mask & _LENIENT_BIT)
     outcome = _outcome(total, None, features, diagnostics, toks)
@@ -1100,9 +1145,7 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     else:
         lanes, maxes, era_checked, name = _reader(era_profile(era))  # type: ignore[arg-type]
     if not toks:
-        raise NumeralParseError(
-            ParseErrorKind.EMPTY_INPUT, 0, "no tokens to parse"
-        )
+        raise _error(_K.EMPTY_INPUT, 0, "no tokens to parse")
     alive, total, elliptic, closed, fails, diags, bits = _walk(
         _codes(toks), lanes, maxes, maxes[0]
     )
@@ -1110,7 +1153,8 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     if elliptic:
         total, bits = closed, bits | _F_ELLIPTIC
     elif not alive:
-        raise _error(fails[0], name, maxes[0])
+        _, kind, position, message = fails[0]
+        raise _error(kind, position, message, name, maxes[0])
     diagnostics = tuple([text for _, text in diags]) if diags else ()
     return _outcome(total, era_checked, _FEATURES[bits], diagnostics, toks)
 

@@ -495,9 +495,11 @@ class TestUnitWord:
 
 
 class TestScriptType:
-    # text() takes a Script member only; a name or None is an error, never
-    # a silent fallback to another script.
-    @pytest.mark.parametrize("script", ["traditional", "simplified", "pinyin", None])
+    # text() takes a Script member only; a name, None or an unhashable value
+    # is an error, never a silent fallback to another script.
+    @pytest.mark.parametrize(
+        "script", ["traditional", "simplified", "pinyin", None, [], {}]
+    )
     @pytest.mark.parametrize(
         "written",
         [

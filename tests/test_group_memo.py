@@ -30,7 +30,7 @@ from hannum.core import (
     pivot,
 )
 from hannum.generate import RenderError
-from test_parser import SHORT_SEQUENCES
+from test_parser import SHORT_SEQUENCES, error_fields
 from test_render_pin import OPTION_SETS
 
 P = importlib.import_module("hannum.parse")
@@ -82,10 +82,12 @@ def _reading(parse, classify, read_span, toks):
         try:
             seen.append(parse(toks, grammar))
         except NumeralParseError as exc:
-            seen.append((exc.kind, exc.position, exc.message))
-    seen.append(classify(toks).as_dict())
+            seen.append(error_fields(exc))
+    report = classify(toks)
+    seen.append(report.as_dict())
+    seen.extend(error_fields(v.error) for v in report.verdicts if v.error)
     outcome, error, eras, features = read_span(toks)
-    error = error and (error.kind, error.position, error.message)
+    error = error and error_fields(error)
     seen.append((outcome, error, eras, features))
     return seen
 

@@ -1,6 +1,7 @@
 """Tokenizing surface text and parsing morpheme sequences per era grammar."""
 
 import hashlib
+import importlib
 import itertools
 import json
 from dataclasses import fields, replace
@@ -47,6 +48,13 @@ def err(callable_, *args, **kwargs):
     with pytest.raises(NumeralParseError) as info:
         callable_(*args, **kwargs)
     return info.value
+
+
+def error_fields(exc):
+    """All a caller sees of an error: type, fields, args, text and __dict__."""
+    return (
+        type(exc), exc.kind, exc.position, exc.message, exc.args, str(exc), vars(exc)
+    )
 
 
 class TestTokenize:
@@ -473,10 +481,8 @@ class TestShortSequences:
                     value = parse(toks, era).value
                 except NumeralParseError as exc:
                     assert verdict.value is None, (toks, era)
-                    got = verdict.error
-                    assert (got.kind, got.position, got.message) == (
-                        exc.kind, exc.position, exc.message
-                    ), (toks, era)
+                    got = error_fields(verdict.error)
+                    assert got == error_fields(exc), (toks, era)
                 else:
                     assert verdict.value == value, (toks, era)
 
@@ -491,15 +497,36 @@ class TestShortSequences:
                 expected = parse(toks, None)
             except NumeralParseError as exc:
                 assert outcome is None, toks
-                assert (error.kind, error.position, error.message) == (
-                    exc.kind, exc.position, exc.message
-                ), toks
+                assert error_fields(error) == error_fields(exc), toks
             else:
                 assert error is None, toks
                 assert outcome == expected, toks
             report = classify(toks)
             assert consistent == report.consistent, toks
             assert features == report.features, toks
+
+
+def test_message_memo_keeps_standard_readers_only():
+    # The error builder keeps formatted messages for the eight eras and the
+    # lenient grammar alone, so its memo is bounded by the templates; a
+    # custom ceiling, which every Overflow message shows, is never kept.
+    P = importlib.import_module("hannum.parse")
+    custom = replace(era_profile(Era.CONTEMPORARY), max_value=12_345)
+    overflows = 0
+    for toks in SHORT_SEQUENCES:
+        classify(toks)
+        try:
+            parse(toks, custom)
+        except NumeralParseError as exc:
+            if exc.kind is ParseErrorKind.OVERFLOW:
+                overflows += 1
+                assert exc.message.endswith("ceiling of 12345"), toks
+    assert overflows
+    templates = {template for template, _, _ in P._MESSAGES}
+    readers = {(name, ceiling) for _, name, ceiling in P._MESSAGES}
+    assert len(P._STANDARD) == 9 and readers <= P._STANDARD
+    assert all(ceiling != 12_345 for _, ceiling in readers)
+    assert len(P._MESSAGES) <= len(templates) * 9
 
 
 def _other(value):

@@ -6,8 +6,11 @@ import pickle
 
 import pytest
 
-from hannum import classify, parse_text, scan_text
-from hannum.parse import NumeralParseError, ParseErrorKind
+from hannum import classify, parse, parse_text, scan_text, tokenize
+from hannum.chronolect import _coerce_tokens
+from hannum.core import digit, pivot
+from hannum.parse import NumeralParseError, ParseErrorKind, _error_dict, _read_span
+from test_parser import err as _raised, error_fields as _error_fields
 
 
 def _round_trips(obj):
@@ -17,8 +20,18 @@ def _round_trips(obj):
     ] + [copy.copy(obj), copy.deepcopy(obj)]
 
 
-def _error_fields(err):
-    return type(err), err.kind, err.position, err.message, err.args
+# One error from each place in hannum that builds one, by that place.
+_SITES = {
+    "tokenize-han-unknown": lambda: _raised(tokenize, "一百x"),
+    "tokenize-pinyin-unknown": lambda: _raised(tokenize, "yī bǎi xyz"),
+    "tokenize-empty": lambda: _raised(tokenize, "  "),
+    "parse-empty": lambda: _raised(parse, ()),
+    "parse-reject": lambda: _raised(parse, (pivot(1), pivot(1), digit(5)), "song-qin"),
+    "parse-overflow": lambda: _raised(parse, (digit(5), pivot(8)), "dunhuang"),
+    "classify-verdict": lambda: classify("十十五").verdict_for("dunhuang").error,
+    "read-span": lambda: _read_span((pivot(1), pivot(1), digit(5)))[1],
+    "coerce-tokens": lambda: _raised(_coerce_tokens, ()),
+}
 
 
 class TestNumeralParseError:
@@ -34,6 +47,32 @@ class TestNumeralParseError:
             parse_text(text, "contemporary")
         for twin in _round_trips(info.value):
             assert _error_fields(twin) == _error_fields(info.value)
+
+
+@pytest.mark.parametrize("site", _SITES)
+def test_built_error_is_the_constructed_one(site):
+    # hannum builds its errors without running __init__; each must equal the
+    # error the public constructor makes from its fields, and survive pickle
+    # and copy as that one does.
+    err = _SITES[site]()
+    twin = NumeralParseError(err.kind, err.position, err.message)
+    assert _error_fields(err) == _error_fields(twin)
+    assert repr(err) == repr(twin)
+    assert _error_dict(err) == {
+        "kind": err.kind.value, "position": err.position, "message": err.message
+    }
+    for copied in _round_trips(err):
+        assert _error_fields(copied) == _error_fields(twin)
+
+
+def test_error_kinds_stay_keys_and_pickle():
+    kinds = list(ParseErrorKind)
+    assert len(set(kinds)) == len({kind: kind.value for kind in kinds}) == 11
+    for kind in kinds:
+        assert {kind} == {ParseErrorKind(kind.value)}
+        assert kind in dict.fromkeys(kinds)
+        for twin in _round_trips(kind):
+            assert twin is kind
 
 
 def test_classify_report_with_rejecting_eras():
