@@ -18,8 +18,8 @@ import sys
 from .chronolect import classify
 from .core import Era, RenderOptions, Script, TwoStyle, token_notation
 from .generate import RenderError, render_integer
-from .parse import NumeralParseError, parse_text
-from .scan import _MEMO_TEXTS, scan_text, summary_csv_rows
+from .parse import Features, NumeralParseError, parse_text
+from .scan import _MEMO_TEXTS, ScanRecord, scan_text, summary_csv_rows
 from .selftest import run_selftest
 
 __all__ = ["main"]
@@ -287,6 +287,45 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+# The JSON that records of scan_text share, filled on first sight: the era
+# list of each consistent-era tuple, which scan_text takes from a table of
+# the 2**7 masks of seven lanes, and the JSON object of each Features,
+# whose seven flags allow 2**7. Each holds at most 128 entries.
+_ERAS_JSON: dict[tuple[Era, ...], str] = {}
+_FEATURES_JSON: dict[Features, str] = {}
+
+
+def _reading_json(rec: ScanRecord) -> str:
+    """json.dumps(rec.reading_dict(), ensure_ascii=False)[1:] for a record
+    of scan_text.
+
+    The text is written as it is, since a span holds only numeral graphs,
+    none of which JSON escapes; an error or a diagnostic goes through
+    json.dumps.
+    """
+    outcome = rec.outcome
+    if outcome is None:
+        return json.dumps(rec.reading_dict(), ensure_ascii=False)[1:]
+    eras = rec.consistent_eras
+    eras_json = _ERAS_JSON.get(eras)
+    if eras_json is None:
+        eras_json = _ERAS_JSON[eras] = json.dumps([e.value for e in eras])
+    features = outcome.features
+    features_json = _FEATURES_JSON.get(features)
+    if features_json is None:
+        features_json = json.dumps(features.as_dict())
+        _FEATURES_JSON[features] = features_json
+    notes = outcome.diagnostics
+    notes_json = "[]"
+    if notes:
+        notes_json = json.dumps(list(notes), ensure_ascii=False)
+    return (
+        f'"text": "{rec.text}", "consistent_eras": {eras_json}, '
+        f'"status": "ok", "value": {outcome.value}, '
+        f'"features": {features_json}, "diagnostics": {notes_json}}}'
+    )
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     text = _read_text(args.path)
     records, summary = scan_text(text)
@@ -296,15 +335,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(f"{key},{count}")
         return _EXIT_OK
     if args.as_json:
-        # A record's JSON after "column" depends only on its text: serialize
-        # it once per distinct text (as many as scan_text remembers) and
-        # write each record as its position fields plus that tail. With the
-        # default separators this equals json.dumps(rec.as_dict()).
+        # A record's JSON after "column" depends only on its text: write it
+        # once per distinct text (as many as scan_text remembers), from the
+        # fragments of _reading_json, and write each record as its position
+        # fields plus that tail. With the default separators this equals
+        # json.dumps(rec.as_dict()).
         tails: dict[str, str] = {}
         for rec in records:
             tail = tails.get(rec.text)
             if tail is None:
-                tail = json.dumps(rec.reading_dict(), ensure_ascii=False)[1:]
+                tail = _reading_json(rec)
                 if len(tails) < _MEMO_TEXTS:
                     tails[rec.text] = tail
             print(

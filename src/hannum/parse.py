@@ -609,6 +609,12 @@ _FAN_OUT = tuple(
     for key, p in zip(_era_keys, _ERA_PROFILES)
 )
 _LENIENT_BIT = _ALL_LANES.lenient
+# The accepting eras of every mask of those lanes, in chronological order,
+# indexed by the mask: only 2**7 exist, so _read_span never builds a tuple.
+_CONSISTENT = tuple(
+    tuple(era for era, bit, _, _ in _FAN_OUT if mask & bit)
+    for mask in range(1 << len(_LANE_KEYS))
+)
 # The name and ceiling of each standard reader, the eight eras and the
 # lenient grammar: the only ones whose messages _error keeps.
 _STANDARD = frozenset(
@@ -1115,12 +1121,12 @@ def _read_span(
     """What scan keeps of a span, from one walk: (outcome, error, eras, features).
 
     outcome or error is exactly what parse(toks, None) returns or raises; eras
-    are the accepting eras in chronological order, as classify reports them.
-    No error is built for a rejecting era.
+    are the accepting eras in chronological order, as classify reports them,
+    one of the shared tuples of _CONSISTENT. No error is built for a
+    rejecting era.
     """
     alive, total, elliptic, closed, fails, diags, features = _walk_all(toks)
-    accepting = alive | elliptic
-    consistent = tuple(era for era, bit, _, _ in _FAN_OUT if accepting & bit)
+    consistent = _CONSISTENT[alive | elliptic]
     if elliptic & _LENIENT_BIT:
         total = closed
     elif not alive & _LENIENT_BIT:

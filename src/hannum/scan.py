@@ -9,7 +9,11 @@ consistent with and its features; the summary reports feature and era-set
 tallies. The reading depends only on the span text, so one scan_text call
 tokenizes and reads each distinct text once and reuses the result for every
 repeat. That memo holds at most _MEMO_TEXTS texts: once it is full, new texts
-are read every time they occur, so memory stays bounded on any input.
+are read every time they occur, so memory stays bounded on any input. What a
+reading shares with readings of other texts is built once per process:
+_read_span takes its era tuple from a table indexed by the mask of
+accepting lanes, and _read keeps each tuple's era-set key in _ERA_SETS.
+Seven lanes allow 2**7 masks, so _ERA_SETS is bounded by construction.
 
 scan_text builds its records through core's positional builder, which fills
 their slots directly; the public ScanRecord constructor stays the dataclass
@@ -138,6 +142,14 @@ def _spans(text: str) -> list[tuple[int, int]]:
     return [m.span() for m in _SPAN.finditer(text)]
 
 
+# The era-set key of each consistent-era tuple, filled by _read on first
+# sight. _read_span takes its tuples from parse's table of 2**7 lane masks,
+# so this holds at most that many.
+_ERA_SETS: dict[tuple[Era, ...], str] = {}
+# Read once, as parse._HAN_HINT is: a member read per call costs more.
+_HAN = ScriptHint.HAN
+
+
 _Signature = tuple[bool, bool, bool, bool, bool, str]
 _Reading = tuple[
     ParseOutcome | None, NumeralParseError | None, tuple[Era, ...], _Signature
@@ -151,10 +163,11 @@ def _read(chunk: str) -> _Reading:
     with líng, with liǎng, elliptic, era-set key).
     """
     # A span holds only Han inventory graphs, so it always tokenizes.
-    outcome, error, consistent, feats = _read_span(
-        tokenize(chunk, ScriptHint.HAN)
-    )
-    key = "+".join(e.value for e in consistent) if consistent else "none"
+    outcome, error, consistent, feats = _read_span(tokenize(chunk, _HAN))
+    key = _ERA_SETS.get(consistent)
+    if key is None:
+        key = "+".join(e.value for e in consistent) if consistent else "none"
+        _ERA_SETS[consistent] = key
     signature = (
         outcome is not None,
         feats.uses_you,

@@ -152,13 +152,13 @@ def test_json_lines_equal_as_dict(monkeypatch, capsys, tmp_path, bound):
     expected.append(json.dumps({"summary": summary.as_dict()}, ensure_ascii=False))
 
     serialized = []
-    original = hannum.scan.ScanRecord.reading_dict
+    original = hannum.cli._reading_json
 
-    def counted(self):
-        serialized.append(self.text)
-        return original(self)
+    def counted(rec):
+        serialized.append(rec.text)
+        return original(rec)
 
-    monkeypatch.setattr(hannum.scan.ScanRecord, "reading_dict", counted)
+    monkeypatch.setattr(hannum.cli, "_reading_json", counted)
     assert _json_lines(capsys, path) == expected
     # Each distinct text is serialized once; past the bound, every text after
     # the first two is serialized at each occurrence.
