@@ -28,8 +28,14 @@ value up to 10^6, plus samples up to each ceiling, fit under it.
 
 render_integer keeps one render plan per era, eight at most: the era's
 standard profile and group rules under the options it last rendered with,
-reused while callers pass that same options object. A custom profile, an era
-name or elliptic options take no plan.
+reused while callers pass that same options object, with the plan's ceiling
+and the era. A custom profile, an era name or elliptic options take no plan.
+A plain int of one or two groups within the plan's ceiling is read straight
+from the group memo, its groups' tuples concatenated; every other value, and
+a group not yet in the memo, goes through _render_full, which checks the
+value, then the style, in that order, and concatenates its groups' tuples
+the same way. text() reads each token's written form with one
+operator.itemgetter over the script's table.
 
 A rendered NumeralExpression keeps the profile that rendered it, so its value
 reads the tokens back under that same profile. The renders build it through
@@ -41,6 +47,7 @@ replaces an expression sees no change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter as _itemgetter
 
 from .core import (
     DEFAULT_OPTIONS,
@@ -200,17 +207,18 @@ class NumeralPhrase:
         return self.text()
 
 
-# Each script's written form of every generable morpheme, read straight off
-# the table; the parse-only gap words are absent.
+# Each script's separator and written form of every generable morpheme, read
+# straight off the table; the parse-only gap words are absent.
 _WRITTEN = {
-    script: {
-        m: surface(m, script) for m in MORPHEMES if m.traditional is not None
-    }.__getitem__
+    script: (
+        " " if script is Script.PINYIN else "",
+        {m: surface(m, script) for m in MORPHEMES if m.traditional is not None},
+    )
     for script in (Script.TRADITIONAL, Script.SIMPLIFIED, Script.PINYIN)
 }
 # Enum members read once here: on CPython 3.11 each member read at call time
 # costs about a fifth of what text() of a short numeral does.
-_TOKENS, _PINYIN = Script.TOKENS, Script.PINYIN
+_TOKENS = Script.TOKENS
 
 
 def _join_surface(tokens: tuple[Morpheme, ...], script: Script) -> str:
@@ -220,13 +228,19 @@ def _join_surface(tokens: tuple[Morpheme, ...], script: Script) -> str:
         return " ".join(
             "".join(p if p.startswith("[") else f" {p} " for p in pieces).split()
         )
-    sep = " " if script is _PINYIN else ""
     try:
-        return sep.join(map(_WRITTEN[script], tokens))
-    except (KeyError, TypeError):
+        sep, written = _WRITTEN[script]
+        # One lookup per token in C; itemgetter of one key gives the value,
+        # not a 1-tuple, so a single token is read on its own.
+        if len(tokens) > 1:
+            return sep.join(_itemgetter(*tokens)(written))
+        return written[tokens[0]]
+    except (KeyError, TypeError, IndexError):
         pass
     # A parse-only gap word has no written form, and a value that is not a
-    # Script, hashable or not, none: surface() raises for either.
+    # Script, hashable or not, none: surface() raises for either. No tokens
+    # join to the empty string.
+    sep = " " if script is Script.PINYIN else ""
     return sep.join([surface(m, script) for m in tokens])
 
 
@@ -389,10 +403,14 @@ def _check_style(
 
 
 # The render plan of each era: (options, the era's profile, their group
-# rules), kept for the options object last rendered with under that era and
-# read only while render_integer gets that same object. Keyed by Era, so it
-# holds at most one plan per era.
-_plans: dict[Era, tuple[RenderOptions, EraProfile, int]] = {}
+# rules, the plan's ceiling, the era), kept for the options object last
+# rendered with under that era and read only while render_integer gets that
+# same object. Keyed by Era, so it holds at most one plan per era. The
+# ceiling bounds the values render_integer reads straight from the group
+# memo: those of one or two groups (below 10^8) within the profile's
+# ceiling; it is 0 where the options ask for a banned You, so that every
+# value still meets its value errors first.
+_plans: dict[Era, tuple[RenderOptions, EraProfile, int, int, Era]] = {}
 
 
 def render_integer(
@@ -407,10 +425,30 @@ def render_integer(
         if opts.elliptic:
             return render_elliptic(n, profile, opts)
         _check_style(profile, opts, False)
-        plan = opts, profile, _rules(profile, opts)
+        rules = _rules(profile, opts)
+        ceiling = 0 if rules == _YOU_BANNED else min(profile.max_value, 10**8 - 1)
+        plan = opts, profile, rules, ceiling, profile.era
         if era.__class__ is Era:
             _plans[era] = plan  # type: ignore[index]
-    return _render_full(n, plan[1], plan[2])
+    _, profile, rules, ceiling, era = plan
+    # A plain int of one or two groups joins its memoized groups here, by
+    # _render_full's keys; anything else, or a group not yet in the memo,
+    # takes the full render with its checks in their order.
+    if n.__class__ is int and 0 < n <= ceiling:
+        if n < 10**4:
+            group = _group_memo.get((n << 6 | rules) << 8)
+            if group is not None:
+                return _expression(group, era, False, profile)
+        else:
+            high, low = divmod(n, 10**4)
+            group = _group_memo.get((high << 6 | rules) << 8 | 64)
+            if group is not None:
+                if not low:
+                    return _expression(group, era, False, profile)
+                tail = _group_memo.get((low << 6 | rules) << 8 | 4)
+                if tail is not None:
+                    return _expression(group + tail, era, False, profile)
+    return _render_full(n, profile, rules)
 
 
 def _render_full(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
@@ -436,7 +474,7 @@ def _render_full(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
 
     g8, rem = divmod(n, 10**8)
     g4, g0 = divmod(rem, 10**4)
-    tokens: list[Morpheme] = []
+    tokens: tuple[Morpheme, ...] = ()
     prev_scale: int | None = None
     for coeff, scale in ((g8, 8), (g4, 4), (g0, 0)):
         if coeff:
@@ -448,7 +486,7 @@ def _render_full(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
                     _group_memo[key] = group
             tokens += group
             prev_scale = scale
-    return _expression(tuple(tokens), profile.era, False, profile)
+    return _expression(tokens, profile.era, False, profile)
 
 
 def render_elliptic(

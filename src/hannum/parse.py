@@ -86,6 +86,18 @@ read renderings of every era, three in ten mutated (283 bytes a reading),
 and about 98 MB if classify alone fills them (374 bytes a seven-lane
 reading), whatever the number of profiles.
 
+Han text made only of inventory graphs is tokenized in C: one
+codecs.charmap_encode through _CHARMAP writes each graph as one byte, one
+operator.itemgetter reads the tokens off those bytes, and one
+bytes.translate folds the bytes of variant graphs onto their morphemes'
+codes. The tokenizer leaves the tokens and their codes in a one-slot
+handoff, and _codes returns those codes when parse gets that same tuple, so
+parse_text (which still calls the module-level parse) reads no code twice.
+Any other token tuple has its codes read by one itemgetter over a table of
+codes. Han text with whitespace or with a character outside the inventory
+takes the general path, which finds the exact offset of an unknown
+character; pinyin is read one syllable at a time.
+
 Error positions are token indices into the parsed sequence, except
 UnknownCharacter and EmptyInput, which carry character offsets into the
 source text.
@@ -102,10 +114,12 @@ str, args and pickling are unchanged.
 
 from __future__ import annotations
 
+import codecs
 import re
 import unicodedata
 from dataclasses import dataclass, fields, replace
 from enum import Enum, unique
+from operator import itemgetter as _itemgetter
 
 from .core import (
     CHRONOLOGY,
@@ -177,6 +191,7 @@ class NumeralParseError(ValueError):
 
 _K = ParseErrorKind
 _new_error = ValueError.__new__
+_charmap_encode = codecs.charmap_encode
 
 # The formatted messages of failures under the standard readers, by
 # (template, grammar name, ceiling): see _error.
@@ -289,6 +304,43 @@ _HAN_GRAPHS = frozenset(_HAN_CHARS)
 # costs more than the set test on Han text.
 _AUTO_HINT, _HAN_HINT = ScriptHint.AUTO, ScriptHint.HAN
 
+
+def _charmap() -> tuple[object, dict[int, Morpheme], bytes]:
+    """The Han fast path's tables: an encoding map that writes each graph as
+    one byte, the morpheme of each such byte, and the translation that folds
+    the byte of a variant graph onto its morpheme's code.
+
+    A morpheme's first graph is written as its code, and every further graph
+    (simplified 两 万 亿, 又, 单) on a byte of its own above the codes, since
+    the map is a decoding table, one character per byte. Byte 0 decodes to
+    NUL, which charmap_build needs for its compact map; 0 is no morpheme's
+    byte, so _tokenize_impl sends a NUL to the general path. The unused
+    bytes hold U+FFFE, which the compact map leaves unmapped.
+    """
+    table = ["\x00"] + ["\ufffe"] * 255
+    fold = bytearray(range(256))
+    by_raw: dict[int, Morpheme] = {}
+    spare = max(m.code for m in MORPHEMES) + 1
+    for m in MORPHEMES:
+        for k, graph in enumerate(m.graphs):
+            if k:
+                raw, spare = spare, spare + 1
+            else:
+                raw = m.code
+            table[raw] = graph
+            fold[raw] = m.code
+            by_raw[raw] = m
+    return codecs.charmap_build("".join(table)), by_raw, bytes(fold)
+
+
+_CHARMAP, _BY_RAW, _FOLD = _charmap()
+
+# The last Han text tokenized on the fast path, as (tokens, codes): _codes
+# returns those codes for that very tuple instead of reading them again. One
+# slot, written in one store, and it keeps its tuple alive, so identity
+# means the same tokens.
+_HANDOFF: list[tuple[tuple[Morpheme, ...], bytes]] = [((), b"")]
+
 _PINYIN_SYLLABLES: dict[str, Morpheme] = {
     unicodedata.normalize("NFC", m.pinyin): m for m in MORPHEMES
 }
@@ -306,21 +358,37 @@ def _tokenize_impl(
 ) -> tuple[tuple[Morpheme, ...], bool]:
     """Returns (tokens, used_pinyin).
 
-    The common case is one table lookup per character (Han) or per syllable
-    (pinyin), mapped in C. Only an input with a miss reads item by item.
+    Han text made only of inventory graphs is encoded through _CHARMAP in
+    one C call and its tokens read in one more; pinyin is one table lookup
+    per syllable, mapped in C. Only an input with a miss reads item by item.
     """
-    # AUTO reads Han as soon as one character is a numeral graph; one set
-    # test says so without a lookup per character of a pinyin string.
-    han = script_hint is _HAN_HINT or (
-        script_hint is _AUTO_HINT and not _HAN_GRAPHS.isdisjoint(text)
-    )
+    han = script_hint is _HAN_HINT
+    raw = None
+    if han or script_hint is _AUTO_HINT:
+        # The encoding drops what is not a graph, NUL aside (byte 0), so a
+        # text of graphs alone encodes to as many bytes as it has
+        # characters, and one without a graph to none.
+        try:
+            raw = _charmap_encode(text, "ignore", _CHARMAP)[0]
+        except TypeError:  # not a str: the general path reads it
+            pass
+        if raw and len(raw) == len(text) and 0 not in raw:
+            # itemgetter of one key gives the value, not a 1-tuple.
+            tokens = (
+                _itemgetter(*raw)(_BY_RAW) if len(raw) > 1 else (_BY_RAW[raw[0]],)
+            )
+            _HANDOFF[0] = (tokens, raw.translate(_FOLD))
+            return tokens, False
+        # AUTO reads Han as soon as one character is a numeral graph; an
+        # encoding to no bytes already says there is none.
+        han = han or raw != b"" and not _HAN_GRAPHS.isdisjoint(text)
     # Lookups go into lists, then tuples: on CPython 3.11 a tuple built
     # straight from map grows by resizing, and over repeated calls that made
     # peak RSS creep up where list-then-tuple stays flat.
     if han:
         # A lookup miss is None; a morpheme is always true.
         found = list(map(_HAN_CHARS.get, text))
-        if found and all(found):
+        if found and all(found):  # a sequence of graphs that is not a str
             return tuple(found), False
         tokens = list(filter(None, found))
         if len(tokens) < sum(map(len, text.split())):
@@ -380,12 +448,16 @@ def tokenize(
     and "yi" is read as the 10^8 pivot straight after a digit, as the digit 1
     otherwise.
 
-    Han text made only of inventory graphs, and pinyin whose syllables are
-    already NFC lower case with tone marks, cost one table lookup per
-    character or syllable. Only these inputs take the general path: Han text
-    holding whitespace (dropped in one more pass), syllables that need
-    normalisation (NFD or upper case), toneless syllables, and input that
-    raises, which is read item by item to find the offending offset.
+    Han text made only of inventory graphs costs three C calls, whatever
+    its length: one charmap encoding to one byte per graph, one itemgetter
+    over those bytes for the tokens, and one translate for their codes,
+    which parse then takes over for this tuple instead of reading them
+    again. Pinyin whose syllables are already NFC lower case with tone
+    marks costs one table lookup per syllable. Only these inputs take the
+    general path: Han text holding whitespace (dropped in one more pass),
+    syllables that need normalisation (NFD or upper case), toneless
+    syllables, and input that raises, which is read item by item to find
+    the offending offset.
     """
     return _tokenize_impl(text, script_hint, toneless)[0]
 
@@ -1075,7 +1147,24 @@ def _rejection(
             return _error(kind, position, message, name, ceiling)
 
 
+# Each morpheme's code, keyed by the morpheme (which hashes by identity).
+_CODE_OF = {m: m.code for m in MORPHEMES}
+
+
 def _codes(toks: tuple[Morpheme, ...]) -> bytes:
+    """The codes of toks: handed over by the tokenizer for the tuple it
+    returned last, else one lookup per token, mapped in C. Anything but
+    morphemes misses the table and is read by its code attribute, which
+    raises TypeError for a token that has none."""
+    handed = _HANDOFF[0]
+    if handed[0] is toks:
+        return handed[1]
+    try:
+        if len(toks) > 1:
+            return bytes(_itemgetter(*toks)(_CODE_OF))
+        return bytes((_CODE_OF[toks[0]],))
+    except (KeyError, TypeError, IndexError):
+        pass
     try:
         return bytes([t.code for t in toks])
     except AttributeError:

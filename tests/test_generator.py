@@ -618,3 +618,59 @@ class TestRenderPlan:
                 render_integer(n, era_profile(era), opts)
         assert set(generate._plans) <= set(Era)
         assert len(generate._plans) <= len(Era)
+
+
+class _Int(int):
+    pass
+
+
+_CEILINGS = sorted({era_profile(era).max_value for era in Era})
+_EDGES = [
+    0, 1, 9_999, 10**4, 10**4 + 1, 10**8 - 1, 10**8,
+    *_CEILINGS, *(c + 1 for c in _CEILINGS), -1, True, 2.0, _Int(105),
+]
+
+
+def _result(render):
+    """A render's expression as its fields (profile by identity), or its
+    error as type and message."""
+    try:
+        expr = render()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return expr.tokens, expr.era, expr.elliptic, id(expr.profile)
+
+
+class TestRenderFastPath:
+    """render_integer reads a plain int of one or two groups straight from
+    the group memo; every value, and every error in its order, must be what
+    _render_full gives under the same plan, with the memo cold and warm."""
+
+    @pytest.mark.parametrize("era", list(Era))
+    @pytest.mark.parametrize(
+        "opts", [RenderOptions(), RenderOptions(use_you=True)],
+        ids=["default", "use-you"],
+    )
+    def test_matches_full_render(self, monkeypatch, era, opts):
+        monkeypatch.setattr(generate, "_group_memo", {})
+        _result(lambda: render_integer(1, era, opts))  # leaves the era's plan
+        _, profile, rules, ceiling, plan_era = generate._plans[era]
+        assert plan_era is era and profile is era_profile(era)
+        if rules == generate._YOU_BANNED:
+            # Every value meets its value errors before StyleNotAllowed.
+            assert ceiling == 0
+        else:
+            assert ceiling == min(profile.max_value, 10**8 - 1)
+        for n in _EDGES:
+            want = _result(lambda: generate._render_full(n, profile, rules))
+            for _ in range(2):  # cold, then warm
+                assert _result(lambda: render_integer(n, era, opts)) == want, n
+
+    def test_custom_ceiling(self, monkeypatch):
+        monkeypatch.setattr(generate, "_group_memo", {})
+        profile = replace(era_profile(Era.CONTEMPORARY), max_value=12_345)
+        rules = generate._rules(profile, RenderOptions())
+        for n in (*_EDGES, 12_345, 12_346):
+            want = _result(lambda: generate._render_full(n, profile, rules))
+            for _ in range(2):
+                assert _result(lambda: render_integer(n, profile)) == want, n

@@ -178,6 +178,26 @@ class TestParseValues:
         with pytest.raises(TypeError):
             parse(["十", "五"])
 
+    @pytest.mark.parametrize(
+        "tokens",
+        [[1, 2], ["一"], [[]], [LING, object()], [5], (LING, 1)],
+        ids=["ints", "graph", "unhashable", "object", "one-int", "morpheme-int"],
+    )
+    def test_non_morpheme_message(self, tokens):
+        # Codes are read through a table of morphemes; what misses it is
+        # read by its code attribute, and a token without one raises this.
+        with pytest.raises(TypeError, match="^parse expects a sequence of "
+                           "numeral Morphemes$"):
+            parse(tokens)
+
+    def test_single_tokens(self):
+        assert parse((LING,)).value == 0
+        assert parse((pivot(1),), Era.CONTEMPORARY).value == 10
+        outcome = parse_text("十", Era.CONTEMPORARY)
+        assert (outcome.value, outcome.tokens) == (10, (pivot(1),))
+        assert parse_text("十").value == 10
+        assert parse_text("shí", Era.CONTEMPORARY).value == 10
+
 
 class TestEraRejections:
     def test_ling_out_of_era(self):

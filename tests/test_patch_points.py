@@ -30,6 +30,18 @@ def _cli_scan(tmp_path):
         ("hannum.scan", "tokenize", lambda _: hannum.scan_text("共一百零五人")),
         ("hannum.cli", "scan_text", _cli_scan),
         ("hannum.parse", "parse", lambda _: hannum.parse_text("一百零五")),
+        # With an Era, as the roundtrip benchmark calls it, on both scripts:
+        # the traced run reads parse.parse.<era> from these calls.
+        pytest.param(
+            "hannum.parse", "parse",
+            lambda _: hannum.parse_text("一百零五", hannum.Era.CONTEMPORARY),
+            id="hannum.parse-parse-han-era",
+        ),
+        pytest.param(
+            "hannum.parse", "parse",
+            lambda _: hannum.parse_text("yī bǎi líng wǔ", hannum.Era.CONTEMPORARY),
+            id="hannum.parse-parse-pinyin-era",
+        ),
         ("hannum.generate", "NumeralExpression.text",
          lambda _: hannum.render_integer(105).text()),
     ],

@@ -6,6 +6,8 @@ exactly with the per-character tokenizer in reference_tokenizer.py and with
 a join of core.surface over the tokens.
 """
 
+import importlib
+import itertools
 import unicodedata
 
 import pytest
@@ -230,3 +232,87 @@ class TestAutoOnPinyin:
             assert info.value.position == (1 if at == 0 else 0)
             for toneless in (False, True):
                 _assert_same(spliced, ScriptHint.AUTO, toneless)
+
+
+P = importlib.import_module("hannum.parse")
+
+# Characters outside the inventory that a table-driven tokenizer could
+# mistake for graphs: U+FFFE marks the unused bytes of a decoding table, NUL
+# is its byte 0, and a lone surrogate cannot be encoded at all.
+_ODD = ["￾", "\x00", "\ud800", "a", "Z", "0", "7", "　", "\t"]
+_NUMERALS = [
+    render_integer(1_305_000_080).text(),
+    render_integer(1_305_000_080).text(Script.SIMPLIFIED),
+    render_integer(20_002, Era.CONTEMPORARY, _OPTIONS[1]).text(Script.SIMPLIFIED),
+    render_integer(115, Era.ZHOU_BRONZE).text(),
+    "一千單五",
+    "三萬另又五",
+    "十",
+]
+
+
+def _assert_codes(text, hint):
+    """The fast path hands over the codes of the tuple it returns, and any
+    equal tuple reads the same codes from the table."""
+    tokens, _ = _tokenize_impl(text, hint, False)
+    want = bytes([t.code for t in tokens])
+    assert P._HANDOFF[0][0] is tokens, text
+    assert P._codes(tokens) == want, text
+    assert P._codes(tuple(list(tokens))) == want, text
+
+
+class TestCharmapFastPath:
+    """Han text of inventory graphs is tokenized through one charmap
+    encoding and one itemgetter; it must agree with the per-character
+    reference token for token and error for error."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_every_short_inventory_string(self, length):
+        for chars in itertools.product(_GRAPHS, repeat=length):
+            text = "".join(chars)
+            for hint in (ScriptHint.AUTO, ScriptHint.HAN):
+                _assert_same(text, hint, False)
+
+    @pytest.mark.parametrize("hint", [ScriptHint.AUTO, ScriptHint.HAN])
+    def test_empty_text(self, hint):
+        _assert_same("", hint, False)
+
+    @pytest.mark.parametrize("odd", _ODD)
+    def test_odd_character_at_every_offset(self, odd):
+        for numeral in _NUMERALS:
+            for at in range(len(numeral) + 1):
+                text = numeral[:at] + odd + numeral[at:]
+                for hint in (ScriptHint.AUTO, ScriptHint.HAN):
+                    _assert_same(text, hint, False)
+
+    def test_codes_handed_to_parse(self):
+        for text in (*_GRAPHS, *_NUMERALS):
+            for hint in (ScriptHint.AUTO, ScriptHint.HAN):
+                _assert_codes(text, hint)
+        for a, b in itertools.product(_GRAPHS, repeat=2):
+            _assert_codes(a + b, ScriptHint.HAN)
+
+
+class TestSingleTokens:
+    """itemgetter of one key gives the value, not a 1-tuple: a one-token
+    expression must still read as its one written form."""
+
+    @pytest.mark.parametrize(
+        "m", [m for m in MORPHEMES if m.traditional is not None],
+        ids=lambda m: m.notation,
+    )
+    def test_one_token_in_every_script(self, m):
+        expr = NumeralExpression((m,), Era.CONTEMPORARY)
+        assert expr.text(Script.TRADITIONAL) == m.traditional
+        assert expr.text(Script.SIMPLIFIED) == m.simplified
+        assert expr.text(Script.PINYIN) == m.pinyin
+        assert expr.text(Script.TOKENS) == m.notation
+
+    def test_rendered_single_tokens(self):
+        assert render_integer(10).text(Script.PINYIN) == "shí"
+        assert render_integer(0).text(Script.PINYIN) == "líng"
+        assert render_integer(10_000, Era.SUANSHUSHU).text(Script.PINYIN) == "wàn"
+
+    @pytest.mark.parametrize("script", list(Script))
+    def test_no_tokens(self, script):
+        assert NumeralExpression((), Era.CONTEMPORARY).text(script) == ""
