@@ -23,6 +23,11 @@ keeps its other workloads, so one file collects a round over several
 workloads. With --claim the file's claim block is written from this
 workload's ops_per_s: it holds when the change wins at least nine in ten
 of at least ten pairs and the median gap exceeds the parent's IQR.
+
+After writing the file it prints one line per end-to-end metric of the
+workload, with the median change and whether it stays within its bound,
+and exits 1 when a metric is outside its bound or a larger share of the
+change's ops failed than of the parent's.
 """
 
 from __future__ import annotations
@@ -116,6 +121,37 @@ def claim(parent: list[float], change: list[float], better: str) -> dict[str, ob
         "parent_iqr": iqr,
         "holds": pairs >= 10 and won >= math.ceil(0.9 * pairs) and gap > iqr,
     }
+
+
+def bound_report(
+    workload: str, block: dict, metrics: list[dict]
+) -> tuple[list[str], bool]:
+    """One line per end-to-end metric of a workload's block, and whether the
+    change passes: every metric within its bound, and no larger share of
+    its attempted ops failed than of the parent's."""
+    lines = []
+    ok = True
+    for m in metrics:
+        summary = block["metrics"][m["name"]]
+        within = summary["within_bound"]
+        ok = ok and within
+        lines.append(
+            f"{workload} {m['name']}: {summary['median_change']}, "
+            f"{'within' if within else 'OUTSIDE'} its bound of {m['bound']:.0%}"
+        )
+    failed, attempted = block["failed"], block["attempted"]
+    share = {
+        side: failed[side] / attempted[side] if attempted[side] else 0.0
+        for side in ("parent", "change")
+    }
+    if share["change"] > share["parent"]:
+        ok = False
+        lines.append(
+            f"{workload} failed ops: change {failed['change']} of "
+            f"{attempted['change']}, parent {failed['parent']} of "
+            f"{attempted['parent']}"
+        )
+    return lines, ok
 
 
 def _git(*args: str) -> str:
@@ -261,7 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     doc.setdefault("workloads", {})[args.workload] = block
     out.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
                    encoding="utf-8")
-    return 0
+    lines, ok = bound_report(args.workload, block, metrics)
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -5,8 +5,11 @@ grammars accept it, the value each one reads, and the surface features that
 narrow the plausible date range. classify does not parse once per era: it
 runs parse's single walk with one lane per era plus the lenient lane, so the
 eight verdicts and the lenient features come from one pass over the tokens.
-Eras are treated as grammars, not as probability models: the result is a
-consistency set, never a likelihood.
+Each verdict is read straight off the walk's lane masks: the era's lane
+accepts with the unit reading, accepts with the elliptic one, or rejects
+with its one failure; the accepting eras are the shared tuple of that
+mask. Eras are treated as grammars, not as probability models: the result
+is a consistency set, never a likelihood.
 
 classify builds its verdicts and its report through core's positional
 builder, which fills their slots directly and keeps the verdict's
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    CHRONOLOGY,
     EARLY_ERAS,
     Era,
     Morpheme,
@@ -27,12 +29,14 @@ from .core import (
     token_notation,
 )
 from .parse import (
+    _CONSISTENT,
+    _FAN_OUT,
     Features,
     NumeralParseError,
     ParseErrorKind,
     _error,
     _error_dict,
-    _read_eras,
+    _rejection,
     _walk_all,
     parse,
     tokenize,
@@ -195,20 +199,15 @@ def classify(source: object) -> EraConsistencyReport:
     errors propagate; grammar rejections become per-era Rejects verdicts.
     """
     toks = _coerce_tokens(source)
-    readings, features = _read_eras(toks)
-    verdicts: list[EraVerdict] = []
-    consistent: list[Era] = []
-    for era, reading in zip(CHRONOLOGY, readings):
-        if isinstance(reading, NumeralParseError):
-            verdicts.append(_verdict(era, None, reading))
-        else:
-            verdicts.append(_verdict(era, reading, None))
-            consistent.append(era)
-
-    consistent_t = tuple(consistent)
-    return _report(
-        toks, tuple(verdicts), features, consistent_t, _notes(features, consistent_t)
-    )
+    alive, total, elliptic, closed, fails, _, features = _walk_all(toks)
+    verdicts = tuple([
+        _verdict(era, total, None) if alive & bit
+        else _verdict(era, closed, None) if elliptic & bit
+        else _verdict(era, None, _rejection(fails, bit, name, ceiling))
+        for era, bit, name, ceiling in _FAN_OUT
+    ])
+    consistent = _CONSISTENT[alive | elliptic]
+    return _report(toks, verdicts, features, consistent, _notes(features, consistent))
 
 
 def feature_profile(source: object) -> Features:

@@ -5,6 +5,13 @@ Exit codes: 0 success, 1 parse or era rejection (and self-test failure),
 include output that stdout cannot encode and a reader that closes the pipe.
 JSON output is a single object for gen/parse/classify and one object per
 line for scan (records first, then a final {"summary": ...} object).
+
+scan --json builds each record line from JSON fragments and writes it with
+one write to stdout: the era list and the Features object come from tables
+shared by every record, an error message and each diagnostic are escaped
+by the C string encoder that json.dumps itself uses, and the part after
+"column" is built once per distinct span text. Every line equals
+json.dumps(record.as_dict(), ensure_ascii=False).
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring as _encode_string
 
 from .chronolect import classify
 from .core import Era, RenderOptions, Script, TwoStyle, token_notation
@@ -297,28 +305,34 @@ _FEATURES_JSON: dict[Features, str] = {}
 
 def _reading_json(rec: ScanRecord) -> str:
     """json.dumps(rec.reading_dict(), ensure_ascii=False)[1:] for a record
-    of scan_text.
+    of scan_text, written from fragments.
 
     The text is written as it is, since a span holds only numeral graphs,
-    none of which JSON escapes; an error or a diagnostic goes through
-    json.dumps.
+    none of which JSON escapes. An error message and each diagnostic go
+    through json.encoder.encode_basestring, the function json.dumps itself
+    applies to every string when ensure_ascii is False.
     """
-    outcome = rec.outcome
-    if outcome is None:
-        return json.dumps(rec.reading_dict(), ensure_ascii=False)[1:]
     eras = rec.consistent_eras
     eras_json = _ERAS_JSON.get(eras)
     if eras_json is None:
         eras_json = _ERAS_JSON[eras] = json.dumps([e.value for e in eras])
+    outcome = rec.outcome
+    if outcome is None:
+        err = rec.error
+        assert err is not None
+        return (
+            f'"text": "{rec.text}", "consistent_eras": {eras_json}, '
+            f'"status": "error", "error": {{"kind": "{err.kind._value_}", '
+            f'"position": {err.position}, '
+            f'"message": {_encode_string(err.message)}}}}}'
+        )
     features = outcome.features
     features_json = _FEATURES_JSON.get(features)
     if features_json is None:
         features_json = json.dumps(features.as_dict())
         _FEATURES_JSON[features] = features_json
     notes = outcome.diagnostics
-    notes_json = "[]"
-    if notes:
-        notes_json = json.dumps(list(notes), ensure_ascii=False)
+    notes_json = f"[{', '.join(map(_encode_string, notes))}]" if notes else "[]"
     return (
         f'"text": "{rec.text}", "consistent_eras": {eras_json}, '
         f'"status": "ok", "value": {outcome.value}, '
@@ -339,7 +353,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         # once per distinct text (as many as scan_text remembers), from the
         # fragments of _reading_json, and write each record as its position
         # fields plus that tail. With the default separators this equals
-        # json.dumps(rec.as_dict()).
+        # json.dumps(rec.as_dict()). Each line is one write, as print's
+        # first write would be, so a closed pipe or an encoding that stdout
+        # lacks is met at the same record; no line is kept.
+        write = sys.stdout.write
         tails: dict[str, str] = {}
         for rec in records:
             tail = tails.get(rec.text)
@@ -347,11 +364,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 tail = _reading_json(rec)
                 if len(tails) < _MEMO_TEXTS:
                     tails[rec.text] = tail
-            print(
+            write(
                 f'{{"byte_offset": {rec.byte_offset}, "line": {rec.line}, '
-                f'"column": {rec.column}, {tail}'
+                f'"column": {rec.column}, {tail}\n'
             )
-        print(json.dumps({"summary": summary.as_dict()}, ensure_ascii=False))
+        write(json.dumps({"summary": summary.as_dict()}, ensure_ascii=False) + "\n")
         return _EXIT_OK
     for rec in records:
         if rec.ok:

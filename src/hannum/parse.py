@@ -93,10 +93,16 @@ bytes.translate folds the bytes of variant graphs onto their morphemes'
 codes. The tokenizer leaves the tokens and their codes in a one-slot
 handoff, and _codes returns those codes when parse gets that same tuple, so
 parse_text (which still calls the module-level parse) reads no code twice.
-Any other token tuple has its codes read by one itemgetter over a table of
-codes. Han text with whitespace or with a character outside the inventory
-takes the general path, which finds the exact offset of an unknown
-character; pinyin is read one syllable at a time.
+Pinyin whose whitespace-separated syllables are all exact keys of
+_PINYIN_SYLLABLES (NFC, lower case, tone marks) is read by one itemgetter,
+which gives its tokens from that table and its codes from _PINYIN_CODES,
+and it hands its codes over the same way. Any other token tuple has its
+codes read by one itemgetter over a table of codes. Han text with
+whitespace or with a character outside the inventory takes the general
+path, which finds the exact offset of an unknown character; pinyin that
+needs normalising or toneless reading is read one syllable at a time. A
+sequence that is not a str reads as the string of its items under AUTO
+and HAN; under PINYIN it is a TypeError.
 
 Error positions are token indices into the parsed sequence, except
 UnknownCharacter and EmptyInput, which carry character offsets into the
@@ -344,6 +350,7 @@ _HANDOFF: list[tuple[tuple[Morpheme, ...], bytes]] = [((), b"")]
 _PINYIN_SYLLABLES: dict[str, Morpheme] = {
     unicodedata.normalize("NFC", m.pinyin): m for m in MORPHEMES
 }
+_PINYIN_CODES = {syllable: m.code for syllable, m in _PINYIN_SYLLABLES.items()}
 
 # Toneless fallbacks, earlier rows winning, so toneless "ling" always reads
 # as the ordinary gap word. "yi" is handled contextually before this lookup
@@ -353,25 +360,57 @@ _TONELESS_SYLLABLES: dict[str, Morpheme] = {
 }
 
 
+def _not_text(got: str, what: str = "a str or a sequence of str") -> TypeError:
+    return TypeError(f"tokenize expects text as {what}, not {got}")
+
+
+def _tokenize_items(text: object) -> tuple[Morpheme, ...]:
+    """A sequence that is not a str, read as the string of its items: a
+    whitespace or empty item is skipped, and any other item must be a graph,
+    else UnknownCharacter at its index."""
+    try:
+        items = list(text)  # type: ignore[call-overload]
+    except TypeError:
+        raise _not_text(type(text).__name__) from None
+    for item in items:
+        if not isinstance(item, str):
+            raise _not_text(f"a sequence holding {type(item).__name__}")
+    tokens = []
+    for index, item in enumerate(items):
+        m = _HAN_CHARS.get(item)
+        if m is not None:
+            tokens.append(m)
+        elif item.strip():
+            raise _error(
+                _K.UNKNOWN_CHARACTER,
+                index,
+                f"character {item!r} is not in the numeral inventory",
+            )
+    if not tokens:
+        raise _error(_K.EMPTY_INPUT, 0, "no numeral content in input")
+    return tuple(tokens)
+
+
 def _tokenize_impl(
     text: str, script_hint: ScriptHint, toneless: bool
 ) -> tuple[tuple[Morpheme, ...], bool]:
     """Returns (tokens, used_pinyin).
 
     Han text made only of inventory graphs is encoded through _CHARMAP in
-    one C call and its tokens read in one more; pinyin is one table lookup
-    per syllable, mapped in C. Only an input with a miss reads item by item.
+    one C call and its tokens read in one more; pinyin whose syllables are
+    all exact table keys is read by one itemgetter, which gives the tokens
+    and the codes. Both hand their codes to parse through _HANDOFF. Only an
+    input with a miss reads item by item.
     """
     han = script_hint is _HAN_HINT
-    raw = None
     if han or script_hint is _AUTO_HINT:
         # The encoding drops what is not a graph, NUL aside (byte 0), so a
         # text of graphs alone encodes to as many bytes as it has
         # characters, and one without a graph to none.
         try:
             raw = _charmap_encode(text, "ignore", _CHARMAP)[0]
-        except TypeError:  # not a str: the general path reads it
-            pass
+        except TypeError:  # not a str
+            return _tokenize_items(text), False
         if raw and len(raw) == len(text) and 0 not in raw:
             # itemgetter of one key gives the value, not a 1-tuple.
             tokens = (
@@ -382,56 +421,75 @@ def _tokenize_impl(
         # AUTO reads Han as soon as one character is a numeral graph; an
         # encoding to no bytes already says there is none.
         han = han or raw != b"" and not _HAN_GRAPHS.isdisjoint(text)
-    # Lookups go into lists, then tuples: on CPython 3.11 a tuple built
-    # straight from map grows by resizing, and over repeated calls that made
-    # peak RSS creep up where list-then-tuple stays flat.
-    if han:
-        # A lookup miss is None; a morpheme is always true.
-        found = list(map(_HAN_CHARS.get, text))
-        if found and all(found):  # a sequence of graphs that is not a str
-            return tuple(found), False
-        tokens = list(filter(None, found))
-        if len(tokens) < sum(map(len, text.split())):
-            # Some miss is not whitespace: report the first such character.
-            offset = next(
-                i for i, m in enumerate(found) if m is None and not text[i].isspace()
-            )
-            raise _error(
-                _K.UNKNOWN_CHARACTER,
-                offset,
-                f"character {text[offset]!r} is not in the numeral inventory",
-            )
-    else:
+    elif not isinstance(text, str):
+        raise _not_text(type(text).__name__, "a str under ScriptHint.PINYIN")
+    if not han:
         # Pinyin: whitespace-separated syllables.
         syllables = text.split()
-        tokens = list(map(_PINYIN_SYLLABLES.get, syllables))
-        if not all(tokens):
-            read: list[Morpheme] = []
-            for k, (syllable, m) in enumerate(zip(syllables, tokens)):
-                if m is None:
-                    key = unicodedata.normalize("NFC", syllable).lower()
-                    m = _PINYIN_SYLLABLES.get(key)
-                    if m is None and toneless:
-                        bare = _strip_tone_marks(key)
-                        if bare == "yi":
-                            after_digit = read and read[-1].code <= _C_LIANG
-                            m = pivot(8) if after_digit else digit(1)
-                        else:
-                            m = _TONELESS_SYLLABLES.get(bare)
-                    if m is None:
-                        start = 0
-                        for before in syllables[:k]:
-                            start = text.find(before, start) + len(before)
-                        raise _error(
-                            _K.UNKNOWN_CHARACTER,
-                            text.find(syllable, start),
-                            f"syllable {syllable!r} is not a numeral morpheme",
-                        )
-                read.append(m)
-            tokens = read
+        try:
+            read = _itemgetter(*syllables)
+            read_tokens = read(_PINYIN_SYLLABLES)
+        except (KeyError, TypeError):  # a syllable to normalise, or none
+            return _pinyin_items(text, syllables, toneless), True
+        if len(syllables) > 1:
+            codes = bytes(read(_PINYIN_CODES))
+        else:  # itemgetter of one key gives the value, not a 1-tuple
+            read_tokens, codes = (read_tokens,), bytes((read(_PINYIN_CODES),))
+        _HANDOFF[0] = (read_tokens, codes)
+        return read_tokens, True
+    # Han text with whitespace or a miss. Lookups go into a list, then a
+    # tuple: on CPython 3.11 a tuple built straight from map grows by
+    # resizing, and over repeated calls that made peak RSS creep up where
+    # list-then-tuple stays flat. A miss is None; a morpheme is always true.
+    found = list(map(_HAN_CHARS.get, text))
+    tokens = list(filter(None, found))
+    if len(tokens) < sum(map(len, text.split())):
+        # Some miss is not whitespace: report the first such character.
+        offset = next(
+            i for i, m in enumerate(found) if m is None and not text[i].isspace()
+        )
+        raise _error(
+            _K.UNKNOWN_CHARACTER,
+            offset,
+            f"character {text[offset]!r} is not in the numeral inventory",
+        )
     if not tokens:
         raise _error(_K.EMPTY_INPUT, 0, "no numeral content in input")
-    return tuple(tokens), not han
+    return tuple(tokens), False
+
+
+def _pinyin_items(
+    text: str, syllables: list[str], toneless: bool
+) -> tuple[Morpheme, ...]:
+    """The pinyin syllables of text one at a time, normalised to NFC lower
+    case; toneless reads bare syllables too, with "yi" by context. An
+    unknown syllable raises UnknownCharacter at its offset in text."""
+    read: list[Morpheme] = []
+    for k, syllable in enumerate(syllables):
+        m = _PINYIN_SYLLABLES.get(syllable)
+        if m is None:
+            key = unicodedata.normalize("NFC", syllable).lower()
+            m = _PINYIN_SYLLABLES.get(key)
+            if m is None and toneless:
+                bare = _strip_tone_marks(key)
+                if bare == "yi":
+                    after_digit = read and read[-1].code <= _C_LIANG
+                    m = pivot(8) if after_digit else digit(1)
+                else:
+                    m = _TONELESS_SYLLABLES.get(bare)
+            if m is None:
+                start = 0
+                for before in syllables[:k]:
+                    start = text.find(before, start) + len(before)
+                raise _error(
+                    _K.UNKNOWN_CHARACTER,
+                    text.find(syllable, start),
+                    f"syllable {syllable!r} is not a numeral morpheme",
+                )
+        read.append(m)
+    if not read:
+        raise _error(_K.EMPTY_INPUT, 0, "no numeral content in input")
+    return tuple(read)
 
 
 def tokenize(
@@ -453,11 +511,18 @@ def tokenize(
     over those bytes for the tokens, and one translate for their codes,
     which parse then takes over for this tuple instead of reading them
     again. Pinyin whose syllables are already NFC lower case with tone
-    marks costs one table lookup per syllable. Only these inputs take the
-    general path: Han text holding whitespace (dropped in one more pass),
-    syllables that need normalisation (NFD or upper case), toneless
-    syllables, and input that raises, which is read item by item to find
-    the offending offset.
+    marks costs one split and one itemgetter, applied to the tokens' table
+    and to the codes' table, and hands its codes over the same way. Only
+    these inputs take the general path: Han text holding whitespace
+    (dropped in one more pass), syllables that need normalisation (NFD or
+    upper case), toneless syllables, and input that raises, which is read
+    item by item to find the offending offset.
+
+    text may also be a sequence of str that is not a str: under AUTO and
+    HAN it reads as the string of its items, so a whitespace or empty item
+    is skipped and any other item that is not a graph raises
+    UnknownCharacter at its index. An item that is not a str, a text that
+    is not a sequence, or a non-str text under PINYIN raises TypeError.
     """
     return _tokenize_impl(text, script_hint, toneless)[0]
 
@@ -1188,22 +1253,6 @@ def _walk_all(
     return alive, total, elliptic, closed, fails, diags, _FEATURES[bits]
 
 
-def _read_eras(
-    toks: tuple[Morpheme, ...]
-) -> tuple[list[int | NumeralParseError], Features]:
-    """Every era's reading of toks from one walk, in chronological order.
-
-    Each entry is the value that era's parse returns or the error it raises.
-    """
-    alive, total, elliptic, closed, fails, _, features = _walk_all(toks)
-    readings: list[int | NumeralParseError] = [
-        total if alive & bit else closed if elliptic & bit
-        else _rejection(fails, bit, name, ceiling)
-        for _, bit, name, ceiling in _FAN_OUT
-    ]
-    return readings, features
-
-
 def _read_span(
     toks: tuple[Morpheme, ...]
 ) -> tuple[ParseOutcome | None, NumeralParseError | None, tuple[Era, ...], Features]:
@@ -1212,16 +1261,23 @@ def _read_span(
     outcome or error is exactly what parse(toks, None) returns or raises; eras
     are the accepting eras in chronological order, as classify reports them,
     one of the shared tuples of _CONSISTENT. No error is built for a
-    rejecting era.
+    rejecting era. The features are _walk_all's, read here off the walk's
+    bits without its frame.
     """
-    alive, total, elliptic, closed, fails, diags, features = _walk_all(toks)
+    alive, total, elliptic, closed, fails, diags, bits = _walk(
+        _codes(toks), _ALL_LANES, _ALL_MAXES, _ALL_FLOOR
+    )
     consistent = _CONSISTENT[alive | elliptic]
     if elliptic & _LENIENT_BIT:
         total = closed
+        bits |= _F_ELLIPTIC
     elif not alive & _LENIENT_BIT:
         error = _rejection(fails, _LENIENT_BIT, _LENIENT_NAME, _LENIENT_MAX)
-        return None, error, consistent, features
-    diagnostics = tuple(text for mask, text in diags if mask & _LENIENT_BIT)
+        return None, error, consistent, _FEATURES[bits]
+    features = _FEATURES[bits]
+    diagnostics = (
+        tuple([text for mask, text in diags if mask & _LENIENT_BIT]) if diags else ()
+    )
     outcome = _outcome(total, None, features, diagnostics, toks)
     return outcome, None, consistent, features
 

@@ -14,6 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hannum.cli import main
@@ -54,6 +55,19 @@ def test_unencodable_stdout_exits_3():
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
     assert "Traceback" not in stderr.decode()
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_unencodable_scan_exits_3(tmp_path, mode):
+    path = tmp_path / "doc.txt"
+    path.write_text("共一百零五人，又十有五。\n" * 50, encoding="utf-8")
+    proc = _hannum("scan", *mode, str(path), PYTHONIOENCODING="ascii")
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    assert stdout == b""
+    lines = stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
 
 
 def _run(argv):

@@ -97,6 +97,37 @@ def _tail_matches(rec):
     assert hannum.cli._reading_json(rec) == expected
 
 
+# Characters that JSON escapes, or that json.dumps with ensure_ascii=False
+# writes as they are although other encoders escape them.
+_AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\u2028", "\U0001f600",
+            'a "b" \\ c\n\td\x00\u2028\U0001f600']
+
+
+def test_error_records_of_spans():
+    records, _ = scan_text("，".join(_SPANS))
+    errors = [rec for rec in records if rec.error is not None]
+    assert len(errors) > 5
+    for rec in errors:
+        _tail_matches(rec)
+
+
+@pytest.mark.parametrize("odd", _AWKWARD)
+def test_error_message_escaped(odd):
+    rec = scan_text("十十五")[0][0]
+    assert rec.error is not None
+    for message in (odd, f"x{odd}y", f"{odd}{odd}"):
+        error = P.NumeralParseError(rec.error.kind, rec.error.position, message)
+        _tail_matches(replace(rec, error=error))
+
+
+@pytest.mark.parametrize("odd", _AWKWARD)
+def test_diagnostics_escaped(odd):
+    rec = scan_text("一萬五")[0][0]
+    assert rec.outcome is not None and rec.outcome.diagnostics
+    for notes in ((odd,), (f"x{odd}y", rec.outcome.diagnostics[0]), (odd, odd)):
+        _tail_matches(replace(rec, outcome=replace(rec.outcome, diagnostics=notes)))
+
+
 def test_era_tuple_per_lane_mask():
     fan_out = P._FAN_OUT
     table = P._CONSISTENT

@@ -111,3 +111,37 @@ class TestBenchPairs:
         assert block["runs"][1] == {"seed": 2, "first": "change",
                                     "parent": {"ops_per_s": 101.0},
                                     "change": {"ops_per_s": 119.0}}
+
+    def test_bound_report(self):
+        bp = _load("bench_pairs")
+        metrics = [
+            {"name": "ops_per_s", "better": "higher", "bound": 0.2},
+            {"name": "op_us_p99", "better": "lower", "bound": 0.2},
+        ]
+
+        def block(ops, p99, failed=(0, 0), attempted=(100, 120)):
+            return {
+                "metrics": {
+                    "ops_per_s": bp.summarize([100.0] * 3, [ops] * 3, "higher", 0.2),
+                    "op_us_p99": bp.summarize([10.0] * 3, [p99] * 3, "lower", 0.2),
+                },
+                "failed": dict(zip(("parent", "change"), failed)),
+                "attempted": dict(zip(("parent", "change"), attempted)),
+            }
+
+        lines, ok = bp.bound_report("scan", block(110.0, 11.9), metrics)
+        assert ok
+        assert lines == [
+            "scan ops_per_s: +10.0 %, within its bound of 20%",
+            "scan op_us_p99: +19.0 %, within its bound of 20%",
+        ]
+        lines, ok = bp.bound_report("scan", block(110.0, 12.1), metrics)
+        assert not ok
+        assert lines[1] == "scan op_us_p99: +21.0 %, OUTSIDE its bound of 20%"
+        lines, ok = bp.bound_report("scan", block(79.0, 10.0), metrics)
+        assert not ok and "OUTSIDE" in lines[0]
+        # The change attempts more ops; only a larger share of failures fails.
+        assert bp.bound_report("scan", block(110.0, 10.0, (1, 1)), metrics)[1]
+        lines, ok = bp.bound_report("scan", block(110.0, 10.0, (0, 1)), metrics)
+        assert not ok
+        assert lines[-1] == "scan failed ops: change 1 of 120, parent 0 of 100"

@@ -24,7 +24,13 @@ from hannum import (
     render_integer,
 )
 from hannum.core import DAN, LING_ALT, MORPHEMES, digit, surface
-from hannum.parse import NumeralParseError, ParseErrorKind, ScriptHint, _tokenize_impl
+from hannum.parse import (
+    NumeralParseError,
+    ParseErrorKind,
+    ScriptHint,
+    _tokenize_impl,
+    tokenize,
+)
 from reference_tokenizer import reference_tokenize
 
 
@@ -316,3 +322,99 @@ class TestSingleTokens:
     @pytest.mark.parametrize("script", list(Script))
     def test_no_tokens(self, script):
         assert NumeralExpression((), Era.CONTEMPORARY).text(script) == ""
+
+
+_EXACT = sorted(P._PINYIN_SYLLABLES)
+
+
+def _assert_pinyin(text):
+    for hint in (ScriptHint.AUTO, ScriptHint.PINYIN):
+        for toneless in (False, True):
+            _assert_same(text, hint, toneless)
+
+
+class TestPinyinFastPath:
+    """Pinyin whose syllables are all exact table keys is read by one
+    itemgetter and hands its codes to parse; any other pinyin is read
+    syllable by syllable. Both must agree with the per-syllable reference
+    under AUTO and PINYIN."""
+
+    def test_each_syllable_alone_and_in_pairs(self):
+        for a in _EXACT:
+            _assert_pinyin(a)
+            _assert_pinyin(f"　{a}\n")
+            for b in _EXACT:
+                _assert_pinyin(f"{a} {b}")
+                _assert_pinyin(f" {a}\t\t{b} ")
+
+    def test_codes_handed_to_parse(self):
+        texts = [*_EXACT, *(f"{a} {b}" for a in _EXACT for b in _EXACT)]
+        for text in texts:
+            for hint in (ScriptHint.AUTO, ScriptHint.PINYIN):
+                _assert_codes(text, hint)
+
+    def test_upper_case_and_nfd(self):
+        for s in _EXACT:
+            for form in (s.upper(), s.capitalize(), unicodedata.normalize("NFD", s),
+                         unicodedata.normalize("NFD", s.upper())):
+                _assert_pinyin(form)
+                _assert_pinyin(f"{form} {s}")
+                _assert_pinyin(f"{s} {form}")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["yi", "ling", "bai", "yi yi", "wu yi", "san yi san qian", "liang yi",
+         "yī bai", "er shi yī", "wàn ling wu", "ling wǔ"],
+    )
+    def test_toneless(self, text):
+        _assert_pinyin(text)
+
+    @pytest.mark.parametrize("unknown", ["xyz", "yí", "shi2", "一"])
+    def test_unknown_syllable_at_each_position(self, unknown):
+        base = ["yī", "bǎi", "líng", "wǔ", "yī"]
+        for k in range(len(base) + 1):
+            _assert_pinyin(" ".join([*base[:k], unknown, *base[k:]]))
+            if k < len(base):
+                _assert_pinyin(" ".join([*base[:k], unknown, *base[k + 1:]]))
+
+
+class TestNonStrSequence:
+    """A sequence of str that is not a str reads as the string of its items
+    under AUTO and HAN."""
+
+    @pytest.mark.parametrize(
+        "text", ["一百零五", " 一 百\t零\n五 ", "一百x五", "x一", "十", "", "  "]
+    )
+    @pytest.mark.parametrize("hint", [ScriptHint.AUTO, ScriptHint.HAN])
+    def test_reads_like_the_string(self, text, hint):
+        want = _result(_tokenize_impl, text, hint, False)
+        assert _result(_tokenize_impl, list(text), hint, False) == want
+        assert _result(_tokenize_impl, tuple(text), hint, False) == want
+
+    @pytest.mark.parametrize("hint", [ScriptHint.AUTO, ScriptHint.HAN])
+    def test_whitespace_items_skipped(self, hint):
+        assert tokenize(["一", " ", "\n\t", "", "十"], hint) == tokenize("一十")
+
+    @pytest.mark.parametrize("hint", [ScriptHint.AUTO, ScriptHint.HAN])
+    def test_non_graph_item_at_its_index(self, hint):
+        for items, index in ((["一", "x"], 1), (["x", "一"], 0),
+                             (["一", "十", "五六"], 2), (["一", " ", "yī"], 2)):
+            with pytest.raises(NumeralParseError) as info:
+                tokenize(items, hint)
+            assert info.value.kind is ParseErrorKind.UNKNOWN_CHARACTER
+            assert info.value.position == index
+            assert info.value.message == (
+                f"character {items[index]!r} is not in the numeral inventory"
+            )
+
+    @pytest.mark.parametrize("hint", list(ScriptHint))
+    @pytest.mark.parametrize(
+        "text", [["一", 5], ("一", None), [digit(1)], b"yi", 5, None]
+    )
+    def test_not_text_is_a_type_error(self, text, hint):
+        with pytest.raises(TypeError, match="tokenize expects text as"):
+            tokenize(text, hint)
+
+    def test_pinyin_needs_a_str(self):
+        with pytest.raises(TypeError, match="a str under ScriptHint.PINYIN, not list"):
+            tokenize(["yī", "bǎi"], ScriptHint.PINYIN)
