@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Print one sha256 over the CLI's output on a fixed set of inputs.
+
+Usage:
+    PYTHONPATH=path/to/checkout/src python scripts/output_digest.py
+
+The script runs hannum.cli.main in process and hashes, for every run, its
+arguments, exit code, stdout and stderr. It prints the hex digest and the
+number of runs. Two checkouts whose outputs are byte-identical on these
+inputs print the same line, so running it once under each checkout's src
+compares them. Without PYTHONPATH, hannum comes from this checkout's src.
+
+The runs:
+- scan in plain, --json and --csv mode, with the document on stdin: the
+  synthetic corpora of seeds 7 and 11 (scripts/synthetic_corpus.py), the
+  benchmark's scan documents of seeds 3 and 4 (bench/workloads.py), and one
+  document that holds every malformed benchmark surface, elliptic spans,
+  quotes, backslashes and CRLF line ends;
+- classify --json and parse --json --lenient on tokenizer edge texts: a
+  whitespace character and an odd character (NUL, U+FFFE, a lone surrogate,
+  a letter, another space) at every pair of offsets in two numerals, and
+  texts of whitespace or NUL alone;
+- the same two commands on pinyin as written, in upper case, in NFD and
+  without tone marks, the last also with parse --toneless.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import unicodedata
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# Appended, not prepended: a PYTHONPATH that names another checkout's src
+# comes first.
+for _sub in ("src", "scripts", "bench"):
+    sys.path.append(str(ROOT / _sub))
+
+import hannum.cli  # noqa: E402
+from synthetic_corpus import build_corpus  # noqa: E402
+from workloads import MALFORMED, scan_inputs  # noqa: E402
+
+# Literal inputs, so that they do not depend on the renderer under test.
+_NUMERALS = ("十三亿零五百万零八十", "三萬另又五")
+_SPACES = ("\t", "\u3000")
+_ODD = ("\x00", "\ufffe", "\ud800", "a", " ")
+_BARE = ("", " ", "\t\n", "\x00", "\x00\x00", " \x00\t", "\x00 一")
+_PINYIN = (
+    "yī bǎi líng wǔ",
+    "sān wàn líng qī shí",
+    "liǎng qiān èr bǎi",
+    "shí yòu wǔ",
+    "yī yì líng wǔ bǎi wàn",
+    "wǔ shí",
+)
+_MIX = (
+    "序\r\n"
+    + "，".join(surface for surface, _, _ in MALFORMED)
+    + "。他說\"一百五\"，又曰'三千四'\\五萬六\\\\。\r\n"
+    + "百五、一萬五\r\n\"\"\\一百零五\"\r\n二兩、三兩。\r\n"
+)
+
+
+def _edge_texts() -> list[str]:
+    texts = list(_BARE)
+    for numeral in _NUMERALS:
+        for space in _SPACES:
+            for odd in _ODD:
+                for at in range(len(numeral) + 1):
+                    spaced = numeral[:at] + space + numeral[at:]
+                    texts += [spaced[:k] + odd + spaced[k:]
+                              for k in range(len(spaced) + 1)]
+    return texts
+
+
+def _pinyin_texts() -> list[str]:
+    texts = []
+    for text in _PINYIN:
+        bare = "".join(
+            ch for ch in unicodedata.normalize("NFD", text)
+            if not unicodedata.combining(ch)
+        )
+        texts += [text, text.upper(), unicodedata.normalize("NFD", text), bare]
+    return texts
+
+
+def _documents() -> list[str]:
+    docs = [build_corpus(seed=seed)[0] for seed in (7, 11)]
+    docs += [text for seed in (3, 4) for text, _ in scan_inputs(seed)]
+    docs.append(_MIX)
+    return docs
+
+
+def runs() -> list[tuple[list[str], str | None]]:
+    """Every (argv, stdin text or None) the digest covers, in order."""
+    out: list[tuple[list[str], str | None]] = []
+    for doc in _documents():
+        for mode in ([], ["--json"], ["--csv"]):
+            out.append((["scan", *mode], doc))
+    for text in _edge_texts() + _pinyin_texts():
+        out.append((["classify", "--json", text], None))
+        out.append((["parse", "--json", "--lenient", text], None))
+    for text in _pinyin_texts():
+        out.append((["parse", "--json", "--lenient", "--toneless", text], None))
+    return out
+
+
+def _run(argv: list[str], stdin: str | None) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    if stdin is not None:
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = hannum.cli.main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    digest = hashlib.sha256()
+    todo = runs()
+    for args, stdin in todo:
+        code, out, err = _run(args, stdin)
+        digest.update(repr((args, code, out, err)).encode("utf-8"))
+    print(f"{digest.hexdigest()} {len(todo)} runs")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

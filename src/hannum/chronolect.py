@@ -143,6 +143,8 @@ def _coerce_tokens(source: object) -> tuple[Morpheme, ...]:
     toks = tuple(getattr(source, "tokens", source))
     if not toks:
         raise _error(ParseErrorKind.EMPTY_INPUT, 0, "no tokens to classify")
+    if isinstance(toks[0], str):
+        return tokenize(toks)
     return toks
 
 
@@ -194,9 +196,10 @@ def _notes(features: Features, consistent: tuple[Era, ...]) -> tuple[str, ...]:
 def classify(source: object) -> EraConsistencyReport:
     """Run every era grammar over one expression and report the verdicts.
 
-    source may be a token sequence, an object with a tokens attribute, or a
-    text string (tokenized with automatic script detection). Tokenization
-    errors propagate; grammar rejections become per-era Rejects verdicts.
+    source may be a token sequence, an object with a tokens attribute, a
+    text string (tokenized with automatic script detection), or a sequence
+    of str, tokenized as the string of its items. Tokenization errors
+    propagate; grammar rejections become per-era Rejects verdicts.
     """
     toks = _coerce_tokens(source)
     alive, total, elliptic, closed, fails, _, features = _walk_all(toks)

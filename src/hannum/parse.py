@@ -47,7 +47,9 @@ raises from the first failure; chronolect's classify runs it once over
 seven lanes and fans them out to the eight eras (the three early eras
 differ only in how often they attest you, so they share a lane), and so
 does scan_text, through _read_span, which keeps only the lenient reading,
-the accepting eras and the features of each span.
+the accepting eras and the features of each span. The walk hands every
+reader its Features: the token flags, and the elliptic flag of the one
+lane of a one-lane table or of the lenient lane of the seven.
 
 The one place where lanes read differently is a trailing bare digit with no
 following pivot. Lanes whose rank gaps demand the link word ling, and the
@@ -86,23 +88,26 @@ read renderings of every era, three in ten mutated (283 bytes a reading),
 and about 98 MB if classify alone fills them (374 bytes a seven-lane
 reading), whatever the number of profiles.
 
-Han text made only of inventory graphs is tokenized in C: one
-codecs.charmap_encode through _CHARMAP writes each graph as one byte, one
-operator.itemgetter reads the tokens off those bytes, and one
+Han text is tokenized in C: one codecs.charmap_encode through _CHARMAP
+writes each inventory graph as one byte and drops every other character
+but NUL, one operator.itemgetter reads the tokens off those bytes, and one
 bytes.translate folds the bytes of variant graphs onto their morphemes'
-codes. The tokenizer leaves the tokens and their codes in a one-slot
-handoff, and _codes returns those codes when parse gets that same tuple, so
-parse_text (which still calls the module-level parse) reads no code twice.
-Pinyin whose whitespace-separated syllables are all exact keys of
-_PINYIN_SYLLABLES (NFC, lower case, tone marks) is read by one itemgetter,
-which gives its tokens from that table and its codes from _PINYIN_CODES,
-and it hands its codes over the same way. Any other token tuple has its
-codes read by one itemgetter over a table of codes. Han text with
-whitespace or with a character outside the inventory takes the general
-path, which finds the exact offset of an unknown character; pinyin that
-needs normalising or toneless reading is read one syllable at a time. A
-sequence that is not a str reads as the string of its items under AUTO
-and HAN; under PINYIN it is a TypeError.
+codes. Text of graphs alone encodes to one byte a character and needs
+nothing more; text with whitespace or another character is read off the
+same bytes, less any NUL, once their count matches its characters that are
+not whitespace, and only a text that raises is searched for the offset of
+its unknown character. The tokenizer leaves the tokens and their codes in
+a one-slot handoff, and _codes returns those codes when parse gets that
+same tuple, so parse_text (which still calls the module-level parse) reads
+no code twice. Pinyin whose whitespace-separated syllables are all exact
+keys of _PINYIN_SYLLABLES (NFC, lower case, tone marks) is read by one
+itemgetter, which gives its tokens from that table and its codes from
+_PINYIN_CODES, and it hands its codes over the same way; pinyin that needs
+normalising or toneless reading is read one syllable at a time. Any other
+token tuple has its codes read by one itemgetter over _CODE_OF, the one
+table of codes: a token that is not a morpheme is a TypeError. A sequence
+that is not a str reads as the string of its items under AUTO and HAN;
+under PINYIN it is a TypeError.
 
 Error positions are token indices into the parsed sequence, except
 UnknownCharacter and EmptyInput, which carry character offsets into the
@@ -305,9 +310,8 @@ def _strip_tone_marks(syllable: str) -> str:
 
 
 _HAN_CHARS: dict[str, Morpheme] = {g: m for m in MORPHEMES for g in m.graphs}
-_HAN_GRAPHS = frozenset(_HAN_CHARS)
 # Enum members read once here: on CPython 3.11 a member read at call time
-# costs more than the set test on Han text.
+# costs more than the encoding of a short Han text.
 _AUTO_HINT, _HAN_HINT = ScriptHint.AUTO, ScriptHint.HAN
 
 
@@ -320,8 +324,9 @@ def _charmap() -> tuple[object, dict[int, Morpheme], bytes]:
     (simplified 两 万 亿, 又, 单) on a byte of its own above the codes, since
     the map is a decoding table, one character per byte. Byte 0 decodes to
     NUL, which charmap_build needs for its compact map; 0 is no morpheme's
-    byte, so _tokenize_impl sends a NUL to the general path. The unused
-    bytes hold U+FFFE, which the compact map leaves unmapped.
+    byte, so _tokenize_impl drops it and counts a NUL as a character that
+    is not a graph. The unused bytes hold U+FFFE, which the compact map
+    leaves unmapped.
     """
     table = ["\x00"] + ["\ufffe"] * 255
     fold = bytearray(range(256))
@@ -396,11 +401,14 @@ def _tokenize_impl(
 ) -> tuple[tuple[Morpheme, ...], bool]:
     """Returns (tokens, used_pinyin).
 
-    Han text made only of inventory graphs is encoded through _CHARMAP in
-    one C call and its tokens read in one more; pinyin whose syllables are
-    all exact table keys is read by one itemgetter, which gives the tokens
-    and the codes. Both hand their codes to parse through _HANDOFF. Only an
-    input with a miss reads item by item.
+    Han text is encoded through _CHARMAP in one C call and its tokens read
+    off the bytes in one more: at once for graphs alone, else less any NUL
+    and once the bytes count every character that is not whitespace. AUTO
+    reads Han when a byte is a graph's. Pinyin whose syllables are all
+    exact table keys is read by one itemgetter, which gives the tokens and
+    the codes. Both hand their codes to parse through _HANDOFF. Only
+    pinyin with a miss reads syllable by syllable, and a non-str sequence
+    item by item.
     """
     han = script_hint is _HAN_HINT
     if han or script_hint is _AUTO_HINT:
@@ -412,50 +420,45 @@ def _tokenize_impl(
         except TypeError:  # not a str
             return _tokenize_items(text), False
         if raw and len(raw) == len(text) and 0 not in raw:
+            han = True
+        elif han or raw and raw.strip(b"\x00"):
+            # Han text with whitespace or a miss (AUTO reads Han as soon as
+            # one byte is a graph's, not NUL's 0): its graphs are the bytes
+            # but 0, and every other character must be whitespace.
+            raw = raw.replace(b"\x00", b"")
+            if len(raw) < sum(map(len, text.split())):
+                offset = next(i for i, ch in enumerate(text)
+                              if ch not in _HAN_CHARS and not ch.isspace())
+                raise _error(
+                    _K.UNKNOWN_CHARACTER,
+                    offset,
+                    f"character {text[offset]!r} is not in the numeral inventory",
+                )
+            if not raw:
+                raise _error(_K.EMPTY_INPUT, 0, "no numeral content in input")
+            han = True
+        if han:
             # itemgetter of one key gives the value, not a 1-tuple.
             tokens = (
                 _itemgetter(*raw)(_BY_RAW) if len(raw) > 1 else (_BY_RAW[raw[0]],)
             )
             _HANDOFF[0] = (tokens, raw.translate(_FOLD))
             return tokens, False
-        # AUTO reads Han as soon as one character is a numeral graph; an
-        # encoding to no bytes already says there is none.
-        han = han or raw != b"" and not _HAN_GRAPHS.isdisjoint(text)
     elif not isinstance(text, str):
         raise _not_text(type(text).__name__, "a str under ScriptHint.PINYIN")
-    if not han:
-        # Pinyin: whitespace-separated syllables.
-        syllables = text.split()
-        try:
-            read = _itemgetter(*syllables)
-            read_tokens = read(_PINYIN_SYLLABLES)
-        except (KeyError, TypeError):  # a syllable to normalise, or none
-            return _pinyin_items(text, syllables, toneless), True
-        if len(syllables) > 1:
-            codes = bytes(read(_PINYIN_CODES))
-        else:  # itemgetter of one key gives the value, not a 1-tuple
-            read_tokens, codes = (read_tokens,), bytes((read(_PINYIN_CODES),))
-        _HANDOFF[0] = (read_tokens, codes)
-        return read_tokens, True
-    # Han text with whitespace or a miss. Lookups go into a list, then a
-    # tuple: on CPython 3.11 a tuple built straight from map grows by
-    # resizing, and over repeated calls that made peak RSS creep up where
-    # list-then-tuple stays flat. A miss is None; a morpheme is always true.
-    found = list(map(_HAN_CHARS.get, text))
-    tokens = list(filter(None, found))
-    if len(tokens) < sum(map(len, text.split())):
-        # Some miss is not whitespace: report the first such character.
-        offset = next(
-            i for i, m in enumerate(found) if m is None and not text[i].isspace()
-        )
-        raise _error(
-            _K.UNKNOWN_CHARACTER,
-            offset,
-            f"character {text[offset]!r} is not in the numeral inventory",
-        )
-    if not tokens:
-        raise _error(_K.EMPTY_INPUT, 0, "no numeral content in input")
-    return tuple(tokens), False
+    # Pinyin: whitespace-separated syllables.
+    syllables = text.split()
+    try:
+        read = _itemgetter(*syllables)
+        read_tokens = read(_PINYIN_SYLLABLES)
+    except (KeyError, TypeError):  # a syllable to normalise, or none
+        return _pinyin_items(text, syllables, toneless), True
+    if len(syllables) > 1:
+        codes = bytes(read(_PINYIN_CODES))
+    else:  # itemgetter of one key gives the value, not a 1-tuple
+        read_tokens, codes = (read_tokens,), bytes((read(_PINYIN_CODES),))
+    _HANDOFF[0] = (read_tokens, codes)
+    return read_tokens, True
 
 
 def _pinyin_items(
@@ -506,17 +509,17 @@ def tokenize(
     and "yi" is read as the 10^8 pivot straight after a digit, as the digit 1
     otherwise.
 
-    Han text made only of inventory graphs costs three C calls, whatever
-    its length: one charmap encoding to one byte per graph, one itemgetter
-    over those bytes for the tokens, and one translate for their codes,
-    which parse then takes over for this tuple instead of reading them
-    again. Pinyin whose syllables are already NFC lower case with tone
-    marks costs one split and one itemgetter, applied to the tokens' table
-    and to the codes' table, and hands its codes over the same way. Only
-    these inputs take the general path: Han text holding whitespace
-    (dropped in one more pass), syllables that need normalisation (NFD or
-    upper case), toneless syllables, and input that raises, which is read
-    item by item to find the offending offset.
+    Han text costs three C calls, whatever its length: one charmap
+    encoding to one byte per graph, one itemgetter over those bytes for the
+    tokens, and one translate for their codes, which parse then takes over
+    for this tuple instead of reading them again. Han text that holds
+    whitespace adds a count of its other characters; only one that holds
+    an unknown character is searched for its offset. Pinyin whose
+    syllables are already NFC lower case with tone marks costs one split
+    and one itemgetter, applied to the tokens' table and to the codes'
+    table, and hands its codes over the same way. Syllables that need
+    normalisation (NFD or upper case) and toneless syllables are read one
+    at a time.
 
     text may also be a sequence of str that is not a str: under AUTO and
     HAN it reads as the string of its items, so a whitespace or empty item
@@ -1129,13 +1132,16 @@ def _walk(
     """Read codes under every lane of L, one myriad group at a time; maxes
     holds each lane's ceiling, and floor the lowest of them.
 
-    Returns (alive, total, elliptic, closed, fails, diagnostics, bits): the
-    mask of the lanes that accept with the unit reading, and their value;
-    the mask of the lanes that accept with the elliptic reading, and theirs;
-    the failures in walk order, in the shape a memo entry keeps them (see
-    _Failures) but with positions counted from the numeral's first token;
-    the diagnostics, each tagged with the mask of the lanes it belongs to;
-    and the feature bits of the codes. Every lane of L is in exactly one of
+    Returns (alive, total, elliptic, closed, fails, diagnostics, features):
+    the mask of the lanes that accept with the unit reading, and their
+    value; the mask of the lanes that accept with the elliptic reading, and
+    theirs; the failures in walk order, in the shape a memo entry keeps them
+    (see _Failures) but with positions counted from the numeral's first
+    token; the diagnostics, each tagged with the mask of the lanes it
+    belongs to; and the Features of the codes. The token flags count every
+    token, read or not; elliptic is that of the lane the features report,
+    the one lane of a one-lane table or the lenient lane of _ALL_LANES, so
+    it is False where that lane rejects. Every lane of L is in exactly one of
     alive, elliptic and one failure. The walk stops once no lane is alive,
     so a value means something only where its mask is not empty.
 
@@ -1190,6 +1196,10 @@ def _walk(
                     closed = total + fork[1]
                     if closed > floor:
                         elliptic = _over(maxes, elliptic, fails, closed, end - 1)
+                    # The features report the one lane of a one-lane table,
+                    # else the lenient lane.
+                    if elliptic & (L.lenient or L.all):
+                        bits |= _F_ELLIPTIC
         alive &= out
         total += value
         if total > floor and alive:
@@ -1199,7 +1209,7 @@ def _walk(
             bits |= _group_bits(codes[end:], False)
             break
         prev_exp = scale
-    return alive, total, elliptic, closed, fails, diags, bits
+    return alive, total, elliptic, closed, fails, diags, _FEATURES[bits]
 
 
 def _rejection(
@@ -1218,9 +1228,8 @@ _CODE_OF = {m: m.code for m in MORPHEMES}
 
 def _codes(toks: tuple[Morpheme, ...]) -> bytes:
     """The codes of toks: handed over by the tokenizer for the tuple it
-    returned last, else one lookup per token, mapped in C. Anything but
-    morphemes misses the table and is read by its code attribute, which
-    raises TypeError for a token that has none."""
+    returned last, else one lookup per token in _CODE_OF, mapped in C. A
+    token that is not a morpheme misses the table: TypeError."""
     handed = _HANDOFF[0]
     if handed[0] is toks:
         return handed[1]
@@ -1228,11 +1237,7 @@ def _codes(toks: tuple[Morpheme, ...]) -> bytes:
         if len(toks) > 1:
             return bytes(_itemgetter(*toks)(_CODE_OF))
         return bytes((_CODE_OF[toks[0]],))
-    except (KeyError, TypeError, IndexError):
-        pass
-    try:
-        return bytes([t.code for t in toks])
-    except AttributeError:
+    except (KeyError, TypeError):
         raise TypeError("parse expects a sequence of numeral Morphemes") from None
 
 
@@ -1241,16 +1246,11 @@ def _walk_all(
 ) -> tuple[int, int, int, int, _Failures, list[tuple[int, str]], Features]:
     """One walk of toks under every era and the lenient grammar.
 
-    Returns _walk's result over the lanes of _ALL_LANES, with the features
-    in place of the bits: the lenient grammar's, or, where it rejects, the
-    token flags with elliptic False.
+    Returns _walk's result over the lanes of _ALL_LANES: its features are
+    the lenient grammar's, or, where it rejects, the token flags with
+    elliptic False.
     """
-    alive, total, elliptic, closed, fails, diags, bits = _walk(
-        _codes(toks), _ALL_LANES, _ALL_MAXES, _ALL_FLOOR
-    )
-    if elliptic & _LENIENT_BIT:
-        bits |= _F_ELLIPTIC
-    return alive, total, elliptic, closed, fails, diags, _FEATURES[bits]
+    return _walk(_codes(toks), _ALL_LANES, _ALL_MAXES, _ALL_FLOOR)
 
 
 def _read_span(
@@ -1261,20 +1261,18 @@ def _read_span(
     outcome or error is exactly what parse(toks, None) returns or raises; eras
     are the accepting eras in chronological order, as classify reports them,
     one of the shared tuples of _CONSISTENT. No error is built for a
-    rejecting era. The features are _walk_all's, read here off the walk's
-    bits without its frame.
+    rejecting era. The features are _walk_all's, read here off the walk
+    without its frame.
     """
-    alive, total, elliptic, closed, fails, diags, bits = _walk(
+    alive, total, elliptic, closed, fails, diags, features = _walk(
         _codes(toks), _ALL_LANES, _ALL_MAXES, _ALL_FLOOR
     )
     consistent = _CONSISTENT[alive | elliptic]
     if elliptic & _LENIENT_BIT:
         total = closed
-        bits |= _F_ELLIPTIC
     elif not alive & _LENIENT_BIT:
         error = _rejection(fails, _LENIENT_BIT, _LENIENT_NAME, _LENIENT_MAX)
-        return None, error, consistent, _FEATURES[bits]
-    features = _FEATURES[bits]
+        return None, error, consistent, features
     diagnostics = (
         tuple([text for mask, text in diags if mask & _LENIENT_BIT]) if diags else ()
     )
@@ -1297,17 +1295,17 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
         lanes, maxes, era_checked, name = _reader(era_profile(era))  # type: ignore[arg-type]
     if not toks:
         raise _error(_K.EMPTY_INPUT, 0, "no tokens to parse")
-    alive, total, elliptic, closed, fails, diags, bits = _walk(
+    alive, total, elliptic, closed, fails, diags, features = _walk(
         _codes(toks), lanes, maxes, maxes[0]
     )
     # One lane: it accepts with one reading or fails once.
     if elliptic:
-        total, bits = closed, bits | _F_ELLIPTIC
+        total = closed
     elif not alive:
         _, kind, position, message = fails[0]
         raise _error(kind, position, message, name, maxes[0])
     diagnostics = tuple([text for _, text in diags]) if diags else ()
-    return _outcome(total, era_checked, _FEATURES[bits], diagnostics, toks)
+    return _outcome(total, era_checked, features, diagnostics, toks)
 
 
 def parse_text(

@@ -14,7 +14,7 @@ reading shares with readings of other texts is built once per process:
 _read_span takes its era tuple from a table indexed by the mask of
 accepting lanes, and _read keeps each tuple's era-set key in _ERA_SETS.
 Seven lanes allow 2**7 masks, so _ERA_SETS is bounded by construction.
-_read_span reads the walk's masks and feature bits itself, one frame below
+_read_span reads the walk's masks and features itself, one frame below
 _read, and builds a diagnostics tuple only for a span that has any.
 
 scan_text builds its records through core's positional builder, which fills

@@ -8,6 +8,7 @@ from hannum import (
     CHRONOLOGY,
     Era,
     NumeralParseError,
+    ParseErrorKind,
     RenderOptions,
     classify,
     feature_profile,
@@ -216,3 +217,29 @@ class TestFeatureProfile:
     def test_unknown_character_still_raises(self):
         with pytest.raises(NumeralParseError):
             feature_profile("三犬")
+
+
+class TestStrSequence:
+    """A sequence of str reads as tokenize and parse_text read it: as the
+    string of its items."""
+
+    @pytest.mark.parametrize(
+        "items", [["一", "十"], ("一", "百", "五"), ["一", " ", "\t", "", "十"],
+                  list("十有五"), list("兩十")],
+    )
+    def test_reads_like_the_string(self, items):
+        text = "".join(items)
+        assert classify(items).as_dict() == classify(text).as_dict()
+        assert feature_profile(items) == feature_profile(text)
+
+    @pytest.mark.parametrize("read", [classify, feature_profile])
+    def test_non_graph_item_at_its_index(self, read):
+        with pytest.raises(NumeralParseError) as info:
+            read(["一", "x"])
+        assert info.value.kind is ParseErrorKind.UNKNOWN_CHARACTER
+        assert info.value.position == 1
+
+    def test_whitespace_items_alone(self):
+        with pytest.raises(NumeralParseError) as info:
+            classify([" ", "\n"])
+        assert info.value.kind is ParseErrorKind.EMPTY_INPUT

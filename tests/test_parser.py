@@ -6,6 +6,7 @@ import itertools
 import json
 from dataclasses import fields, replace
 from enum import Enum
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,7 @@ from hannum import (
     TwoStyle,
     classify,
     digit,
+    feature_profile,
     parse,
     parse_text,
     pivot,
@@ -184,11 +186,23 @@ class TestParseValues:
         ids=["ints", "graph", "unhashable", "object", "one-int", "morpheme-int"],
     )
     def test_non_morpheme_message(self, tokens):
-        # Codes are read through a table of morphemes; what misses it is
-        # read by its code attribute, and a token without one raises this.
+        # Codes are read through a table of morphemes, and what misses it
+        # raises this.
         with pytest.raises(TypeError, match="^parse expects a sequence of "
                            "numeral Morphemes$"):
             parse(tokens)
+
+    @pytest.mark.parametrize("code", [5, 300])
+    @pytest.mark.parametrize("before", [(), (digit(1),)], ids=["alone", "second"])
+    def test_code_attribute_is_no_morpheme(self, code, before):
+        # The morpheme table is the only source of codes: an object that
+        # merely has a code attribute is neither read as that code nor
+        # turned into a bare ValueError by a code above 255.
+        tokens = [*before, SimpleNamespace(code=code)]
+        for read in (parse, classify, feature_profile):
+            with pytest.raises(TypeError, match="^parse expects a sequence of "
+                               "numeral Morphemes$"):
+                read(tokens)
 
     def test_single_tokens(self):
         assert parse((LING,)).value == 0

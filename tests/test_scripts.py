@@ -38,6 +38,17 @@ def test_code_lines_counts_main(capsys):
     assert total.split() == ["4", "total"]
 
 
+def test_output_digest_is_repeatable(capsys):
+    # Two runs in one process, the second on warm memos, print the same line.
+    digest = _load("output_digest")
+    assert digest.main([]) == 0
+    first = capsys.readouterr().out
+    assert digest.main([]) == 0
+    assert capsys.readouterr().out == first
+    hexdigest, count, unit = first.split()
+    assert len(hexdigest) == 64 and int(count) == len(digest.runs()) and unit == "runs"
+
+
 class TestBenchPairs:
     """The statistics of scripts/bench_pairs.py on fixed numbers."""
 

@@ -299,6 +299,41 @@ class TestCharmapFastPath:
             _assert_codes(a + b, ScriptHint.HAN)
 
 
+_SPACES_ODD = [c for c in _ODD if c.isspace()]
+
+
+class TestHanReadOffTheBytes:
+    """Han text with whitespace or a character outside the inventory is
+    read off the same charmap bytes as text of graphs alone; it must agree
+    with the per-character reference and hand its codes to parse."""
+
+    @pytest.mark.parametrize("odd", _ODD)
+    @pytest.mark.parametrize("space", _SPACES_ODD)
+    def test_space_and_odd_at_every_pair_of_offsets(self, space, odd):
+        for numeral in (_NUMERALS[1], _NUMERALS[5]):
+            for at in range(len(numeral) + 1):
+                spaced = numeral[:at] + space + numeral[at:]
+                for k in range(len(spaced) + 1):
+                    text = spaced[:k] + odd + spaced[k:]
+                    for hint in (ScriptHint.AUTO, ScriptHint.HAN):
+                        _assert_same(text, hint, False)
+
+    @pytest.mark.parametrize(
+        "text", [" ", "\t\n", "\u3000 \x85", "\x00", "\x00\x00", " \x00\t", "\x00 一"]
+    )
+    @pytest.mark.parametrize("hint", [ScriptHint.AUTO, ScriptHint.HAN])
+    def test_whitespace_and_nul_only(self, text, hint):
+        _assert_same(text, hint, False)
+
+    def test_codes_handed_to_parse(self):
+        for numeral in _NUMERALS:
+            for at in range(len(numeral) + 1):
+                for k in range(at, len(numeral) + 1):
+                    text = f"{numeral[:at]} {numeral[at:k]}\t{numeral[k:]}"
+                    for hint in (ScriptHint.AUTO, ScriptHint.HAN):
+                        _assert_codes(text, hint)
+
+
 class TestSingleTokens:
     """itemgetter of one key gives the value, not a 1-tuple: a one-token
     expression must still read as its one written form."""
