@@ -1128,7 +1128,7 @@ def _ambiguous(total: int, unit: int, elliptic: int) -> str:
 
 def _walk(
     codes: bytes, L: _Lanes, maxes: tuple[int, ...], floor: int
-) -> tuple[int, int, int, int, _Failures, list[tuple[int, str]], int]:
+) -> tuple[int, int, int, int, _Failures, list[tuple[int, str]], Features]:
     """Read codes under every lane of L, one myriad group at a time; maxes
     holds each lane's ceiling, and floor the lowest of them.
 
