@@ -12,9 +12,10 @@ mask. Eras are treated as grammars, not as probability models: the result
 is a consistency set, never a likelihood.
 
 classify builds its verdicts and its report through core's positional
-builder, which fills their slots directly and keeps the verdict's
-exactly-one-of check; the public constructors stay the dataclass ones, so a
-caller that builds, copies or replaces a record sees no change.
+builder, which stores their fields with plain slot stores on a same-layout
+twin, then sets the record's class, and keeps the verdict's exactly-one-of
+check; the public constructors stay the dataclass ones, so a caller that
+builds, copies or replaces a record sees no change.
 """
 
 from __future__ import annotations
@@ -31,16 +32,20 @@ from .core import (
 from .parse import (
     _CONSISTENT,
     _FAN_OUT,
+    _HANDOFF,
     Features,
     NumeralParseError,
     ParseErrorKind,
+    _codes,
     _error,
     _error_dict,
     _rejection,
     _walk_all,
-    parse,
     tokenize,
 )
+
+# Unused here; a traced run of bench/spans.py wraps it by this name.
+from .parse import parse  # noqa: F401
 
 __all__ = [
     "EraVerdict",
@@ -138,13 +143,30 @@ _report = _builder(EraConsistencyReport)
 
 
 def _coerce_tokens(source: object) -> tuple[Morpheme, ...]:
+    """The tokens of source, as classify and feature_profile read it.
+
+    A sequence whose first item is a str is tokenized; any other is taken as
+    tokens, and their codes go over to the walk as the tokenizer's do, so
+    they are read once. A sequence that mixes str with morphemes, in either
+    order, is one TypeError that names the argument source.
+    """
     if isinstance(source, str):
         return tokenize(source)
     toks = tuple(getattr(source, "tokens", source))
     if not toks:
         raise _error(ParseErrorKind.EMPTY_INPUT, 0, "no tokens to classify")
-    if isinstance(toks[0], str):
-        return tokenize(toks)
+    try:
+        if isinstance(toks[0], str):
+            return tokenize(toks)
+        _HANDOFF[0] = (toks, _codes(toks))
+    except TypeError:
+        held = {t.__class__ for t in toks}
+        if str in held and Morpheme in held:
+            raise TypeError(
+                "source must be text, a sequence of str or a sequence of "
+                "numeral Morphemes, not a sequence that mixes str and Morpheme"
+            ) from None
+        raise
     return toks
 
 
@@ -218,12 +240,7 @@ def feature_profile(source: object) -> Features:
 
     Uses the lenient parse's features when the lenient grammar accepts the
     sequence; otherwise falls back to raw token presence flags, with elliptic
-    False because ellipsis is a reading, not a token.
+    False because ellipsis is a reading, not a token. Both come from the one
+    walk of classify, which reports the lenient lane's features.
     """
-    toks = _coerce_tokens(source)
-    try:
-        return parse(toks, None).features
-    except NumeralParseError:
-        # The walk of every grammar gives the token flags where the lenient
-        # grammar rejects.
-        return _walk_all(toks)[6]
+    return _walk_all(_coerce_tokens(source))[6]

@@ -18,7 +18,8 @@ no further rank is ever needed below 10^12, and none exists in the table.
 Era and Script hash by identity, so the era- and script-keyed tables of
 every module are read at C speed. _builder gives the other modules a
 positional constructor for their frozen result records that fills the slots
-directly, for their hot paths; the public constructors stay the dataclass
+with plain stores on a same-layout twin class and then gives the record its
+own class, for their hot paths; the public constructors stay the dataclass
 ones, with their defaults and checks, so a caller that builds, copies,
 pickles or replaces a record sees no change.
 
@@ -72,21 +73,35 @@ class NonGenerableMorpheme(ValueError):
 def _builder(cls: type, invalid: str = "") -> Callable[..., Any]:
     """A positional constructor for the frozen slotted dataclass cls.
 
-    It takes every field in order, with no defaults, makes the instance
-    with object.__new__ and stores each field through its slot descriptor:
-    the frozen __init__ instead sets each field by name through
-    object.__setattr__. The record is the one the dataclass constructor
-    builds from the same values. invalid is an expression over the field
-    names that holds when the values break the class's __post_init__
-    check; the builder then calls __post_init__, so the check raises its
-    own error.
+    It takes every field in order, with no defaults. It makes the instance
+    as a twin class with cls's slots and no __setattr__, stores each field
+    with a plain attribute store, which the interpreter turns into a slot
+    store, and then sets its __class__ to cls, which CPython allows between
+    classes of one slot layout. The frozen __init__ instead sets each field
+    by name through object.__setattr__. The record is the one the
+    dataclass constructor builds from the same values. invalid is an
+    expression over the field names that holds when the values break the
+    class's __post_init__ check; the builder then calls __post_init__, so
+    the check raises its own error.
+
+    A class whose __slots__ are not exactly its field names, in order, or
+    whose layout differs from the twin's (say, through a base with a
+    __dict__), is a TypeError here, when the builder is made, not when it
+    first builds.
     """
     names = [f.name for f in fields(cls)]
-    scope: dict[str, Any] = {"_new": object.__new__, "_cls": cls}
-    body = ["    self = _new(_cls)"]
-    for name in names:
-        scope[f"_set_{name}"] = getattr(cls, name).__set__
-        body.append(f"    _set_{name}(self, {name})")
+    slots = vars(cls).get("__slots__")
+    if slots is None or tuple(slots) != tuple(names):
+        raise TypeError(
+            f"_builder needs a slotted dataclass whose __slots__ are its "
+            f"fields {tuple(names)}; {cls.__name__} has __slots__ {slots!r}"
+        )
+    twin = type(f"_{cls.__name__}Twin", (), {"__slots__": slots})
+    object.__new__(twin).__class__ = cls  # TypeError if the layouts differ
+    scope: dict[str, Any] = {"_new": object.__new__, "_twin": twin, "_cls": cls}
+    body = ["    self = _new(_twin)"]
+    body += [f"    self.{name} = {name}" for name in names]
+    body.append("    self.__class__ = _cls")
     if invalid:
         body.append(f"    if {invalid}:\n        self.__post_init__()")
     body.append("    return self")

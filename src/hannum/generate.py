@@ -39,9 +39,10 @@ operator.itemgetter over the script's table.
 
 A rendered NumeralExpression keeps the profile that rendered it, so its value
 reads the tokens back under that same profile. The renders build it through
-core's positional builder, which fills its slots directly; the public
-constructor stays the dataclass one, so a caller that builds, copies or
-replaces an expression sees no change.
+core's positional builder, which stores its fields with plain slot stores
+on a same-layout twin and then sets its class; the public constructor stays
+the dataclass one, so a caller that builds, copies or replaces an
+expression sees no change.
 """
 
 from __future__ import annotations

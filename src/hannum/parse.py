@@ -114,9 +114,10 @@ UnknownCharacter and EmptyInput, which carry character offsets into the
 source text.
 
 parse and _read_span build each ParseOutcome through core's positional
-builder, which fills its slots directly; the public constructor stays the
-dataclass one, so a caller that builds, copies or replaces an outcome sees
-no change. Errors are built the same way: every NumeralParseError that
+builder, which stores its fields with plain slot stores on a same-layout
+twin and then sets its class; the public constructor stays the dataclass
+one, so a caller that builds, copies or replaces an outcome sees no
+change. Errors are built the same way: every NumeralParseError that
 hannum raises or stores comes from _error, which makes the instance with
 ValueError.__new__ and sets its three fields without running __init__, and
 keeps each message the standard readers format. The public constructor,
@@ -148,6 +149,7 @@ from .core import (
     OneBeforeInnerMultiplicand,
     YOU,
     YouPolicy,
+    _PROFILES,
     _builder,
     digit,
     era_profile,
@@ -1292,7 +1294,11 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     elif era.__class__ is Era:
         lanes, maxes, era_checked, name = _ERA_READERS[era]  # type: ignore[index]
     else:
-        lanes, maxes, era_checked, name = _reader(era_profile(era))  # type: ignore[arg-type]
+        p = era_profile(era)  # type: ignore[arg-type]
+        # An era's own standard profile reads through that era's reader.
+        lanes, maxes, era_checked, name = (
+            _ERA_READERS[p.era] if _PROFILES.get(p.era) is p else _reader(p)
+        )
     if not toks:
         raise _error(_K.EMPTY_INPUT, 0, "no tokens to parse")
     alive, total, elliptic, closed, fails, diags, features = _walk(

@@ -17,9 +17,10 @@ Seven lanes allow 2**7 masks, so _ERA_SETS is bounded by construction.
 _read_span reads the walk's masks and features itself, one frame below
 _read, and builds a diagnostics tuple only for a span that has any.
 
-scan_text builds its records through core's positional builder, which fills
-their slots directly; the public ScanRecord constructor stays the dataclass
-one, so a caller that builds, copies or replaces a record sees no change.
+scan_text builds its records through core's positional builder, which stores
+their fields with plain slot stores on a same-layout twin and then sets their
+class; the public ScanRecord constructor stays the dataclass one, so a
+caller that builds, copies or replaces a record sees no change.
 """
 
 from __future__ import annotations

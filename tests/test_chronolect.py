@@ -1,9 +1,11 @@
 """Era-consistency classification."""
 
+import itertools
 import json
 
 import pytest
 
+import reference_walk
 from hannum import (
     CHRONOLOGY,
     Era,
@@ -11,10 +13,14 @@ from hannum import (
     ParseErrorKind,
     RenderOptions,
     classify,
+    digit,
     feature_profile,
+    parse,
+    pivot,
     render_integer,
     tokenize,
 )
+from hannum.core import MORPHEMES
 
 
 def consistent_values(report):
@@ -217,6 +223,40 @@ class TestFeatureProfile:
     def test_unknown_character_still_raises(self):
         with pytest.raises(NumeralParseError):
             feature_profile("三犬")
+
+    def test_every_short_sequence(self):
+        # Every token sequence of length 1-3: the lenient parse's features
+        # where it accepts, else the token flags with elliptic False.
+        accepted = 0
+        for n in (1, 2, 3):
+            for toks in itertools.product(MORPHEMES, repeat=n):
+                try:
+                    expected = parse(toks, None).features
+                    accepted += 1
+                except NumeralParseError:
+                    codes = [t.code for t in toks]
+                    expected = reference_walk._features(codes, False)
+                assert feature_profile(toks) == expected, toks
+        assert accepted == 1_281
+
+
+class TestMixedSequence:
+    """A sequence that mixes str with morphemes is one TypeError, whichever
+    comes first, naming the argument of the function called."""
+
+    @pytest.mark.parametrize("read", [classify, feature_profile])
+    @pytest.mark.parametrize(
+        "items",
+        [[digit(1), "一"], ["一", digit(1)], [digit(1), pivot(1), "一"]],
+        ids=["morpheme-first", "str-first", "str-last"],
+    )
+    def test_one_type_error(self, read, items):
+        with pytest.raises(TypeError) as info:
+            read(items)
+        assert str(info.value) == (
+            "source must be text, a sequence of str or a sequence of numeral "
+            "Morphemes, not a sequence that mixes str and Morpheme"
+        )
 
 
 class TestStrSequence:

@@ -24,8 +24,6 @@ def _cli_scan(tmp_path):
 @pytest.mark.parametrize(
     "owner, attr, op",
     [
-        ("hannum.chronolect", "parse",
-         lambda _: hannum.chronolect.feature_profile("一百零五")),
         ("hannum.chronolect", "tokenize", lambda _: hannum.classify("一百零五")),
         ("hannum.scan", "tokenize", lambda _: hannum.scan_text("共一百零五人")),
         ("hannum.cli", "scan_text", _cli_scan),
@@ -64,9 +62,12 @@ def test_patch_point_is_called(monkeypatch, tmp_path, capsys, owner, attr, op):
 
 
 # scan_text reads each span with parse._read_span, not with parse and
-# classify; a traced run still wraps both names in hannum.scan.
+# classify, and feature_profile reads classify's walk, not parse; a traced
+# run still wraps these names.
 @pytest.mark.parametrize(
-    "owner, attr", [("hannum.scan", "parse"), ("hannum.scan", "classify")]
+    "owner, attr",
+    [("hannum.scan", "parse"), ("hannum.scan", "classify"),
+     ("hannum.chronolect", "parse")],
 )
 def test_patch_point_is_still_bound(owner, attr):
     assert callable(getattr(importlib.import_module(owner), attr))

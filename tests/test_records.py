@@ -1,9 +1,11 @@
 """The result records built by core._builder, against the dataclass ones.
 
 parse, the renderers, classify and scan_text build their frozen records
-through a positional builder that fills the slots directly. A record built
-that way must be indistinguishable from one built by keyword, and the hot
-paths must not reach the dataclass __init__ at all.
+through a positional builder that stores the fields with plain slot stores
+on a same-layout twin class and then sets the record's own class. A record
+built that way must be indistinguishable from one built by keyword, its
+type is never the twin, and the hot paths must not reach the dataclass
+__init__ at all.
 """
 
 import copy
@@ -29,6 +31,7 @@ from hannum import (
     scan_text,
 )
 from hannum.chronolect import _report, _verdict
+from hannum.core import _builder
 from hannum.generate import _expression
 from hannum.parse import _outcome
 from hannum.scan import _record
@@ -105,6 +108,74 @@ class TestBuilderParity:
     def test_slotted(self, build, sample, exact):
         built = build(*_fields(sample))
         assert not hasattr(built, "__dict__")
+
+
+class TestBuilderLayout:
+    """_builder refuses, when it is made, a class it cannot fill through a
+    same-layout twin, and no record it builds keeps the twin's type."""
+
+    def test_unslotted_class(self):
+        @dataclasses.dataclass(frozen=True)
+        class Plain:
+            a: int
+
+        with pytest.raises(TypeError, match="Plain has __slots__ None"):
+            _builder(Plain)
+
+    def test_slots_other_than_the_fields(self):
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Base:
+            a: int
+
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Derived(Base):
+            b: int
+
+        # Derived's own slots hold b alone; its fields are a and b.
+        with pytest.raises(TypeError, match=r"fields \('a', 'b'\); Derived"):
+            _builder(Derived)
+        assert _builder(Base)(1).a == 1
+
+    def test_layout_other_than_the_slots(self):
+        class Loose:
+            pass
+
+        # Slots equal to the fields, but a __dict__ from the base: the twin
+        # has none, so CPython refuses the class change.
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class OnDict(Loose):
+            a: int
+
+        with pytest.raises(TypeError, match="layout differs"):
+            _builder(OnDict)
+
+    @pytest.mark.parametrize("build, sample, exact", _CASES)
+    def test_built_record_is_never_the_twin(self, build, sample, exact):
+        twin = build.__globals__["_twin"]
+        assert twin is not type(sample)
+        assert twin.__slots__ == type(sample).__slots__
+        assert type(build(*_fields(sample))) is type(sample)
+        assert not isinstance(build(*_fields(sample)), twin)
+
+    def test_library_records_are_never_twins(self):
+        records, _ = scan_text("共一百零五人，十十五")
+        built = [
+            _OUTCOME, _EXPRESSION, _REPORT, *_REPORT.verdicts, *records,
+            render_integer(10**9),
+            parse([hannum.digit(5)]),
+        ]
+        public = (ParseOutcome, NumeralExpression, EraVerdict, EraConsistencyReport,
+                  ScanRecord)
+        assert all(type(record) in public for record in built)
+
+    def test_verdict_check_runs_on_the_record(self, monkeypatch):
+        # The check's __post_init__ is the record's own: it runs after the
+        # builder has given the instance its class.
+        seen = []
+        monkeypatch.setattr(EraVerdict, "__post_init__", lambda self: seen.append(
+            type(self)))
+        _verdict(Era.CONTEMPORARY, None, None)
+        assert seen == [EraVerdict]
 
 
 def test_expression_profile_takes_no_part_in_equality():

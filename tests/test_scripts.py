@@ -1,6 +1,9 @@
 """Smoke tests for the scripts in scripts/."""
 
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 from hannum import scan_text
@@ -47,6 +50,22 @@ def test_output_digest_is_repeatable(capsys):
     assert capsys.readouterr().out == first
     hexdigest, count, unit = first.split()
     assert len(hexdigest) == 64 and int(count) == len(digest.runs()) and unit == "runs"
+
+
+def test_inprocess_ab_against_its_own_src():
+    # In a fresh interpreter, so hannum_base stays out of this one.
+    src = _SCRIPTS.parent / "src"
+    done = subprocess.run(
+        [sys.executable, str(_SCRIPTS / "inprocess_ab.py"), str(src),
+         "--rounds", "3", "--workload", "scan"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert re.fullmatch(
+        r"scan: base [\d.]+ us/op, change [\d.]+ us/op, ratio [\d.]+ "
+        r"over 3 rounds of 24 ops\n",
+        done.stdout,
+    )
 
 
 class TestBenchPairs:
