@@ -3,14 +3,13 @@
 
 Usage:
     python scripts/inprocess_ab.py BASE_SRC [--workload W] [--rounds N]
-        [--seed S]
 
 BASE_SRC is the src directory of another checkout, say one exported with
 `git archive`. Its hannum is imported under the package name hannum_base,
 beside this checkout's hannum; that works because hannum imports its own
 modules relatively. Each workload (all three unless --workload names one)
 builds its pool once per side with the unchanged bench/workloads.py, at
---seed (default 1). An untimed pass on each side runs every item through
+seed 1. An untimed pass on each side runs every item through
 the workload's known-answer check; a failed check, or pools whose inputs
 differ, exits 1. Then N rounds (default 20) each time one full pass of the
 pool per side, alternating which side goes first. For each workload it
@@ -84,13 +83,13 @@ def failures(wl: workloads.Workload, calls: Any) -> int:
     return failed
 
 
-def compare(name: str, base: Any, seed: int, rounds: int, docs: Path) -> bool:
+def compare(name: str, base: Any, rounds: int, docs: Path) -> bool:
     """Print one line for workload name; False when a check failed."""
     sides = []
     for label, package in (("base", base), ("change", hannum)):
         docs_dir = docs / label
         docs_dir.mkdir()
-        wl = workloads.build(name, package, seed, docs_dir)
+        wl = workloads.build(name, package, 1, docs_dir)
         sides.append((label, wl, plain_calls(package)))
     if sides[0][1].digest != sides[1][1].digest:
         print(f"{name}: the two sides built different inputs", file=sys.stderr)
@@ -121,7 +120,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("base_src", type=Path, metavar="BASE_SRC")
     ap.add_argument("--workload", choices=workloads.NAMES)
     ap.add_argument("--rounds", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
@@ -135,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             docs = Path(tmp) / name
             docs.mkdir()
-            ok = compare(name, base, args.seed, args.rounds, docs) and ok
+            ok = compare(name, base, args.rounds, docs) and ok
     return 0 if ok else 1
 
 

@@ -32,11 +32,9 @@ from .core import (
 from .parse import (
     _CONSISTENT,
     _FAN_OUT,
-    _HANDOFF,
     Features,
     NumeralParseError,
     ParseErrorKind,
-    _codes,
     _error,
     _error_dict,
     _rejection,
@@ -146,28 +144,21 @@ def _coerce_tokens(source: object) -> tuple[Morpheme, ...]:
     """The tokens of source, as classify and feature_profile read it.
 
     A sequence whose first item is a str is tokenized; any other is taken as
-    tokens, and their codes go over to the walk as the tokenizer's do, so
-    they are read once. A sequence that mixes str with morphemes, in either
-    order, is one TypeError that names the argument source.
+    tokens. A sequence that mixes str with morphemes, in either order, is
+    one TypeError that names the argument source.
     """
     if isinstance(source, str):
         return tokenize(source)
     toks = tuple(getattr(source, "tokens", source))
     if not toks:
         raise _error(ParseErrorKind.EMPTY_INPUT, 0, "no tokens to classify")
-    try:
-        if isinstance(toks[0], str):
-            return tokenize(toks)
-        _HANDOFF[0] = (toks, _codes(toks))
-    except TypeError:
-        held = {t.__class__ for t in toks}
-        if str in held and Morpheme in held:
-            raise TypeError(
-                "source must be text, a sequence of str or a sequence of "
-                "numeral Morphemes, not a sequence that mixes str and Morpheme"
-            ) from None
-        raise
-    return toks
+    held = {t.__class__ for t in toks}
+    if str in held and Morpheme in held:
+        raise TypeError(
+            "source must be text, a sequence of str or a sequence of "
+            "numeral Morphemes, not a sequence that mixes str and Morpheme"
+        )
+    return tokenize(toks) if isinstance(toks[0], str) else toks
 
 
 _YOU_NOTE = (

@@ -149,7 +149,6 @@ from .core import (
     OneBeforeInnerMultiplicand,
     YOU,
     YouPolicy,
-    _PROFILES,
     _builder,
     digit,
     era_profile,
@@ -1294,11 +1293,7 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     elif era.__class__ is Era:
         lanes, maxes, era_checked, name = _ERA_READERS[era]  # type: ignore[index]
     else:
-        p = era_profile(era)  # type: ignore[arg-type]
-        # An era's own standard profile reads through that era's reader.
-        lanes, maxes, era_checked, name = (
-            _ERA_READERS[p.era] if _PROFILES.get(p.era) is p else _reader(p)
-        )
+        lanes, maxes, era_checked, name = _reader(era_profile(era))  # type: ignore[arg-type]
     if not toks:
         raise _error(_K.EMPTY_INPUT, 0, "no tokens to parse")
     alive, total, elliptic, closed, fails, diags, features = _walk(

@@ -162,23 +162,3 @@ def test_custom_profile_lane_table_is_built_once(monkeypatch):
     assert info.value.kind is ParseErrorKind.OVERFLOW
     assert info.value.message == "value exceeds the contemporary ceiling of 1000000007"
     assert builds == []
-
-
-@pytest.mark.parametrize("era", CHRONOLOGY)
-def test_standard_profile_reads_through_its_era_reader(monkeypatch, era):
-    # An era's own profile object reads through the era's reader, so neither
-    # parse(tokens, profile) nor a rendered expression's value rebuilds the
-    # grammar key; an equal copy is a custom profile and still does.
-    parse_module = importlib.import_module("hannum.parse")
-
-    def refuse(profile):
-        raise AssertionError("_grammar was called")
-
-    monkeypatch.setattr(parse_module, "_grammar", refuse)
-    expr = render_integer(1234, era)
-    assert expr.profile is era_profile(era)
-    assert expr.value == 1234
-    assert parse(expr.tokens, era_profile(era)).value == 1234
-    assert parse(expr.tokens, era.value).value == 1234
-    with pytest.raises(AssertionError, match="_grammar was called"):
-        parse(expr.tokens, _custom(era))
