@@ -21,7 +21,10 @@ The runs:
   a letter, another space) at every pair of offsets in two numerals, and
   texts of whitespace or NUL alone;
 - the same two commands on pinyin as written, in upper case, in NFD and
-  without tone marks, the last also with parse --toneless.
+  without tone marks, the last also with parse --toneless;
+- gen --json under every era and the 36 flag sets (--two-style x
+  --you/--no-you/neither x --elliptic x --leading-ten-one) on a fixed list
+  of values around the pivots, the group boundaries and the ceilings.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ for _sub in ("src", "scripts", "bench"):
     sys.path.append(str(ROOT / _sub))
 
 import hannum.cli  # noqa: E402
+from hannum import CHRONOLOGY  # noqa: E402
 from synthetic_corpus import build_corpus  # noqa: E402
 from workloads import MALFORMED, scan_inputs  # noqa: E402
 
@@ -56,6 +60,18 @@ _PINYIN = (
     "yī yì líng wǔ bǎi wàn",
     "wǔ shí",
 )
+_GEN_VALUES = (
+    -1, 0, 1, 2, 10, 12, 15, 20, 100, 101, 110, 150, 222, 1010, 2002, 10**4,
+    10_010, 10**5, 115_000, 2 * 10**5, 10**6, 10**7, 10**8 - 1, 10**8,
+    100_010_000, 10**12 - 1, 10**12,
+)
+_GEN_FLAGS = [
+    ["--two-style", two, *you, *ell, *ten]
+    for two in ("er", "liang", "reading")
+    for you in ([], ["--you"], ["--no-you"])
+    for ell in ([], ["--elliptic"])
+    for ten in ([], ["--leading-ten-one"])
+]
 _MIX = (
     "序\r\n"
     + "，".join(surface for surface, _, _ in MALFORMED)
@@ -105,6 +121,12 @@ def runs() -> list[tuple[list[str], str | None]]:
         out.append((["parse", "--json", "--lenient", text], None))
     for text in _pinyin_texts():
         out.append((["parse", "--json", "--lenient", "--toneless", text], None))
+    for era in CHRONOLOGY:
+        for flags in _GEN_FLAGS:
+            for n in _GEN_VALUES:
+                out.append(
+                    (["gen", "--json", "--era", era.value, *flags, str(n)], None)
+                )
     return out
 
 

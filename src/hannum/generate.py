@@ -5,15 +5,19 @@ The core operation is render_integer: split the value into myriad groups
 [digit][pivot] compounds, and join groups with their outer pivots. Everything
 era-dependent comes from the EraProfile the caller passes (standard or
 custom), resolved once per render, together with the options, into a few
-group rules; each group is rendered, and cached, from those rules alone:
+group rules by _rules, which also refuses the styles the profile lacks;
+each group is rendered, and cached, from those rules alone:
 
 * gap marking: in ling-required eras exactly one Ling precedes an emitted
   digit whose rank is not one below the preceding pivot's rank, no matter how
   many zero digits the gap spans, within a group or across groups; in earlier
   eras gaps are plain juxtaposition;
-* [1] before pivots: omitted at the head, required everywhere, or required
-  except before a numeral-initial ten, with the compound [10^k][10^4] class
-  kept bare where the era demands it;
+* [1] before pivots: written before every pivot but the numeral's first;
+  before that one, the head, parse's [1] rule (_one_rule) decides for each
+  of its head slots (a ten, a higher pivot, either as an outer pivot's sole
+  multiplier, an outer pivot alone). [1] is written where the rule rejects
+  its omission, or where leading_ten_one asks for it and the rule accepts
+  it, so the renderer and the reader read one rule;
 * the conjunction You at hundreds-tens and tens-units junctions;
 * the liang variant of 2 where the whole multiplier of a pivot >= 10^2 is 2;
 * elliptic names that drop a final inner pivot recoverable from the digit
@@ -33,7 +37,7 @@ and the era. A custom profile, an era name or elliptic options take no plan.
 A plain int of one or two groups within the plan's ceiling is read straight
 from the group memo, its groups' tuples concatenated; every other value, and
 a group not yet in the memo, goes through _render_full, which checks the
-value, then the style, in that order, and concatenates its groups' tuples
+value, then a banned You, in that order, and concatenates its groups' tuples
 the same way. text() reads each token's written form with one
 operator.itemgetter over the script's table.
 
@@ -48,6 +52,7 @@ expression sees no change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from operator import itemgetter as _itemgetter
 
 from .core import (
@@ -73,7 +78,7 @@ from .core import (
     pivot,
     surface,
 )
-from .parse import parse
+from .parse import _HIGH, _OUTER, _SOLE_HIGH, _SOLE_TEN, _TEN, _one_rule, parse
 
 __all__ = [
     "AllZeroAmount",
@@ -294,16 +299,30 @@ def unit_word(text: "str | UnitWord") -> UnitWord:
 _LING_ON = 1  # one Ling per rank gap
 _YOU_ON = 2  # You at hundreds-tens, tens-units and hundreds-units junctions
 _LIANG_ON = 4  # liang for a 2 that is the whole multiplier of a pivot >= 10^2
-_HEAD_ONE = 8  # [1] before the numeral's first pivot above ten
-_HEAD_TEN_ONE = 16  # [1] before a numeral-initial ten
-_BARE_SOLE = 32  # no [1] before the first group's sole inner multiplier
+# [1] before the numeral's first pivot: one bit per head slot of parse's [1]
+# rule, set where the renderer writes it; slot s is bit _SLOT_ONE << s // 2.
+_SLOT_ONE = 8
+# The head bits of each pairing of the two [1] policies and leading_ten_one:
+# [1] is written where the rule rejects its omission, or where
+# leading_ten_one asks for it and the rule accepts it.
+_HEAD_ONES = {
+    (lead, inner, ten_one): sum(
+        _SLOT_ONE << slot // 2
+        for slot in (_TEN, _HIGH, _SOLE_TEN, _SOLE_HIGH, _OUTER)
+        if _one_rule(lead, inner, slot, False)
+        or ten_one and not _one_rule(lead, inner, slot, True)
+    )
+    for lead, inner, ten_one in product(
+        LeadingOnePolicy, OneBeforeInnerMultiplicand, (False, True)
+    )
+}
 # Not rules: the options demand You where the profile forbids it.
 # _render_full raises for it once the value has passed its checks.
 _YOU_BANNED = -1
 
 # The rendered groups, keyed by _render_full's packed (coefficient, rules,
-# scale, previous scale). Past _GROUP_MEMO entries new groups are rendered
-# every time and not stored.
+# scale, previous scale); the rules take 8 bits, so keys stay below 2^30.
+# Past _GROUP_MEMO entries new groups are rendered every time and not stored.
 _GROUP_MEMO = 1 << 18
 _group_memo: dict[int, tuple[Morpheme, ...]] = {}
 
@@ -322,6 +341,8 @@ def _group_tokens(
     d2, rem = divmod(rem, 100)
     d1, d0 = divmod(rem, 10)
     sole = scale and not d0 and (d3 > 0) + (d2 > 0) + (d1 > 0) == 1
+    # The head slots of a ten and of a higher pivot as the first term here.
+    ten, high = (_SOLE_TEN, _SOLE_HIGH) if sole else (_TEN, _HIGH)
     # Exponents count from this group's scale, and the previous group's outer
     # pivot is the term before the first one, so a gap across groups takes one
     # Ling just like a gap inside a group. None: the numeral's first term.
@@ -338,13 +359,11 @@ def _group_tokens(
         # The pivot this digit multiplies: its own, or the outer pivot when
         # the digit is the group's whole coefficient.
         mult = exp or (scale if coeff < 10 else 0)
-        # [1] is written before every pivot except the numeral's first, which
-        # the head rules decide unless it is a bare sole inner multiplicand.
+        # [1] is written before every pivot except the numeral's first, whose
+        # head slot's bit decides, as parse's [1] rule names the slots.
         if d == 1 and mult:
-            if prev_exp is not None or (
-                not (sole and rules & _BARE_SOLE)
-                and rules & (_HEAD_TEN_ONE if mult == 1 else _HEAD_ONE)
-            ):
+            slot = _OUTER if not exp else ten if exp == 1 else high
+            if prev_exp is not None or rules & _SLOT_ONE << slot // 2:
                 out.append(digit(1))
         elif d == 2 and mult >= 2 and rules & _LIANG_ON:
             out.append(LIANG)
@@ -358,36 +377,14 @@ def _group_tokens(
     return tuple(out)
 
 
-def _rules(profile: EraProfile, opts: RenderOptions) -> int:
-    """The group rules of one render, or _YOU_BANNED."""
-    policy = profile.you_policy
-    if policy is YouPolicy.FORBIDDEN:
-        if opts.use_you:
-            return _YOU_BANNED
-        rules = 0
-    elif opts.use_you is None:
-        rules = _YOU_ON if policy is YouPolicy.OPTIONAL_DEFAULT_ON else 0
-    else:
-        rules = _YOU_ON if opts.use_you else 0
-    lead = profile.leading_one_policy
-    if profile.ling_policy is LingPolicy.REQUIRED:
-        rules |= _LING_ON
-    if opts.two_style is TwoStyle.PREFER_LIANG:
-        rules |= _LIANG_ON
-    if lead is not LeadingOnePolicy.OMIT_BEFORE_HIGHEST:
-        rules |= _HEAD_ONE
-    if lead is LeadingOnePolicy.REQUIRED_ALL or (
-        lead is LeadingOnePolicy.REQUIRED_EXCEPT_LEADING_TEN and opts.leading_ten_one
-    ):
-        rules |= _HEAD_TEN_ONE
-    if profile.inner_multiplicand_one is OneBeforeInnerMultiplicand.OMIT:
-        rules |= _BARE_SOLE
-    return rules
+def _rules(profile: EraProfile, opts: RenderOptions, elliptic: bool = False) -> int:
+    """The group rules of one render, or _YOU_BANNED.
 
-
-def _check_style(
-    profile: EraProfile, opts: RenderOptions, elliptic: bool
-) -> None:
+    Every renderer resolves its profile and options here, in one call. The
+    style checks come first: StyleNotAllowed where the options ask for
+    liang, or elliptic is set for an elliptic name, and the profile has
+    none. The head's [1] bits are _HEAD_ONES's, read off parse's [1] rule.
+    """
     if opts.two_style is not TwoStyle.ALWAYS_ER and not profile.liang_allowed:
         raise StyleNotAllowed(
             f"the liang variant of 2 is not part of {profile.era.value} numerals"
@@ -396,6 +393,18 @@ def _check_style(
         raise StyleNotAllowed(
             f"elliptic names are not part of {profile.era.value} numerals"
         )
+    you = opts.use_you
+    if you is None:
+        you = profile.you_policy is YouPolicy.OPTIONAL_DEFAULT_ON
+    elif you and profile.you_policy is YouPolicy.FORBIDDEN:
+        return _YOU_BANNED
+    rules = _YOU_ON if you else 0
+    if profile.ling_policy is LingPolicy.REQUIRED:
+        rules |= _LING_ON
+    if opts.two_style is TwoStyle.PREFER_LIANG:
+        rules |= _LIANG_ON
+    ones = profile.leading_one_policy, profile.inner_multiplicand_one
+    return rules | _HEAD_ONES[(*ones, bool(opts.leading_ten_one))]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +434,6 @@ def render_integer(
         profile = era_profile(era)
         if opts.elliptic:
             return render_elliptic(n, profile, opts)
-        _check_style(profile, opts, False)
         rules = _rules(profile, opts)
         ceiling = 0 if rules == _YOU_BANNED else min(profile.max_value, 10**8 - 1)
         plan = opts, profile, rules, ceiling, profile.era
@@ -437,16 +445,16 @@ def render_integer(
     # takes the full render with its checks in their order.
     if n.__class__ is int and 0 < n <= ceiling:
         if n < 10**4:
-            group = _group_memo.get((n << 6 | rules) << 8)
+            group = _group_memo.get((n << 8 | rules) << 8)
             if group is not None:
                 return _expression(group, era, False, profile)
         else:
             high, low = divmod(n, 10**4)
-            group = _group_memo.get((high << 6 | rules) << 8 | 64)
+            group = _group_memo.get((high << 8 | rules) << 8 | 64)
             if group is not None:
                 if not low:
                     return _expression(group, era, False, profile)
-                tail = _group_memo.get((low << 6 | rules) << 8 | 4)
+                tail = _group_memo.get((low << 8 | rules) << 8 | 4)
                 if tail is not None:
                     return _expression(group + tail, era, False, profile)
     return _render_full(n, profile, rules)
@@ -479,7 +487,7 @@ def _render_full(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
     prev_scale: int | None = None
     for coeff, scale in ((g8, 8), (g4, 4), (g0, 0)):
         if coeff:
-            key = (coeff << 6 | rules) << 8 | scale << 4 | (prev_scale or 0)
+            key = (coeff << 8 | rules) << 8 | scale << 4 | (prev_scale or 0)
             group = _group_memo.get(key)
             if group is None:
                 group = _group_tokens(rules, coeff, scale, prev_scale)
@@ -502,8 +510,7 @@ def render_elliptic(
     the rank said before the digit.
     """
     profile = era_profile(era)
-    _check_style(profile, opts, True)
-    full = _render_full(n, profile, _rules(profile, opts))
+    full = _render_full(n, profile, _rules(profile, opts, True))
     t = full.tokens
     if (
         len(t) < 3
@@ -539,10 +546,10 @@ def render_quantity(
         opts = DEFAULT_OPTIONS
     if opts.elliptic:
         raise StyleNotAllowed("elliptic numerals cannot be incorporated before a classifier")
-    _check_style(profile, opts, False)
+    rules = _rules(profile, opts)
     clf = unit_word(classifier)
     render = _render_full if clf.traditional in ("兩", "两") else _counted
-    return NumeralPhrase(items=(render(n, profile, _rules(profile, opts)), clf))
+    return NumeralPhrase(items=(render(n, profile, rules), clf))
 
 
 def render_ordinal(
@@ -554,7 +561,7 @@ def render_ordinal(
     profile = era_profile(era)
     if profile.era is not Era.CONTEMPORARY:
         raise StyleNotAllowed("ordinals are rendered in the contemporary profile only")
-    if n < 1:
+    if _integer(n) < 1:
         raise ValueOutOfRange(f"ordinal positions start at 1, got {n}")
     num = render_integer(n, profile)  # AlwaysEr in every slot
     items = (DI, num) if with_prefix else (num,)
@@ -569,11 +576,11 @@ def render_currency(
     With terse=True the final word fen is dropped where it is unambiguous:
     after a jiao compound or after the linking Ling.
     """
-    if yuan < 0:
+    if _integer(yuan) < 0:
         raise ValueOutOfRange(f"yuan must be non-negative, got {yuan}")
-    if not 0 <= jiao <= 9:
+    if not 0 <= _integer(jiao) <= 9:
         raise ValueOutOfRange(f"jiao must be a single digit, got {jiao}")
-    if not 0 <= fen <= 9:
+    if not 0 <= _integer(fen) <= 9:
         raise ValueOutOfRange(f"fen must be a single digit, got {fen}")
     if yuan == 0 and jiao == 0 and fen == 0:
         raise AllZeroAmount("a currency amount needs at least one non-zero component")
@@ -596,13 +603,21 @@ def render_currency(
 
 def render_duration(years: int, months: int) -> NumeralPhrase:
     """Render "N years and M months"; the idiom requires Ling at the junction."""
-    if years < 1:
+    if _integer(years) < 1:
         raise ValueOutOfRange(f"years must be at least 1, got {years}")
-    if not 1 <= months <= 11:
+    if not 1 <= _integer(months) <= 11:
         raise MonthOutOfRange(f"months must lie in 1..11, got {months}")
     return NumeralPhrase(
         items=(_component(years), NIAN, LING, _component(months), GE, YUE)
     )
+
+
+def _integer(n: object) -> int:
+    """n if it is an int, checked before the callers compare it, so that any
+    other type is a ValueOutOfRange as in render_integer; None is not 0."""
+    if not isinstance(n, int):
+        raise ValueOutOfRange(f"expected a non-negative integer, got {n!r}")
+    return n
 
 
 def _counted(n: int, profile: EraProfile, rules: int) -> NumeralExpression:

@@ -35,7 +35,7 @@ such check is a mask, built once per lane table, of the lanes it applies
 to. Which eras lack which morphemes (you, ling, liang, dan and its variant
 ling) is one such mask per token code, checked before anything else on
 each token; the [1] rule is one list of masks per slot, built from
-_one_rule. A check that fires records one failure, (lanes, kind, position,
+_one_rule, which the renderer also reads to decide the numeral's first [1]. A check that fires records one failure, (lanes, kind, position,
 message), for the lanes it hits and drops them from the alive mask. A
 failure keeps that one shape from a group's memoized reading to every
 reader: the walk answers with two masks of accepting lanes (the unit
@@ -596,7 +596,8 @@ def _group_bits(g: bytes, first: bool) -> int:
 # The slots of the [1] rule: the numeral's first term as a ten or a higher
 # inner pivot, either of those as an outer pivot's sole multiplier, or an
 # outer pivot; and any later pivot. _Lanes.one[slot + written] is a slot's
-# rule with [1] omitted or written.
+# rule with [1] omitted or written. generate reads the same rule for the
+# head slots, so the renderer writes [1] only where the reader accepts it.
 _TEN, _HIGH, _SOLE_TEN, _SOLE_HIGH, _OUTER, _LATER = range(0, 12, 2)
 
 

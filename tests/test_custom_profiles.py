@@ -15,6 +15,7 @@ from hannum import (
     NumeralExpression,
     NumeralParseError,
     ParseErrorKind,
+    RenderOptions,
     parse,
     render_integer,
 )
@@ -85,7 +86,10 @@ def test_custom_profile_examples(name, n, text):
 
 # Values whose later group's whole coefficient is 10, 100 or 1000, among
 # others: under an inner-multiplicand-OMIT profile only the numeral's first
-# group may write that multiplier bare.
+# group may write that multiplier bare. Their first terms fill every head
+# slot of the [1] rule: a ten (10), a higher pivot (100), the sole ten or
+# higher pivot of an outer pivot (10 x 10^4, 100 x 10^4) and an outer pivot
+# alone (10^4, 10^8).
 SOLE_VALUES = sorted({
     a * 10**8 + b * 10**4 + c
     for a in (0, 1, 10, 100, 1000, 2001)
@@ -97,16 +101,18 @@ SOLE_VALUES = sorted({
 @pytest.mark.parametrize("era", CHRONOLOGY)
 @pytest.mark.parametrize("lead", LeadingOnePolicy)
 @pytest.mark.parametrize("inner", OneBeforeInnerMultiplicand)
-def test_every_one_policy_round_trips_later_groups(era, lead, inner):
+@pytest.mark.parametrize("leading_ten_one", [False, True])
+def test_every_one_policy_round_trips_later_groups(era, lead, inner, leading_ten_one):
     profile = _custom(
         era,
         leading_one_policy=lead,
         inner_multiplicand_one=inner,
         max_value=10**12 - 1,
     )
+    opts = RenderOptions(leading_ten_one=leading_ten_one)
     for n in SOLE_VALUES:
         try:
-            expr = render_integer(n, profile)
+            expr = render_integer(n, profile, opts)
         except RenderError:
             continue
         assert parse(expr.tokens, profile).value == n, (n, expr.text())

@@ -471,6 +471,34 @@ class TestDuration:
         assert str(info.value) == "years must be at least 1, got 0"
 
 
+class TestNonNumericInput:
+    # Each renderer checks the type before it compares, so a value that is
+    # not an int is the ValueOutOfRange that render_integer raises for it,
+    # never a comparison TypeError, and None is not read as 0.
+    @pytest.mark.parametrize("bad", ["x", None])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda bad: render_ordinal(bad),
+            lambda bad: render_currency(bad),
+            lambda bad: render_currency(1, bad),
+            lambda bad: render_duration(bad, 1),
+            lambda bad: render_duration(1, bad),
+            lambda bad: render_integer(bad),
+            lambda bad: render_elliptic(bad),
+            lambda bad: render_quantity(bad, "個"),
+        ],
+        ids=[
+            "ordinal", "currency-yuan", "currency-jiao", "duration-years",
+            "duration-months", "integer", "elliptic", "quantity",
+        ],
+    )
+    def test_raises_value_out_of_range(self, call, bad):
+        with pytest.raises(ValueOutOfRange) as info:
+            call(bad)
+        assert str(info.value) == f"expected a non-negative integer, got {bad!r}"
+
+
 class TestUnitWord:
     def test_idempotent(self):
         w = unit_word("個")

@@ -1,16 +1,33 @@
-"""A sha256 pin over render outcomes: every standard era, every option set.
+"""sha256 pins over render outcomes.
 
-Each case records either the expression (every script's text, the elliptic
-flag and the era) or the exception it raised (class and message), so the
-pin also fixes which error wins when several apply.
+- render_integer under every standard era and every option set;
+- render_integer under the 48 era x [1]-policy custom profiles, with and
+  without leading_ten_one;
+- render_elliptic and render_quantity over profiles and options that break
+  several rules at once.
+
+Each case records either the result (every script's text, and for
+render_integer the elliptic flag and the era) or the exception it raised
+(class and message), so the pins also fix which error wins when several
+apply.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import random
 
-from hannum import CHRONOLOGY, RenderOptions, Script, TwoStyle, render_integer
-from hannum.core import era_profile
+from hannum import (
+    CHRONOLOGY,
+    Era,
+    RenderOptions,
+    Script,
+    TwoStyle,
+    render_elliptic,
+    render_integer,
+    render_quantity,
+)
+from hannum.core import LeadingOnePolicy, OneBeforeInnerMultiplicand, era_profile
 from hannum.generate import RenderError
 
 # The 36 option sets: two_style x use_you x elliptic x leading_ten_one.
@@ -41,13 +58,19 @@ VALUES = [
 GOLDEN = "ab4818bc527c7771537be8a140b01a7e8fca7e59ff5a38a0533cc5ad513a330a"
 
 
-def _outcome(n, era, opts) -> str:
+def _outcome(n, era, opts, render=render_integer) -> str:
     try:
-        expr = render_integer(n, era, opts)
+        expr = render(n, era, opts)
     except RenderError as exc:
         return f"{type(exc).__name__}: {exc}"
     texts = " | ".join(expr.text(s) for s in Script)
+    if render is not render_integer:
+        return texts
     return f"{texts} | {expr.elliptic} {expr.era.value}"
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def test_render_outcomes_pinned():
@@ -59,5 +82,71 @@ def test_render_outcomes_pinned():
         for n in VALUES
     ]
     assert len(lines) == len(CHRONOLOGY) * 36 * len(VALUES)
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == GOLDEN
+    assert _digest(lines) == GOLDEN
+
+
+# Every era under each pairing of the two [1] policies, its ceiling raised
+# to the largest pivot's reach so that every group of VALUES renders.
+CUSTOM_PROFILES = [
+    dataclasses.replace(
+        era_profile(era),
+        leading_one_policy=lead,
+        inner_multiplicand_one=inner,
+        max_value=10**12 - 1,
+    )
+    for era in CHRONOLOGY
+    for lead in LeadingOnePolicy
+    for inner in OneBeforeInnerMultiplicand
+]
+
+# sha256 of the listing below, taken from the renderer that read the two
+# [1] policies into head bits of its own, before it read parse's [1] rule.
+CUSTOM_GOLDEN = "f34fd2e5fbbbe395f67ba303cadad023d05559b3eeb3ea89a98806b8ba73e118"
+
+
+def test_custom_profile_outcomes_pinned():
+    assert len(CUSTOM_PROFILES) == 48
+    lines = [
+        _outcome(n, profile, RenderOptions(leading_ten_one=ten))
+        for profile in CUSTOM_PROFILES
+        for ten in (False, True)
+        for n in VALUES
+    ]
+    assert _digest(lines) == CUSTOM_GOLDEN
+
+
+_CONTEMPORARY = era_profile(Era.CONTEMPORARY)
+ERROR_PROFILES = [
+    _CONTEMPORARY,
+    era_profile(Era.SONG_QIN),
+    dataclasses.replace(_CONTEMPORARY, liang_allowed=False),
+    dataclasses.replace(_CONTEMPORARY, elliptic_allowed=False),
+]
+ERROR_VALUES = [-1, "x", 0, 2, 3, 150, 10**12]
+
+
+def _quantity(classifier):
+    return lambda n, profile, opts: render_quantity(n, classifier, profile, opts)
+
+
+# sha256 of the listing below, taken from the renderers that checked the
+# style in a function of its own, apart from resolving the group rules.
+ERROR_ORDER_GOLDEN = "2823c7d0677541735930c72e2bebe704cb1b8c93605ee3791be481cd9bf0937e"
+
+
+def test_elliptic_and_quantity_error_order_pinned():
+    option_sets = [
+        RenderOptions(two_style=two, use_you=you, elliptic=ell)
+        for two, you, ell in itertools.product(
+            TwoStyle, (None, False, True), (False, True)
+        )
+    ]
+    lines = [
+        _outcome(n, profile, opts, render)
+        for render in (render_elliptic, _quantity("個"), _quantity("兩"))
+        for profile in ERROR_PROFILES
+        for opts in option_sets
+        for n in ERROR_VALUES
+    ]
+    assert len(lines) == 3 * 4 * 18 * 7
+    assert _digest(lines) == ERROR_ORDER_GOLDEN
