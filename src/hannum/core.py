@@ -15,8 +15,9 @@ pivots) and 10^4, 10^8 (outer pivots). Numbers are named by myriads: each
 outer pivot takes a coefficient of 1..9999 built from the inner pivots, so
 no further rank is ever needed below 10^12, and none exists in the table.
 
-Era and Script hash by identity, so the era- and script-keyed tables of
-every module are read at C speed. _builder gives the other modules a
+Every enum in hannum derives from _Enum, whose members hash by identity,
+so the tables of every module keyed by an era, a script, a policy or a
+tuple of them are read at C speed. _builder gives the other modules a
 positional constructor for their frozen result records that fills the slots
 with plain stores on a same-layout twin class and then gives the record its
 own class, for their hot paths; the public constructors stay the dataclass
@@ -111,6 +112,16 @@ def _builder(cls: type, invalid: str = "") -> Callable[..., Any]:
     return build
 
 
+class _Enum(Enum):
+    """The base of every enum in hannum.
+
+    Members are singletons that compare by identity: they hash by identity
+    too, in C, rather than by Enum's Python-level hash of the name.
+    """
+
+    __hash__ = object.__hash__
+
+
 RANK_EXPONENTS: tuple[int, ...] = (1, 2, 3, 4, 8)
 OUTER_EXPONENTS: frozenset[int] = frozenset({4, 8})
 
@@ -121,7 +132,7 @@ OUTER_EXPONENTS: frozenset[int] = frozenset({4, 8})
 
 
 @unique
-class MorphemeKind(Enum):
+class MorphemeKind(_Enum):
     DIGIT = "digit"
     LIANG = "liang"        # the variant surface form of 2
     PIVOT = "pivot"
@@ -274,15 +285,11 @@ def token_notation(m: Morpheme) -> str:
 
 
 @unique
-class Script(Enum):
+class Script(_Enum):
     TRADITIONAL = "traditional"
     SIMPLIFIED = "simplified"
     PINYIN = "pinyin"
     TOKENS = "tokens"
-
-    # Members are singletons that compare by identity: hash them by identity
-    # too, in C, rather than by Enum's Python-level hash of the name.
-    __hash__ = object.__hash__
 
 
 def surface(morpheme: Morpheme, script: Script) -> str:
@@ -314,7 +321,7 @@ def surface(morpheme: Morpheme, script: Script) -> str:
 
 
 @unique
-class Era(Enum):
+class Era(_Enum):
     """The eight profiled stages, in chronological order."""
 
     SHANG_ORACLE = "shang-oracle"
@@ -325,9 +332,6 @@ class Era(Enum):
     NINE_CHAPTERS = "nine-chapters"
     SONG_QIN = "song-qin"
     CONTEMPORARY = "contemporary"
-
-    # See Script.
-    __hash__ = object.__hash__
 
     @property
     def label(self) -> str:
@@ -358,20 +362,20 @@ EARLY_ERAS: frozenset[Era] = frozenset(
 
 
 @unique
-class YouPolicy(Enum):
+class YouPolicy(_Enum):
     FORBIDDEN = "forbidden"
     OPTIONAL_DEFAULT_OFF = "optional-default-off"
     OPTIONAL_DEFAULT_ON = "optional-default-on"
 
 
 @unique
-class LingPolicy(Enum):
+class LingPolicy(_Enum):
     FORBIDDEN = "forbidden"   # rank gaps are plain juxtaposition
     REQUIRED = "required"     # one ling per rank gap, no more, no fewer
 
 
 @unique
-class LeadingOnePolicy(Enum):
+class LeadingOnePolicy(_Enum):
     # [1] before every pivot except the numeral's first; no exception.
     OMIT_BEFORE_HIGHEST = "omit-before-highest"
     # [1] before every pivot including the numeral's first, even a leading ten.
@@ -381,7 +385,7 @@ class LeadingOnePolicy(Enum):
 
 
 @unique
-class OneBeforeInnerMultiplicand(Enum):
+class OneBeforeInnerMultiplicand(_Enum):
     """[1] before an inner pivot that is the sole multiplier of an outer pivot."""
 
     OMIT = "omit"       # [10][10^4], [10^2][10^4], [10^3][10^4]
@@ -488,7 +492,7 @@ def era_profile(era: Era | EraProfile | str) -> EraProfile:
 
 
 @unique
-class TwoStyle(Enum):
+class TwoStyle(_Enum):
     ALWAYS_ER = "er"
     PREFER_LIANG = "liang"
     # Recitation style: er in every slot, like ALWAYS_ER, but only legal where

@@ -30,16 +30,18 @@ each, so about 46 MB at its bound; past the bound new groups are rendered
 every time and not stored. The eight eras' groups of a sweep of every
 value up to 10^6, plus samples up to each ceiling, fit under it.
 
-render_integer keeps one render plan per era, eight at most: the era's
-standard profile and group rules under the options it last rendered with,
-reused while callers pass that same options object, with the plan's ceiling
-and the era. A custom profile, an era name or elliptic options take no plan.
-A plain int of one or two groups within the plan's ceiling is read straight
-from the group memo, its groups' tuples concatenated; every other value, and
-a group not yet in the memo, goes through _render_full, which checks the
-value, then a banned You, in that order, and concatenates its groups' tuples
-the same way. text() reads each token's written form with one
-operator.itemgetter over the script's table.
+A render plan is a profile, its group rules under some options, and the
+ceiling of the values render_integer joins straight from the group memo.
+_PLANS holds one constant plan per era under DEFAULT_OPTIONS, built at
+import; render_integer reads it when it gets an Era and DEFAULT_OPTIONS
+itself. Any other call, a custom profile, an era name or other options,
+resolves its plan through _plan and stores nothing, so no plan depends on
+which options came before. A plain int of one or two groups within the
+plan's ceiling is read straight from the group memo, its groups' tuples
+concatenated; every other value, and a group not yet in the memo, goes
+through _render_full, which checks the value, then a banned You, in that
+order, and concatenates its groups' tuples the same way. text() reads each
+token's written form with one operator.itemgetter over the script's table.
 
 A rendered NumeralExpression keeps the profile that rendered it, so its value
 reads the tokens back under that same profile. The renders build it through
@@ -281,9 +283,14 @@ for _u in (
 
 
 def unit_word(text: "str | UnitWord") -> UnitWord:
-    """Resolve a classifier/measure word, falling back to the text itself."""
+    """Resolve a classifier/measure word, falling back to the text itself.
+
+    Anything other than a str or a UnitWord is a TypeError.
+    """
     if isinstance(text, UnitWord):
         return text
+    if not isinstance(text, str):
+        raise TypeError(f"expected a str or a UnitWord, not {type(text).__name__}")
     found = _UNIT_WORDS.get(text)
     if found is not None:
         return found
@@ -316,6 +323,11 @@ _HEAD_ONES = {
         LeadingOnePolicy, OneBeforeInnerMultiplicand, (False, True)
     )
 }
+# The enum members _rules compares against, read once here: on CPython 3.11
+# each member read at call time goes through EnumType's attribute hook.
+_ALWAYS_ER, _PREFER_LIANG = TwoStyle.ALWAYS_ER, TwoStyle.PREFER_LIANG
+_YOU_FORBIDDEN, _YOU_DEFAULT_ON = YouPolicy.FORBIDDEN, YouPolicy.OPTIONAL_DEFAULT_ON
+_LING_REQUIRED = LingPolicy.REQUIRED
 # Not rules: the options demand You where the profile forbids it.
 # _render_full raises for it once the value has passed its checks.
 _YOU_BANNED = -1
@@ -377,15 +389,22 @@ def _group_tokens(
     return tuple(out)
 
 
-def _rules(profile: EraProfile, opts: RenderOptions, elliptic: bool = False) -> int:
+def _rules(profile: EraProfile, opts: RenderOptions | None, elliptic: bool = False) -> int:
     """The group rules of one render, or _YOU_BANNED.
 
-    Every renderer resolves its profile and options here, in one call. The
-    style checks come first: StyleNotAllowed where the options ask for
-    liang, or elliptic is set for an elliptic name, and the profile has
-    none. The head's [1] bits are _HEAD_ONES's, read off parse's [1] rule.
+    Every renderer resolves its profile and options here, in one call; None
+    reads as DEFAULT_OPTIONS. A two_style that is not a TwoStyle is a
+    TypeError before any other check. The style checks come next:
+    StyleNotAllowed where the options ask for liang, or elliptic is set for
+    an elliptic name, and the profile has none. The head's [1] bits are
+    _HEAD_ONES's, read off parse's [1] rule.
     """
-    if opts.two_style is not TwoStyle.ALWAYS_ER and not profile.liang_allowed:
+    if opts is None:
+        opts = DEFAULT_OPTIONS
+    two = opts.two_style
+    if two.__class__ is not TwoStyle:
+        raise TypeError(f"two_style must be a TwoStyle, not {type(two).__name__}")
+    if two is not _ALWAYS_ER and not profile.liang_allowed:
         raise StyleNotAllowed(
             f"the liang variant of 2 is not part of {profile.era.value} numerals"
         )
@@ -395,13 +414,13 @@ def _rules(profile: EraProfile, opts: RenderOptions, elliptic: bool = False) -> 
         )
     you = opts.use_you
     if you is None:
-        you = profile.you_policy is YouPolicy.OPTIONAL_DEFAULT_ON
-    elif you and profile.you_policy is YouPolicy.FORBIDDEN:
+        you = profile.you_policy is _YOU_DEFAULT_ON
+    elif you and profile.you_policy is _YOU_FORBIDDEN:
         return _YOU_BANNED
     rules = _YOU_ON if you else 0
-    if profile.ling_policy is LingPolicy.REQUIRED:
+    if profile.ling_policy is _LING_REQUIRED:
         rules |= _LING_ON
-    if opts.two_style is TwoStyle.PREFER_LIANG:
+    if two is _PREFER_LIANG:
         rules |= _LIANG_ON
     ones = profile.leading_one_policy, profile.inner_multiplicand_one
     return rules | _HEAD_ONES[(*ones, bool(opts.leading_ten_one))]
@@ -412,34 +431,40 @@ def _rules(profile: EraProfile, opts: RenderOptions, elliptic: bool = False) -> 
 # ---------------------------------------------------------------------------
 
 
-# The render plan of each era: (options, the era's profile, their group
-# rules, the plan's ceiling, the era), kept for the options object last
-# rendered with under that era and read only while render_integer gets that
-# same object. Keyed by Era, so it holds at most one plan per era. The
-# ceiling bounds the values render_integer reads straight from the group
-# memo: those of one or two groups (below 10^8) within the profile's
-# ceiling; it is 0 where the options ask for a banned You, so that every
-# value still meets its value errors first.
-_plans: dict[Era, tuple[RenderOptions, EraProfile, int, int, Era]] = {}
+def _plan(profile: EraProfile, opts: RenderOptions | None) -> tuple[EraProfile, int, int]:
+    """The render plan of profile under opts: (profile, group rules, ceiling).
+
+    The ceiling bounds the values render_integer reads straight from the
+    group memo: those of one or two groups (below 10^8) within the
+    profile's ceiling; it is 0 where the options ask for a banned You, so
+    that every value still meets its value errors first.
+    """
+    rules = _rules(profile, opts)
+    ceiling = 0 if rules == _YOU_BANNED else min(profile.max_value, 10**8 - 1)
+    return profile, rules, ceiling
+
+
+# Each era's plan under DEFAULT_OPTIONS, the one render_integer reads when it
+# gets an Era and DEFAULT_OPTIONS itself.
+_PLANS = {era: _plan(era_profile(era), DEFAULT_OPTIONS) for era in Era}
 
 
 def render_integer(
     n: int,
     era: "Era | EraProfile | str" = Era.CONTEMPORARY,
-    opts: RenderOptions = DEFAULT_OPTIONS,
+    opts: RenderOptions | None = DEFAULT_OPTIONS,
 ) -> NumeralExpression:
-    """Render a non-negative integer under an era profile and options."""
-    plan = _plans.get(era) if era.__class__ is Era else None
-    if plan is None or plan[0] is not opts:
-        profile = era_profile(era)
-        if opts.elliptic:
-            return render_elliptic(n, profile, opts)
-        rules = _rules(profile, opts)
-        ceiling = 0 if rules == _YOU_BANNED else min(profile.max_value, 10**8 - 1)
-        plan = opts, profile, rules, ceiling, profile.era
-        if era.__class__ is Era:
-            _plans[era] = plan  # type: ignore[index]
-    _, profile, rules, ceiling, era = plan
+    """Render a non-negative integer under an era profile and options.
+
+    opts=None reads as DEFAULT_OPTIONS.
+    """
+    if opts is DEFAULT_OPTIONS and era.__class__ is Era:
+        profile, rules, ceiling = _PLANS[era]  # type: ignore[index]
+    elif opts is not None and opts.elliptic:
+        return render_elliptic(n, era, opts)
+    else:
+        profile, rules, ceiling = _plan(era_profile(era), opts)
+        era = profile.era
     # A plain int of one or two groups joins its memoized groups here, by
     # _render_full's keys; anything else, or a group not yet in the memo,
     # takes the full render with its checks in their order.
@@ -501,7 +526,7 @@ def _render_full(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
 def render_elliptic(
     n: int,
     era: "Era | EraProfile | str" = Era.CONTEMPORARY,
-    opts: RenderOptions = DEFAULT_OPTIONS,
+    opts: RenderOptions | None = DEFAULT_OPTIONS,
 ) -> NumeralExpression:
     """Render the elliptic (final-pivot-dropped) name for n.
 
@@ -542,9 +567,7 @@ def render_quantity(
     profile = era_profile(era)
     if profile.era is not Era.CONTEMPORARY:
         raise StyleNotAllowed("classifier quantity phrases are rendered in the contemporary profile only")
-    if opts is None:
-        opts = DEFAULT_OPTIONS
-    if opts.elliptic:
+    if opts is not None and opts.elliptic:
         raise StyleNotAllowed("elliptic numerals cannot be incorporated before a classifier")
     rules = _rules(profile, opts)
     clf = unit_word(classifier)
@@ -635,5 +658,5 @@ def _counted(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
 
 def _component(n: int) -> NumeralExpression:
     """A numeral incorporated before a measure word; 2 surfaces as liang."""
-    profile = era_profile(Era.CONTEMPORARY)
-    return _counted(n, profile, _rules(profile, DEFAULT_OPTIONS))
+    profile, rules, _ = _PLANS[Era.CONTEMPORARY]
+    return _counted(n, profile, rules)

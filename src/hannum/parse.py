@@ -130,7 +130,7 @@ import codecs
 import re
 import unicodedata
 from dataclasses import dataclass, fields, replace
-from enum import Enum, unique
+from enum import unique
 from operator import itemgetter as _itemgetter
 
 from .core import (
@@ -149,6 +149,7 @@ from .core import (
     OneBeforeInnerMultiplicand,
     YOU,
     YouPolicy,
+    _Enum,
     _builder,
     digit,
     era_profile,
@@ -169,7 +170,7 @@ __all__ = [
 
 
 @unique
-class ParseErrorKind(Enum):
+class ParseErrorKind(_Enum):
     UNKNOWN_CHARACTER = "UnknownCharacter"
     EMPTY_INPUT = "EmptyInput"
     MISPLACED_LING = "MisplacedLing"
@@ -299,7 +300,7 @@ _outcome = _builder(ParseOutcome)
 
 
 @unique
-class ScriptHint(Enum):
+class ScriptHint(_Enum):
     AUTO = "auto"
     HAN = "han"
     PINYIN = "pinyin"
@@ -313,7 +314,7 @@ def _strip_tone_marks(syllable: str) -> str:
 _HAN_CHARS: dict[str, Morpheme] = {g: m for m in MORPHEMES for g in m.graphs}
 # Enum members read once here: on CPython 3.11 a member read at call time
 # costs more than the encoding of a short Han text.
-_AUTO_HINT, _HAN_HINT = ScriptHint.AUTO, ScriptHint.HAN
+_AUTO_HINT, _HAN_HINT, _PINYIN_HINT = ScriptHint.AUTO, ScriptHint.HAN, ScriptHint.PINYIN
 
 
 def _charmap() -> tuple[object, dict[int, Morpheme], bytes]:
@@ -445,6 +446,9 @@ def _tokenize_impl(
             )
             _HANDOFF[0] = (tokens, raw.translate(_FOLD))
             return tokens, False
+    elif script_hint is not _PINYIN_HINT:
+        got = type(script_hint).__name__
+        raise TypeError(f"script_hint must be a ScriptHint, not {got}")
     elif not isinstance(text, str):
         raise _not_text(type(text).__name__, "a str under ScriptHint.PINYIN")
     # Pinyin: whitespace-separated syllables.
@@ -526,7 +530,8 @@ def tokenize(
     HAN it reads as the string of its items, so a whitespace or empty item
     is skipped and any other item that is not a graph raises
     UnknownCharacter at its index. An item that is not a str, a text that
-    is not a sequence, or a non-str text under PINYIN raises TypeError.
+    is not a sequence, a non-str text under PINYIN, or a script_hint that
+    is not a ScriptHint raises TypeError.
     """
     return _tokenize_impl(text, script_hint, toneless)[0]
 

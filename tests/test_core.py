@@ -2,8 +2,11 @@
 
 import copy
 import doctest
+import importlib
 import pickle
+import pkgutil
 import re
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -323,8 +326,26 @@ class TestEras:
         }
 
 
+# Every enum class with members that a module of hannum defines.
+_ENUMS = [
+    value
+    for info in pkgutil.iter_modules(hannum.__path__)
+    for value in vars(importlib.import_module(f"hannum.{info.name}")).values()
+    if isinstance(value, type) and issubclass(value, Enum) and len(value)
+    and value.__module__ == f"hannum.{info.name}"
+]
+
+
 class TestIdentityHash:
-    @pytest.mark.parametrize("member", [*Era, *Script], ids=str)
+    def test_every_enum_derives_from_the_identity_base(self):
+        names = {cls.__name__ for cls in _ENUMS}
+        assert {"Era", "Script", "TwoStyle", "ParseErrorKind", "ScriptHint"} <= names
+        assert hannum.core._Enum.__hash__ is object.__hash__
+        for cls in _ENUMS:
+            assert issubclass(cls, hannum.core._Enum), cls
+            assert "__hash__" not in vars(cls), cls
+
+    @pytest.mark.parametrize("member", [m for cls in _ENUMS for m in cls], ids=str)
     def test_hash_survives_copy_and_pickle(self, member):
         twins = [copy.copy(member), copy.deepcopy(member)] + [
             pickle.loads(pickle.dumps(member, protocol))

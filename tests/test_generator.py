@@ -1,5 +1,6 @@
 """Rendering integers and unit phrases under each era grammar."""
 
+import copy
 import itertools
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from hannum import (
     LIANG,
     LING,
     YOU,
+    DEFAULT_OPTIONS,
     AllZeroAmount,
     EllipsisUnavailable,
     Era,
@@ -389,6 +391,15 @@ class TestQuantity:
         assert unit_word("本") == UnitWord("本", "本", "本")
         assert render_quantity(3, "本").text() == "三本"
 
+    @pytest.mark.parametrize("bad", [None, ["x"], 5, b"x"], ids=repr)
+    def test_classifier_of_another_type_is_refused(self, bad):
+        # Refused before render_quantity returns, not when text() joins it.
+        message = f"^expected a str or a UnitWord, not {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            unit_word(bad)
+        with pytest.raises(TypeError, match=message):
+            render_quantity(5, bad)
+
 
 class TestOrdinal:
     def test_ordinal_keeps_er(self):
@@ -543,6 +554,44 @@ class TestScriptType:
             written().text(script)
 
 
+class TestOptionsArgument:
+    """opts=None reads as DEFAULT_OPTIONS in every renderer, and a two_style
+    that is not a TwoStyle is refused before any other check."""
+
+    @pytest.mark.parametrize(
+        "era",
+        [Era.CONTEMPORARY, "contemporary", era_profile(Era.CONTEMPORARY)],
+        ids=["era", "name", "profile"],
+    )
+    def test_none_reads_as_the_defaults(self, era):
+        def fields(expr):
+            return expr.tokens, expr.era, expr.elliptic, id(expr.profile)
+
+        for n in (5, 105, 20_000):
+            assert fields(render_integer(n, era, None)) == fields(render_integer(n, era))
+        for n in (150, 2_300):
+            assert fields(render_elliptic(n, era, None)) == fields(render_elliptic(n, era))
+        for n in (2, 150):
+            got = render_quantity(n, "個", era, None)
+            want = render_quantity(n, "個", era, DEFAULT_OPTIONS)
+            assert fields(got.items[0]) == fields(want.items[0])
+            assert got.items[1] == want.items[1]
+        assert render_integer(5, era, None).profile is era_profile(Era.CONTEMPORARY)
+
+    @pytest.mark.parametrize("bad", ["liang", "er", None])
+    @pytest.mark.parametrize("era", [Era.CONTEMPORARY, Era.SUANSHUSHU])
+    @pytest.mark.parametrize("n", [2000, "x"])
+    def test_two_style_of_another_type_is_refused(self, bad, era, n):
+        opts = RenderOptions(two_style=bad)
+        message = f"^two_style must be a TwoStyle, not {type(bad).__name__}$"
+        calls = [render_integer, render_elliptic]
+        if era is Era.CONTEMPORARY:  # quantities are contemporary only
+            calls.append(lambda n, era, opts: render_quantity(n, "個", era, opts))
+        for call in calls:
+            with pytest.raises(TypeError, match=message):
+                call(n, era, opts)
+
+
 class TestGeneratorInvariants:
     def test_no_ling_outside_ling_eras(self):
         for era in ("shang-oracle", "zhou-bronze", "warring-states", "suanshushu",
@@ -571,9 +620,10 @@ class TestGeneratorInvariants:
 
 
 class TestRenderPlan:
-    """render_integer keeps one plan per era for the options object it last
-    rendered with. Each case renders twice in a row with the same options
-    object, so the second call reads the plan the first one left."""
+    """render_integer reads each era's constant plan under DEFAULT_OPTIONS
+    and resolves every other call's plan afresh. Each case renders twice in
+    a row with the same options object, so a plan kept by the first call
+    would show in the second."""
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     @pytest.mark.parametrize(
@@ -606,10 +656,14 @@ class TestRenderPlan:
 
     def test_style_errors_come_before_value_errors(self):
         opts = RenderOptions(two_style=TwoStyle.PREFER_LIANG)
+        plans = dict(generate._PLANS)
         for n in ("x", 0, 5, 5):
             with pytest.raises(StyleNotAllowed, match="liang"):
                 render_integer(n, Era.SUANSHUSHU, opts)
-        assert generate._plans.get(Era.SUANSHUSHU, (None,))[0] is not opts
+        with pytest.raises(StyleNotAllowed, match="liang"):
+            generate._plan(era_profile(Era.SUANSHUSHU), opts)
+        assert generate._PLANS == plans
+        assert all(generate._PLANS[era] is plan for era, plan in plans.items())
 
     def test_equal_but_distinct_options(self):
         a = RenderOptions(two_style=TwoStyle.PREFER_LIANG)
@@ -620,32 +674,75 @@ class TestRenderPlan:
             assert render_integer(2222, Era.CONTEMPORARY, opts).text() == want
 
     def test_custom_profile_never_reads_the_eras_plan(self):
-        opts = RenderOptions()
-        assert render_integer(105, Era.CONTEMPORARY, opts).text() == "一百零五"
-        plan = generate._plans[Era.CONTEMPORARY]
-        assert plan[0] is opts
+        plan = generate._PLANS[Era.CONTEMPORARY]
         custom = replace(
             era_profile(Era.CONTEMPORARY), ling_policy=LingPolicy.FORBIDDEN
         )
-        for _ in range(2):
-            expr = render_integer(105, custom, opts)
-            assert expr.text() == "一百五"
-            assert expr.profile is custom
-            assert render_integer(105, "contemporary", opts).text() == "一百零五"
-            assert generate._plans[Era.CONTEMPORARY] is plan
-        assert render_integer(105, Era.CONTEMPORARY, opts).profile is era_profile(
-            Era.CONTEMPORARY
-        )
+        for opts in (DEFAULT_OPTIONS, RenderOptions()):
+            assert render_integer(105, Era.CONTEMPORARY, opts).text() == "一百零五"
+            for _ in range(2):
+                expr = render_integer(105, custom, opts)
+                assert expr.text() == "一百五"
+                assert expr.profile is custom
+                assert render_integer(105, "contemporary", opts).text() == "一百零五"
+                assert generate._PLANS[Era.CONTEMPORARY] is plan
+            expr = render_integer(105, Era.CONTEMPORARY, opts)
+            assert expr.profile is era_profile(Era.CONTEMPORARY)
+        assert generate._plan(custom, DEFAULT_OPTIONS)[0] is custom
 
     def test_plans_stay_within_their_bound(self):
+        # _PLANS holds exactly the eight eras, and no render writes any
+        # module-level object of generate but the group memo: each container
+        # keeps its items, by identity and, nested, by value.
+        assert set(generate._PLANS) == set(Era) and len(generate._PLANS) == 8
+
+        def items(value):
+            pairs = value.items() if isinstance(value, dict) else zip(value, value)
+            return [(id(k), id(v)) for k, v in pairs]
+
+        state = {
+            name: (value, items(value), copy.deepcopy(value))
+            for name, value in vars(generate).items()
+            if isinstance(value, (dict, list, set))
+            and name not in ("_group_memo", "__builtins__")
+        }
+        names = set(vars(generate))
         for era in Era:
             for n in range(1, 40):
                 opts = RenderOptions(use_you=None if n % 2 else False)
                 render_integer(n, era, opts)
                 render_integer(n, era.value, opts)
                 render_integer(n, era_profile(era), opts)
-        assert set(generate._plans) <= set(Era)
-        assert len(generate._plans) <= len(Era)
+                render_integer(n, era)
+        liang = RenderOptions(two_style=TwoStyle.PREFER_LIANG)
+        for n in range(1, 40):
+            render_integer(n, Era.CONTEMPORARY, liang)
+            render_quantity(n, "個", opts=liang)
+            render_currency(n, n % 10)
+            render_duration(n, n % 11 + 1)
+            render_ordinal(n)
+            render_elliptic(110 * (n % 9 + 1))
+        assert set(vars(generate)) == names
+        for name, (value, ids, before) in state.items():
+            assert vars(generate)[name] is value, name
+            assert items(value) == ids and value == before, name
+
+    def test_plans_are_the_default_resolution(self):
+        for era in Era:
+            profile = era_profile(era)
+            assert generate._PLANS[era] == generate._plan(profile, RenderOptions())
+            assert generate._PLANS[era][0] is profile
+
+    @pytest.mark.parametrize("era", list(Era))
+    def test_fresh_default_options_match_the_constant_plan(self, monkeypatch, era):
+        # Each side in turn meets the memo cold, the other then reads it warm.
+        fresh = lambda n: _result(lambda: render_integer(n, era, RenderOptions()))
+        constant = lambda n: _result(lambda: render_integer(n, era))
+        for first, second in ((fresh, constant), (constant, fresh)):
+            monkeypatch.setattr(generate, "_group_memo", {})
+            for n in _EDGES:
+                for _ in range(2):
+                    assert first(n) == second(n), n
 
 
 class _Int(int):
@@ -676,23 +773,25 @@ class TestRenderFastPath:
 
     @pytest.mark.parametrize("era", list(Era))
     @pytest.mark.parametrize(
-        "opts", [RenderOptions(), RenderOptions(use_you=True)],
-        ids=["default", "use-you"],
+        "opts", [RenderOptions(), RenderOptions(use_you=True), DEFAULT_OPTIONS],
+        ids=["default", "use-you", "DEFAULT_OPTIONS"],
     )
     def test_matches_full_render(self, monkeypatch, era, opts):
         monkeypatch.setattr(generate, "_group_memo", {})
-        _result(lambda: render_integer(1, era, opts))  # leaves the era's plan
-        _, profile, rules, ceiling, plan_era = generate._plans[era]
-        assert plan_era is era and profile is era_profile(era)
+        profile, rules, ceiling = generate._plan(era_profile(era), opts)
+        assert profile is era_profile(era)
+        if opts is DEFAULT_OPTIONS:
+            assert generate._PLANS[era] == (profile, rules, ceiling)
         if rules == generate._YOU_BANNED:
             # Every value meets its value errors before StyleNotAllowed.
             assert ceiling == 0
         else:
             assert ceiling == min(profile.max_value, 10**8 - 1)
         for n in _EDGES:
+            # Cold, then warm: the first render fills the memo for the second.
+            got = [_result(lambda: render_integer(n, era, opts)) for _ in range(2)]
             want = _result(lambda: generate._render_full(n, profile, rules))
-            for _ in range(2):  # cold, then warm
-                assert _result(lambda: render_integer(n, era, opts)) == want, n
+            assert got == [want, want], n
 
     def test_custom_ceiling(self, monkeypatch):
         monkeypatch.setattr(generate, "_group_memo", {})

@@ -129,6 +129,21 @@ class TestTokenize:
         e = err(tokenize, "yi", ScriptHint.HAN)
         assert e.kind is ParseErrorKind.UNKNOWN_CHARACTER
 
+    @pytest.mark.parametrize("hint", ["han", "pinyin", None])
+    @pytest.mark.parametrize(
+        "call",
+        [tokenize, lambda text, hint: parse_text(text, script_hint=hint)],
+        ids=["tokenize", "parse_text"],
+    )
+    def test_script_hint_of_another_type_is_refused(self, call, hint):
+        # Never read as pinyin: '一' is not a syllable.
+        message = f"^script_hint must be a ScriptHint, not {type(hint).__name__}$"
+        for text in ("一", "yī"):
+            with pytest.raises(TypeError, match=message):
+                call(text, hint)
+        assert tokenize("yī", ScriptHint.PINYIN) == (digit(1),)
+        assert parse_text("yī", script_hint=ScriptHint.PINYIN).value == 1
+
 
 class TestParseValues:
     def test_contemporary_round_values(self):

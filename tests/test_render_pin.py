@@ -19,6 +19,7 @@ import random
 
 from hannum import (
     CHRONOLOGY,
+    DEFAULT_OPTIONS,
     Era,
     RenderOptions,
     Script,
@@ -30,13 +31,16 @@ from hannum import (
 from hannum.core import LeadingOnePolicy, OneBeforeInnerMultiplicand, era_profile
 from hannum.generate import RenderError
 
-# The 36 option sets: two_style x use_you x elliptic x leading_ten_one.
+# The 36 option sets: two_style x use_you x elliptic x leading_ten_one. The
+# all-default set is DEFAULT_OPTIONS itself, so that render_integer reads each
+# era's constant plan for it; every other set is a fresh object.
 OPTION_SETS = [
     RenderOptions(two_style=two, use_you=you, elliptic=ell, leading_ten_one=ten)
     for two, you, ell, ten in itertools.product(
         TwoStyle, (None, False, True), (False, True), (False, True)
     )
 ]
+OPTION_SETS = [DEFAULT_OPTIONS if o == DEFAULT_OPTIONS else o for o in OPTION_SETS]
 
 _CEILINGS = sorted({era_profile(e).max_value for e in CHRONOLOGY})
 _rng = random.Random(20260415)
@@ -75,6 +79,7 @@ def _digest(lines) -> str:
 
 def test_render_outcomes_pinned():
     assert len(OPTION_SETS) == 36
+    assert sum(opts is DEFAULT_OPTIONS for opts in OPTION_SETS) == 1
     lines = [
         _outcome(n, era, opts)
         for era in CHRONOLOGY
