@@ -24,7 +24,10 @@ The runs:
   without tone marks, the last also with parse --toneless;
 - gen --json under every era and the 36 flag sets (--two-style x
   --you/--no-you/neither x --elliptic x --leading-ten-one) on a fixed list
-  of values around the pivots, the group boundaries and the ceilings.
+  of values around the pivots, the group boundaries and the ceilings;
+- last, scan --json on every document once more, so that its records come
+  from the readings and JSON tails that the runs before it left in the
+  process.
 """
 
 from __future__ import annotations
@@ -127,6 +130,8 @@ def runs() -> list[tuple[list[str], str | None]]:
                 out.append(
                     (["gen", "--json", "--era", era.value, *flags, str(n)], None)
                 )
+    for doc in _documents():
+        out.append((["scan", "--json"], doc))
     return out
 
 

@@ -10,8 +10,11 @@ scan --json builds each record line from JSON fragments and writes it with
 one write to stdout: the era list and the Features object come from tables
 shared by every record, an error message and each diagnostic are escaped
 by the C string encoder that json.dumps itself uses, and the part after
-"column" is built once per distinct span text. Every line equals
-json.dumps(record.as_dict(), ensure_ascii=False).
+"column" is built once per distinct span text for the life of the process:
+_TAILS keeps it beside scan's readings, under the same bounds (at most
+_MEMO_TEXTS texts of at most _MEMO_CHARS characters), so a process that
+scans many documents writes each repeated span's tail once. Every line
+equals json.dumps(record.as_dict(), ensure_ascii=False).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .chronolect import classify
 from .core import Era, RenderOptions, Script, TwoStyle, token_notation
 from .generate import RenderError, render_integer
 from .parse import Features, NumeralParseError, parse_text
-from .scan import _MEMO_TEXTS, ScanRecord, scan_text, summary_csv_rows
+from .scan import _MEMO_CHARS, _MEMO_TEXTS, ScanRecord, scan_text, summary_csv_rows
 from .selftest import run_selftest
 
 __all__ = ["main"]
@@ -301,6 +304,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 # whose seven flags allow 2**7. Each holds at most 128 entries.
 _ERAS_JSON: dict[tuple[Era, ...], str] = {}
 _FEATURES_JSON: dict[Features, str] = {}
+# Each span text's _reading_json, kept for every scan --json run in the
+# process: at most _MEMO_TEXTS texts of at most _MEMO_CHARS characters.
+_TAILS: dict[str, str] = {}
 
 
 def _reading_json(rec: ScanRecord) -> str:
@@ -350,20 +356,20 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         return _EXIT_OK
     if args.as_json:
         # A record's JSON after "column" depends only on its text: write it
-        # once per distinct text (as many as scan_text remembers), from the
-        # fragments of _reading_json, and write each record as its position
-        # fields plus that tail. With the default separators this equals
+        # once per distinct text in the process (as many as _TAILS keeps;
+        # any other text at each occurrence), from the fragments of
+        # _reading_json, and write each record as its position fields plus
+        # that tail. With the default separators this equals
         # json.dumps(rec.as_dict()). Each line is one write, as print's
         # first write would be, so a closed pipe or an encoding that stdout
         # lacks is met at the same record; no line is kept.
         write = sys.stdout.write
-        tails: dict[str, str] = {}
         for rec in records:
-            tail = tails.get(rec.text)
+            tail = _TAILS.get(rec.text)
             if tail is None:
                 tail = _reading_json(rec)
-                if len(tails) < _MEMO_TEXTS:
-                    tails[rec.text] = tail
+                if len(rec.text) <= _MEMO_CHARS and len(_TAILS) < _MEMO_TEXTS:
+                    _TAILS[rec.text] = tail
             write(
                 f'{{"byte_offset": {rec.byte_offset}, "line": {rec.line}, '
                 f'"column": {rec.column}, {tail}\n'

@@ -507,7 +507,9 @@ class RenderOptions:
     use_you: None defers to the era default; True demands the conjunction and
     is rejected where the profile forbids it. leading_ten_one is honored only
     under profiles where [1] before a numeral-initial ten is optional and is
-    ignored elsewhere.
+    ignored elsewhere. The renderers refuse a field of another type with a
+    TypeError naming it: use_you takes None, True or False only, elliptic
+    and leading_ten_one a bool only.
     """
 
     script: Script = Script.TRADITIONAL

@@ -393,8 +393,10 @@ def _rules(profile: EraProfile, opts: RenderOptions | None, elliptic: bool = Fal
     """The group rules of one render, or _YOU_BANNED.
 
     Every renderer resolves its profile and options here, in one call; None
-    reads as DEFAULT_OPTIONS. A two_style that is not a TwoStyle is a
-    TypeError before any other check. The style checks come next:
+    reads as DEFAULT_OPTIONS. A two_style that is not a TwoStyle, a use_you
+    that is not None or a bool, and an elliptic or leading_ten_one that is
+    not a bool are TypeErrors, in that order, before any other check. The
+    style checks come next:
     StyleNotAllowed where the options ask for liang, or elliptic is set for
     an elliptic name, and the profile has none. The head's [1] bits are
     _HEAD_ONES's, read off parse's [1] rule.
@@ -404,6 +406,14 @@ def _rules(profile: EraProfile, opts: RenderOptions | None, elliptic: bool = Fal
     two = opts.two_style
     if two.__class__ is not TwoStyle:
         raise TypeError(f"two_style must be a TwoStyle, not {type(two).__name__}")
+    you = opts.use_you
+    if you is not None and you.__class__ is not bool:
+        raise TypeError(f"use_you must be None or a bool, not {type(you).__name__}")
+    if opts.elliptic.__class__ is not bool:
+        raise TypeError(f"elliptic must be a bool, not {type(opts.elliptic).__name__}")
+    ten_one = opts.leading_ten_one
+    if ten_one.__class__ is not bool:
+        raise TypeError(f"leading_ten_one must be a bool, not {type(ten_one).__name__}")
     if two is not _ALWAYS_ER and not profile.liang_allowed:
         raise StyleNotAllowed(
             f"the liang variant of 2 is not part of {profile.era.value} numerals"
@@ -412,7 +422,6 @@ def _rules(profile: EraProfile, opts: RenderOptions | None, elliptic: bool = Fal
         raise StyleNotAllowed(
             f"elliptic names are not part of {profile.era.value} numerals"
         )
-    you = opts.use_you
     if you is None:
         you = profile.you_policy is _YOU_DEFAULT_ON
     elif you and profile.you_policy is _YOU_FORBIDDEN:
@@ -423,7 +432,7 @@ def _rules(profile: EraProfile, opts: RenderOptions | None, elliptic: bool = Fal
     if two is _PREFER_LIANG:
         rules |= _LIANG_ON
     ones = profile.leading_one_policy, profile.inner_multiplicand_one
-    return rules | _HEAD_ONES[(*ones, bool(opts.leading_ten_one))]
+    return rules | _HEAD_ONES[(*ones, ten_one)]
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +469,7 @@ def render_integer(
     """
     if opts is DEFAULT_OPTIONS and era.__class__ is Era:
         profile, rules, ceiling = _PLANS[era]  # type: ignore[index]
-    elif opts is not None and opts.elliptic:
+    elif opts is not None and opts.elliptic is True:
         return render_elliptic(n, era, opts)
     else:
         profile, rules, ceiling = _plan(era_profile(era), opts)
@@ -567,7 +576,7 @@ def render_quantity(
     profile = era_profile(era)
     if profile.era is not Era.CONTEMPORARY:
         raise StyleNotAllowed("classifier quantity phrases are rendered in the contemporary profile only")
-    if opts is not None and opts.elliptic:
+    if opts is not None and opts.elliptic is True:
         raise StyleNotAllowed("elliptic numerals cannot be incorporated before a classifier")
     rules = _rules(profile, opts)
     clf = unit_word(classifier)

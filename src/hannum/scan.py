@@ -6,10 +6,18 @@ neighbors are unconditional numeral characters: precision over recall.
 A span is read in one walk over all nine grammars (the eight eras and the
 lenient one), which gives its lenient value or error, the eras it is
 consistent with and its features; the summary reports feature and era-set
-tallies. The reading depends only on the span text, so one scan_text call
-tokenizes and reads each distinct text once and reuses the result for every
-repeat. That memo holds at most _MEMO_TEXTS texts: once it is full, new texts
-are read every time they occur, so memory stays bounded on any input. What a
+tallies. The reading depends only on the span text, so it is kept for the
+life of the process: _READINGS maps a span text to its reading, and
+scan_text tokenizes and reads a text only the first time any call meets it.
+_READINGS holds at most _MEMO_TEXTS texts of at most _MEMO_CHARS characters
+each, so its memory is bounded in bytes as well as in entries; _MEMO_CHARS
+covers every rendering of every era (the longest, song-qin 999,999,999,999,
+has 23 characters). A text that _READINGS does not hold is read once per
+scan_text call, through a per-call memo of at most _MEMO_TEXTS texts; past
+that, at each occurrence. An outcome is frozen, so records of any calls share
+it. An error is not shared across calls, since raising it sets its
+traceback: each call builds its own from the kept kind, position and
+message, and the error that _READINGS keeps is never handed out. What a
 reading shares with readings of other texts is built once per process:
 _read_span takes its era tuple from a table indexed by the mask of
 accepting lanes, and _read keeps each tuple's era-set key in _ERA_SETS.
@@ -33,6 +41,7 @@ from .parse import (
     NumeralParseError,
     ParseOutcome,
     ScriptHint,
+    _error,
     _error_dict,
     _read_span,
     tokenize,
@@ -56,9 +65,13 @@ _SPAN = re.compile(
         cond=re.escape("".join(sorted(_CONDITIONAL_CHARS))),
     )
 )
-# Distinct span texts remembered per scan_text call (and per `hannum scan
-# --json` run, for serialized records).
+# Distinct span texts kept for the life of the process (readings here, and
+# serialized records of `hannum scan --json` in cli), and remembered per
+# scan_text call besides.
 _MEMO_TEXTS = 4096
+# The longest span text kept for the life of the process. Every era's
+# rendering of every value fits (see the module docstring).
+_MEMO_CHARS = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,10 +80,11 @@ class ScanRecord:
 
     byte_offset is the span start in the UTF-8 byte stream; line and column
     are 1-based, with column counted in characters. Exactly one of outcome
-    and error is set. Records of one scan_text call with equal text share the
-    same outcome or error object: ParseOutcome is frozen, and an error should
-    be treated as read-only too (raising it sets its traceback for every
-    record that holds it).
+    and error is set. Records with equal text share the same outcome object,
+    within one scan_text call and across calls, since ParseOutcome is frozen.
+    Records of one call with equal text share the same error object; records
+    of two calls never do. Treat an error as read-only too: raising it sets
+    its traceback for every record of its call that holds it.
     """
 
     byte_offset: int
@@ -182,9 +196,33 @@ def _read(chunk: str) -> _Reading:
     return outcome, error, consistent, signature
 
 
+# The reading of each span text met so far, for every scan_text call: at
+# most _MEMO_TEXTS texts of at most _MEMO_CHARS characters.
+_READINGS: dict[str, _Reading] = {}
+
+
+def _recall(chunk: str) -> _Reading:
+    """chunk's reading for one scan_text call, read on the first call that
+    meets it and kept in _READINGS when it fits. A kept rejection's error is
+    never handed out: each call gets one of its own."""
+    reading = _READINGS.get(chunk)
+    if reading is None:
+        reading = _read(chunk)
+        if len(chunk) > _MEMO_CHARS or len(_READINGS) >= _MEMO_TEXTS:
+            return reading
+        _READINGS[chunk] = reading
+    error = reading[1]
+    if error is None:
+        return reading
+    return None, _error(error.kind, error.position, error.message), *reading[2:]
+
+
 def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
     """Locate, parse, and classify every numeral span in text."""
     records: list[ScanRecord] = []
+    # This call's readings of the texts _READINGS does not serve as they
+    # are: rejections, whose errors are this call's own, and texts it does
+    # not hold.
     readings: dict[str, _Reading] = {}
     # Spans per signature, in order of first occurrence. Counting spans, not
     # memo entries, keeps the tallies exact once the memo is full.
@@ -208,11 +246,13 @@ def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
         prev = start
 
         chunk = match.group()
-        reading = readings.get(chunk)
-        if reading is None:
-            reading = _read(chunk)
-            if len(readings) < _MEMO_TEXTS:
-                readings[chunk] = reading
+        reading = _READINGS.get(chunk)
+        if reading is None or reading[1] is not None:
+            reading = readings.get(chunk)
+            if reading is None:
+                reading = _recall(chunk)
+                if len(readings) < _MEMO_TEXTS:
+                    readings[chunk] = reading
         outcome, error, consistent, signature = reading
         column = start - line_start + 1
         records.append(

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import re
 from dataclasses import replace
 
 import pytest
@@ -589,6 +590,39 @@ class TestOptionsArgument:
             calls.append(lambda n, era, opts: render_quantity(n, "個", era, opts))
         for call in calls:
             with pytest.raises(TypeError, match=message):
+                call(n, era, opts)
+
+    @pytest.mark.parametrize("bad", ["no", 0, 1, None], ids=repr)
+    @pytest.mark.parametrize("field", ["use_you", "elliptic", "leading_ten_one"])
+    @pytest.mark.parametrize("era", [Era.CONTEMPORARY, Era.ZHOU_BRONZE])
+    @pytest.mark.parametrize("n", [15, 150, "x"])
+    def test_bool_fields_of_another_type_are_refused(self, bad, field, era, n):
+        # Read by truthiness, 'no' would render 十有五, 一百五 or 一十五.
+        opts = RenderOptions(**{field: bad})
+        calls = [render_integer, render_elliptic]
+        if era is Era.CONTEMPORARY:  # quantities are contemporary only
+            calls.append(lambda n, era, opts: render_quantity(n, "個", era, opts))
+        if field == "use_you" and bad is None:
+            # None defers to the era: every call gives what DEFAULT_OPTIONS
+            # gives, value or error.
+            for call in calls:
+                try:
+                    want = call(n, era, DEFAULT_OPTIONS)
+                except ValueError as exc:
+                    with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                        call(n, era, opts)
+                else:
+                    assert call(n, era, opts) == want
+            return
+        kind = "None or a bool" if field == "use_you" else "a bool"
+        message = f"^{field} must be {kind}, not {type(bad).__name__}$"
+        for call in calls:
+            with pytest.raises(TypeError, match=message):
+                call(n, era, opts)
+        # The two_style check comes first.
+        opts = RenderOptions(two_style="er", **{field: bad})
+        for call in calls:
+            with pytest.raises(TypeError, match="^two_style must be a TwoStyle"):
                 call(n, era, opts)
 
 

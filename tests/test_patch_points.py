@@ -12,6 +12,8 @@ import importlib
 import pytest
 
 import hannum
+import hannum.cli
+import hannum.scan
 from hannum.cli import main
 
 
@@ -45,6 +47,9 @@ def _cli_scan(tmp_path):
     ],
 )
 def test_patch_point_is_called(monkeypatch, tmp_path, capsys, owner, attr, op):
+    # Empty process memos, so that scan_text reads its span afresh.
+    monkeypatch.setattr(hannum.scan, "_READINGS", {})
+    monkeypatch.setattr(hannum.cli, "_TAILS", {})
     target = importlib.import_module(owner)
     *path, name = attr.split(".")
     for part in path:

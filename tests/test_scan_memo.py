@@ -1,21 +1,28 @@
-"""The scanner's per-text memo against the span-by-span reference.
+"""The scanner's per-text memos against the span-by-span reference.
 
-hannum.scan reads each distinct span text once per scan_text call, up to a
-fixed number of texts, and `hannum scan --json` serializes each text's
-fields once. tests/reference_scan.py reads and tallies every span on its
+hannum.scan reads each distinct span text once per process, up to a fixed
+number of texts of a fixed length, and once per scan_text call past that;
+`hannum scan --json` serializes each text's fields once per process under
+the same bounds. tests/reference_scan.py reads and tallies every span on its
 own; both must give the same records, errors and summary, era-set order
-included, below and past the memo bound.
+included, cold and warm, below and past the memo bound. The tests that count
+reads or serializations start from empty process memos.
 """
 
+import gc
 import json
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hannum.cli
 import hannum.scan
+from hannum import Era, RenderOptions, Script, TwoStyle, render_integer
 from hannum.cli import main
-from hannum.scan import _spans, scan_text
+from hannum.core import era_profile
+from hannum.scan import _CORE_CHARS, _MEMO_CHARS, _MEMO_TEXTS, _spans, scan_text
 
 import reference_scan
 
@@ -95,6 +102,12 @@ def test_equal_texts_share_readings():
     assert records[2].error is not None
 
 
+def _cold_memos(monkeypatch):
+    """Swap in empty process memos, as in a process that has scanned nothing."""
+    monkeypatch.setattr(hannum.scan, "_READINGS", {})
+    monkeypatch.setattr(hannum.cli, "_TAILS", {})
+
+
 def _ten_texts_repeated():
     texts = ["十", "十一", "十二", "兩十", "一百", "百百", "十有五", "三千四",
              "十十五", "萬"]
@@ -114,6 +127,7 @@ def _count_tokenize(monkeypatch):
 
 
 def test_each_distinct_text_is_read_once(monkeypatch):
+    _cold_memos(monkeypatch)
     texts, text = _ten_texts_repeated()
     calls = _count_tokenize(monkeypatch)
     records, _ = scan_text(text)
@@ -122,12 +136,14 @@ def test_each_distinct_text_is_read_once(monkeypatch):
 
 
 def test_past_the_memo_bound(monkeypatch):
+    _cold_memos(monkeypatch)
     texts, text = _ten_texts_repeated()
     monkeypatch.setattr(hannum.scan, "_MEMO_TEXTS", 2)
     calls = _count_tokenize(monkeypatch)
     records, summary = _assert_same_scan(text)
-    # The first two texts are remembered; the other eight are read again at
-    # every occurrence, and the tallies still count every span.
+    # The first two texts are remembered, in the process memo and in the
+    # call's; the other eight are read again at every occurrence, and the
+    # tallies still count every span.
     assert len(calls) == 2 + 8 * 3
     assert summary.expressions == 30
     assert sum(summary.era_sets.values()) == 30
@@ -140,6 +156,7 @@ def _json_lines(capsys, path):
 
 @pytest.mark.parametrize("bound", [None, 2])
 def test_json_lines_equal_as_dict(monkeypatch, capsys, tmp_path, bound):
+    _cold_memos(monkeypatch)
     if bound is not None:
         monkeypatch.setattr(hannum.scan, "_MEMO_TEXTS", bound)
         monkeypatch.setattr(hannum.cli, "_MEMO_TEXTS", bound)
@@ -167,6 +184,148 @@ def test_json_lines_equal_as_dict(monkeypatch, capsys, tmp_path, bound):
         assert len(serialized) == distinct
     else:
         assert len(serialized) == 2 + len(records) - 3 * 2
+
+
+def test_cold_then_warm_match_reference(monkeypatch):
+    _cold_memos(monkeypatch)
+    _, repeated = _ten_texts_repeated()
+    texts = [repeated, "一百\n一百\n三千四，十十五", "兩十又十有五，百百"]
+    for text in texts + texts:
+        _assert_same_scan(text)
+
+
+def test_second_call_reads_nothing(monkeypatch):
+    _cold_memos(monkeypatch)
+    texts, text = _ten_texts_repeated()
+    first, _ = scan_text(text)
+    calls = _count_tokenize(monkeypatch)
+    second, _ = scan_text(text)
+    # Accepted texts are served as they are; rejected ones are served with
+    # an error of this call's own, not read again.
+    assert calls == []
+    assert any(r.error is not None for r in second)
+    for a, b in zip(first, second):
+        assert a.outcome is b.outcome
+
+
+def test_rejections_get_an_error_per_call(monkeypatch):
+    _cold_memos(monkeypatch)
+    (a, b), _ = scan_text("兩十，兩十")
+    (c,), _ = scan_text("兩十")
+    assert a.error is b.error
+    assert c.error is not a.error
+    assert c.error is not hannum.scan._READINGS["兩十"][1]
+    assert (c.error.kind, c.error.position, c.error.message, c.error.args) == (
+        a.error.kind, a.error.position, a.error.message, a.error.args
+    )
+    assert c.as_dict() == a.as_dict()
+
+
+# Beyond the cap: one text that reads as a value and one that is rejected.
+_LONG = ["九千有九百有九十有九億有九千有九百有九十有九萬有九千有九百有九十有九", "十" * 33]
+
+
+@pytest.mark.parametrize("long", _LONG)
+def test_long_spans_are_never_kept(monkeypatch, capsys, tmp_path, long):
+    assert len(long) > _MEMO_CHARS
+    _cold_memos(monkeypatch)
+    calls = _count_tokenize(monkeypatch)
+    text = f"{long}，十五，{long}"
+    _assert_same_scan(text)
+    _assert_same_scan(text)
+    path = tmp_path / "doc.txt"
+    path.write_text(text, encoding="utf-8")
+    _json_lines(capsys, path)
+    # Once per call, never from the process memo.
+    assert calls.count(long) == 3
+    assert long not in hannum.scan._READINGS
+    assert long not in hannum.cli._TAILS
+    assert "十五" in hannum.scan._READINGS and "十五" in hannum.cli._TAILS
+
+
+def test_memos_stop_at_the_bound(monkeypatch, capsys, tmp_path):
+    _cold_memos(monkeypatch)
+    monkeypatch.setattr(hannum.scan, "_MEMO_TEXTS", 3)
+    monkeypatch.setattr(hannum.cli, "_MEMO_TEXTS", 3)
+    texts, text = _ten_texts_repeated()
+    path = tmp_path / "doc.txt"
+    path.write_text(text, encoding="utf-8")
+    for _ in range(2):
+        records, summary = _assert_same_scan(text)
+        expected = [json.dumps(r.as_dict(), ensure_ascii=False) for r in records]
+        expected.append(
+            json.dumps({"summary": summary.as_dict()}, ensure_ascii=False)
+        )
+        assert _json_lines(capsys, path) == expected
+    assert list(hannum.scan._READINGS) == texts[:3]
+    assert list(hannum.cli._TAILS) == texts[:3]
+
+
+_HAN_SCRIPTS = (Script.TRADITIONAL, Script.SIMPLIFIED)
+
+
+def test_memo_chars_holds_every_rendering():
+    """No era renders a value at its ceiling in more than _MEMO_CHARS
+    characters, under any option set, in either Han script (a span is Han
+    text). A name's length grows with
+    its value's digits and junctions, and the ceiling is all nines, so the
+    ceilings give the longest renderings."""
+    lengths = []
+    for era in Era:
+        ceiling = era_profile(era).max_value
+        for two in TwoStyle:
+            for you in (None, False, True):
+                for ten_one in (False, True):
+                    opts = RenderOptions(
+                        two_style=two, use_you=you, leading_ten_one=ten_one
+                    )
+                    try:
+                        expr = render_integer(ceiling, era, opts)
+                    except ValueError:  # a style the era does not have
+                        continue
+                    lengths += [len(expr.text(s)) for s in _HAN_SCRIPTS]
+    assert max(lengths) == 23 <= _MEMO_CHARS
+
+
+# Both memos full of the costliest texts measured: accepted spans of
+# _MEMO_CHARS characters, whose outcomes hold a token per character. Rejected
+# texts of that length came to 5.3 MB on CPython 3.11.
+_MEMO_BYTES = 8_000_000
+
+
+def _full_texts():
+    rng = random.Random(7)
+    template = "{}千有{}百有{}十有{}億{}千有{}百有{}十有{}萬{}千有{}百有{}十有{}"
+    texts = set()
+    while len(texts) < _MEMO_TEXTS:
+        texts.add(template.format(*(rng.choice("一二三四五六七八九") for _ in range(12))))
+    return sorted(texts)
+
+
+def test_full_memos_stay_under_their_byte_figure(monkeypatch, capsys, tmp_path):
+    texts = _full_texts()
+    assert {len(t) for t in texts} == {_MEMO_CHARS}
+    assert set("".join(texts)) <= _CORE_CHARS | {"有"}
+    path = tmp_path / "doc.txt"
+    path.write_text("，".join(texts), encoding="utf-8")
+    # A first run fills parse's own memos, so that the measured one grows
+    # only the two memos.
+    _cold_memos(monkeypatch)
+    _json_lines(capsys, path)
+    _cold_memos(monkeypatch)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lines = _json_lines(capsys, path)
+        del lines
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(hannum.scan._READINGS) == len(hannum.cli._TAILS) == _MEMO_TEXTS
+    assert all(r[1] is None for r in hannum.scan._READINGS.values())
+    assert grown < _MEMO_BYTES
 
 
 _edge_text = st.lists(
