@@ -11,10 +11,10 @@ one write to stdout: the era list and the Features object come from tables
 shared by every record, an error message and each diagnostic are escaped
 by the C string encoder that json.dumps itself uses, and the part after
 "column" is built once per distinct span text for the life of the process:
-_TAILS keeps it beside scan's readings, under the same bounds (at most
-_MEMO_TEXTS texts of at most _MEMO_CHARS characters), so a process that
-scans many documents writes each repeated span's tail once. Every line
-equals json.dumps(record.as_dict(), ensure_ascii=False).
+_TAILS keeps it beside scan's readings, as far as scan._keeps allows, so a
+scan of several paths, or any process that runs scan --json more than once,
+writes each repeated span's tail once. Every line equals
+json.dumps(record.as_dict(), ensure_ascii=False).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .chronolect import classify
 from .core import Era, RenderOptions, Script, TwoStyle, token_notation
 from .generate import RenderError, render_integer
 from .parse import Features, NumeralParseError, parse_text
-from .scan import _MEMO_CHARS, _MEMO_TEXTS, ScanRecord, scan_text, summary_csv_rows
+from .scan import ScanRecord, _keeps, scan_text, summary_csv_rows
 from .selftest import run_selftest
 
 __all__ = ["main"]
@@ -190,10 +190,12 @@ def _parser() -> argparse.ArgumentParser:
         "scan", help="find and tally numeral spans in a text corpus"
     )
     scn.add_argument(
-        "path",
-        nargs="?",
-        default="-",
-        help="input file (default '-' for stdin)",
+        "paths",
+        nargs="*",
+        default=["-"],
+        metavar="path",
+        help="input files, scanned in turn as if by one scan each "
+        "(default '-' for stdin)",
     )
     out = scn.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true", dest="as_json")
@@ -305,7 +307,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 _ERAS_JSON: dict[tuple[Era, ...], str] = {}
 _FEATURES_JSON: dict[Features, str] = {}
 # Each span text's _reading_json, kept for every scan --json run in the
-# process: at most _MEMO_TEXTS texts of at most _MEMO_CHARS characters.
+# process as far as scan._keeps allows.
 _TAILS: dict[str, str] = {}
 
 
@@ -347,13 +349,22 @@ def _reading_json(rec: ScanRecord) -> str:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    text = _read_text(args.path)
+    # Each path is read and written in turn, as one scan of that path alone
+    # would be; a path that cannot be read ends the run after the output of
+    # the paths before it. One process scanning many documents is what
+    # scan's readings and _TAILS are kept for.
+    for path in args.paths:
+        _write_scan(_read_text(path), args)
+    return _EXIT_OK
+
+
+def _write_scan(text: str, args: argparse.Namespace) -> None:
     records, summary = scan_text(text)
     if args.csv:
         print("key,count")
         for key, count in summary_csv_rows(summary):
             print(f"{key},{count}")
-        return _EXIT_OK
+        return
     if args.as_json:
         # A record's JSON after "column" depends only on its text: write it
         # once per distinct text in the process (as many as _TAILS keeps;
@@ -368,14 +379,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             tail = _TAILS.get(rec.text)
             if tail is None:
                 tail = _reading_json(rec)
-                if len(rec.text) <= _MEMO_CHARS and len(_TAILS) < _MEMO_TEXTS:
+                if _keeps(_TAILS, rec.text):
                     _TAILS[rec.text] = tail
             write(
                 f'{{"byte_offset": {rec.byte_offset}, "line": {rec.line}, '
                 f'"column": {rec.column}, {tail}\n'
             )
         write(json.dumps({"summary": summary.as_dict()}, ensure_ascii=False) + "\n")
-        return _EXIT_OK
+        return
     for rec in records:
         if rec.ok:
             assert rec.outcome is not None
@@ -387,7 +398,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     print("summary:")
     for key, count in summary_csv_rows(summary):
         print(f"  {key}: {count}")
-    return _EXIT_OK
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:

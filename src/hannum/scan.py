@@ -6,22 +6,24 @@ neighbors are unconditional numeral characters: precision over recall.
 A span is read in one walk over all nine grammars (the eight eras and the
 lenient one), which gives its lenient value or error, the eras it is
 consistent with and its features; the summary reports feature and era-set
-tallies. The reading depends only on the span text, so it is kept for the
-life of the process: _READINGS maps a span text to its reading, and
-scan_text tokenizes and reads a text only the first time any call meets it.
-_READINGS holds at most _MEMO_TEXTS texts of at most _MEMO_CHARS characters
-each, so its memory is bounded in bytes as well as in entries; _MEMO_CHARS
-covers every rendering of every era (the longest, song-qin 999,999,999,999,
-has 23 characters). A text that _READINGS does not hold is read once per
-scan_text call, through a per-call memo of at most _MEMO_TEXTS texts; past
-that, at each occurrence. An outcome is frozen, so records of any calls share
-it. An error is not shared across calls, since raising it sets its
-traceback: each call builds its own from the kept kind, position and
-message, and the error that _READINGS keeps is never handed out. What a
-reading shares with readings of other texts is built once per process:
-_read_span takes its era tuple from a table indexed by the mask of
-accepting lanes, and _read keeps each tuple's era-set key in _ERA_SETS.
-Seven lanes allow 2**7 masks, so _ERA_SETS is bounded by construction.
+tallies. The reading depends only on the span text, so an accepted text's
+reading is kept for the life of the process: _READINGS maps the text to
+its reading, and scan_text tokenizes and reads an accepted text only the
+first time any call meets it, which pays off where one process scans many
+documents (`hannum scan` with several paths, or a library caller). _keeps
+is the one bound on what the process keeps, here and in cli: at most
+_MEMO_TEXTS texts of at most _MEMO_CHARS characters each, so the memory is
+bounded in bytes as well as in entries; _MEMO_CHARS covers every rendering
+of every era (the longest, song-qin 999,999,999,999, has 23 characters).
+An outcome is frozen, so records of any calls share a kept text's. A
+rejection is not kept across calls, since raising its error sets the
+error's traceback: it is read once per scan_text call, as is an accepted
+text that _READINGS does not hold, through a per-call memo of at most
+_MEMO_TEXTS texts; past that, at each occurrence. What a reading shares
+with readings of other texts is built once per process: _read_span takes
+its era tuple from a table indexed by the mask of accepting lanes, and
+_read keeps each tuple's era-set key in _ERA_SETS. Seven lanes allow 2**7
+masks, so _ERA_SETS is bounded by construction.
 _read_span reads the walk's masks and features itself, one frame below
 _read, and builds a diagnostics tuple only for a span that has any.
 
@@ -34,6 +36,7 @@ caller that builds, copies or replaces a record sees no change.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
 from .core import MORPHEMES, YOU, Era, _builder
@@ -41,7 +44,6 @@ from .parse import (
     NumeralParseError,
     ParseOutcome,
     ScriptHint,
-    _error,
     _error_dict,
     _read_span,
     tokenize,
@@ -65,9 +67,9 @@ _SPAN = re.compile(
         cond=re.escape("".join(sorted(_CONDITIONAL_CHARS))),
     )
 )
-# Distinct span texts kept for the life of the process (readings here, and
-# serialized records of `hannum scan --json` in cli), and remembered per
-# scan_text call besides.
+# Distinct span texts kept for the life of the process (accepted readings
+# here, and serialized records of `hannum scan --json` in cli), and
+# remembered per scan_text call besides.
 _MEMO_TEXTS = 4096
 # The longest span text kept for the life of the process. Every era's
 # rendering of every value fits (see the module docstring).
@@ -80,11 +82,12 @@ class ScanRecord:
 
     byte_offset is the span start in the UTF-8 byte stream; line and column
     are 1-based, with column counted in characters. Exactly one of outcome
-    and error is set. Records with equal text share the same outcome object,
-    within one scan_text call and across calls, since ParseOutcome is frozen.
-    Records of one call with equal text share the same error object; records
-    of two calls never do. Treat an error as read-only too: raising it sets
-    its traceback for every record of its call that holds it.
+    and error is set. Records of one scan_text call with equal text share
+    the same outcome or error object. An outcome is frozen, so records of
+    two calls share it too when the process keeps the text (see _keeps); an
+    error is never shared between calls. Treat an error as read-only too:
+    raising it sets its traceback for every record of its call that holds
+    it.
     """
 
     byte_offset: int
@@ -196,33 +199,22 @@ def _read(chunk: str) -> _Reading:
     return outcome, error, consistent, signature
 
 
-# The reading of each span text met so far, for every scan_text call: at
-# most _MEMO_TEXTS texts of at most _MEMO_CHARS characters.
+# The reading of each accepted span text met so far, for every scan_text
+# call, as far as _keeps allows.
 _READINGS: dict[str, _Reading] = {}
 
 
-def _recall(chunk: str) -> _Reading:
-    """chunk's reading for one scan_text call, read on the first call that
-    meets it and kept in _READINGS when it fits. A kept rejection's error is
-    never handed out: each call gets one of its own."""
-    reading = _READINGS.get(chunk)
-    if reading is None:
-        reading = _read(chunk)
-        if len(chunk) > _MEMO_CHARS or len(_READINGS) >= _MEMO_TEXTS:
-            return reading
-        _READINGS[chunk] = reading
-    error = reading[1]
-    if error is None:
-        return reading
-    return None, _error(error.kind, error.position, error.message), *reading[2:]
+def _keeps(memo: Mapping[str, object], text: str) -> bool:
+    """Whether a process-wide memo of span texts may keep one more: at most
+    _MEMO_TEXTS texts of at most _MEMO_CHARS characters."""
+    return len(text) <= _MEMO_CHARS and len(memo) < _MEMO_TEXTS
 
 
 def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
     """Locate, parse, and classify every numeral span in text."""
     records: list[ScanRecord] = []
-    # This call's readings of the texts _READINGS does not serve as they
-    # are: rejections, whose errors are this call's own, and texts it does
-    # not hold.
+    # This call's readings of the texts _READINGS does not serve: rejections,
+    # whose errors are this call's own, and texts it does not hold.
     readings: dict[str, _Reading] = {}
     # Spans per signature, in order of first occurrence. Counting spans, not
     # memo entries, keeps the tallies exact once the memo is full.
@@ -246,13 +238,13 @@ def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
         prev = start
 
         chunk = match.group()
-        reading = _READINGS.get(chunk)
-        if reading is None or reading[1] is not None:
-            reading = readings.get(chunk)
-            if reading is None:
-                reading = _recall(chunk)
-                if len(readings) < _MEMO_TEXTS:
-                    readings[chunk] = reading
+        reading = _READINGS.get(chunk) or readings.get(chunk)
+        if reading is None:
+            reading = _read(chunk)
+            if reading[1] is None and _keeps(_READINGS, chunk):
+                _READINGS[chunk] = reading
+            elif len(readings) < _MEMO_TEXTS:
+                readings[chunk] = reading
         outcome, error, consistent, signature = reading
         column = start - line_start + 1
         records.append(

@@ -241,6 +241,34 @@ class TestScan:
         assert code == 3
         assert "byte 6" in err
 
+    @pytest.mark.parametrize("mode", [(), ("--json",), ("--csv",)])
+    def test_several_paths_write_one_scan_each(self, capsys, tmp_path, mode):
+        docs = ["有十有五人，另有三十人。", "兩十，十十五，一百零五", "十有五人又十有五"]
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(str(tmp_path / f"doc{i}.txt"))
+            (tmp_path / f"doc{i}.txt").write_text(doc, encoding="utf-8")
+        alone = []
+        for path in paths:
+            code, out, _ = run(capsys, "scan", *mode, path)
+            assert code == 0
+            alone.append(out)
+        # Twice over, so that the second pass is served from kept readings.
+        code, out, _ = run(capsys, "scan", *mode, *paths, *paths)
+        assert code == 0
+        assert out == "".join(alone) * 2
+
+    def test_unreadable_path_ends_the_run(self, capsys, tmp_path):
+        doc = tmp_path / "doc.txt"
+        doc.write_text("一百零五", encoding="utf-8")
+        code, alone, _ = run(capsys, "scan", "--json", str(doc))
+        assert code == 0
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run(capsys, "scan", "--json", str(doc), missing, str(doc))
+        assert code == 3
+        assert out == alone
+        assert "missing.txt" in err
+
 
 class TestSelftest:
     def test_quick_pass(self, capsys):

@@ -41,9 +41,12 @@ def _scan_json_output(capsys, path, text):
 
 
 def _set_bound(monkeypatch, bound):
+    # Empty process memos, so that the bound applies from the first span
+    # whatever earlier tests left in them.
+    monkeypatch.setattr(hannum.scan, "_READINGS", {})
+    monkeypatch.setattr(hannum.cli, "_TAILS", {})
     if bound is not None:
         monkeypatch.setattr(hannum.scan, "_MEMO_TEXTS", bound)
-        monkeypatch.setattr(hannum.cli, "_MEMO_TEXTS", bound)
 
 
 # Well-formed, malformed and elliptic spans (一萬五 and 一百五 carry an

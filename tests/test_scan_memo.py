@@ -141,10 +141,12 @@ def test_past_the_memo_bound(monkeypatch):
     monkeypatch.setattr(hannum.scan, "_MEMO_TEXTS", 2)
     calls = _count_tokenize(monkeypatch)
     records, summary = _assert_same_scan(text)
-    # The first two texts are remembered, in the process memo and in the
-    # call's; the other eight are read again at every occurrence, and the
-    # tallies still count every span.
-    assert len(calls) == 2 + 8 * 3
+    # The process keeps the first two accepted texts (十, 十一) and the call
+    # the next two texts (十二 and the rejected 兩十); the other six are read
+    # again at every occurrence, and the tallies still count every span.
+    assert texts[:4] == ["十", "十一", "十二", "兩十"]
+    assert list(hannum.scan._READINGS) == texts[:2]
+    assert len(calls) == 4 + 6 * 3
     assert summary.expressions == 30
     assert sum(summary.era_sets.values()) == 30
 
@@ -159,7 +161,6 @@ def test_json_lines_equal_as_dict(monkeypatch, capsys, tmp_path, bound):
     _cold_memos(monkeypatch)
     if bound is not None:
         monkeypatch.setattr(hannum.scan, "_MEMO_TEXTS", bound)
-        monkeypatch.setattr(hannum.cli, "_MEMO_TEXTS", bound)
     texts, text = _ten_texts_repeated()
     text += "\n他有三隻貓，十有五又兩十"
     path = tmp_path / "doc.txt"
@@ -194,16 +195,17 @@ def test_cold_then_warm_match_reference(monkeypatch):
         _assert_same_scan(text)
 
 
-def test_second_call_reads_nothing(monkeypatch):
+def test_second_call_reads_only_rejections(monkeypatch):
     _cold_memos(monkeypatch)
     texts, text = _ten_texts_repeated()
     first, _ = scan_text(text)
     calls = _count_tokenize(monkeypatch)
     second, _ = scan_text(text)
-    # Accepted texts are served as they are; rejected ones are served with
-    # an error of this call's own, not read again.
-    assert calls == []
-    assert any(r.error is not None for r in second)
+    # Accepted texts are served from the process memo; each rejected one is
+    # read once more, for an error of this call's own.
+    rejected = {r.text for r in first if r.error is not None}
+    assert rejected == {"兩十", "百百", "十十五"}
+    assert sorted(calls) == sorted(rejected)
     for a, b in zip(first, second):
         assert a.outcome is b.outcome
 
@@ -214,7 +216,7 @@ def test_rejections_get_an_error_per_call(monkeypatch):
     (c,), _ = scan_text("兩十")
     assert a.error is b.error
     assert c.error is not a.error
-    assert c.error is not hannum.scan._READINGS["兩十"][1]
+    assert "兩十" not in hannum.scan._READINGS
     assert (c.error.kind, c.error.position, c.error.message, c.error.args) == (
         a.error.kind, a.error.position, a.error.message, a.error.args
     )
@@ -246,7 +248,6 @@ def test_long_spans_are_never_kept(monkeypatch, capsys, tmp_path, long):
 def test_memos_stop_at_the_bound(monkeypatch, capsys, tmp_path):
     _cold_memos(monkeypatch)
     monkeypatch.setattr(hannum.scan, "_MEMO_TEXTS", 3)
-    monkeypatch.setattr(hannum.cli, "_MEMO_TEXTS", 3)
     texts, text = _ten_texts_repeated()
     path = tmp_path / "doc.txt"
     path.write_text(text, encoding="utf-8")
@@ -287,9 +288,10 @@ def test_memo_chars_holds_every_rendering():
     assert max(lengths) == 23 <= _MEMO_CHARS
 
 
-# Both memos full of the costliest texts measured: accepted spans of
-# _MEMO_CHARS characters, whose outcomes hold a token per character. Rejected
-# texts of that length came to 5.3 MB on CPython 3.11.
+# Both memos full of the costliest texts: accepted spans of _MEMO_CHARS
+# characters, whose outcomes hold a token per character (6.06 MB measured on
+# CPython 3.11). Rejected texts are kept only as cli tails: 2.6 MB for
+# 4,096 of that length.
 _MEMO_BYTES = 8_000_000
 
 
