@@ -143,9 +143,9 @@ _report = _builder(EraConsistencyReport)
 def _coerce_tokens(source: object) -> tuple[Morpheme, ...]:
     """The tokens of source, as classify and feature_profile read it.
 
-    A sequence whose first item is a str is tokenized; any other is taken as
-    tokens. A sequence that mixes str with morphemes, in either order, is
-    one TypeError that names the argument source.
+    A sequence of morphemes is taken as tokens, and a sequence of str is
+    tokenized. Any other sequence, such as one that mixes str with
+    morphemes, is one TypeError that names the argument source.
     """
     if isinstance(source, str):
         return tokenize(source)
@@ -153,12 +153,16 @@ def _coerce_tokens(source: object) -> tuple[Morpheme, ...]:
     if not toks:
         raise _error(ParseErrorKind.EMPTY_INPUT, 0, "no tokens to classify")
     held = {t.__class__ for t in toks}
-    if str in held and Morpheme in held:
-        raise TypeError(
-            "source must be text, a sequence of str or a sequence of "
-            "numeral Morphemes, not a sequence that mixes str and Morpheme"
-        )
-    return tokenize(toks) if isinstance(toks[0], str) else toks
+    if held == {Morpheme}:
+        return toks
+    if all(isinstance(t, str) for t in toks):
+        return tokenize(toks)
+    odd = ", ".join(sorted(c.__name__ for c in held - {str, Morpheme}))
+    what = f"holding {odd}" if odd else "that mixes str and Morpheme"
+    raise TypeError(
+        "source must be text, a sequence of str or a sequence of "
+        f"numeral Morphemes, not a sequence {what}"
+    )
 
 
 _YOU_NOTE = (

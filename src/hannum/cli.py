@@ -96,7 +96,8 @@ def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
 
     parse_args leaves the parser unchanged and fills a fresh Namespace, so
-    no option carries over from one main() call to the next.
+    no option carries over from one main() call to the next. Each
+    subcommand's parser sets args.handler, the function main runs.
     """
     top = argparse.ArgumentParser(
         prog="hannum",
@@ -110,6 +111,7 @@ def _parser() -> argparse.ArgumentParser:
     gen = sub.add_parser(
         "gen", help="render an integer as a numeral expression"
     )
+    gen.set_defaults(handler=_cmd_gen)
     gen.add_argument("value", type=_int_arg, help="non-negative integer")
     gen.add_argument(
         "--era",
@@ -150,6 +152,7 @@ def _parser() -> argparse.ArgumentParser:
     par = sub.add_parser(
         "parse", help="read a numeral expression back to an integer"
     )
+    par.set_defaults(handler=_cmd_parse)
     par.add_argument(
         "text",
         nargs="?",
@@ -178,6 +181,7 @@ def _parser() -> argparse.ArgumentParser:
     cls = sub.add_parser(
         "classify", help="report which era grammars accept an expression"
     )
+    cls.set_defaults(handler=_cmd_classify)
     cls.add_argument(
         "text",
         nargs="?",
@@ -189,6 +193,7 @@ def _parser() -> argparse.ArgumentParser:
     scn = sub.add_parser(
         "scan", help="find and tally numeral spans in a text corpus"
     )
+    scn.set_defaults(handler=_cmd_scan)
     scn.add_argument(
         "paths",
         nargs="*",
@@ -208,6 +213,7 @@ def _parser() -> argparse.ArgumentParser:
     st = sub.add_parser(
         "selftest", help="run the built-in example table and round-trip sweep"
     )
+    st.set_defaults(handler=_cmd_selftest)
     st.add_argument(
         "--max",
         type=_count_arg,
@@ -414,18 +420,11 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    handlers = {
-        "gen": _cmd_gen,
-        "parse": _cmd_parse,
-        "classify": _cmd_classify,
-        "scan": _cmd_scan,
-        "selftest": _cmd_selftest,
-    }
     # Input that cannot be read raises _InputError. Only a write to stdout
     # raises the other two here (stderr escapes what it cannot encode): output
     # failures are I/O errors too.
     try:
-        code = handlers[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone. Point stdout at devnull so that the final

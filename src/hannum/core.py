@@ -343,7 +343,12 @@ class Era(_Enum):
 
     @classmethod
     def from_string(cls, name: str) -> "Era":
-        """Resolve a user-supplied era name, tolerating case and separators."""
+        """Resolve a user-supplied era name, tolerating case and separators.
+
+        A name that is not a str is a TypeError.
+        """
+        if not isinstance(name, str):
+            raise TypeError(f"an era name must be a str, not {type(name).__name__}")
         key = name.strip().lower().replace("-", "").replace("_", "").replace(" ", "")
         try:
             return _ERA_ALIASES[key]
@@ -509,7 +514,8 @@ class RenderOptions:
     under profiles where [1] before a numeral-initial ten is optional and is
     ignored elsewhere. The renderers refuse a field of another type with a
     TypeError naming it: use_you takes None, True or False only, elliptic
-    and leading_ten_one a bool only.
+    and leading_ten_one a bool only. An opts that is not a RenderOptions or
+    None is a TypeError too.
     """
 
     script: Script = Script.TRADITIONAL

@@ -201,9 +201,7 @@ class NumeralPhrase:
     def text(self, script: Script = Script.TRADITIONAL) -> str:
         parts: list[str] = []
         for item in self.items:
-            if isinstance(item, NumeralExpression):
-                parts.append(item.text(script))
-            elif isinstance(item, UnitWord):
+            if isinstance(item, (NumeralExpression, UnitWord)):
                 parts.append(item.text(script))
             else:
                 parts.append(surface(item, script))
@@ -389,20 +387,28 @@ def _group_tokens(
     return tuple(out)
 
 
+def _options(opts: object) -> RenderOptions:
+    """opts, or DEFAULT_OPTIONS for None; any other type is a TypeError."""
+    if opts is None:
+        return DEFAULT_OPTIONS
+    if not isinstance(opts, RenderOptions):
+        raise TypeError(f"opts must be a RenderOptions or None, not {type(opts).__name__}")
+    return opts
+
+
 def _rules(profile: EraProfile, opts: RenderOptions | None, elliptic: bool = False) -> int:
     """The group rules of one render, or _YOU_BANNED.
 
-    Every renderer resolves its profile and options here, in one call; None
-    reads as DEFAULT_OPTIONS. A two_style that is not a TwoStyle, a use_you
-    that is not None or a bool, and an elliptic or leading_ten_one that is
-    not a bool are TypeErrors, in that order, before any other check. The
-    style checks come next:
-    StyleNotAllowed where the options ask for liang, or elliptic is set for
-    an elliptic name, and the profile has none. The head's [1] bits are
-    _HEAD_ONES's, read off parse's [1] rule.
+    Every renderer resolves its profile and options here, in one call;
+    opts goes through _options. A two_style that is not a TwoStyle, a
+    use_you that is not None or a bool, and an elliptic or leading_ten_one
+    that is not a bool are TypeErrors, in that order, before any other
+    check. The style checks come next: StyleNotAllowed where the options
+    ask for liang, or elliptic is set for an elliptic name, and the profile
+    has none. The head's [1] bits are _HEAD_ONES's, read off parse's [1]
+    rule.
     """
-    if opts is None:
-        opts = DEFAULT_OPTIONS
+    opts = _options(opts)
     two = opts.two_style
     if two.__class__ is not TwoStyle:
         raise TypeError(f"two_style must be a TwoStyle, not {type(two).__name__}")
@@ -469,7 +475,7 @@ def render_integer(
     """
     if opts is DEFAULT_OPTIONS and era.__class__ is Era:
         profile, rules, ceiling = _PLANS[era]  # type: ignore[index]
-    elif opts is not None and opts.elliptic is True:
+    elif _options(opts).elliptic is True:
         return render_elliptic(n, era, opts)
     else:
         profile, rules, ceiling = _plan(era_profile(era), opts)
@@ -576,7 +582,7 @@ def render_quantity(
     profile = era_profile(era)
     if profile.era is not Era.CONTEMPORARY:
         raise StyleNotAllowed("classifier quantity phrases are rendered in the contemporary profile only")
-    if opts is not None and opts.elliptic is True:
+    if _options(opts).elliptic is True:
         raise StyleNotAllowed("elliptic numerals cannot be incorporated before a classifier")
     rules = _rules(profile, opts)
     clf = unit_word(classifier)

@@ -670,24 +670,21 @@ class _Lanes:
     """
 
     __slots__ = (
-        "banned", "one", "all", "lenient", "elliptic", "zero_bad", "ling_req",
-        "inner_req", "memo",
+        "banned", "one", "all", "lenient", "zero_bad", "ling_req", "inner_req", "memo",
     )
 
     def __init__(self, grammars: list[tuple[object, ...] | None]) -> None:
         self.all = (1 << len(grammars)) - 1
-        self.lenient = self.elliptic = self.zero_bad = self.ling_req = self.inner_req = 0
+        self.lenient = self.zero_bad = self.ling_req = self.inner_req = 0
         banned = [0] * (max(_NOTATION) + 1)
         one: list[dict[str, int]] = [{} for _ in range(_LATER + 2)]
         for k, grammar in enumerate(grammars):
             bit = 1 << k
             if grammar is None:
                 self.lenient |= bit
-                self.elliptic |= bit
                 continue
             no_you, ling, liang, zero, gap_words, ones = grammar
             if ling is LingPolicy.REQUIRED:
-                self.elliptic |= bit
                 self.ling_req |= bit
             if not zero:
                 self.zero_bad |= bit
@@ -965,7 +962,7 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
                                 break
                             ell = alive
                         else:
-                            ell = alive & L.elliptic
+                            ell = alive & (L.ling_req | L.lenient)
                             lenient = alive & L.lenient
                             if lenient:
                                 # Both readings, less the running total.
@@ -1268,12 +1265,9 @@ def _read_span(
     outcome or error is exactly what parse(toks, None) returns or raises; eras
     are the accepting eras in chronological order, as classify reports them,
     one of the shared tuples of _CONSISTENT. No error is built for a
-    rejecting era. The features are _walk_all's, read here off the walk
-    without its frame.
+    rejecting era. The features are _walk_all's.
     """
-    alive, total, elliptic, closed, fails, diags, features = _walk(
-        _codes(toks), _ALL_LANES, _ALL_MAXES, _ALL_FLOOR
-    )
+    alive, total, elliptic, closed, fails, diags, features = _walk_all(toks)
     consistent = _CONSISTENT[alive | elliptic]
     if elliptic & _LENIENT_BIT:
         total = closed

@@ -157,11 +157,6 @@ class ScanSummary:
 _COUNTS = tuple(f.name for f in fields(ScanSummary) if f.name != "era_sets")
 
 
-def _spans(text: str) -> list[tuple[int, int]]:
-    """Maximal numeral runs as (start, end) character indexes."""
-    return [m.span() for m in _SPAN.finditer(text)]
-
-
 # The era-set key of each consistent-era tuple, filled by _read on first
 # sight. _read_span takes its tuples from parse's table of 2**7 lane masks,
 # so this holds at most that many.

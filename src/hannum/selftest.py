@@ -207,29 +207,27 @@ def run_selftest(max_value: int = 1000) -> SelfTestReport:
                 f"{pfx.kind}{pfx.args}: {got!r} != expected {pfx.surface!r}"
             )
 
-    if max_value > 0:
-        for era in Era:
-            profile = era_profile(era)
-            low = 0 if profile.zero_expressible else 1
-            high = min(max_value, profile.max_value)
-            for n in range(low, high + 1):
-                checks += 1
-                try:
-                    expr = render_integer(n, era)
-                    back = parse(expr.tokens, era).value
-                except Exception as exc:  # noqa: BLE001
-                    failures.append(f"round-trip {n} ({era.value}): {exc!r}")
-                    if len(failures) > 20:
-                        break
-                    continue
-                if back != n:
-                    failures.append(
-                        f"round-trip {n} ({era.value}): parsed back as {back}"
-                    )
-                    if len(failures) > 20:
-                        break
-            if len(failures) > 20:
-                break
+    # Every era's values up to max_value, era by era; max_value 0 skips them.
+    sweep = (
+        (era, n)
+        for era in (Era if max_value else ())
+        for n in range(
+            0 if era_profile(era).zero_expressible else 1,
+            min(max_value, era_profile(era).max_value) + 1,
+        )
+    )
+    for era, n in sweep:
+        checks += 1
+        try:
+            back = parse(render_integer(n, era).tokens, era).value
+        except Exception as exc:  # noqa: BLE001
+            failures.append(f"round-trip {n} ({era.value}): {exc!r}")
+        else:
+            if back == n:
+                continue
+            failures.append(f"round-trip {n} ({era.value}): parsed back as {back}")
+        if len(failures) > 20:
+            break
 
     elapsed = time.perf_counter() - start
     return SelfTestReport(

@@ -259,6 +259,36 @@ class TestMixedSequence:
         )
 
 
+class TestOtherSequence:
+    """A sequence whose items are neither all str nor all morphemes is the
+    TypeError that names source, not parse's."""
+
+    @pytest.mark.parametrize("read", [classify, feature_profile])
+    @pytest.mark.parametrize(
+        "items, held",
+        [([1, 2], "int"), (b"\xe4", "int"), ([None], "NoneType"), ([1], "int"),
+         ([digit(1), 1.5], "float"), (["一", None, 2], "NoneType, int")],
+        ids=["ints", "bytes", "none", "one-int", "morpheme-float", "str-none-int"],
+    )
+    def test_names_source(self, read, items, held):
+        with pytest.raises(TypeError) as info:
+            read(items)
+        assert str(info.value) == (
+            "source must be text, a sequence of str or a sequence of numeral "
+            f"Morphemes, not a sequence holding {held}"
+        )
+
+    def test_parse_keeps_its_message(self):
+        with pytest.raises(TypeError, match="^parse expects a sequence of numeral Morphemes$"):
+            parse([1, 2])
+
+    def test_verdict_for_a_name_of_another_type(self):
+        report = classify("十五")
+        with pytest.raises(TypeError, match="^an era name must be a str, not NoneType$"):
+            report.verdict_for(None)
+        assert report.verdict_for("song") is report.verdict_for(Era.SONG_QIN)
+
+
 class TestStrSequence:
     """A sequence of str reads as tokenize and parse_text read it: as the
     string of its items."""

@@ -282,6 +282,12 @@ class TestEras:
         with pytest.raises(ValueError):
             Era.from_string("tang")
 
+    @pytest.mark.parametrize("bad", [5, None, b"song", Era.SONG_QIN], ids=repr)
+    def test_from_string_of_another_type(self, bad):
+        message = f"^an era name must be a str, not {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            Era.from_string(bad)
+
     def test_labels_and_periods_exist(self):
         for era in Era:
             assert era.label

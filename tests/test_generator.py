@@ -625,6 +625,34 @@ class TestOptionsArgument:
             with pytest.raises(TypeError, match="^two_style must be a TwoStyle"):
                 call(n, era, opts)
 
+    @pytest.mark.parametrize("bad", ["x", {}, 1], ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n, era, opts: render_integer(n, era, opts),
+            lambda n, era, opts: render_elliptic(n, era, opts),
+            lambda n, era, opts: render_quantity(n, "個", era, opts),
+        ],
+        ids=["integer", "elliptic", "quantity"],
+    )
+    @pytest.mark.parametrize("era", [Era.CONTEMPORARY, "contemporary"], ids=repr)
+    def test_opts_of_another_type_is_refused(self, bad, call, era):
+        message = f"^opts must be a RenderOptions or None, not {type(bad).__name__}$"
+        for n in (5, 150, "x"):
+            with pytest.raises(TypeError, match=message):
+                call(n, era, bad)
+
+    @pytest.mark.parametrize("bad", ["x", {}, 1], ids=repr)
+    def test_opts_is_read_after_the_errors_before_it(self, bad):
+        # render_integer reads opts before the era, the other two after it;
+        # render_quantity refuses a non-contemporary era first.
+        with pytest.raises(TypeError, match="^opts must be"):
+            render_integer(5, "tang", bad)
+        with pytest.raises(ValueError, match="^unknown era 'tang'"):
+            render_elliptic(150, "tang", bad)
+        with pytest.raises(StyleNotAllowed, match="contemporary profile only"):
+            render_quantity(5, "個", Era.ZHOU_BRONZE, bad)
+
 
 class TestGeneratorInvariants:
     def test_no_ling_outside_ling_eras(self):
@@ -826,6 +854,20 @@ class TestRenderFastPath:
             got = [_result(lambda: render_integer(n, era, opts)) for _ in range(2)]
             want = _result(lambda: generate._render_full(n, profile, rules))
             assert got == [want, want], n
+
+    @pytest.mark.parametrize("era", list(Era))
+    def test_memo_serves_a_second_render(self, monkeypatch, era):
+        # The fast path packs _render_full's memo keys by hand; if the two
+        # drift apart, every call falls through to _render_full.
+        monkeypatch.setattr(generate, "_group_memo", {})
+        values = (1_234, 56_780_912, 30_000)
+        first = [render_integer(n, era) for n in values]
+
+        def refuse(*args):
+            raise AssertionError("the render missed the group memo")
+
+        monkeypatch.setattr(generate, "_render_full", refuse)
+        assert [render_integer(n, era) for n in values] == first
 
     def test_custom_ceiling(self, monkeypatch):
         monkeypatch.setattr(generate, "_group_memo", {})

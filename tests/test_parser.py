@@ -212,11 +212,15 @@ class TestParseValues:
     def test_code_attribute_is_no_morpheme(self, code, before):
         # The morpheme table is the only source of codes: an object that
         # merely has a code attribute is neither read as that code nor
-        # turned into a bare ValueError by a code above 255.
+        # turned into a bare ValueError by a code above 255. classify and
+        # feature_profile name their own argument.
         tokens = [*before, SimpleNamespace(code=code)]
-        for read in (parse, classify, feature_profile):
-            with pytest.raises(TypeError, match="^parse expects a sequence of "
-                               "numeral Morphemes$"):
+        with pytest.raises(TypeError, match="^parse expects a sequence of "
+                           "numeral Morphemes$"):
+            parse(tokens)
+        for read in (classify, feature_profile):
+            with pytest.raises(TypeError, match="^source must be text, .* not a "
+                               "sequence holding SimpleNamespace$"):
                 read(tokens)
 
     def test_single_tokens(self):

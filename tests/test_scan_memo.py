@@ -22,7 +22,7 @@ import hannum.scan
 from hannum import Era, RenderOptions, Script, TwoStyle, render_integer
 from hannum.cli import main
 from hannum.core import era_profile
-from hannum.scan import _CORE_CHARS, _MEMO_CHARS, _MEMO_TEXTS, _spans, scan_text
+from hannum.scan import _CORE_CHARS, _MEMO_CHARS, _MEMO_TEXTS, _SPAN, scan_text
 
 import reference_scan
 
@@ -342,4 +342,4 @@ _edge_text = st.lists(
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.text(), _edge_text))
 def test_span_regex_matches_character_loop(text):
-    assert _spans(text) == reference_scan._spans(text)
+    assert [m.span() for m in _SPAN.finditer(text)] == reference_scan._spans(text)
