@@ -25,9 +25,17 @@ The runs:
 - gen --json under every era and the 36 flag sets (--two-style x
   --you/--no-you/neither x --elliptic x --leading-ten-one) on a fixed list
   of values around the pivots, the group boundaries and the ceilings;
-- last, scan --json on every document once more, so that its records come
-  from the readings and JSON tails that the runs before it left in the
-  process.
+- scan --json on every document once more, so that its records come from
+  the readings and JSON tails that the runs before it left in the process;
+- last, USAGE_ARGVS: help text, usage errors and the argvs where a
+  subcommand's parser and the top parser could part, each scan among them
+  reading the mixed document from stdin.
+
+A run that exits through SystemExit, as a help or usage error does, is
+recorded with its exit code. Help text is wrapped to COLUMNS, which the
+script sets to 80 while it runs, so the line does not depend on the
+terminal; it still depends on the interpreter's argparse, so compare two
+checkouts under one interpreter.
 """
 
 from __future__ import annotations
@@ -35,9 +43,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import unicodedata
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 # Appended, not prepended: a PYTHONPATH that names another checkout's src
@@ -81,6 +91,21 @@ _MIX = (
     + "。他說\"一百五\"，又曰'三千四'\\五萬六\\\\。\r\n"
     + "百五、一萬五\r\n\"\"\\一百零五\"\r\n二兩、三兩。\r\n"
 )
+
+
+# The argvs of the CLI's dispatch test (tests/test_cli.py): main must answer
+# each as the top parser's parse_args and the handler it picks would. "-" is
+# the path of stdin.
+USAGE_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["sc"],
+    ["scan", "-h"], ["scan", "--he"], ["scan", "--js", "-"],
+    ["scan", "-", "--json", "x"], ["scan", "--json", "--csv", "-"],
+    ["scan", "--", "-"], ["scan", "--bogus", "-"],
+    ["gen", "-5"], ["gen", "5", "extra"], ["gen", "5", "--era", "nope"],
+    ["gen", "x"], ["gen"], ["parse", "一百", "--era", "dunhuang", "--lenient"],
+    ["selftest", "--max", "-1"], ["selftest", "--seed", "1"],
+    ["--", "scan"], ["gen", "--", "-5"], ["-x", "scan"], ["gen", "1", "-h", "--bad"],
+]
 
 
 def _edge_texts() -> list[str]:
@@ -132,17 +157,25 @@ def runs() -> list[tuple[list[str], str | None]]:
                 )
     for doc in _documents():
         out.append((["scan", "--json"], doc))
+    out += [(argv, _MIX) for argv in USAGE_ARGVS]
     return out
 
 
-def _run(argv: list[str], stdin: str | None) -> tuple[int, str, str]:
+def _run(
+    argv: list[str], stdin: str | None
+) -> tuple[int | tuple[str, object], str, str]:
+    """main(argv)'s exit code, or ("exit", code) when it raised SystemExit,
+    and its stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     if stdin is not None:
         sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = hannum.cli.main(argv)
+            try:
+                code: int | tuple[str, object] = hannum.cli.main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
@@ -154,9 +187,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     digest = hashlib.sha256()
     todo = runs()
-    for args, stdin in todo:
-        code, out, err = _run(args, stdin)
-        digest.update(repr((args, code, out, err)).encode("utf-8"))
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        for args, stdin in todo:
+            code, out, err = _run(args, stdin)
+            digest.update(repr((args, code, out, err)).encode("utf-8"))
     print(f"{digest.hexdigest()} {len(todo)} runs")
     return 0
 

@@ -145,11 +145,18 @@ def _coerce_tokens(source: object) -> tuple[Morpheme, ...]:
 
     A sequence of morphemes is taken as tokens, and a sequence of str is
     tokenized. Any other sequence, such as one that mixes str with
-    morphemes, is one TypeError that names the argument source.
+    morphemes, and anything that is not iterable, is one TypeError that
+    names the argument source.
     """
     if isinstance(source, str):
         return tokenize(source)
-    toks = tuple(getattr(source, "tokens", source))
+    try:
+        toks = tuple(getattr(source, "tokens", source))
+    except TypeError:
+        raise TypeError(
+            "source must be text, a sequence of str or a sequence of "
+            f"numeral Morphemes, not {source.__class__.__name__}"
+        ) from None
     if not toks:
         raise _error(ParseErrorKind.EMPTY_INPUT, 0, "no tokens to classify")
     held = {t.__class__ for t in toks}

@@ -13,8 +13,15 @@ by the C string encoder that json.dumps itself uses, and the part after
 "column" is built once per distinct span text for the life of the process:
 _TAILS keeps it beside scan's readings, as far as scan._keeps allows, so a
 scan of several paths, or any process that runs scan --json more than once,
-writes each repeated span's tail once. Every line equals
-json.dumps(record.as_dict(), ensure_ascii=False).
+writes each repeated span's tail once. The summary line is written from
+fragments too: its counts in scan._COUNTS order, then the era_sets object
+with its keys sorted. Every line equals json.dumps of the record's
+as_dict(), or of {"summary": summary.as_dict()}, with ensure_ascii=False.
+
+main parses each argv once: an argv that starts with a subcommand's name
+goes straight to that subcommand's parser, which is where the top parser
+would send it after a pass of its own, and every other argv to the top
+parser. Output, exit codes and usage messages are the top parser's.
 """
 
 from __future__ import annotations
@@ -25,12 +32,13 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring as _encode_string
+from operator import attrgetter
 
 from .chronolect import classify
 from .core import Era, RenderOptions, Script, TwoStyle, token_notation
 from .generate import RenderError, render_integer
 from .parse import Features, NumeralParseError, parse_text
-from .scan import ScanRecord, _keeps, scan_text, summary_csv_rows
+from .scan import _COUNTS, ScanRecord, _keeps, scan_text, summary_csv_rows
 from .selftest import run_selftest
 
 __all__ = ["main"]
@@ -92,11 +100,17 @@ def _text_or_stdin(text: str | None) -> str:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top argument parser and its subcommands' parsers by name, built
+    once per process.
 
-    parse_args leaves the parser unchanged and fills a fresh Namespace, so
-    no option carries over from one main() call to the next. Each
+    The map is argparse's own: the choices of the action that
+    add_subparsers returns, which the top parser reads a subcommand's name
+    from. main hands an argv that starts with one of its keys straight to
+    that subcommand's parser, which is what the top parser does with it
+    after a first pass of its own, and any other argv to the top parser.
+    Parsing leaves the parsers unchanged and fills a fresh Namespace, so no
+    option carries over from one main() call to the next. Each
     subcommand's parser sets args.handler, the function main runs.
     """
     top = argparse.ArgumentParser(
@@ -223,7 +237,7 @@ def _parser() -> argparse.ArgumentParser:
         "(0 checks the example table only; default 1000)",
     )
 
-    return top
+    return top, sub.choices
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -315,6 +329,15 @@ _FEATURES_JSON: dict[Features, str] = {}
 # Each span text's _reading_json, kept for every scan --json run in the
 # process as far as scan._keeps allows.
 _TAILS: dict[str, str] = {}
+# The {"summary": ...} line of scan --json: a %d slot for each count, in
+# scan._COUNTS order as _counts reads them, and a %s slot for the members
+# of the era_sets object.
+_SUMMARY_LINE = (
+    '{"summary": {'
+    + "".join(f'"{key}": %d, ' for key in _COUNTS)
+    + '"era_sets": {%s}}}\n'
+)
+_counts = attrgetter(*_COUNTS)
 
 
 def _reading_json(rec: ScanRecord) -> str:
@@ -391,7 +414,13 @@ def _write_scan(text: str, args: argparse.Namespace) -> None:
                 f'{{"byte_offset": {rec.byte_offset}, "line": {rec.line}, '
                 f'"column": {rec.column}, {tail}\n'
             )
-        write(json.dumps({"summary": summary.as_dict()}, ensure_ascii=False) + "\n")
+        # An era-set key is era names joined by "+", or "none", none of
+        # which JSON escapes. With the default separators this line equals
+        # json.dumps({"summary": summary.as_dict()}, ensure_ascii=False).
+        era_sets = ", ".join(
+            [f'"{key}": {n}' for key, n in sorted(summary.era_sets.items())]
+        )
+        write(_SUMMARY_LINE % (*_counts(summary), era_sets))
         return
     for rec in records:
         if rec.ok:
@@ -419,7 +448,19 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    top, commands = _parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = top.parse_args(argv)
+    else:
+        # What the top parser's parse_args does with this argv, without its
+        # own pass over every string first: the subcommand's parser reads
+        # the rest, and the top parser reports what is left over.
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            top.error(f"unrecognized arguments: {' '.join(extra)}")
     # Input that cannot be read raises _InputError. Only a write to stdout
     # raises the other two here (stderr escapes what it cannot encode): output
     # failures are I/O errors too.

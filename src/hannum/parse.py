@@ -1287,7 +1287,13 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     era may be an Era, an EraProfile, a loose era name, or None/"lenient" for
     the permissive union grammar. Raises NumeralParseError on rejection.
     """
-    toks: tuple[Morpheme, ...] = tuple(getattr(tokens, "tokens", tokens))
+    try:
+        toks: tuple[Morpheme, ...] = tuple(getattr(tokens, "tokens", tokens))
+    except TypeError:
+        raise TypeError(
+            "parse expects a sequence of numeral Morphemes, "
+            f"not {tokens.__class__.__name__}"
+        ) from None
     if era is None or isinstance(era, str) and era.strip().lower() == "lenient":
         lanes, maxes, era_checked, name = _LENIENT_READER
     elif era.__class__ is Era:

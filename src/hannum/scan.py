@@ -27,10 +27,11 @@ masks, so _ERA_SETS is bounded by construction.
 _read_span reads the walk's masks and features itself, one frame below
 _read, and builds a diagnostics tuple only for a span that has any.
 
-scan_text builds its records through core's positional builder, which stores
-their fields with plain slot stores on a same-layout twin and then sets their
-class; the public ScanRecord constructor stays the dataclass one, so a
-caller that builds, copies or replaces a record sees no change.
+scan_text builds its records and its summary through core's positional
+builder, which stores their fields with plain slot stores on a same-layout
+twin and then sets their class; the public ScanRecord and ScanSummary
+constructors stay the dataclass ones, so a caller that builds, copies or
+replaces a record or a summary sees no change.
 """
 
 from __future__ import annotations
@@ -155,6 +156,9 @@ class ScanSummary:
 
 # The summary's counts, in output order: every field but era_sets.
 _COUNTS = tuple(f.name for f in fields(ScanSummary) if f.name != "era_sets")
+# _summary builds its summary through this positional constructor, which
+# takes the fields in the order above.
+_summary_of = _builder(ScanSummary)
 
 
 # The era-set key of each consistent-era tuple, filled by _read on first
@@ -265,7 +269,8 @@ def _summary(counts: dict[_Signature, int]) -> ScanSummary:
         if elliptic:
             tally["elliptic"] += n
         era_sets[key] = era_sets.get(key, 0) + n
-    return ScanSummary(era_sets=era_sets, **tally)
+    # tally holds the counts in field order, so they go in as they stand.
+    return _summary_of(*tally.values(), era_sets)
 
 
 def summary_csv_rows(summary: ScanSummary) -> list[tuple[str, str]]:

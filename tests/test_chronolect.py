@@ -289,6 +289,34 @@ class TestOtherSequence:
         assert report.verdict_for("song") is report.verdict_for(Era.SONG_QIN)
 
 
+class TestNotIterable:
+    """What cannot be iterated at all is the same TypeError, naming the type
+    it got, not Python's bare 'object is not iterable'."""
+
+    @pytest.mark.parametrize("read", [classify, feature_profile])
+    @pytest.mark.parametrize(
+        "source, name", [(None, "NoneType"), (5, "int"), (1.5, "float")]
+    )
+    def test_names_source(self, read, source, name):
+        with pytest.raises(TypeError) as info:
+            read(source)
+        assert str(info.value) == (
+            "source must be text, a sequence of str or a sequence of numeral "
+            f"Morphemes, not {name}"
+        )
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    @pytest.mark.parametrize(
+        "tokens, name", [(None, "NoneType"), (5, "int"), (object(), "object")]
+    )
+    def test_parse_names_tokens(self, tokens, name):
+        with pytest.raises(TypeError) as info:
+            parse(tokens)
+        assert str(info.value) == (
+            f"parse expects a sequence of numeral Morphemes, not {name}"
+        )
+
+
 class TestStrSequence:
     """A sequence of str reads as tokenize and parse_text read it: as the
     string of its items."""

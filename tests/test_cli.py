@@ -1,13 +1,24 @@
 """The command-line interface, driven in process through main()."""
 
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from hannum import selftest
-from hannum.cli import _parser, main
+from hannum.cli import _parsers, main
 from hannum.selftest import IntegerFixture, PhraseFixture, run_selftest
+
+# The dispatch test's argvs live in scripts/output_digest.py, whose digest
+# covers them too.
+_spec = importlib.util.spec_from_file_location(
+    "output_digest",
+    Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py",
+)
+_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_digest)
 
 
 def run(capsys, *argv):
@@ -325,8 +336,57 @@ class TestUsage:
         assert info.value.code == 2
 
     def test_negative_value_rejected(self, capsys):
-        code, _, err = run(capsys, "gen", "-5")
-        assert code == 2 or "error" in err
+        code, out, err = run(capsys, "gen", "-5")
+        assert (code, out, err) == (
+            2, "", "error: expected a non-negative integer, got -5\n"
+        )
+
+
+def _reference(argv):
+    """What main did before it sent a named subcommand to its own parser."""
+    args = _parsers()[0].parse_args(argv)
+    return args.handler(args)
+
+
+def _outcome(call, argv, capsys, monkeypatch):
+    feed_stdin(monkeypatch, "共一百零五人，十有五。".encode("utf-8"))
+    try:
+        result = ("return", call(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestDispatch:
+    """main sends an argv that starts with a subcommand's name straight to
+    that subcommand's parser. Every argv must give the exit code or
+    SystemExit code, stdout and stderr of the top parser's parse_args and
+    the handler it picks."""
+
+    @pytest.mark.parametrize(
+        "argv", _digest.USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "empty"
+    )
+    def test_matches_top_parser(self, capsys, monkeypatch, argv):
+        expected = _outcome(_reference, argv, capsys, monkeypatch)
+        assert _outcome(main, argv, capsys, monkeypatch) == expected
+
+    def test_unhashable_first_item_is_a_type_error(self):
+        for call in (_reference, main):
+            with pytest.raises(TypeError):
+                call([["scan"]])
+
+    def test_named_command_skips_top_parser(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top parser parsed a named subcommand")
+
+        monkeypatch.setattr(_parsers()[0], "parse_args", refuse)
+        assert run(capsys, "gen", "5") == (0, "五\n", "")
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["hannum", "gen", "5"])
+        assert main() == 0
+        assert capsys.readouterr().out == "五\n"
 
 
 class TestRepeatedCalls:
@@ -334,7 +394,7 @@ class TestRepeatedCalls:
     from one call to the next."""
 
     def test_parser_built_once(self):
-        assert _parser() is _parser()
+        assert _parsers() is _parsers()
 
     def test_scan_csv_then_json(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"

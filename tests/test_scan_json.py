@@ -11,7 +11,7 @@ every table must hold what the code it replaces computed.
 import importlib
 import importlib.util
 import json
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import hannum.cli
 import hannum.scan
 from hannum.cli import main
-from hannum.scan import ScanRecord, scan_text
+from hannum.scan import ScanRecord, ScanSummary, scan_text
 
 # The module, not the function that hannum exports by the same name.
 P = importlib.import_module("hannum.parse")
@@ -168,3 +168,37 @@ def test_span_graphs_encode_as_themselves():
     # _reading_json writes a span's text without escaping it.
     for graph in hannum.scan._CORE_CHARS | hannum.scan._CONDITIONAL_CHARS:
         assert json.dumps(graph, ensure_ascii=False) == f'"{graph}"'
+
+
+# An empty document, one without a numeral, and one whose era-set keys come
+# in an order that is not sorted, with every count non-zero and most of them
+# distinct.
+_OUT_OF_ORDER = "兩千，十五，十有五，百百，一萬五，零，十五，一百五，兩千，二十又三"
+
+
+@pytest.mark.parametrize("text", ["", "山水之間，人。", _OUT_OF_ORDER])
+def test_summary_line(capsys, tmp_path, text):
+    _, summary = scan_text(text)
+    last = _scan_json_output(capsys, tmp_path / "doc.txt", text).splitlines()[-1]
+    assert last == json.dumps({"summary": summary.as_dict()}, ensure_ascii=False)
+    if not text:
+        assert last.endswith('"era_sets": {}}}')
+
+
+def test_summary_era_sets_arrive_unsorted():
+    _, summary = scan_text(_OUT_OF_ORDER)
+    keys = list(summary.era_sets)
+    assert len(keys) > 2 and keys != sorted(keys)
+    assert all(getattr(summary, key) for key in hannum.scan._COUNTS)
+
+
+@pytest.mark.parametrize("text", ["", "山水之間，人。", _OUT_OF_ORDER])
+def test_summary_equals_dataclass_built(text):
+    # _summary builds through core's positional builder; the result must be
+    # the summary the dataclass constructor builds from the same values.
+    _, summary = scan_text(text)
+    fields = {f.name: getattr(summary, f.name) for f in dataclass_fields(summary)}
+    built = ScanSummary(**fields)
+    assert summary == built and type(summary) is ScanSummary
+    assert summary.as_dict() == built.as_dict()
+    assert type(summary.era_sets) is dict
