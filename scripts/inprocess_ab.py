@@ -15,7 +15,9 @@ differ, exits 1. Then N rounds (default 20) each time one full pass of the
 pool per side, alternating which side goes first. For each workload it
 prints the median µs/op of each side and the median over rounds of the
 per-round ratio of base time to change time, so a ratio above 1 means the
-change is faster.
+change is faster, then that ratio's quartiles over the rounds (exclusive
+method, as scripts/bench_pairs.py takes them), so a sizing shows its own
+noise.
 
 Adjacent passes in one process share the host's speed of the moment, so
 the ratio sizes a change quickly. It is for sizing only: a claim comes
@@ -107,10 +109,12 @@ def compare(name: str, base: Any, rounds: int, docs: Path) -> bool:
                 times[label].append(one_pass(wl, calls))
     ops = len(sides[0][1].items)
     us = {label: statistics.median(t) / ops / 1000 for label, t in times.items()}
-    ratio = statistics.median(b / c for b, c in zip(times["base"], times["change"]))
+    ratios = [b / c for b, c in zip(times["base"], times["change"])]
+    # The exclusive method's middle quartile is the median.
+    q1, ratio, q3 = statistics.quantiles(ratios, n=4) if rounds > 1 else ratios * 3
     print(
         f"{name}: base {us['base']:.3f} us/op, change {us['change']:.3f} us/op, "
-        f"ratio {ratio:.3f} over {rounds} rounds of {ops} ops"
+        f"ratio {ratio:.3f} (q1 {q1:.3f}, q3 {q3:.3f}) over {rounds} rounds of {ops} ops"
     )
     return True
 

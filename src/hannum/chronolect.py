@@ -223,15 +223,17 @@ def classify(source: object) -> EraConsistencyReport:
     source may be a token sequence, an object with a tokens attribute, a
     text string (tokenized with automatic script detection), or a sequence
     of str, tokenized as the string of its items. Tokenization errors
-    propagate; grammar rejections become per-era Rejects verdicts.
+    propagate; grammar rejections become per-era Rejects verdicts, each with
+    an error of its own, built on this call with its message from the era's
+    message table in _FAN_OUT.
     """
     toks = _coerce_tokens(source)
     alive, total, elliptic, closed, fails, _, features = _walk_all(toks)
     verdicts = tuple([
         _verdict(era, total, None) if alive & bit
         else _verdict(era, closed, None) if elliptic & bit
-        else _verdict(era, None, _rejection(fails, bit, name, ceiling))
-        for era, bit, name, ceiling in _FAN_OUT
+        else _verdict(era, None, _rejection(fails, bit, messages))
+        for era, bit, messages in _FAN_OUT
     ])
     consistent = _CONSISTENT[alive | elliptic]
     return _report(toks, verdicts, features, consistent, _notes(features, consistent))

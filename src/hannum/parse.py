@@ -119,9 +119,12 @@ twin and then sets its class; the public constructor stays the dataclass
 one, so a caller that builds, copies or replaces an outcome sees no
 change. Errors are built the same way: every NumeralParseError that
 hannum raises or stores comes from _error, which makes the instance with
-ValueError.__new__ and sets its three fields without running __init__, and
-keeps each message the standard readers format. The public constructor,
-str, args and pickling are unchanged.
+ValueError.__new__ and stores its three fields in their slots without
+running __init__, so no instance dict is made. A failure's message comes
+from its reader's _Messages table: each standard reader, the eight eras and
+the lenient grammar, formats a template once and keeps it, and a custom
+profile's table lives for one parse. The public constructor, str, args and
+pickling are unchanged; vars() of an error is empty.
 """
 
 from __future__ import annotations
@@ -189,10 +192,17 @@ class NumeralParseError(ValueError):
 
     hannum builds every error it raises or stores in one step, through
     parse._error, which makes the same error as this constructor; the
-    constructor and pickling are the public ones.
+    constructor and pickling are the public ones. The three fields live in
+    slots, so building an error makes no instance dict; the exception's own
+    dict still takes notes and any attribute a caller sets, and vars(err)
+    is empty.
     """
 
+    __slots__ = ("kind", "position", "message", "__weakref__")
+
     def __init__(self, kind: ParseErrorKind, position: int, message: str) -> None:
+        if not isinstance(kind, ParseErrorKind):
+            raise TypeError(f"kind must be a ParseErrorKind, not {type(kind).__name__}")
         super().__init__(f"{kind.value} at {position}: {message}")
         self.kind = kind
         self.position = position
@@ -206,39 +216,41 @@ _K = ParseErrorKind
 _new_error = ValueError.__new__
 _charmap_encode = codecs.charmap_encode
 
-# The formatted messages of failures under the standard readers, by
-# (template, grammar name, ceiling): see _error.
-_MESSAGES: dict[tuple[str, str, int], str] = {}
 
-
-def _error(kind: ParseErrorKind, position: int, message: str,
-           name: str | None = None, ceiling: int = 0) -> NumeralParseError:
+def _error(kind: ParseErrorKind, position: int, message: str) -> NumeralParseError:
     """NumeralParseError(kind, position, message), built in one step.
 
     ValueError.__new__ sets args to the text the constructor passes up, and
-    the fields are stored as its __init__ stores them, so the error is the
-    one the constructor builds; no __init__ runs, and the kind's text is
-    read as _value_, not through the Enum descriptor.
-
-    Given a name, message is a failure's template (see _Failures), and the
-    error's message is that template for the grammar of that name and
-    ceiling. It is kept in _MESSAGES only for the nine standard readers
-    (_STANDARD), so the memo holds at most one entry per template and
-    standard reader; a custom ceiling is formatted on every call.
+    the fields are stored in their slots as its __init__ stores them, so the
+    error is the one the constructor builds; no __init__ runs, and the
+    kind's text is read as _value_, not through the Enum descriptor. message
+    is the final text: a grammar failure's comes from its reader's
+    _Messages.
     """
-    if name is not None:
-        key = (message, name, ceiling)
-        text = _MESSAGES.get(key)
-        if text is None:
-            text = message.format(era=name, ceiling=ceiling)
-            if (name, ceiling) in _STANDARD:
-                _MESSAGES[key] = text
-        message = text
     err = _new_error(NumeralParseError, f"{kind._value_} at {position}: {message}")
     err.kind = kind
     err.position = position
     err.message = message
     return err
+
+
+class _Messages(dict):
+    """One reader's failure messages, by template (see _Failures): each
+    template formatted for the grammar's name and ceiling on first use,
+    then kept. Each standard reader, the eight eras and the lenient
+    grammar, holds one table for the life of the process, so it keeps at
+    most one message per template; a custom profile's reader gets a new
+    table on every parse, so it keeps nothing."""
+
+    __slots__ = ("name", "ceiling")
+
+    def __init__(self, name: str, ceiling: int) -> None:
+        self.name = name
+        self.ceiling = ceiling
+
+    def __missing__(self, template: str) -> str:
+        text = self[template] = template.format(era=self.name, ceiling=self.ceiling)
+        return text
 
 
 def _error_dict(err: NumeralParseError) -> dict[str, object]:
@@ -727,43 +739,37 @@ def _table(grammar: tuple[object, ...] | None) -> _Lanes:
     return lanes
 
 
-def _reader(p: EraProfile) -> tuple[_Lanes, tuple[int, ...], Era | None, str]:
+def _reader(p: EraProfile) -> tuple[_Lanes, tuple[int, ...], Era | None, _Messages]:
     """What parse reads under profile p with: its lane table, the lane's
-    ceiling as _walk takes it, the era it reports and the name its errors
-    give."""
-    return _table(_grammar(p)), (p.max_value,), p.era, p.era.value
+    ceiling as _walk takes it, the era it reports and a new table of the
+    messages its errors give."""
+    return _table(_grammar(p)), (p.max_value,), p.era, _Messages(p.era.value, p.max_value)
 
 
-_LENIENT_NAME = "the lenient grammar"
-_LENIENT_READER = (_table(None), (_LENIENT_MAX,), None, _LENIENT_NAME)
+_LENIENT_MESSAGES = _Messages("the lenient grammar", _LENIENT_MAX)
+_LENIENT_READER = (_table(None), (_LENIENT_MAX,), None, _LENIENT_MESSAGES)
 _ERA_PROFILES = tuple(map(era_profile, CHRONOLOGY))
 _ERA_READERS = {p.era: _reader(p) for p in _ERA_PROFILES}
 
 # classify and scan read every era and the lenient grammar in one walk,
 # one lane per distinct (grammar, ceiling), so the three early eras share
-# one. _FAN_OUT holds each era, its lane bit, name and ceiling, in
-# chronological order.
+# one. _FAN_OUT holds each era, its lane bit and the message table of its
+# reader in _ERA_READERS, in chronological order.
 _era_keys = [(_grammar(p), p.max_value) for p in _ERA_PROFILES]
 _LANE_KEYS = [*dict.fromkeys(_era_keys), (None, _LENIENT_MAX)]
 _ALL_LANES = _Lanes([grammar for grammar, _ in _LANE_KEYS])
 _ALL_MAXES = tuple(ceiling for _, ceiling in _LANE_KEYS)
 _ALL_FLOOR = min(_ALL_MAXES)
 _FAN_OUT = tuple(
-    (p.era, 1 << _LANE_KEYS.index(key), p.era.value, p.max_value)
+    (p.era, 1 << _LANE_KEYS.index(key), _ERA_READERS[p.era][3])
     for key, p in zip(_era_keys, _ERA_PROFILES)
 )
 _LENIENT_BIT = _ALL_LANES.lenient
 # The accepting eras of every mask of those lanes, in chronological order,
 # indexed by the mask: only 2**7 exist, so _read_span never builds a tuple.
 _CONSISTENT = tuple(
-    tuple(era for era, bit, _, _ in _FAN_OUT if mask & bit)
+    tuple(era for era, bit, _ in _FAN_OUT if mask & bit)
     for mask in range(1 << len(_LANE_KEYS))
-)
-# The name and ceiling of each standard reader, the eight eras and the
-# lenient grammar: the only ones whose messages _error keeps.
-_STANDARD = frozenset(
-    [(name, ceiling) for _, _, name, ceiling in _FAN_OUT]
-    + [(_LENIENT_NAME, _LENIENT_MAX)]
 )
 
 
@@ -1216,14 +1222,12 @@ def _walk(
     return alive, total, elliptic, closed, fails, diags, _FEATURES[bits]
 
 
-def _rejection(
-    fails: _Failures, bit: int, name: str, ceiling: int
-) -> NumeralParseError:
-    """The error of the rejecting lane bit, from its one failure, under the
-    grammar of that name and ceiling."""
-    for lanes, kind, position, message in fails:
+def _rejection(fails: _Failures, bit: int, messages: _Messages) -> NumeralParseError:
+    """The error of the rejecting lane bit, from its one failure, with its
+    message from the lane's reader's table."""
+    for lanes, kind, position, template in fails:
         if lanes & bit:
-            return _error(kind, position, message, name, ceiling)
+            return _error(kind, position, messages[template])
 
 
 # Each morpheme's code, keyed by the morpheme (which hashes by identity).
@@ -1272,7 +1276,7 @@ def _read_span(
     if elliptic & _LENIENT_BIT:
         total = closed
     elif not alive & _LENIENT_BIT:
-        error = _rejection(fails, _LENIENT_BIT, _LENIENT_NAME, _LENIENT_MAX)
+        error = _rejection(fails, _LENIENT_BIT, _LENIENT_MESSAGES)
         return None, error, consistent, features
     diagnostics = (
         tuple([text for mask, text in diags if mask & _LENIENT_BIT]) if diags else ()
@@ -1295,11 +1299,13 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
             f"not {tokens.__class__.__name__}"
         ) from None
     if era is None or isinstance(era, str) and era.strip().lower() == "lenient":
-        lanes, maxes, era_checked, name = _LENIENT_READER
+        lanes, maxes, era_checked, messages = _LENIENT_READER
     elif era.__class__ is Era:
-        lanes, maxes, era_checked, name = _ERA_READERS[era]  # type: ignore[index]
+        lanes, maxes, era_checked, messages = _ERA_READERS[era]  # type: ignore[index]
+    elif isinstance(era, str):
+        lanes, maxes, era_checked, messages = _ERA_READERS[Era.from_string(era)]
     else:
-        lanes, maxes, era_checked, name = _reader(era_profile(era))  # type: ignore[arg-type]
+        lanes, maxes, era_checked, messages = _reader(era_profile(era))  # type: ignore[arg-type]
     if not toks:
         raise _error(_K.EMPTY_INPUT, 0, "no tokens to parse")
     alive, total, elliptic, closed, fails, diags, features = _walk(
@@ -1309,8 +1315,8 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     if elliptic:
         total = closed
     elif not alive:
-        _, kind, position, message = fails[0]
-        raise _error(kind, position, message, name, maxes[0])
+        _, kind, position, template = fails[0]
+        raise _error(kind, position, messages[template])
     diagnostics = tuple([text for _, text in diags]) if diags else ()
     return _outcome(total, era_checked, features, diagnostics, toks)
 

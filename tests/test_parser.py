@@ -559,15 +559,31 @@ class TestShortSequences:
             assert features == report.features, toks
 
 
+def _standard_tables(P):
+    """The message tables of the nine standard readers, by reader name."""
+    tables = {messages.name: messages for _, _, _, messages in P._ERA_READERS.values()}
+    tables[P._LENIENT_MESSAGES.name] = P._LENIENT_MESSAGES
+    return tables
+
+
 def test_message_memo_keeps_standard_readers_only():
-    # The error builder keeps formatted messages for the eight eras and the
-    # lenient grammar alone, so its memo is bounded by the templates; a
-    # custom ceiling, which every Overflow message shows, is never kept.
+    # Each of the eight eras and the lenient grammar keeps its formatted
+    # messages in a table of its own, keyed by template alone, so a table
+    # holds at most one entry per template; a custom reader gets a new
+    # table on every call, so a custom ceiling, which every Overflow
+    # message shows, is never kept.
     P = importlib.import_module("hannum.parse")
+    tables = _standard_tables(P)
+    assert len(tables) == 9
+    assert [messages for _, _, messages in P._FAN_OUT] == [
+        P._ERA_READERS[era][3] for era in CHRONOLOGY
+    ]
     custom = replace(era_profile(Era.CONTEMPORARY), max_value=12_345)
+    assert P._reader(custom)[3] is not P._reader(custom)[3]
     overflows = 0
     for toks in SHORT_SEQUENCES:
         classify(toks)
+        _read_span(toks)
         try:
             parse(toks, custom)
         except NumeralParseError as exc:
@@ -575,11 +591,34 @@ def test_message_memo_keeps_standard_readers_only():
                 overflows += 1
                 assert exc.message.endswith("ceiling of 12345"), toks
     assert overflows
-    templates = {template for template, _, _ in P._MESSAGES}
-    readers = {(name, ceiling) for _, name, ceiling in P._MESSAGES}
-    assert len(P._STANDARD) == 9 and readers <= P._STANDARD
-    assert all(ceiling != 12_345 for _, ceiling in readers)
-    assert len(P._MESSAGES) <= len(templates) * 9
+    sizes = {name: len(messages) for name, messages in tables.items()}
+    assert all(sizes.values())
+    for messages in tables.values():
+        assert messages.ceiling != 12_345
+        for template, text in messages.items():
+            assert text == template.format(era=messages.name, ceiling=messages.ceiling)
+            assert "12345" not in text
+    for toks in SHORT_SEQUENCES:
+        classify(toks)
+        _read_span(toks)
+    assert {name: len(messages) for name, messages in tables.items()} == sizes
+
+
+def test_parse_under_one_era_fills_only_its_table():
+    P = importlib.import_module("hannum.parse")
+    tables = _standard_tables(P)
+    for messages in tables.values():
+        messages.clear()
+    toks = (pivot(1), pivot(1), digit(5))
+    # A custom profile keeps nothing; an era named by a loose name reads
+    # through that era's table.
+    err(parse, toks, replace(era_profile(Era.DUNHUANG), max_value=12_345))
+    assert not any(tables.values())
+    for era in (Era.DUNHUANG, "Dunhuang "):
+        exc = err(parse, toks, era)
+        assert {name: dict(m) for name, m in tables.items() if m} == {
+            "dunhuang": {"pivot ranks must descend within a myriad group": exc.message}
+        }
 
 
 def _other(value):

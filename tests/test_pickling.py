@@ -3,6 +3,7 @@ pickle and copy."""
 
 import copy
 import pickle
+import weakref
 
 import pytest
 
@@ -63,6 +64,55 @@ def test_built_error_is_the_constructed_one(site):
     }
     for copied in _round_trips(err):
         assert _error_fields(copied) == _error_fields(twin)
+
+
+# Every error hannum builds, and one built by the public constructor.
+_SLOTTED = {
+    **_SITES,
+    "constructed": lambda: NumeralParseError(ParseErrorKind.OVERFLOW, 3, "too large"),
+}
+
+
+@pytest.mark.parametrize("site", _SLOTTED)
+class TestSlottedError:
+    # The fields live in slots: the instance has no dict of its own, but it
+    # takes weak references, and the exception's dict still holds notes and
+    # whatever a caller sets.
+    def test_weak_reference(self, site):
+        err = _SLOTTED[site]()
+        assert weakref.ref(err)() is err
+
+    def test_no_instance_dict(self, site):
+        assert vars(_SLOTTED[site]()) == {}
+
+    def test_notes_and_attributes(self, site):
+        err = _SLOTTED[site]()
+        err.add_note("x")
+        err.extra = 1
+        assert err.__notes__ == ["x"] and err.extra == 1
+        assert vars(err) == {"__notes__": ["x"], "extra": 1}
+
+    def test_user_subclass(self, site):
+        err = _SLOTTED[site]()
+        mine = _UserError(err.kind, err.position, err.message)
+        assert (mine.kind, mine.position, mine.message, mine.args) == (
+            err.kind, err.position, err.message, err.args
+        )
+        for twin in _round_trips(mine):
+            assert _error_fields(twin) == _error_fields(mine)
+
+
+class _UserError(NumeralParseError):
+    pass
+
+
+@pytest.mark.parametrize("kind", ["Overflow", None, 3])
+def test_constructor_kind_must_be_a_kind(kind):
+    with pytest.raises(TypeError) as info:
+        NumeralParseError(kind, 1, "m")
+    assert str(info.value) == (
+        f"kind must be a ParseErrorKind, not {type(kind).__name__}"
+    )
 
 
 def test_error_kinds_stay_keys_and_pickle():

@@ -138,7 +138,7 @@ def test_era_tuple_per_lane_mask():
     assert P._ALL_LANES.all == 127
     outcome = scan_text("十五")[0][0].outcome
     for mask in range(128):
-        eras = tuple(era for era, bit, _, _ in fan_out if mask & bit)
+        eras = tuple(era for era, bit, _ in fan_out if mask & bit)
         assert table[mask] == eras
         _tail_matches(ScanRecord(0, 1, 1, "十五", outcome, None, eras))
         assert hannum.cli._ERAS_JSON[eras] == json.dumps([e.value for e in eras])

@@ -63,7 +63,7 @@ def test_inprocess_ab_against_its_own_src():
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(
         r"scan: base [\d.]+ us/op, change [\d.]+ us/op, ratio [\d.]+ "
-        r"over 3 rounds of 24 ops\n",
+        r"\(q1 [\d.]+, q3 [\d.]+\) over 3 rounds of 24 ops\n",
         done.stdout,
     )
 
