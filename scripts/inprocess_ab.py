@@ -7,12 +7,17 @@ Usage:
 BASE_SRC is the src directory of another checkout, say one exported with
 `git archive`. Its hannum is imported under the package name hannum_base,
 beside this checkout's hannum; that works because hannum imports its own
-modules relatively. Each workload (all three unless --workload names one)
-builds its pool once per side with the unchanged bench/workloads.py, at
-seed 1. An untimed pass on each side runs every item through
-the workload's known-answer check; a failed check, or pools whose inputs
-differ, exits 1. Then N rounds (default 20) each time one full pass of the
-pool per side, alternating which side goes first. For each workload it
+modules relatively. Each workload (all four unless --workload names one)
+builds its pool once per side: roundtrip, classify and scan with the
+unchanged bench/workloads.py, at seed 1, and pair here. pair is the
+acceptance sweep's pair (criterion 2),
+parse(render_integer(n, era).tokens, era).value == n, over a thousandth
+of that sweep in its proportions: for each era, 1,000 values up to 10^6
+in ascending order, then 100 up to the era's ceiling, from a fixed seed.
+An untimed pass on each side runs every item through the workload's
+known-answer check; a failed check, or pools whose inputs differ, exits
+1. Then N rounds (default 20) each time one full pass of the pool per
+side, alternating which side goes first. For each workload it
 prints the median µs/op of each side and the median over rounds of the
 per-round ratio of base time to change time, so a ratio above 1 means the
 change is faster, then that ratio's quartiles over the rounds (exclusive
@@ -30,11 +35,13 @@ import argparse
 import contextlib
 import importlib
 import importlib.util
+import random
 import statistics
 import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter_ns
+from types import SimpleNamespace
 from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +68,45 @@ def load_base(src: Path) -> Any:
     spec.loader.exec_module(base)
     importlib.import_module("hannum_base.cli")
     return base
+
+
+# The pair pool: per era, values up to 10^6 and up to the era's ceiling,
+# 10 to 1 as the acceptance sweep draws them.
+PAIR_DENSE, PAIR_SAMPLED = 1_000, 100
+NAMES = (*workloads.NAMES, "pair")
+
+
+def pair_inputs() -> list[tuple[str, int]]:
+    """(era id, n) for the pair workload, era by era as the sweep runs."""
+    rng = random.Random("pair:1")
+    items: list[tuple[str, int]] = []
+    for era, top, low in workloads.ERAS:
+        dense = sorted(rng.sample(range(low, 10**6 + 1), PAIR_DENSE))
+        items += [(era, n) for n in dense]
+        items += [(era, rng.randint(low, top)) for _ in range(PAIR_SAMPLED)]
+    return items
+
+
+def run_pair(f: Any, item: tuple[Any, int]) -> bool:
+    era, n = item
+    return f.parse(f.render_integer(n, era).tokens, era).value == n
+
+
+def build(name: str, package: Any, docs_dir: Path) -> tuple[workloads.Workload, Any]:
+    """Workload name on package's side, with the calls its ops make."""
+    if name != "pair":
+        return workloads.build(name, package, 1, docs_dir), plain_calls(package)
+    raw = pair_inputs()
+    wl = workloads.Workload(
+        name="pair",
+        items=[(package.Era(era), n) for era, n in raw],
+        digest=repr(raw),
+        run=run_pair,
+        check=lambda item, ok: ok is True,
+        setup_call="",
+    )
+    calls = SimpleNamespace(render_integer=package.render_integer, parse=package.parse)
+    return wl, calls
 
 
 def one_pass(wl: workloads.Workload, calls: Any) -> int:
@@ -91,8 +137,7 @@ def compare(name: str, base: Any, rounds: int, docs: Path) -> bool:
     for label, package in (("base", base), ("change", hannum)):
         docs_dir = docs / label
         docs_dir.mkdir()
-        wl = workloads.build(name, package, 1, docs_dir)
-        sides.append((label, wl, plain_calls(package)))
+        sides.append((label, *build(name, package, docs_dir)))
     if sides[0][1].digest != sides[1][1].digest:
         print(f"{name}: the two sides built different inputs", file=sys.stderr)
         return False
@@ -122,7 +167,7 @@ def compare(name: str, base: Any, rounds: int, docs: Path) -> bool:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base_src", type=Path, metavar="BASE_SRC")
-    ap.add_argument("--workload", choices=workloads.NAMES)
+    ap.add_argument("--workload", choices=NAMES)
     ap.add_argument("--rounds", type=int, default=20)
     args = ap.parse_args(argv)
     if args.rounds < 1:
@@ -131,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: imported hannum from {hannum.__file__}", file=sys.stderr)
         return 2
     base = load_base(args.base_src.resolve())
-    names = [args.workload] if args.workload else list(workloads.NAMES)
+    names = [args.workload] if args.workload else list(NAMES)
     ok = True
     with tempfile.TemporaryDirectory(prefix="inprocess-ab-") as tmp:
         for name in names:

@@ -36,12 +36,13 @@ _PLANS holds one constant plan per era under DEFAULT_OPTIONS, built at
 import; render_integer reads it when it gets an Era and DEFAULT_OPTIONS
 itself. Any other call, a custom profile, an era name or other options,
 resolves its plan through _plan and stores nothing, so no plan depends on
-which options came before. A plain int of one or two groups within the
-plan's ceiling is read straight from the group memo, its groups' tuples
-concatenated; every other value, and a group not yet in the memo, goes
-through _render_full, which checks the value, then a banned You, in that
-order, and concatenates its groups' tuples the same way. text() reads each
-token's written form with one operator.itemgetter over the script's table.
+which options came before. A plain int within the plan's ceiling, at most
+10^12 - 1, so of one, two or three groups, is read straight from the group
+memo, its groups' tuples concatenated; every other value, and a group not
+yet in the memo, goes through _render_full, which checks the value, then a
+banned You, in that order, and concatenates its groups' tuples the same
+way. text() reads each token's written form with one operator.itemgetter
+over the script's table, in one frame.
 
 A rendered NumeralExpression keeps the profile that rendered it, so its value
 reads the tokens back under that same profile. The renders build it through
@@ -163,7 +164,27 @@ class NumeralExpression:
         return parse(self.tokens, self.profile or self.era).value
 
     def text(self, script: Script = Script.TRADITIONAL) -> str:
-        return _join_surface(self.tokens, script)
+        tokens = self.tokens
+        if script is _TOKENS:
+            # Bracket tokens run together; word tokens get surrounding spaces.
+            pieces = [m.notation for m in tokens]
+            return " ".join(
+                "".join(p if p.startswith("[") else f" {p} " for p in pieces).split()
+            )
+        try:
+            sep, written = _WRITTEN[script]
+            # One lookup per token in C; itemgetter of one key gives the
+            # value, not a 1-tuple, so a single token is read on its own.
+            if len(tokens) > 1:
+                return sep.join(_itemgetter(*tokens)(written))
+            return written[tokens[0]]
+        except (KeyError, TypeError, IndexError):
+            pass
+        # A parse-only gap word has no written form, and a value that is not
+        # a Script, hashable or not, none: surface() raises for either. No
+        # tokens join to the empty string.
+        sep = " " if script is Script.PINYIN else ""
+        return sep.join([surface(m, script) for m in tokens])
 
     def __str__(self) -> str:
         return self.text()
@@ -225,29 +246,6 @@ _WRITTEN = {
 # Enum members read once here: on CPython 3.11 each member read at call time
 # costs about a fifth of what text() of a short numeral does.
 _TOKENS = Script.TOKENS
-
-
-def _join_surface(tokens: tuple[Morpheme, ...], script: Script) -> str:
-    if script is _TOKENS:
-        # Bracket tokens run together; word tokens get surrounding spaces.
-        pieces = [m.notation for m in tokens]
-        return " ".join(
-            "".join(p if p.startswith("[") else f" {p} " for p in pieces).split()
-        )
-    try:
-        sep, written = _WRITTEN[script]
-        # One lookup per token in C; itemgetter of one key gives the value,
-        # not a 1-tuple, so a single token is read on its own.
-        if len(tokens) > 1:
-            return sep.join(_itemgetter(*tokens)(written))
-        return written[tokens[0]]
-    except (KeyError, TypeError, IndexError):
-        pass
-    # A parse-only gap word has no written form, and a value that is not a
-    # Script, hashable or not, none: surface() raises for either. No tokens
-    # join to the empty string.
-    sep = " " if script is Script.PINYIN else ""
-    return sep.join([surface(m, script) for m in tokens])
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +448,13 @@ def _plan(profile: EraProfile, opts: RenderOptions | None) -> tuple[EraProfile, 
     """The render plan of profile under opts: (profile, group rules, ceiling).
 
     The ceiling bounds the values render_integer reads straight from the
-    group memo: those of one or two groups (below 10^8) within the
-    profile's ceiling; it is 0 where the options ask for a banned You, so
-    that every value still meets its value errors first.
+    group memo: those of one, two or three groups (below 10^12, the largest
+    pivot's reach) within the profile's ceiling; it is 0 where the options
+    ask for a banned You, so that every value still meets its value errors
+    first.
     """
     rules = _rules(profile, opts)
-    ceiling = 0 if rules == _YOU_BANNED else min(profile.max_value, 10**8 - 1)
+    ceiling = 0 if rules == _YOU_BANNED else min(profile.max_value, 10**12 - 1)
     return profile, rules, ceiling
 
 
@@ -480,15 +479,16 @@ def render_integer(
     else:
         profile, rules, ceiling = _plan(era_profile(era), opts)
         era = profile.era
-    # A plain int of one or two groups joins its memoized groups here, by
-    # _render_full's keys; anything else, or a group not yet in the memo,
-    # takes the full render with its checks in their order.
+    # A plain int within the plan's ceiling joins its one, two or three
+    # memoized groups here, by _render_full's keys; anything else, or a
+    # group not yet in the memo, takes the full render with its checks in
+    # their order. A zero group has no entry: () stands in for it.
     if n.__class__ is int and 0 < n <= ceiling:
         if n < 10**4:
             group = _group_memo.get((n << 8 | rules) << 8)
             if group is not None:
                 return _expression(group, era, False, profile)
-        else:
+        elif n < 10**8:
             high, low = divmod(n, 10**4)
             group = _group_memo.get((high << 8 | rules) << 8 | 64)
             if group is not None:
@@ -497,6 +497,17 @@ def render_integer(
                 tail = _group_memo.get((low << 8 | rules) << 8 | 4)
                 if tail is not None:
                     return _expression(group + tail, era, False, profile)
+        else:
+            top, rem = divmod(n, 10**8)
+            mid, low = divmod(rem, 10**4)
+            group = _group_memo.get((top << 8 | rules) << 8 | 128)
+            middle = _group_memo.get((mid << 8 | rules) << 8 | 72) if mid else ()
+            tail = (
+                _group_memo.get((low << 8 | rules) << 8 | (4 if mid else 8))
+                if low else ()
+            )
+            if group is not None and middle is not None and tail is not None:
+                return _expression(group + middle + tail, era, False, profile)
     return _render_full(n, profile, rules)
 
 

@@ -89,25 +89,25 @@ and about 98 MB if classify alone fills them (374 bytes a seven-lane
 reading), whatever the number of profiles.
 
 Han text is tokenized in C: one codecs.charmap_encode through _CHARMAP
-writes each inventory graph as one byte and drops every other character
-but NUL, one operator.itemgetter reads the tokens off those bytes, and one
-bytes.translate folds the bytes of variant graphs onto their morphemes'
-codes. Text of graphs alone encodes to one byte a character and needs
-nothing more; text with whitespace or another character is read off the
-same bytes, less any NUL, once their count matches its characters that are
-not whitespace, and only a text that raises is searched for the offset of
-its unknown character. The tokenizer leaves the tokens and their codes in
-a one-slot handoff, and _codes returns those codes when parse gets that
-same tuple, so parse_text (which still calls the module-level parse) reads
-no code twice. Pinyin whose whitespace-separated syllables are all exact
-keys of _PINYIN_SYLLABLES (NFC, lower case, tone marks) is read by one
-itemgetter, which gives its tokens from that table and its codes from
-_PINYIN_CODES, and it hands its codes over the same way; pinyin that needs
-normalising or toneless reading is read one syllable at a time. Any other
-token tuple has its codes read by one itemgetter over _CODE_OF, the one
-table of codes: a token that is not a morpheme is a TypeError. A sequence
-that is not a str reads as the string of its items under AUTO and HAN;
-under PINYIN it is a TypeError.
+writes each inventory graph as one byte and drops every other character but
+NUL, one operator.itemgetter reads the tokens off those bytes, each an
+index into a 256-slot tuple, and one bytes.translate folds the bytes of
+variant graphs onto their morphemes' codes. Text of graphs alone encodes to
+one byte a character and needs nothing more; text with whitespace or
+another character is read off the same bytes, less any NUL, once their
+count matches its characters that are not whitespace, and only a text that
+raises is searched for the offset of its unknown character. The tokenizer
+leaves the tokens and their codes in a one-slot handoff, and _codes returns
+those codes when parse gets that same tuple, so parse_text (which still
+calls the module-level parse) reads no code twice. Pinyin whose
+whitespace-separated syllables are all exact keys of _PINYIN_SYLLABLES
+(NFC, lower case, tone marks) is read by one itemgetter, which gives its
+tokens from that table and its codes from _PINYIN_CODES, and it hands its
+codes over the same way; pinyin that needs normalising or toneless reading
+is read one syllable at a time. Any other token tuple has its codes read by
+one itemgetter over _CODE_OF, the one table of codes: a token that is not a
+morpheme is a TypeError. A sequence that is not a str reads as the string
+of its items under AUTO and HAN; under PINYIN it is a TypeError.
 
 Error positions are token indices into the parsed sequence, except
 UnknownCharacter and EmptyInput, which carry character offsets into the
@@ -329,10 +329,12 @@ _HAN_CHARS: dict[str, Morpheme] = {g: m for m in MORPHEMES for g in m.graphs}
 _AUTO_HINT, _HAN_HINT, _PINYIN_HINT = ScriptHint.AUTO, ScriptHint.HAN, ScriptHint.PINYIN
 
 
-def _charmap() -> tuple[object, dict[int, Morpheme], bytes]:
+def _charmap() -> tuple[object, tuple[Morpheme | None, ...], bytes]:
     """The Han fast path's tables: an encoding map that writes each graph as
-    one byte, the morpheme of each such byte, and the translation that folds
-    the byte of a variant graph onto its morpheme's code.
+    one byte, the morpheme of each byte as a 256-slot tuple (None where no
+    graph is written), which the tokenizer's itemgetter indexes without
+    hashing, and the translation that folds the byte of a variant graph onto
+    its morpheme's code.
 
     A morpheme's first graph is written as its code, and every further graph
     (simplified 两 万 亿, 又, 单) on a byte of its own above the codes, since
@@ -344,7 +346,7 @@ def _charmap() -> tuple[object, dict[int, Morpheme], bytes]:
     """
     table = ["\x00"] + ["\ufffe"] * 255
     fold = bytearray(range(256))
-    by_raw: dict[int, Morpheme] = {}
+    by_raw: list[Morpheme | None] = [None] * 256
     spare = max(m.code for m in MORPHEMES) + 1
     for m in MORPHEMES:
         for k, graph in enumerate(m.graphs):
@@ -355,7 +357,7 @@ def _charmap() -> tuple[object, dict[int, Morpheme], bytes]:
             table[raw] = graph
             fold[raw] = m.code
             by_raw[raw] = m
-    return codecs.charmap_build("".join(table)), by_raw, bytes(fold)
+    return codecs.charmap_build("".join(table)), tuple(by_raw), bytes(fold)
 
 
 _CHARMAP, _BY_RAW, _FOLD = _charmap()
@@ -1291,17 +1293,23 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     era may be an Era, an EraProfile, a loose era name, or None/"lenient" for
     the permissive union grammar. Raises NumeralParseError on rejection.
     """
-    try:
-        toks: tuple[Morpheme, ...] = tuple(getattr(tokens, "tokens", tokens))
-    except TypeError:
-        raise TypeError(
-            "parse expects a sequence of numeral Morphemes, "
-            f"not {tokens.__class__.__name__}"
-        ) from None
-    if era is None or isinstance(era, str) and era.strip().lower() == "lenient":
-        lanes, maxes, era_checked, messages = _LENIENT_READER
-    elif era.__class__ is Era:
+    # An exact tuple, as render_integer and tokenize give, is taken as is;
+    # anything else, a tuple subclass included, is read through its tokens
+    # attribute where it has one.
+    if tokens.__class__ is tuple:
+        toks: tuple[Morpheme, ...] = tokens  # type: ignore[assignment]
+    else:
+        try:
+            toks = tuple(getattr(tokens, "tokens", tokens))
+        except TypeError:
+            raise TypeError(
+                "parse expects a sequence of numeral Morphemes, "
+                f"not {tokens.__class__.__name__}"
+            ) from None
+    if era.__class__ is Era:
         lanes, maxes, era_checked, messages = _ERA_READERS[era]  # type: ignore[index]
+    elif era is None or isinstance(era, str) and era.strip().lower() == "lenient":
+        lanes, maxes, era_checked, messages = _LENIENT_READER
     elif isinstance(era, str):
         lanes, maxes, era_checked, messages = _ERA_READERS[Era.from_string(era)]
     else:

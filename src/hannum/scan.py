@@ -210,7 +210,12 @@ def _keeps(memo: Mapping[str, object], text: str) -> bool:
 
 
 def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
-    """Locate, parse, and classify every numeral span in text."""
+    """Locate, parse, and classify every numeral span in text.
+
+    A text that is not a str raises TypeError.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"scan_text expects text as a str, not {type(text).__name__}")
     records: list[ScanRecord] = []
     # This call's readings of the texts _READINGS does not serve: rejections,
     # whose errors are this call's own, and texts it does not hold.

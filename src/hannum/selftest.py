@@ -184,8 +184,11 @@ def run_selftest(max_value: int = 1000) -> SelfTestReport:
     """Check the example table, then round-trip every era up to max_value.
 
     max_value 0 skips the sweep entirely (vacuous pass on the table alone);
-    a negative max_value raises ValueError.
+    a max_value that is not an int, a bool included, raises TypeError, and
+    a negative one ValueError.
     """
+    if not isinstance(max_value, int) or isinstance(max_value, bool):
+        raise TypeError(f"max_value must be an int, not {type(max_value).__name__}")
     if max_value < 0:
         raise ValueError(f"max_value must be 0 or more, got {max_value}")
     start = time.perf_counter()

@@ -303,6 +303,14 @@ class TestSelftest:
         with pytest.raises(ValueError):
             run_selftest(max_value=-1)
 
+    @pytest.mark.parametrize("max_value", ["5", 2.5, True, False, None, -1.0])
+    def test_run_selftest_max_must_be_an_int(self, max_value):
+        with pytest.raises(TypeError) as info:
+            run_selftest(max_value)
+        assert str(info.value) == (
+            f"max_value must be an int, not {type(max_value).__name__}"
+        )
+
     @pytest.mark.parametrize(
         "table, row",
         [

@@ -814,6 +814,7 @@ class _Int(int):
 _CEILINGS = sorted({era_profile(era).max_value for era in Era})
 _EDGES = [
     0, 1, 9_999, 10**4, 10**4 + 1, 10**8 - 1, 10**8,
+    10**8 + 1, 100_020_003, 300_000_000_005, 123_456_789_012,
     *_CEILINGS, *(c + 1 for c in _CEILINGS), -1, True, 2.0, _Int(105),
 ]
 
@@ -829,9 +830,10 @@ def _result(render):
 
 
 class TestRenderFastPath:
-    """render_integer reads a plain int of one or two groups straight from
-    the group memo; every value, and every error in its order, must be what
-    _render_full gives under the same plan, with the memo cold and warm."""
+    """render_integer reads a plain int of one, two or three groups straight
+    from the group memo; every value, and every error in its order, must be
+    what _render_full gives under the same plan, with the memo cold and
+    warm."""
 
     @pytest.mark.parametrize("era", list(Era))
     @pytest.mark.parametrize(
@@ -848,7 +850,7 @@ class TestRenderFastPath:
             # Every value meets its value errors before StyleNotAllowed.
             assert ceiling == 0
         else:
-            assert ceiling == min(profile.max_value, 10**8 - 1)
+            assert ceiling == min(profile.max_value, 10**12 - 1)
         for n in _EDGES:
             # Cold, then warm: the first render fills the memo for the second.
             got = [_result(lambda: render_integer(n, era, opts)) for _ in range(2)]
@@ -861,6 +863,11 @@ class TestRenderFastPath:
         # drift apart, every call falls through to _render_full.
         monkeypatch.setattr(generate, "_group_memo", {})
         values = (1_234, 56_780_912, 30_000)
+        if era_profile(era).max_value >= 10**12 - 1:
+            # Three groups, their coefficients in no other value here, so a
+            # wrong key misses: the top, middle and last after it, and the
+            # last straight after the top.
+            values += (210_987_650_043, 700_000_000_005)
         first = [render_integer(n, era) for n in values]
 
         def refuse(*args):

@@ -447,6 +447,98 @@ class TestCustomProfile:
         assert parse((digit(1), pivot(2), digit(5)), no_ling).value == 105
 
 
+class _Held(tuple):
+    """A tuple subclass, which parse reads through its tokens attribute."""
+
+
+class TestParseEntry:
+    """parse takes an exact tuple as is and reads any other tokens through
+    their tokens attribute, or as an iterable; it takes an Era at once,
+    then reads None and "lenient" (any case and padding) as the lenient
+    grammar, a str as a loose era name and anything else as a profile.
+    The tokens are checked first, then the era, then emptiness."""
+
+    TOKS = (digit(1), pivot(2), LING, digit(5))  # 105 from song-qin on
+
+    @pytest.mark.parametrize(
+        "make",
+        [tuple, list, iter, lambda t: (m for m in t), lambda t: render_integer(105)],
+        ids=["tuple", "list", "iterator", "generator", "expression"],
+    )
+    def test_token_sequences(self, make):
+        out = parse(make(self.TOKS), Era.CONTEMPORARY)
+        assert out.value == 105
+        assert out.tokens == self.TOKS and out.tokens.__class__ is tuple
+
+    def test_exact_tuple_and_expression_tokens_kept(self):
+        toks = tuple(self.TOKS)
+        assert parse(toks, Era.CONTEMPORARY).tokens is toks
+        expr = render_integer(105)
+        assert parse(expr, Era.CONTEMPORARY).tokens is expr.tokens
+
+    def test_tuple_subclass_reads_its_tokens_attribute(self):
+        held = _Held((digit(3), digit(3)))  # a digit run, were it read
+        held.tokens = self.TOKS
+        out = parse(held, Era.CONTEMPORARY)
+        assert out.value == 105 and out.tokens == self.TOKS
+        # Without the attribute it is read as the tuple it is.
+        e = err(parse, _Held((digit(3), digit(3))), Era.CONTEMPORARY)
+        assert e.kind is ParseErrorKind.DIGIT_RUN_WITHOUT_PIVOT
+
+    @pytest.mark.parametrize("tokens", [5, None, 2.5])
+    def test_not_iterable(self, tokens):
+        got = type(tokens).__name__
+        want = f"parse expects a sequence of numeral Morphemes, not {got}"
+        for era in (None, Era.CONTEMPORARY, 2.5):
+            with pytest.raises(TypeError) as info:
+                parse(tokens, era)
+            assert str(info.value) == want
+
+    @pytest.mark.parametrize(
+        "era, checked",
+        [
+            (None, None),
+            ("lenient", None),
+            (" Lenient ", None),
+            ("LENIENT", None),
+            (Era.SONG_QIN, Era.SONG_QIN),
+            ("Song Qin", Era.SONG_QIN),
+            ("song_qin", Era.SONG_QIN),
+            (" contemporary ", Era.CONTEMPORARY),
+            (era_profile(Era.SONG_QIN), Era.SONG_QIN),
+            (replace(era_profile(Era.CONTEMPORARY), max_value=999), Era.CONTEMPORARY),
+        ],
+    )
+    def test_eras(self, era, checked):
+        out = parse(self.TOKS, era)
+        assert (out.value, out.era_checked) == (105, checked)
+
+    def test_loose_name_rejects_with_its_eras_message(self):
+        e = err(parse, self.TOKS, "Shang Oracle")
+        assert (e.kind, e.position, e.message) == (
+            ParseErrorKind.OUT_OF_ERA_MORPHEME,
+            2,
+            "líng does not occur in shang-oracle numerals",
+        )
+
+    @pytest.mark.parametrize("era", [2.5, [1], b"lenient"])
+    def test_era_of_another_type(self, era):
+        with pytest.raises(TypeError) as info:
+            parse(self.TOKS, era)
+        assert str(info.value) == (
+            "expected an Era, an EraProfile or an era name, "
+            f"not {type(era).__name__}"
+        )
+
+    @pytest.mark.parametrize("era", ["ming", ""])
+    def test_unknown_era_name_before_empty_tokens(self, era):
+        want = f"^unknown era {era!r}; expected one of: "
+        with pytest.raises(ValueError, match=want):
+            parse((), era)
+        e = err(parse, (), None)
+        assert (e.kind, e.position) == (ParseErrorKind.EMPTY_INPUT, 0)
+
+
 class TestRoundTripSpot:
     @pytest.mark.parametrize("era", [e for e in Era])
     def test_spot_values(self, era):

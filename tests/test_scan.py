@@ -1,5 +1,7 @@
 """Corpus scanning: span extraction, offsets, and tallies."""
 
+import pytest
+
 from hannum import scan_text
 from hannum.scan import summary_csv_rows
 
@@ -153,3 +155,20 @@ class TestSummary:
         records, summary = scan_text("no numerals here")
         assert records == []
         assert summary.expressions == 0
+
+
+class TestArgument:
+    @pytest.mark.parametrize("text", [None, b"\xe4\xb8\x80", 105, ["一"]])
+    def test_not_a_str_names_text_and_type(self, text):
+        with pytest.raises(TypeError) as info:
+            scan_text(text)
+        assert str(info.value) == (
+            f"scan_text expects text as a str, not {type(text).__name__}"
+        )
+
+    def test_str_subclass_is_text(self):
+        class Text(str):
+            pass
+
+        records, _ = scan_text(Text("共一百零五人"))
+        assert [r.outcome.value for r in records] == [105]

@@ -52,20 +52,29 @@ def test_output_digest_is_repeatable(capsys):
     assert len(hexdigest) == 64 and int(count) == len(digest.runs()) and unit == "runs"
 
 
-def test_inprocess_ab_against_its_own_src():
+def _inprocess_ab_own_src(workload, ops):
     # In a fresh interpreter, so hannum_base stays out of this one.
     src = _SCRIPTS.parent / "src"
     done = subprocess.run(
         [sys.executable, str(_SCRIPTS / "inprocess_ab.py"), str(src),
-         "--rounds", "3", "--workload", "scan"],
+         "--rounds", "3", "--workload", workload],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     assert re.fullmatch(
-        r"scan: base [\d.]+ us/op, change [\d.]+ us/op, ratio [\d.]+ "
-        r"\(q1 [\d.]+, q3 [\d.]+\) over 3 rounds of 24 ops\n",
+        rf"{workload}: base [\d.]+ us/op, change [\d.]+ us/op, ratio [\d.]+ "
+        rf"\(q1 [\d.]+, q3 [\d.]+\) over 3 rounds of {ops} ops\n",
         done.stdout,
     )
+
+
+def test_inprocess_ab_against_its_own_src():
+    _inprocess_ab_own_src("scan", 24)
+
+
+def test_inprocess_ab_pair_against_its_own_src():
+    # The acceptance sweep's pair: 1,100 values for each of the eight eras.
+    _inprocess_ab_own_src("pair", 8800)
 
 
 class TestBenchPairs:
