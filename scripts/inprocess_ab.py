@@ -7,13 +7,16 @@ Usage:
 BASE_SRC is the src directory of another checkout, say one exported with
 `git archive`. Its hannum is imported under the package name hannum_base,
 beside this checkout's hannum; that works because hannum imports its own
-modules relatively. Each workload (all four unless --workload names one)
+modules relatively. Each workload (all five unless --workload names one)
 builds its pool once per side: roundtrip, classify and scan with the
-unchanged bench/workloads.py, at seed 1, and pair here. pair is the
-acceptance sweep's pair (criterion 2),
+unchanged bench/workloads.py, at seed 1, and pair and render here. pair is
+the acceptance sweep's pair (criterion 2),
 parse(render_integer(n, era).tokens, era).value == n, over a thousandth
 of that sweep in its proportions: for each era, 1,000 values up to 10^6
 in ascending order, then 100 up to the era's ceiling, from a fixed seed.
+render times render_integer(n, era) alone over the same pool, and checks
+that the expression's value is n; with no parse in the timed pass, a change
+on the generate side is sized with less noise.
 An untimed pass on each side runs every item through the workload's
 known-answer check; a failed check, or pools whose inputs differ, exits
 1. Then N rounds (default 20) each time one full pass of the pool per
@@ -73,7 +76,7 @@ def load_base(src: Path) -> Any:
 # The pair pool: per era, values up to 10^6 and up to the era's ceiling,
 # 10 to 1 as the acceptance sweep draws them.
 PAIR_DENSE, PAIR_SAMPLED = 1_000, 100
-NAMES = (*workloads.NAMES, "pair")
+NAMES = (*workloads.NAMES, "pair", "render")
 
 
 def pair_inputs() -> list[tuple[str, int]]:
@@ -92,17 +95,26 @@ def run_pair(f: Any, item: tuple[Any, int]) -> bool:
     return f.parse(f.render_integer(n, era).tokens, era).value == n
 
 
+def run_render(f: Any, item: tuple[Any, int]) -> Any:
+    era, n = item
+    return f.render_integer(n, era)
+
+
 def build(name: str, package: Any, docs_dir: Path) -> tuple[workloads.Workload, Any]:
     """Workload name on package's side, with the calls its ops make."""
-    if name != "pair":
+    if name not in ("pair", "render"):
         return workloads.build(name, package, 1, docs_dir), plain_calls(package)
     raw = pair_inputs()
+    if name == "pair":
+        run, check = run_pair, lambda item, ok: ok is True
+    else:
+        run, check = run_render, lambda item, expr: expr.value == item[1]
     wl = workloads.Workload(
-        name="pair",
+        name=name,
         items=[(package.Era(era), n) for era, n in raw],
         digest=repr(raw),
-        run=run_pair,
-        check=lambda item, ok: ok is True,
+        run=run,
+        check=check,
         setup_call="",
     )
     calls = SimpleNamespace(render_integer=package.render_integer, parse=package.parse)

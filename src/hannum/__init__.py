@@ -18,136 +18,25 @@ scanner.
 ['shang-oracle', 'zhou-bronze', 'warring-states']
 """
 
-from .chronolect import (
-    EraConsistencyReport,
-    EraVerdict,
-    classify,
-    feature_profile,
-)
-from .core import (
-    CHRONOLOGY,
-    DAN,
-    DEFAULT_OPTIONS,
-    EARLY_ERAS,
-    LIANG,
-    LING,
-    LING_ALT,
-    OUTER_EXPONENTS,
-    RANK_EXPONENTS,
-    YOU,
-    Era,
-    EraProfile,
-    LeadingOnePolicy,
-    LingPolicy,
-    Morpheme,
-    MorphemeKind,
-    NonGenerableMorpheme,
-    OneBeforeInnerMultiplicand,
-    RenderOptions,
-    Script,
-    TwoStyle,
-    YouPolicy,
-    digit,
-    era_profile,
-    pivot,
-    surface,
-    token_notation,
-)
-from .generate import (
-    AllZeroAmount,
-    EllipsisUnavailable,
-    MonthOutOfRange,
-    NumeralExpression,
-    NumeralPhrase,
-    RenderError,
-    StyleNotAllowed,
-    UnitWord,
-    ValueOutOfRange,
-    ZeroInexpressible,
-    render_currency,
-    render_duration,
-    render_elliptic,
-    render_integer,
-    render_ordinal,
-    render_quantity,
-    unit_word,
-)
-from .parse import (
-    Features,
-    NumeralParseError,
-    ParseErrorKind,
-    ParseOutcome,
-    ScriptHint,
-    parse,
-    parse_text,
-    tokenize,
-)
-from .scan import ScanRecord, ScanSummary, scan_text
-from .selftest import SelfTestReport, run_selftest
+from . import chronolect, core, generate, scan, selftest
+from .chronolect import *
+from .core import *
+from .generate import *
+from .parse import *
+from .parse import __all__ as _parse_all  # hannum.parse is the function
+from .scan import *
+from .selftest import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names; the package
+# exports their union, as asyncio does.
 __all__ = [
-    "CHRONOLOGY",
-    "DAN",
-    "DEFAULT_OPTIONS",
-    "EARLY_ERAS",
-    "LIANG",
-    "LING",
-    "LING_ALT",
-    "OUTER_EXPONENTS",
-    "RANK_EXPONENTS",
-    "YOU",
-    "AllZeroAmount",
-    "EllipsisUnavailable",
-    "Era",
-    "EraConsistencyReport",
-    "EraProfile",
-    "EraVerdict",
-    "Features",
-    "LeadingOnePolicy",
-    "LingPolicy",
-    "MonthOutOfRange",
-    "Morpheme",
-    "MorphemeKind",
-    "NonGenerableMorpheme",
-    "NumeralExpression",
-    "NumeralParseError",
-    "NumeralPhrase",
-    "OneBeforeInnerMultiplicand",
-    "ParseErrorKind",
-    "ParseOutcome",
-    "RenderError",
-    "RenderOptions",
-    "ScanRecord",
-    "ScanSummary",
-    "Script",
-    "ScriptHint",
-    "SelfTestReport",
-    "StyleNotAllowed",
-    "TwoStyle",
-    "UnitWord",
-    "ValueOutOfRange",
-    "YouPolicy",
-    "ZeroInexpressible",
-    "classify",
-    "digit",
-    "era_profile",
-    "feature_profile",
-    "parse",
-    "parse_text",
-    "pivot",
-    "render_currency",
-    "render_duration",
-    "render_elliptic",
-    "render_integer",
-    "render_ordinal",
-    "render_quantity",
-    "run_selftest",
-    "scan_text",
-    "surface",
-    "token_notation",
-    "tokenize",
-    "unit_word",
+    *chronolect.__all__,
+    *core.__all__,
+    *generate.__all__,
+    *_parse_all,
+    *scan.__all__,
+    *selftest.__all__,
     "__version__",
 ]

@@ -10,12 +10,6 @@ accepts with the unit reading, accepts with the elliptic one, or rejects
 with its one failure; the accepting eras are the shared tuple of that
 mask. Eras are treated as grammars, not as probability models: the result
 is a consistency set, never a likelihood.
-
-classify builds its verdicts and its report through core's positional
-builder, which stores their fields with plain slot stores on a same-layout
-twin, then sets the record's class, and keeps the verdict's exactly-one-of
-check; the public constructors stay the dataclass ones, so a caller that
-builds, copies or replaces a record sees no change.
 """
 
 from __future__ import annotations

@@ -31,6 +31,8 @@ import functools
 import json
 import os
 import sys
+from dataclasses import fields
+from enum import Enum
 from json.encoder import encode_basestring as _encode_string
 from operator import attrgetter
 
@@ -259,12 +261,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "era": args.era.value,
             "tokens": [token_notation(t) for t in expr.tokens],
             "surface": expr.text(opts.script),
+            # Every RenderOptions field in order, an enum by its value.
             "flags": {
-                "script": opts.script.value,
-                "two_style": opts.two_style.value,
-                "use_you": opts.use_you,
-                "elliptic": opts.elliptic,
-                "leading_ten_one": opts.leading_ten_one,
+                f.name: v.value if isinstance(v := getattr(opts, f.name), Enum) else v
+                for f in fields(RenderOptions)
             },
         }
         print(json.dumps(payload, ensure_ascii=False))

@@ -17,12 +17,9 @@ no further rank is ever needed below 10^12, and none exists in the table.
 
 Every enum in hannum derives from _Enum, whose members hash by identity,
 so the tables of every module keyed by an era, a script, a policy or a
-tuple of them are read at C speed. _builder gives the other modules a
-positional constructor for their frozen result records that fills the slots
-with plain stores on a same-layout twin class and then gives the record its
-own class, for their hot paths; the public constructors stay the dataclass
-ones, with their defaults and checks, so a caller that builds, copies,
-pickles or replaces a record sees no change.
+tuple of them are read at C speed. Every record in hannum, the morpheme
+rows included, is a frozen slotted dataclass; the morpheme table and the
+hot paths build theirs through _builder.
 
 >>> pivot(4).traditional, pivot(4).simplified, pivot(4).pinyin
 ('萬', '万', 'wàn')
@@ -38,6 +35,7 @@ from typing import Any, Callable
 
 __all__ = [
     "CHRONOLOGY",
+    "DEFAULT_OPTIONS",
     "EARLY_ERAS",
     "Era",
     "EraProfile",
@@ -82,9 +80,11 @@ def _builder(cls: type, invalid: str = "") -> Callable[..., Any]:
     which CPython allows between classes of one slot layout. The frozen
     __init__ instead sets each field by name through object.__setattr__.
     The record is the one the dataclass constructor builds from the same
-    values. invalid is an expression over the field names that holds when
-    the values break the class's __post_init__ check; the builder then
-    calls __post_init__, so the check raises its own error.
+    values, and that constructor stays the public one, so a caller that
+    builds, copies, pickles or replaces a record sees no change. invalid
+    is an expression over the field names that holds when the values break
+    the class's __post_init__ check; the builder then calls __post_init__,
+    so the check raises its own error.
 
     A class whose __slots__ are not exactly its field names, in order, or
     whose layout differs from the twin's (say, through a base with a
@@ -143,6 +143,7 @@ class MorphemeKind(_Enum):
     LING_ALT = "ling-alt"  # the "another" graph used as a gap link, parse-only
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class Morpheme:
     """One numeral morpheme: a row of the closed inventory table.
 
@@ -156,18 +157,6 @@ class Morpheme:
     words have none in Han script, but keep their pinyin syllable for input.
     graphs holds every Han character read as the morpheme on input.
     """
-
-    __slots__ = (
-        "kind",
-        "value",
-        "exponent",
-        "code",
-        "notation",
-        "traditional",
-        "simplified",
-        "pinyin",
-        "graphs",
-    )
 
     kind: MorphemeKind
     value: int | None
@@ -197,13 +186,11 @@ class Morpheme:
     def __reduce__(self) -> tuple[object, ...]:
         return Morpheme, (self.kind, self.value, self.exponent)
 
-    def __setattr__(self, *_: object) -> None:
-        raise AttributeError("morphemes are immutable")
-
-    __delattr__ = __setattr__
-
     def __repr__(self) -> str:
         return self.notation
+
+
+_morpheme = _builder(Morpheme)
 
 
 def _row(
@@ -219,13 +206,9 @@ def _row(
 ) -> Morpheme:
     han = (traditional, simplified, *input_only)
     graphs = tuple(dict.fromkeys(g for g in han if g))
-    m = object.__new__(Morpheme)
-    for name, field in zip(
-        Morpheme.__slots__,
-        (kind, value, exponent, code, notation, traditional, simplified, pinyin, graphs),
-    ):
-        object.__setattr__(m, name, field)
-    return m
+    return _morpheme(
+        kind, value, exponent, code, notation, traditional, simplified, pinyin, graphs
+    )
 
 
 _K = MorphemeKind

@@ -45,11 +45,7 @@ way. text() reads each token's written form with one operator.itemgetter
 over the script's table, in one frame.
 
 A rendered NumeralExpression keeps the profile that rendered it, so its value
-reads the tokens back under that same profile. The renders build it through
-core's positional builder, which stores its fields with plain slot stores
-on a same-layout twin and then sets its class; the public constructor stays
-the dataclass one, so a caller that builds, copies or replaces an
-expression sees no change.
+reads the tokens back under that same profile.
 """
 
 from __future__ import annotations
@@ -606,7 +602,12 @@ def render_ordinal(
     era: "Era | EraProfile | str" = Era.CONTEMPORARY,
     with_prefix: bool = True,
 ) -> NumeralPhrase:
-    """Render an ordinal; only er ever expresses 2 in ordinals."""
+    """Render an ordinal; only er ever expresses 2 in ordinals.
+
+    A with_prefix that is not a bool is a TypeError, before any other check.
+    """
+    if with_prefix.__class__ is not bool:
+        raise TypeError(f"with_prefix must be a bool, not {type(with_prefix).__name__}")
     profile = era_profile(era)
     if profile.era is not Era.CONTEMPORARY:
         raise StyleNotAllowed("ordinals are rendered in the contemporary profile only")
@@ -623,8 +624,11 @@ def render_currency(
     """Render a yuan/jiao/fen amount with Ling linking over the skipped rank.
 
     With terse=True the final word fen is dropped where it is unambiguous:
-    after a jiao compound or after the linking Ling.
+    after a jiao compound or after the linking Ling. A terse that is not a
+    bool is a TypeError, before any other check.
     """
+    if terse.__class__ is not bool:
+        raise TypeError(f"terse must be a bool, not {type(terse).__name__}")
     if _integer(yuan) < 0:
         raise ValueOutOfRange(f"yuan must be non-negative, got {yuan}")
     if not 0 <= _integer(jiao) <= 9:

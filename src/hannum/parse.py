@@ -88,43 +88,9 @@ read renderings of every era, three in ten mutated (283 bytes a reading),
 and about 98 MB if classify alone fills them (374 bytes a seven-lane
 reading), whatever the number of profiles.
 
-Han text is tokenized in C: one codecs.charmap_encode through _CHARMAP
-writes each inventory graph as one byte and drops every other character but
-NUL, one operator.itemgetter reads the tokens off those bytes, each an
-index into a 256-slot tuple, and one bytes.translate folds the bytes of
-variant graphs onto their morphemes' codes. Text of graphs alone encodes to
-one byte a character and needs nothing more; text with whitespace or
-another character is read off the same bytes, less any NUL, once their
-count matches its characters that are not whitespace, and only a text that
-raises is searched for the offset of its unknown character. The tokenizer
-leaves the tokens and their codes in a one-slot handoff, and _codes returns
-those codes when parse gets that same tuple, so parse_text (which still
-calls the module-level parse) reads no code twice. Pinyin whose
-whitespace-separated syllables are all exact keys of _PINYIN_SYLLABLES
-(NFC, lower case, tone marks) is read by one itemgetter, which gives its
-tokens from that table and its codes from _PINYIN_CODES, and it hands its
-codes over the same way; pinyin that needs normalising or toneless reading
-is read one syllable at a time. Any other token tuple has its codes read by
-one itemgetter over _CODE_OF, the one table of codes: a token that is not a
-morpheme is a TypeError. A sequence that is not a str reads as the string
-of its items under AUTO and HAN; under PINYIN it is a TypeError.
-
 Error positions are token indices into the parsed sequence, except
 UnknownCharacter and EmptyInput, which carry character offsets into the
 source text.
-
-parse and _read_span build each ParseOutcome through core's positional
-builder, which stores its fields with plain slot stores on a same-layout
-twin and then sets its class; the public constructor stays the dataclass
-one, so a caller that builds, copies or replaces an outcome sees no
-change. Errors are built the same way: every NumeralParseError that
-hannum raises or stores comes from _error, which makes the instance with
-ValueError.__new__ and stores its three fields in their slots without
-running __init__, so no instance dict is made. A failure's message comes
-from its reader's _Messages table: each standard reader, the eight eras and
-the lenient grammar, formats a template once and keeps it, and a custom
-profile's table lives for one parse. The public constructor, str, args and
-pickling are unchanged; vars() of an error is empty.
 """
 
 from __future__ import annotations
@@ -417,15 +383,22 @@ def _tokenize_impl(
 ) -> tuple[tuple[Morpheme, ...], bool]:
     """Returns (tokens, used_pinyin).
 
-    Han text is encoded through _CHARMAP in one C call and its tokens read
-    off the bytes in one more: at once for graphs alone, else less any NUL
-    and once the bytes count every character that is not whitespace. AUTO
-    reads Han when a byte is a graph's. Pinyin whose syllables are all
-    exact table keys is read by one itemgetter, which gives the tokens and
-    the codes. Both hand their codes to parse through _HANDOFF. Only
-    pinyin with a miss reads syllable by syllable, and a non-str sequence
-    item by item.
+    Han text costs three C calls, whatever its length: one charmap encoding
+    through _CHARMAP to one byte per graph, one itemgetter over those bytes
+    for the tokens, and one translate for their codes. Text of graphs alone
+    needs nothing more; other text is read off the same bytes, less any
+    NUL, once they count every character that is not whitespace, and only
+    a text that fails that count is searched for the offset of its unknown
+    character. AUTO reads Han when a byte is a graph's. Pinyin whose
+    syllables are all exact keys of _PINYIN_SYLLABLES (NFC, lower case,
+    tone marks) is read by one itemgetter, which gives the tokens and, from
+    _PINYIN_CODES, the codes. Both hand their codes to parse through
+    _HANDOFF, so parse_text reads no code twice. Only pinyin with a miss
+    reads syllable by syllable, and a non-str sequence item by item. A
+    toneless that is not a bool is a TypeError, before any other check.
     """
+    if toneless.__class__ is not bool:
+        raise TypeError(f"toneless must be a bool, not {type(toneless).__name__}")
     han = script_hint is _HAN_HINT
     if han or script_hint is _AUTO_HINT:
         # The encoding drops what is not a graph, NUL aside (byte 0), so a
@@ -528,24 +501,12 @@ def tokenize(
     and "yi" is read as the 10^8 pivot straight after a digit, as the digit 1
     otherwise.
 
-    Han text costs three C calls, whatever its length: one charmap
-    encoding to one byte per graph, one itemgetter over those bytes for the
-    tokens, and one translate for their codes, which parse then takes over
-    for this tuple instead of reading them again. Han text that holds
-    whitespace adds a count of its other characters; only one that holds
-    an unknown character is searched for its offset. Pinyin whose
-    syllables are already NFC lower case with tone marks costs one split
-    and one itemgetter, applied to the tokens' table and to the codes'
-    table, and hands its codes over the same way. Syllables that need
-    normalisation (NFD or upper case) and toneless syllables are read one
-    at a time.
-
     text may also be a sequence of str that is not a str: under AUTO and
     HAN it reads as the string of its items, so a whitespace or empty item
     is skipped and any other item that is not a graph raises
     UnknownCharacter at its index. An item that is not a str, a text that
-    is not a sequence, a non-str text under PINYIN, or a script_hint that
-    is not a ScriptHint raises TypeError.
+    is not a sequence, a non-str text under PINYIN, a script_hint that is
+    not a ScriptHint, or a toneless that is not a bool raises TypeError.
     """
     return _tokenize_impl(text, script_hint, toneless)[0]
 

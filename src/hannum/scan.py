@@ -26,12 +26,6 @@ _read keeps each tuple's era-set key in _ERA_SETS. Seven lanes allow 2**7
 masks, so _ERA_SETS is bounded by construction.
 _read_span reads the walk's masks and features itself, one frame below
 _read, and builds a diagnostics tuple only for a span that has any.
-
-scan_text builds its records and its summary through core's positional
-builder, which stores their fields with plain slot stores on a same-layout
-twin and then sets their class; the public ScanRecord and ScanSummary
-constructors stay the dataclass ones, so a caller that builds, copies or
-replaces a record or a summary sees no change.
 """
 
 from __future__ import annotations

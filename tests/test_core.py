@@ -1,6 +1,7 @@
 """Morpheme inventory, era profiles, and surface tables."""
 
 import copy
+import dataclasses
 import doctest
 import importlib
 import pickle
@@ -129,6 +130,20 @@ class TestInventoryTable:
         with pytest.raises(AttributeError):
             digit(5).value = 6
         with pytest.raises(AttributeError):
+            del LING.code
+
+    def test_rows_are_frozen_dataclass_records(self):
+        # The annotations are Morpheme's one field list, in table order.
+        assert [f.name for f in dataclasses.fields(Morpheme)] == [
+            "kind", "value", "exponent", "code", "notation",
+            "traditional", "simplified", "pinyin", "graphs",
+        ]
+        for m in MORPHEMES:
+            assert type(m) is Morpheme
+            assert not hasattr(m, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            digit(5).value = 6
+        with pytest.raises(dataclasses.FrozenInstanceError):
             del LING.code
 
     def test_scan_span_sets_split_the_tokenizer_graphs(self):

@@ -625,6 +625,20 @@ class TestOptionsArgument:
             with pytest.raises(TypeError, match="^two_style must be a TwoStyle"):
                 call(n, era, opts)
 
+    @pytest.mark.parametrize("bad", ["no", 0, 1, None], ids=repr)
+    def test_phrase_flags_of_another_type_are_refused(self, bad):
+        # Read by truthiness, 'no' would give 第二 and 三元零五. The check
+        # comes before the era's and the amounts'.
+        kind = type(bad).__name__
+        with pytest.raises(TypeError, match=f"^with_prefix must be a bool, not {kind}$"):
+            render_ordinal(2, with_prefix=bad)
+        with pytest.raises(TypeError, match=f"^with_prefix must be a bool, not {kind}$"):
+            render_ordinal(0, "tang", bad)
+        with pytest.raises(TypeError, match=f"^terse must be a bool, not {kind}$"):
+            render_currency(3, 0, 5, terse=bad)
+        with pytest.raises(TypeError, match=f"^terse must be a bool, not {kind}$"):
+            render_currency(0, 0, 0, bad)
+
     @pytest.mark.parametrize("bad", ["x", {}, 1], ids=repr)
     @pytest.mark.parametrize(
         "call",

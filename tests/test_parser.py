@@ -145,6 +145,26 @@ class TestTokenize:
         assert parse_text("yī", script_hint=ScriptHint.PINYIN).value == 1
 
 
+    @pytest.mark.parametrize("bad", ["no", 0, 1, None], ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda text, bad: tokenize(text, toneless=bad),
+            lambda text, bad: parse_text(text, toneless=bad),
+        ],
+        ids=["tokenize", "parse_text"],
+    )
+    def test_toneless_of_another_type_is_refused(self, call, bad):
+        # Read by truthiness, 'no' would read "yi bai" as 100. The check
+        # comes before the script_hint's and the text's.
+        message = f"^toneless must be a bool, not {type(bad).__name__}$"
+        for text in ("yi bai", "一百", "xyz", 5):
+            with pytest.raises(TypeError, match=message):
+                call(text, bad)
+        with pytest.raises(TypeError, match=message):
+            tokenize("yi", "pinyin", toneless=bad)
+
+
 class TestParseValues:
     def test_contemporary_round_values(self):
         assert parse_text("零").value == 0

@@ -77,6 +77,11 @@ def test_inprocess_ab_pair_against_its_own_src():
     _inprocess_ab_own_src("pair", 8800)
 
 
+def test_inprocess_ab_render_against_its_own_src():
+    # render_integer alone over the pair pool, each value read back.
+    _inprocess_ab_own_src("render", 8800)
+
+
 class TestBenchPairs:
     """The statistics of scripts/bench_pairs.py on fixed numbers."""
 
