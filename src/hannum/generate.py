@@ -20,8 +20,16 @@ each group is rendered, and cached, from those rules alone:
   it, so the renderer and the reader read one rule;
 * the conjunction You at hundreds-tens and tens-units junctions;
 * the liang variant of 2 where the whole multiplier of a pivot >= 10^2 is 2;
-* elliptic names that drop a final inner pivot recoverable from the digit
-  before it.
+* elliptic names: the full form less its final pivot, kept only where the
+  profile's reader reads it back as the value.
+
+A render refuses in one order: an option of the wrong type (TypeError),
+then a style the profile lacks (StyleNotAllowed: liang, elliptic, You, in
+that order, all from _rules), then the value (ValueOutOfRange,
+ZeroInexpressible), then the form (EllipsisUnavailable). So an option set
+refused for one value is refused for every value, whatever its type.
+render_quantity and render_ordinal first refuse a profile other than the
+contemporary one, and render_quantity then an elliptic option.
 
 Each group's tokens are memoized in a plain dict keyed by one int packed
 from the group rules, the coefficient, the group's scale and the previous
@@ -39,10 +47,10 @@ resolves its plan through _plan and stores nothing, so no plan depends on
 which options came before. A plain int within the plan's ceiling, at most
 10^12 - 1, so of one, two or three groups, is read straight from the group
 memo, its groups' tuples concatenated; every other value, and a group not
-yet in the memo, goes through _render_full, which checks the value, then a
-banned You, in that order, and concatenates its groups' tuples the same
-way. text() reads each token's written form with one operator.itemgetter
-over the script's table, in one frame.
+yet in the memo, goes through _render_full, which checks the value and
+concatenates its groups' tuples the same way. text() reads each token's
+written form with one operator.itemgetter over the script's table, in one
+frame.
 
 A rendered NumeralExpression keeps the profile that rendered it, so its value
 reads the tokens back under that same profile.
@@ -77,7 +85,8 @@ from .core import (
     pivot,
     surface,
 )
-from .parse import _HIGH, _OUTER, _SOLE_HIGH, _SOLE_TEN, _TEN, _one_rule, parse
+from .parse import (NumeralParseError, _HIGH, _OUTER, _SOLE_HIGH, _SOLE_TEN, _TEN,
+                    _one_rule, _one_slot, parse)
 
 __all__ = [
     "AllZeroAmount",
@@ -177,10 +186,9 @@ class NumeralExpression:
         except (KeyError, TypeError, IndexError):
             pass
         # A parse-only gap word has no written form, and a value that is not
-        # a Script, hashable or not, none: surface() raises for either. No
-        # tokens join to the empty string.
-        sep = " " if script is Script.PINYIN else ""
-        return sep.join([surface(m, script) for m in tokens])
+        # a Script, hashable or not, none: surface() raises for either. Only
+        # an empty tuple gets past it, and joins to the empty string.
+        return "".join([surface(m, script) for m in tokens])
 
     def __str__(self) -> str:
         return self.text()
@@ -320,9 +328,6 @@ _HEAD_ONES = {
 _ALWAYS_ER, _PREFER_LIANG = TwoStyle.ALWAYS_ER, TwoStyle.PREFER_LIANG
 _YOU_FORBIDDEN, _YOU_DEFAULT_ON = YouPolicy.FORBIDDEN, YouPolicy.OPTIONAL_DEFAULT_ON
 _LING_REQUIRED = LingPolicy.REQUIRED
-# Not rules: the options demand You where the profile forbids it.
-# _render_full raises for it once the value has passed its checks.
-_YOU_BANNED = -1
 
 # The rendered groups, keyed by _render_full's packed (coefficient, rules,
 # scale, previous scale); the rules take 8 bits, so keys stay below 2^30.
@@ -344,9 +349,8 @@ def _group_tokens(
     d3, rem = divmod(coeff, 1000)
     d2, rem = divmod(rem, 100)
     d1, d0 = divmod(rem, 10)
+    # Whether the first term here would be its outer pivot's sole multiplier.
     sole = scale and not d0 and (d3 > 0) + (d2 > 0) + (d1 > 0) == 1
-    # The head slots of a ten and of a higher pivot as the first term here.
-    ten, high = (_SOLE_TEN, _SOLE_HIGH) if sole else (_TEN, _HIGH)
     # Exponents count from this group's scale, and the previous group's outer
     # pivot is the term before the first one, so a gap across groups takes one
     # Ling just like a gap inside a group. None: the numeral's first term.
@@ -364,9 +368,9 @@ def _group_tokens(
         # the digit is the group's whole coefficient.
         mult = exp or (scale if coeff < 10 else 0)
         # [1] is written before every pivot except the numeral's first, whose
-        # head slot's bit decides, as parse's [1] rule names the slots.
+        # head slot's bit decides, the slot named by parse's _one_slot.
         if d == 1 and mult:
-            slot = _OUTER if not exp else ten if exp == 1 else high
+            slot = _one_slot(exp, sole)
             if prev_exp is not None or rules & _SLOT_ONE << slot // 2:
                 out.append(digit(1))
         elif d == 2 and mult >= 2 and rules & _LIANG_ON:
@@ -391,16 +395,16 @@ def _options(opts: object) -> RenderOptions:
 
 
 def _rules(profile: EraProfile, opts: RenderOptions | None, elliptic: bool = False) -> int:
-    """The group rules of one render, or _YOU_BANNED.
+    """The group rules of one render.
 
     Every renderer resolves its profile and options here, in one call;
     opts goes through _options. A two_style that is not a TwoStyle, a
     use_you that is not None or a bool, and an elliptic or leading_ten_one
     that is not a bool are TypeErrors, in that order, before any other
     check. The style checks come next: StyleNotAllowed where the options
-    ask for liang, or elliptic is set for an elliptic name, and the profile
-    has none. The head's [1] bits are _HEAD_ONES's, read off parse's [1]
-    rule.
+    ask for liang, or elliptic is set for an elliptic name, or use_you asks
+    for You, and the profile has none, in that order. The head's [1] bits
+    are _HEAD_ONES's, read off parse's [1] rule.
     """
     opts = _options(opts)
     two = opts.two_style
@@ -425,7 +429,9 @@ def _rules(profile: EraProfile, opts: RenderOptions | None, elliptic: bool = Fal
     if you is None:
         you = profile.you_policy is _YOU_DEFAULT_ON
     elif you and profile.you_policy is _YOU_FORBIDDEN:
-        return _YOU_BANNED
+        raise StyleNotAllowed(
+            f"the conjunction you is not used in {profile.era.value} integer names"
+        )
     rules = _YOU_ON if you else 0
     if profile.ling_policy is _LING_REQUIRED:
         rules |= _LING_ON
@@ -445,13 +451,9 @@ def _plan(profile: EraProfile, opts: RenderOptions | None) -> tuple[EraProfile, 
 
     The ceiling bounds the values render_integer reads straight from the
     group memo: those of one, two or three groups (below 10^12, the largest
-    pivot's reach) within the profile's ceiling; it is 0 where the options
-    ask for a banned You, so that every value still meets its value errors
-    first.
+    pivot's reach) within the profile's ceiling.
     """
-    rules = _rules(profile, opts)
-    ceiling = 0 if rules == _YOU_BANNED else min(profile.max_value, 10**12 - 1)
-    return profile, rules, ceiling
+    return profile, _rules(profile, opts), min(profile.max_value, 10**12 - 1)
 
 
 # Each era's plan under DEFAULT_OPTIONS, the one render_integer reads when it
@@ -523,10 +525,6 @@ def _render_full(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
                 f"{profile.era.value} numerals have no standalone zero word"
             )
         return _expression((LING,), profile.era, False, profile)
-    if rules == _YOU_BANNED:
-        raise StyleNotAllowed(
-            f"the conjunction you is not used in {profile.era.value} integer names"
-        )
 
     g8, rem = divmod(n, 10**8)
     g4, g0 = divmod(rem, 10**4)
@@ -550,28 +548,26 @@ def render_elliptic(
     era: "Era | EraProfile | str" = Era.CONTEMPORARY,
     opts: RenderOptions | None = DEFAULT_OPTIONS,
 ) -> NumeralExpression:
-    """Render the elliptic (final-pivot-dropped) name for n.
+    """Render the elliptic name for n: the full form less its final pivot,
+    read back as n.
 
-    Defined only when the full form ends [pivot][digit][inner pivot] with the
-    two pivots on adjacent ranks, so a listener recovers the dropped rank from
-    the rank said before the digit.
+    The profile's own reader decides: where the shortened form does not
+    parse to n under the profile, a listener could not recover the dropped
+    pivot, and the render raises EllipsisUnavailable.
     """
     profile = era_profile(era)
-    full = _render_full(n, profile, _rules(profile, opts, True))
-    t = full.tokens
-    if (
-        len(t) < 3
-        or t[-1].kind is not MorphemeKind.PIVOT
-        or t[-1].exponent not in (1, 2, 3)
-        or t[-2].kind not in (MorphemeKind.DIGIT, MorphemeKind.LIANG)
-        or t[-3].kind is not MorphemeKind.PIVOT
-        or t[-3].exponent != t[-1].exponent + 1
-    ):
+    tokens = _render_full(n, profile, _rules(profile, opts, True)).tokens
+    short = tokens[:-1]
+    try:
+        kept = tokens[-1].kind is MorphemeKind.PIVOT and parse(short, profile).value == n
+    except NumeralParseError:
+        kept = False
+    if not kept:
         raise EllipsisUnavailable(
             f"{n} has no droppable final pivot: its name does not end with a "
             f"digit one rank below the preceding pivot"
         )
-    return _expression(t[:-1], profile.era, True, profile)
+    return _expression(short, profile.era, True, profile)
 
 
 def render_quantity(

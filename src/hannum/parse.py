@@ -35,21 +35,22 @@ such check is a mask, built once per lane table, of the lanes it applies
 to. Which eras lack which morphemes (you, ling, liang, dan and its variant
 ling) is one such mask per token code, checked before anything else on
 each token; the [1] rule is one list of masks per slot, built from
-_one_rule, which the renderer also reads to decide the numeral's first [1]. A check that fires records one failure, (lanes, kind, position,
-message), for the lanes it hits and drops them from the alive mask. A
-failure keeps that one shape from a group's memoized reading to every
-reader: the walk answers with two masks of accepting lanes (the unit
-reading and the elliptic one) and their values, and the failures in walk
-order, and every lane is in exactly one mask or one failure. Nothing is
-raised inside the walk, and a NumeralParseError is built only for a lane
-that rejects, from its failure. parse is the walk with one lane, so it
-raises from the first failure; chronolect's classify runs it once over
-seven lanes and fans them out to the eight eras (the three early eras
-differ only in how often they attest you, so they share a lane), and so
-does scan_text, through _read_span, which keeps only the lenient reading,
-the accepting eras and the features of each span. The walk hands every
-reader its Features: the token flags, and the elliptic flag of the one
-lane of a one-lane table or of the lenient lane of the seven.
+_one_rule, which the renderer also reads to decide the numeral's first [1],
+as it reads _one_slot to name a term's slot. A check that fires records one
+failure, (lanes, kind, position, message), for the lanes it hits and drops
+them from the alive mask. A failure keeps that one shape from a group's
+memoized reading to every reader: the walk answers with two masks of
+accepting lanes (the unit reading and the elliptic one) and their values,
+and the failures in walk order, and every lane is in exactly one mask or
+one failure. Nothing is raised inside the walk, and a NumeralParseError is
+built only for a lane that rejects, from its failure. parse is the walk
+with one lane, so it raises from the first failure; chronolect's classify
+runs it once over seven lanes and fans them out to the eight eras (the
+three early eras differ only in how often they attest you, so they share a
+lane), and so does scan_text, through _read_span, which keeps only the
+lenient reading, the accepting eras and the features of each span. The walk
+hands every reader its Features: the token flags, and the elliptic flag of
+the one lane of a one-lane table or of the lenient lane of the seven.
 
 The one place where lanes read differently is a trailing bare digit with no
 following pivot. Lanes whose rank gaps demand the link word ling, and the
@@ -576,9 +577,21 @@ def _group_bits(g: bytes, first: bool) -> int:
 # The slots of the [1] rule: the numeral's first term as a ten or a higher
 # inner pivot, either of those as an outer pivot's sole multiplier, or an
 # outer pivot; and any later pivot. _Lanes.one[slot + written] is a slot's
-# rule with [1] omitted or written. generate reads the same rule for the
-# head slots, so the renderer writes [1] only where the reader accepts it.
+# rule with [1] omitted or written. generate reads the same rule, and
+# _one_slot, for the head slots, so the renderer writes [1] only where the
+# reader accepts it.
 _TEN, _HIGH, _SOLE_TEN, _SOLE_HIGH, _OUTER, _LATER = range(0, 12, 2)
+
+
+def _one_slot(rank: int, sole: bool) -> int:
+    """The head slot of the numeral's first term: a ten (rank 1) or a higher
+    inner pivot, either as an outer pivot's sole multiplier where sole is
+    set, or, at rank 0, a digit that multiplies an outer pivot alone."""
+    if not rank:
+        return _OUTER
+    if sole:
+        return _SOLE_TEN if rank == 1 else _SOLE_HIGH
+    return _TEN if rank == 1 else _HIGH
 
 
 def _one_rule(lead: LeadingOnePolicy, inner: OneBeforeInnerMultiplicand,
@@ -782,13 +795,9 @@ def _close(
         slot = _LATER if prev_exp else _OUTER
     elif not prev_exp and lead[0] == 1:
         _, exp, written, _ = lead
-        if not exp:
-            # A lone unit digit 1 under an outer pivot: [1][10^4] shape.
-            slot = _OUTER + written if scale else None
-        elif scale and sole:
-            slot = (_SOLE_TEN if exp == 1 else _SOLE_HIGH) + written
-        else:
-            slot = (_TEN if exp == 1 else _HIGH) + written
+        # A lone unit digit 1 has a slot only under an outer pivot.
+        if exp or scale:
+            slot = _one_slot(exp, scale and sole) + written
     rules = L.one[slot] if slot is not None else ()
     if rules:
         alive ^= _break_one(fails, alive, rules, pos)
@@ -993,7 +1002,7 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
                     # Without the sole-multiplier escape a bare opening pivot
                     # is already wrong; report it at its own token rather
                     # than at a later symptom.
-                    rules = L.one[_TEN if k == 1 else _HIGH]
+                    rules = L.one[_one_slot(k, False)]
                     lanes = alive & L.inner_req
                 if rules:
                     alive ^= _break_one(fails, lanes, rules, i)

@@ -9,7 +9,7 @@ agreement.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Era, RenderOptions, TwoStyle, era_profile, token_notation
 from .generate import (
@@ -132,38 +132,34 @@ def _options_for(fx: IntegerFixture) -> RenderOptions:
 
 
 def _check_integer_fixture(fx: IntegerFixture, failures: list[str]) -> int:
-    checks = 0
+    """Check one fixture's render, surface, tokens and parse-back; returns
+    the number of checks run: 1 where the render raised, else 4."""
     era = Era.from_string(fx.era)
     try:
         expr = render_integer(fx.value, era, _options_for(fx))
     except Exception as exc:  # noqa: BLE001 - report, never crash the harness
         failures.append(f"render {fx.value} ({fx.era}): raised {exc!r}")
         return 1
-    checks += 1
     got_surface = expr.text()
     if got_surface != fx.surface:
         failures.append(
             f"render {fx.value} ({fx.era}): surface {got_surface!r} "
             f"!= expected {fx.surface!r}"
         )
-    checks += 1
     got_notation = " ".join(token_notation(t) for t in expr.tokens)
     if got_notation != fx.notation:
         failures.append(
             f"render {fx.value} ({fx.era}): tokens {got_notation} "
             f"!= expected {fx.notation}"
         )
-    checks += 1
     try:
         back = parse(expr.tokens, era).value
     except NumeralParseError as exc:
         failures.append(f"parse-back {fx.value} ({fx.era}): rejected: {exc}")
-        return checks
-    if back != fx.value:
-        failures.append(
-            f"parse-back {fx.value} ({fx.era}): read {back} instead"
-        )
-    return checks
+    else:
+        if back != fx.value:
+            failures.append(f"parse-back {fx.value} ({fx.era}): read {back} instead")
+    return 4
 
 
 def _render_phrase(fx: PhraseFixture) -> str:

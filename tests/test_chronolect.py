@@ -1,5 +1,6 @@
 """Era-consistency classification."""
 
+import dataclasses
 import itertools
 import json
 
@@ -287,6 +288,13 @@ class TestOtherSequence:
         with pytest.raises(TypeError, match="^an era name must be a str, not NoneType$"):
             report.verdict_for(None)
         assert report.verdict_for("song") is report.verdict_for(Era.SONG_QIN)
+
+    def test_verdict_for_an_era_the_report_lacks(self):
+        # classify gives every era a verdict; a report built without one
+        # has none to give.
+        report = dataclasses.replace(classify("十五"), verdicts=())
+        with pytest.raises(KeyError):
+            report.verdict_for(Era.SONG_QIN)
 
 
 class TestNotIterable:

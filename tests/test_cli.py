@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -297,7 +298,9 @@ class TestSelftest:
     def test_zero_max_checks_table_only(self, capsys):
         code, out, _ = run(capsys, "selftest", "--max", "0")
         assert code == 0
-        assert out.startswith("selftest: pass (100 checks")
+        # 30 integer fixtures of four checks each (render, surface, tokens,
+        # parse-back) and 10 phrase fixtures of one.
+        assert out.startswith("selftest: pass (130 checks")
 
     def test_run_selftest_rejects_negative_max(self):
         with pytest.raises(ValueError):
@@ -327,6 +330,46 @@ class TestSelftest:
         assert code == 1
         assert out.startswith("selftest: FAIL")
         assert "  counterexample: " in out
+
+    def test_every_failure_is_reported(self, monkeypatch):
+        # A render and a phrase that raise, then parse-backs that reject or
+        # read another value, in the table and in the sweep, which stops
+        # past 20 failures.
+        monkeypatch.setattr(selftest, "INTEGER_FIXTURES", (
+            IntegerFixture(-1, "contemporary", "", ""),
+            IntegerFixture(5, "contemporary", "五", "[5]"),
+            IntegerFixture(5, "contemporary", "五", "[5]"),
+        ))
+        monkeypatch.setattr(selftest, "PHRASE_FIXTURES", (PhraseFixture("?", (), ""),))
+        calls, real_parse = [], selftest.parse
+
+        def parse(tokens, era):
+            calls.append(tokens)
+            if len(calls) in (1, 3):
+                return real_parse((), era)
+            return SimpleNamespace(value=-1)
+
+        monkeypatch.setattr(selftest, "parse", parse)
+        report = run_selftest(max_value=5)
+        assert [line.split(":")[0] for line in report.failures[:5]] == [
+            "render -1 (contemporary)",
+            "parse-back 5 (contemporary)",
+            "parse-back 5 (contemporary)",
+            "?()",
+            "round-trip 1 (shang-oracle)",
+        ]
+        assert "rejected: " in report.failures[1]
+        assert report.failures[2].endswith("read -1 instead")
+        assert "NumeralParseError" in report.failures[4]
+        assert report.failures[5] == "round-trip 2 (shang-oracle): parsed back as -1"
+        assert len(report.failures) == 21
+        # 1 + 4 + 4 table checks, 1 phrase and the 17 sweep renders run.
+        assert report.as_dict() == {
+            "passed": False,
+            "checks_run": 27,
+            "failures": list(report.failures),
+            "elapsed_seconds": report.elapsed_seconds,
+        }
 
 
 class TestUsage:

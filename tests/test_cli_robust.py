@@ -57,6 +57,30 @@ def test_unencodable_stdout_exits_3():
     assert "Traceback" not in stderr.decode()
 
 
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def test_closed_pipe_in_process(monkeypatch, capsys):
+    # A stream with no file descriptor, then a real pipe whose reader has
+    # gone: its descriptor is pointed at devnull, so closing it is quiet.
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["gen", "105"]) == 3
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["gen", "105"]) == 3
+    assert capsys.readouterr().err == ""
+
+
+def test_unencodable_stdout_in_process(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    assert main(["gen", "105"]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 def test_unencodable_scan_exits_3(tmp_path, mode):
     path = tmp_path / "doc.txt"

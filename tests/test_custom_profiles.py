@@ -17,6 +17,7 @@ from hannum import (
     ParseErrorKind,
     RenderOptions,
     parse,
+    render_elliptic,
     render_integer,
 )
 from hannum.core import (
@@ -66,6 +67,13 @@ def test_custom_profile_round_trips(name):
         rendered += 1
         assert parse(expr.tokens, profile).value == n, (n, expr.text())
         assert expr.value == n, (n, expr.text())
+        # An elliptic name, where the profile gives one, reads back too.
+        try:
+            short = render_elliptic(n, profile)
+        except RenderError:
+            continue
+        assert parse(short.tokens, profile).value == n, (n, short.text())
+        assert short.value == n, (n, short.text())
     assert rendered >= 7000
 
 

@@ -690,6 +690,10 @@ class TestGeneratorInvariants:
                 if b.kind is MorphemeKind.PIVOT and b.exponent == 1:
                     assert a is not LIANG
 
+    def test_str_is_the_traditional_text(self):
+        assert str(render_integer(105)) == "一百零五"
+        assert str(render_quantity(2, "個")) == "兩個"
+
     def test_tokens_start_sane(self):
         rendered = render_integer(42)
         assert rendered.tokens[0] in (digit(4), pivot(1))
@@ -703,32 +707,17 @@ class TestRenderPlan:
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     @pytest.mark.parametrize(
-        "era, calls",
-        [
-            (
-                Era.CONTEMPORARY,
-                [(0, "零"), ("x", ValueOutOfRange), (5, StyleNotAllowed)],
-            ),
-            (
-                Era.SUANSHUSHU,
-                [
-                    (0, ZeroInexpressible),
-                    (10**8, ValueOutOfRange),
-                    (5, StyleNotAllowed),
-                ],
-            ),
-        ],
+        "era, values",
+        [(Era.CONTEMPORARY, (0, "x", 5)), (Era.SUANSHUSHU, (0, 10**8, 5))],
     )
-    def test_value_errors_come_before_a_banned_you(self, era, calls, order):
+    def test_a_banned_you_comes_before_value_errors(self, era, values, order):
+        # 0, a value of the wrong type and one past the ceiling are refused
+        # for You like 5 is, whatever came before them.
         opts = RenderOptions(use_you=True)
         for k in order:
-            n, want = calls[k]
             for _ in range(2):
-                if isinstance(want, str):
-                    assert render_integer(n, era, opts).text() == want
-                else:
-                    with pytest.raises(want):
-                        render_integer(n, era, opts)
+                with pytest.raises(StyleNotAllowed, match="conjunction you"):
+                    render_integer(values[k], era, opts)
 
     def test_style_errors_come_before_value_errors(self):
         opts = RenderOptions(two_style=TwoStyle.PREFER_LIANG)
@@ -740,6 +729,29 @@ class TestRenderPlan:
             generate._plan(era_profile(Era.SUANSHUSHU), opts)
         assert generate._PLANS == plans
         assert all(generate._PLANS[era] is plan for era, plan in plans.items())
+        with pytest.raises(StyleNotAllowed, match="conjunction you"):
+            render_quantity(0, "個", opts=RenderOptions(use_you=True))
+        # Under every era, each of the 36 option sets that 5 is refused
+        # under, liang, elliptic or You, is refused the same way for every
+        # value, in range or not.
+        refused = 0
+        for era, two, you, ell, ten in itertools.product(
+            Era, TwoStyle, (None, False, True), (False, True), (False, True)
+        ):
+            opts = RenderOptions(
+                two_style=two, use_you=you, elliptic=ell, leading_ten_one=ten
+            )
+            try:
+                render_integer(5, era, opts)
+            except StyleNotAllowed as exc:
+                refused += 1
+                for n in (-1, 0, "x", 2, 10**8, 10**12):
+                    with pytest.raises(StyleNotAllowed) as info:
+                        render_integer(n, era, opts)
+                    assert str(info.value) == str(exc), (era, opts, n)
+            except generate.RenderError:
+                pass
+        assert refused
 
     def test_equal_but_distinct_options(self):
         a = RenderOptions(two_style=TwoStyle.PREFER_LIANG)
@@ -856,15 +868,18 @@ class TestRenderFastPath:
     )
     def test_matches_full_render(self, monkeypatch, era, opts):
         monkeypatch.setattr(generate, "_group_memo", {})
-        profile, rules, ceiling = generate._plan(era_profile(era), opts)
+        try:
+            profile, rules, ceiling = generate._plan(era_profile(era), opts)
+        except StyleNotAllowed as exc:
+            # A banned You: every value is refused for it, cold and warm.
+            for n in _EDGES:
+                got = [_result(lambda: render_integer(n, era, opts)) for _ in range(2)]
+                assert got == [(StyleNotAllowed, str(exc))] * 2, n
+            return
         assert profile is era_profile(era)
         if opts is DEFAULT_OPTIONS:
             assert generate._PLANS[era] == (profile, rules, ceiling)
-        if rules == generate._YOU_BANNED:
-            # Every value meets its value errors before StyleNotAllowed.
-            assert ceiling == 0
-        else:
-            assert ceiling == min(profile.max_value, 10**12 - 1)
+        assert ceiling == min(profile.max_value, 10**12 - 1)
         for n in _EDGES:
             # Cold, then warm: the first render fills the memo for the second.
             got = [_result(lambda: render_integer(n, era, opts)) for _ in range(2)]

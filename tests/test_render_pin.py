@@ -57,9 +57,10 @@ VALUES = [
     ),
 ]
 
-# sha256 of the listing below, taken from the renderer that looked up each
-# group's era profile again per group, before the rules were resolved once.
-GOLDEN = "ab4818bc527c7771537be8a140b01a7e8fca7e59ff5a38a0533cc5ad513a330a"
+# sha256 of the listing below, taken from the renderer that refuses a
+# banned You with the other style refusals, before it reads the value, so
+# that an option set refused for 5 is refused for 0 and for every other n.
+GOLDEN = "0f9040b035a860bcf99a7c7388f9eaf699d3798f1bf68ad512ef79317750091d"
 
 
 def _outcome(n, era, opts, render=render_integer) -> str:
@@ -134,9 +135,10 @@ def _quantity(classifier):
     return lambda n, profile, opts: render_quantity(n, classifier, profile, opts)
 
 
-# sha256 of the listing below, taken from the renderers that checked the
-# style in a function of its own, apart from resolving the group rules.
-ERROR_ORDER_GOLDEN = "2823c7d0677541735930c72e2bebe704cb1b8c93605ee3791be481cd9bf0937e"
+# sha256 of the listing below, taken from the renderers that refuse a
+# banned You with the other style refusals, before the value's checks and
+# before render_elliptic reads its form back under the profile.
+ERROR_ORDER_GOLDEN = "791d9c73cb8a0b798087b5be4889850232e3c42af21fdf37a958b9bd3ba1485e"
 
 
 def test_elliptic_and_quantity_error_order_pinned():

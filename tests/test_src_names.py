@@ -1,10 +1,15 @@
-"""Every module-level name in src/hannum is used by src, or exported.
+"""Every module-level name in src/hannum is used by src, or exported, and
+every module-level import is read by its own module.
 
 A module-level function, class or assigned name that no src code reads and
 that its module's __all__ does not list is a second copy waiting to drift,
 or code that nothing runs. The scan is by ast: a use is a loaded name, an
 attribute, a name imported from another module, or a name inside a string
 annotation; docstrings and comments are not code, so they never count.
+
+An import that its module never reads, as a loaded name or a name inside a
+string annotation, and that its __all__ does not list, is left over from
+code that is gone. The only exceptions are PATCH_POINTS.
 """
 
 from __future__ import annotations
@@ -29,12 +34,16 @@ def _defined(tree: ast.Module) -> list[str]:
 
 
 def _exported(tree: ast.Module) -> set[str]:
-    """The names listed in tree's __all__, if it has one."""
+    """The names listed in tree's __all__, if it has one: its string items,
+    where others are spliced in from other modules' lists."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            return set(ast.literal_eval(node.value))
+            return {
+                item.value for item in ast.walk(node.value)
+                if isinstance(item, ast.Constant) and isinstance(item.value, str)
+            }
     return set()
 
 
@@ -53,21 +62,28 @@ def _annotations(tree: ast.Module):
             yield node.annotation
 
 
-def _used(tree: ast.Module) -> set[str]:
-    """The names tree reads: loaded names, attributes, names imported from
-    other modules and the names of string annotations."""
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            used.update(alias.name for alias in node.names)
+def _loaded(tree: ast.AST) -> set[str]:
+    """The names tree loads, its string annotations' included."""
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used |= _used(ast.parse(node.value, mode="eval"))
+                loaded |= _loaded(ast.parse(node.value, mode="eval"))
+    return loaded
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """The names tree reads: loaded names, attributes, names imported from
+    other modules and the names of string annotations."""
+    used = _loaded(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
     return used
 
 
@@ -85,8 +101,58 @@ def unused_names(src: Path = SRC) -> list[str]:
     ]
 
 
+def _imported(tree: ast.Module) -> list[str]:
+    """The names tree's module-level imports bind, less star imports and
+    __future__ features."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.extend(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.extend(a.asname or a.name for a in node.names if a.name != "*")
+    return names
+
+
+# Imported names that their modules keep bound but never read: bench/spans.py
+# wraps them, and tests/test_patch_points.py pins them.
+PATCH_POINTS = ["chronolect.parse", "scan.classify", "scan.parse"]
+
+
+def unread_imports(src: Path = SRC) -> list[str]:
+    """module.name for each name a module-level import of src binds that its
+    module neither reads nor exports."""
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = _loaded(tree) | _exported(tree)
+        unread += [f"{path.stem}.{n}" for n in _imported(tree) if n not in read]
+    return unread
+
+
 def test_every_src_name_is_used_or_exported():
     assert unused_names() == []
+
+
+def test_every_src_import_is_read():
+    # The patch points, and nothing else; one that src starts to read again
+    # leaves the list.
+    assert unread_imports() == PATCH_POINTS
+
+
+def test_the_scan_finds_an_unread_import(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path, re\n"
+        "from json import dumps, loads as unread\n"
+        "from typing import *\n"
+        "from .b import shown\n"
+        '__all__ = ["shown"]\n'
+        "def f(x: \"Pattern\"):\n"
+        '    """re is only named here."""\n'
+        "    return os.sep, dumps(x)  # and in this comment: re\n",
+        encoding="utf-8",
+    )
+    assert unread_imports(tmp_path) == ["a.re", "a.unread"]
 
 
 def test_the_scan_finds_an_unused_name(tmp_path):
