@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum, unique
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
 __all__ = [
     "CHRONOLOGY",
@@ -383,7 +383,13 @@ class OneBeforeInnerMultiplicand(_Enum):
 
 @dataclass(frozen=True, slots=True)
 class EraProfile:
-    """Everything era-dependent about naming an integer."""
+    """Everything era-dependent about naming an integer.
+
+    Each field must be of its annotated type, a bool exactly a bool and
+    max_value an int but not a bool; any other value is a TypeError naming
+    the field, raised where the profile is built, dataclasses.replace
+    included.
+    """
 
     era: Era
     you_policy: YouPolicy
@@ -395,6 +401,20 @@ class EraProfile:
     zero_expressible: bool
     max_value: int
 
+    def __post_init__(self) -> None:
+        for name, kind in _PROFILE_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, kind) or kind is int and value.__class__ is bool:
+                # By sound: "an Era", "an int", but "a OneBefore...".
+                article = "an" if kind.__name__[0] in "AEIaei" else "a"
+                raise TypeError(
+                    f"{name} must be {article} {kind.__name__}, "
+                    f"not {type(value).__name__}"
+                )
+
+
+# EraProfile's fields and their annotated types, read once.
+_PROFILE_FIELDS = tuple(get_type_hints(EraProfile).items())
 
 _Y = YouPolicy
 _G = LingPolicy

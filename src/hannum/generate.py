@@ -5,7 +5,7 @@ The core operation is render_integer: split the value into myriad groups
 [digit][pivot] compounds, and join groups with their outer pivots. Everything
 era-dependent comes from the EraProfile the caller passes (standard or
 custom), resolved once per render, together with the options, into a few
-group rules by _rules, which also refuses the styles the profile lacks;
+group rules by _plan, which also refuses the styles the profile lacks;
 each group is rendered, and cached, from those rules alone:
 
 * gap marking: in ling-required eras exactly one Ling precedes an emitted
@@ -23,13 +23,15 @@ each group is rendered, and cached, from those rules alone:
 * elliptic names: the full form less its final pivot, kept only where the
   profile's reader reads it back as the value.
 
-A render refuses in one order: an option of the wrong type (TypeError),
-then a style the profile lacks (StyleNotAllowed: liang, elliptic, You, in
-that order, all from _rules), then the value (ValueOutOfRange,
-ZeroInexpressible), then the form (EllipsisUnavailable). So an option set
-refused for one value is refused for every value, whatever its type.
-render_quantity and render_ordinal first refuse a profile other than the
-contemporary one, and render_quantity then an elliptic option.
+Every render refuses in one order: an opts that is not a RenderOptions or
+None, then the era (TypeError, or ValueError for an unknown name), then an
+option field of the wrong type (TypeError), then a style the profile lacks
+(StyleNotAllowed: liang, elliptic, You, in that order), all from _plan;
+then what the phrase allows (StyleNotAllowed: render_quantity and
+render_ordinal take the contemporary profile only, render_quantity no
+elliptic option), then the value (ValueOutOfRange, ZeroInexpressible),
+then the form (EllipsisUnavailable). So an option set refused for one
+value is refused for every value, whatever its type.
 
 Each group's tokens are memoized in a plain dict keyed by one int packed
 from the group rules, the coefficient, the group's scale and the previous
@@ -38,17 +40,16 @@ each, so about 46 MB at its bound; past the bound new groups are rendered
 every time and not stored. The eight eras' groups of a sweep of every
 value up to 10^6, plus samples up to each ceiling, fit under it.
 
-A render plan is a profile, its group rules under some options, and the
-ceiling of the values render_integer joins straight from the group memo.
-_PLANS holds one constant plan per era under DEFAULT_OPTIONS, built at
-import; render_integer reads it when it gets an Era and DEFAULT_OPTIONS
-itself. Any other call, a custom profile, an era name or other options,
-resolves its plan through _plan and stores nothing, so no plan depends on
-which options came before. A plain int within the plan's ceiling, at most
-10^12 - 1, so of one, two or three groups, is read straight from the group
-memo, its groups' tuples concatenated; every other value, and a group not
-yet in the memo, goes through _render_full, which checks the value and
-concatenates its groups' tuples the same way. text() reads each token's
+A render plan is a profile and its group rules. _PLANS holds one
+constant plan per era under DEFAULT_OPTIONS, built at import;
+render_integer reads it when it gets an Era and DEFAULT_OPTIONS itself.
+Any other call, a custom profile, an era name or other options, resolves
+its plan through _plan and stores nothing, so no plan depends on which
+options came before. A plain int within the profile's ceiling is read
+straight from the group memo, its one, two or three groups' tuples
+concatenated; every other value, and a group not yet in the memo, goes
+through _render_full, which checks the value and concatenates its groups'
+tuples the same way. text() reads each token's
 written form with one operator.itemgetter over the script's table, in one
 frame.
 
@@ -323,7 +324,7 @@ _HEAD_ONES = {
         LeadingOnePolicy, OneBeforeInnerMultiplicand, (False, True)
     )
 }
-# The enum members _rules compares against, read once here: on CPython 3.11
+# The enum members _plan compares against, read once here: on CPython 3.11
 # each member read at call time goes through EnumType's attribute hook.
 _ALWAYS_ER, _PREFER_LIANG = TwoStyle.ALWAYS_ER, TwoStyle.PREFER_LIANG
 _YOU_FORBIDDEN, _YOU_DEFAULT_ON = YouPolicy.FORBIDDEN, YouPolicy.OPTIONAL_DEFAULT_ON
@@ -394,19 +395,27 @@ def _options(opts: object) -> RenderOptions:
     return opts
 
 
-def _rules(profile: EraProfile, opts: RenderOptions | None, elliptic: bool = False) -> int:
-    """The group rules of one render.
+# ---------------------------------------------------------------------------
+# Public renders
+# ---------------------------------------------------------------------------
 
-    Every renderer resolves its profile and options here, in one call;
-    opts goes through _options. A two_style that is not a TwoStyle, a
-    use_you that is not None or a bool, and an elliptic or leading_ten_one
-    that is not a bool are TypeErrors, in that order, before any other
-    check. The style checks come next: StyleNotAllowed where the options
-    ask for liang, or elliptic is set for an elliptic name, or use_you asks
-    for You, and the profile has none, in that order. The head's [1] bits
-    are _HEAD_ONES's, read off parse's [1] rule.
+
+def _plan(era: Era | EraProfile | str, opts: RenderOptions | None,
+          elliptic: bool = False) -> tuple[EraProfile, int]:
+    """The render plan of era under opts: (profile, group rules).
+
+    A render plan is a profile and its group rules. Every render reads its
+    era and options here, in one call, in one order: opts through
+    _options, then the era through era_profile, then the option fields. A
+    two_style that is not a TwoStyle, a use_you that is not None or a bool,
+    and an elliptic or leading_ten_one that is not a bool are TypeErrors,
+    in that order. The style checks come next: StyleNotAllowed where the
+    options ask for liang, or elliptic is set for an elliptic name, or
+    use_you asks for You, and the profile has none, in that order. The
+    head's [1] bits are _HEAD_ONES's, read off parse's [1] rule.
     """
     opts = _options(opts)
+    profile = era_profile(era)
     two = opts.two_style
     if two.__class__ is not TwoStyle:
         raise TypeError(f"two_style must be a TwoStyle, not {type(two).__name__}")
@@ -438,27 +447,12 @@ def _rules(profile: EraProfile, opts: RenderOptions | None, elliptic: bool = Fal
     if two is _PREFER_LIANG:
         rules |= _LIANG_ON
     ones = profile.leading_one_policy, profile.inner_multiplicand_one
-    return rules | _HEAD_ONES[(*ones, ten_one)]
-
-
-# ---------------------------------------------------------------------------
-# Public renders
-# ---------------------------------------------------------------------------
-
-
-def _plan(profile: EraProfile, opts: RenderOptions | None) -> tuple[EraProfile, int, int]:
-    """The render plan of profile under opts: (profile, group rules, ceiling).
-
-    The ceiling bounds the values render_integer reads straight from the
-    group memo: those of one, two or three groups (below 10^12, the largest
-    pivot's reach) within the profile's ceiling.
-    """
-    return profile, _rules(profile, opts), min(profile.max_value, 10**12 - 1)
+    return profile, rules | _HEAD_ONES[(*ones, ten_one)]
 
 
 # Each era's plan under DEFAULT_OPTIONS, the one render_integer reads when it
 # gets an Era and DEFAULT_OPTIONS itself.
-_PLANS = {era: _plan(era_profile(era), DEFAULT_OPTIONS) for era in Era}
+_PLANS = {era: _plan(era, DEFAULT_OPTIONS) for era in Era}
 
 
 def render_integer(
@@ -471,17 +465,19 @@ def render_integer(
     opts=None reads as DEFAULT_OPTIONS.
     """
     if opts is DEFAULT_OPTIONS and era.__class__ is Era:
-        profile, rules, ceiling = _PLANS[era]  # type: ignore[index]
+        profile, rules = _PLANS[era]  # type: ignore[index]
     elif _options(opts).elliptic is True:
         return render_elliptic(n, era, opts)
     else:
-        profile, rules, ceiling = _plan(era_profile(era), opts)
+        profile, rules = _plan(era, opts)
         era = profile.era
-    # A plain int within the plan's ceiling joins its one, two or three
+    # A plain int within the profile's ceiling joins its one, two or three
     # memoized groups here, by _render_full's keys; anything else, or a
     # group not yet in the memo, takes the full render with its checks in
-    # their order. A zero group has no entry: () stands in for it.
-    if n.__class__ is int and 0 < n <= ceiling:
+    # their order. A zero group has no entry: () stands in for it, and a
+    # value of 10^12 or more finds no top group, every stored coefficient
+    # being below 10^4.
+    if n.__class__ is int and 0 < n <= profile.max_value:
         if n < 10**4:
             group = _group_memo.get((n << 8 | rules) << 8)
             if group is not None:
@@ -555,8 +551,8 @@ def render_elliptic(
     parse to n under the profile, a listener could not recover the dropped
     pivot, and the render raises EllipsisUnavailable.
     """
-    profile = era_profile(era)
-    tokens = _render_full(n, profile, _rules(profile, opts, True)).tokens
+    profile, rules = _plan(era, opts, True)
+    tokens = _render_full(n, profile, rules).tokens
     short = tokens[:-1]
     try:
         kept = tokens[-1].kind is MorphemeKind.PIVOT and parse(short, profile).value == n
@@ -582,12 +578,11 @@ def render_quantity(
     classifier where the profile has liang, except before the 50-gram
     measure word liang itself, where euphony keeps er.
     """
-    profile = era_profile(era)
+    profile, rules = _plan(era, opts)
     if profile.era is not Era.CONTEMPORARY:
         raise StyleNotAllowed("classifier quantity phrases are rendered in the contemporary profile only")
     if _options(opts).elliptic is True:
         raise StyleNotAllowed("elliptic numerals cannot be incorporated before a classifier")
-    rules = _rules(profile, opts)
     clf = unit_word(classifier)
     render = _render_full if clf.traditional in ("兩", "两") else _counted
     return NumeralPhrase(items=(render(n, profile, rules), clf))
@@ -604,14 +599,13 @@ def render_ordinal(
     """
     if with_prefix.__class__ is not bool:
         raise TypeError(f"with_prefix must be a bool, not {type(with_prefix).__name__}")
-    profile = era_profile(era)
+    profile, rules = _plan(era, DEFAULT_OPTIONS)  # AlwaysEr in every slot
     if profile.era is not Era.CONTEMPORARY:
         raise StyleNotAllowed("ordinals are rendered in the contemporary profile only")
     if _integer(n) < 1:
         raise ValueOutOfRange(f"ordinal positions start at 1, got {n}")
-    num = render_integer(n, profile)  # AlwaysEr in every slot
-    items = (DI, num) if with_prefix else (num,)
-    return NumeralPhrase(items=items)
+    num = _render_full(n, profile, rules)
+    return NumeralPhrase(items=(DI, num) if with_prefix else (num,))
 
 
 def render_currency(
@@ -684,5 +678,4 @@ def _counted(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
 
 def _component(n: int) -> NumeralExpression:
     """A numeral incorporated before a measure word; 2 surfaces as liang."""
-    profile, rules, _ = _PLANS[Era.CONTEMPORARY]
-    return _counted(n, profile, rules)
+    return _counted(n, *_PLANS[Era.CONTEMPORARY])

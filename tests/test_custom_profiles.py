@@ -21,6 +21,7 @@ from hannum import (
     render_integer,
 )
 from hannum.core import (
+    EraProfile,
     LeadingOnePolicy,
     LingPolicy,
     OneBeforeInnerMultiplicand,
@@ -176,3 +177,54 @@ def test_custom_profile_lane_table_is_built_once(monkeypatch):
     assert info.value.kind is ParseErrorKind.OVERFLOW
     assert info.value.message == "value exceeds the contemporary ceiling of 1000000007"
     assert builds == []
+
+
+# One wrong-typed value per field. Unchecked, each would select another
+# grammar or fail far from its cause: a str policy is no member, so
+# "forbidden" let 十有五 read as 15 and "optional-default-on" rendered 十五
+# under zhou-bronze; "no" read as true, so 兩千兩百二十二, 零 and 一百五 were
+# rendered; a str leading_one_policy was a bare KeyError, a str era an
+# AttributeError in parse_text, and max_value=True a ceiling of 1.
+WRONG_FIELDS = [
+    ("era", "contemporary", "an Era", "str"),
+    ("you_policy", "forbidden", "a YouPolicy", "str"),
+    ("you_policy", "optional-default-on", "a YouPolicy", "str"),
+    ("ling_policy", "required", "a LingPolicy", "str"),
+    ("leading_one_policy", "required-all", "a LeadingOnePolicy", "str"),
+    ("inner_multiplicand_one", LeadingOnePolicy.REQUIRED_ALL,
+     "a OneBeforeInnerMultiplicand", "LeadingOnePolicy"),
+    ("liang_allowed", "no", "a bool", "str"),
+    ("elliptic_allowed", "no", "a bool", "str"),
+    ("zero_expressible", 0, "a bool", "int"),
+    ("max_value", "x", "an int", "str"),
+    ("max_value", True, "an int", "bool"),
+    ("max_value", 10.0**8, "an int", "float"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, bad, kind, got", WRONG_FIELDS, ids=[f"{f}={b!r}" for f, b, *_ in WRONG_FIELDS]
+)
+@pytest.mark.parametrize("era", [Era.CONTEMPORARY, Era.ZHOU_BRONZE])
+def test_a_wrong_typed_field_is_refused_where_the_profile_is_built(era, field, bad, kind, got):
+    profile = era_profile(era)
+    message = f"^{field} must be {kind}, not {got}$"
+    with pytest.raises(TypeError, match=message):
+        dataclasses.replace(profile, **{field: bad})
+    values = {f.name: getattr(profile, f.name) for f in dataclasses.fields(profile)}
+    with pytest.raises(TypeError, match=message):
+        EraProfile(**{**values, field: bad})
+
+
+def test_a_profile_of_the_right_types_builds_and_pickles():
+    # An int subclass is a ceiling as an int is; copies and unpickled
+    # profiles are the profile.
+    class Ceiling(int):
+        pass
+
+    for era in CHRONOLOGY:
+        assert _custom(era, max_value=Ceiling(10**6)).max_value == 10**6
+        profile = _custom(era, max_value=10**6, liang_allowed=True)
+        assert _twins(profile) == [profile] * len(_twins(profile))
+    for profile in PROFILES.values():
+        assert _twins(profile) == [profile] * len(_twins(profile))

@@ -656,16 +656,101 @@ class TestOptionsArgument:
             with pytest.raises(TypeError, match=message):
                 call(n, era, bad)
 
-    @pytest.mark.parametrize("bad", ["x", {}, 1], ids=repr)
-    def test_opts_is_read_after_the_errors_before_it(self, bad):
-        # render_integer reads opts before the era, the other two after it;
-        # render_quantity refuses a non-contemporary era first.
-        with pytest.raises(TypeError, match="^opts must be"):
-            render_integer(5, "tang", bad)
-        with pytest.raises(ValueError, match="^unknown era 'tang'"):
-            render_elliptic(150, "tang", bad)
-        with pytest.raises(StyleNotAllowed, match="contemporary profile only"):
-            render_quantity(5, "個", Era.ZHOU_BRONZE, bad)
+
+# Every render refuses in one order. Each stage is a way to break one
+# argument of a call that renders 150 under a contemporary profile without
+# liang, with the error that stage raises; a render takes the stages that
+# apply to it. The phrase stage is a classifier quantity's elliptic option
+# and an ordinal's profile of another era; the form stage is a value with
+# no elliptic name.
+_NO_LIANG = replace(era_profile(Era.CONTEMPORARY), liang_allowed=False)
+_STAGES = {
+    "opts": ({"opts": "x"}, TypeError, "^opts must be a RenderOptions"),
+    "era": ({"era": "tang"}, ValueError, "^unknown era 'tang'"),
+    "field": ({"use_you": 1}, TypeError, "^use_you must be None or a bool"),
+    "style": ({"two_style": TwoStyle.PREFER_LIANG}, StyleNotAllowed, "liang variant"),
+    "quantity-phrase": ({"elliptic": True}, StyleNotAllowed, "before a classifier"),
+    "ordinal-phrase": (
+        {"era": Era.SUANSHUSHU}, StyleNotAllowed, "^ordinals are rendered in the contemporary"
+    ),
+    "value": ({"n": -1}, ValueOutOfRange, "^(expected a non-negative|ordinal positions)"),
+    "form": ({"n": 5}, EllipsisUnavailable, "^5 has no droppable final pivot"),
+}
+_ORDER_CALLS = {
+    "integer": (
+        lambda a: render_integer(a["n"], a["era"], a["opts"]),
+        ["opts", "era", "field", "style", "value"],
+    ),
+    "elliptic": (
+        lambda a: render_elliptic(a["n"], a["era"], a["opts"]),
+        ["opts", "era", "field", "style", "value", "form"],
+    ),
+    "quantity": (
+        lambda a: render_quantity(a["n"], "個", a["era"], a["opts"]),
+        ["opts", "era", "field", "style", "quantity-phrase", "value"],
+    ),
+    "ordinal": (lambda a: render_ordinal(a["n"], a["era"]), ["era", "ordinal-phrase", "value"]),
+}
+
+
+def _order_call(broken):
+    """The arguments of a call that breaks each stage of broken, or None
+    where two of them break the same argument."""
+    changes = [_STAGES[stage][0] for stage in broken]
+    if len({key for change in changes for key in change}) < sum(map(len, changes)):
+        return None
+    args = {"n": 150, "era": _NO_LIANG}
+    fields = {}
+    for change in changes:
+        for key, value in change.items():
+            (args if key in ("n", "era", "opts") else fields)[key] = value
+    args.setdefault("opts", RenderOptions(**fields))
+    return args
+
+
+class TestRefusalOrder:
+    """Every render refuses in one order: opts, era, option fields, styles,
+    what the phrase allows, the value, the form."""
+
+    @pytest.mark.parametrize("render", sorted(_ORDER_CALLS))
+    def test_each_stage_alone(self, render):
+        call, stages = _ORDER_CALLS[render]
+        assert call(_order_call([]))  # the base call renders
+        for stage in stages:
+            _, error, message = _STAGES[stage]
+            with pytest.raises(error, match=message):
+                call(_order_call([stage]))
+
+    @pytest.mark.parametrize("render", sorted(_ORDER_CALLS))
+    def test_the_earlier_stage_wins(self, render):
+        # Each pair of stages, adjacent or not, that a call can break at
+        # once; the adjacent pairs that cannot (two stages of one argument)
+        # are the ordinal's era and phrase and the elliptic name's value
+        # and form.
+        call, stages = _ORDER_CALLS[render]
+        unbroken = []
+        for first, later in itertools.combinations(stages, 2):
+            args = _order_call([first, later])
+            if args is None:
+                unbroken.append((first, later))
+                continue
+            _, error, message = _STAGES[first]
+            with pytest.raises(error, match=message):
+                call(args)
+        assert unbroken == {
+            "ordinal": [("era", "ordinal-phrase")], "elliptic": [("value", "form")],
+        }.get(render, [])
+
+    def test_opts_comes_before_the_phrase(self):
+        # An opts or a field of the wrong type is a TypeError before a
+        # profile other than the contemporary one, or an elliptic option,
+        # is refused for a quantity.
+        with pytest.raises(TypeError, match="^opts must be a RenderOptions"):
+            render_quantity(5, "個", Era.SUANSHUSHU, opts="x")
+        with pytest.raises(TypeError, match="^use_you must be None or a bool"):
+            render_quantity(5, "個", opts=RenderOptions(elliptic=True, use_you=1))
+        with pytest.raises(TypeError, match="^opts must be a RenderOptions"):
+            render_elliptic(150, "tang", "x")
 
 
 class TestGeneratorInvariants:
@@ -869,7 +954,7 @@ class TestRenderFastPath:
     def test_matches_full_render(self, monkeypatch, era, opts):
         monkeypatch.setattr(generate, "_group_memo", {})
         try:
-            profile, rules, ceiling = generate._plan(era_profile(era), opts)
+            profile, rules = generate._plan(era, opts)
         except StyleNotAllowed as exc:
             # A banned You: every value is refused for it, cold and warm.
             for n in _EDGES:
@@ -878,8 +963,7 @@ class TestRenderFastPath:
             return
         assert profile is era_profile(era)
         if opts is DEFAULT_OPTIONS:
-            assert generate._PLANS[era] == (profile, rules, ceiling)
-        assert ceiling == min(profile.max_value, 10**12 - 1)
+            assert generate._PLANS[era] == (profile, rules)
         for n in _EDGES:
             # Cold, then warm: the first render fills the memo for the second.
             got = [_result(lambda: render_integer(n, era, opts)) for _ in range(2)]
@@ -908,8 +992,25 @@ class TestRenderFastPath:
     def test_custom_ceiling(self, monkeypatch):
         monkeypatch.setattr(generate, "_group_memo", {})
         profile = replace(era_profile(Era.CONTEMPORARY), max_value=12_345)
-        rules = generate._rules(profile, RenderOptions())
+        _, rules = generate._plan(profile, RenderOptions())
         for n in (*_EDGES, 12_345, 12_346):
             want = _result(lambda: generate._render_full(n, profile, rules))
             for _ in range(2):
                 assert _result(lambda: render_integer(n, profile)) == want, n
+
+    def test_ceiling_past_the_largest_pivot(self, monkeypatch):
+        # The fast path takes every plain int up to the profile's ceiling;
+        # one of 10^12 or more finds no top group, every stored coefficient
+        # being below 10^4, so _render_full refuses it, the memo warm with
+        # its lower groups or not.
+        monkeypatch.setattr(generate, "_group_memo", {})
+        profile = replace(era_profile(Era.CONTEMPORARY), max_value=10**15)
+        values = (10**12, 10**12 + 10**4 + 1, 99_999_9999_9999, 10**15)
+        for warm in (False, True):
+            if warm:
+                for n in (10**8 + 10**4 + 1, 10**12 - 1, 10**8):
+                    render_integer(n, profile)
+            for n in values:
+                message = f"^{n} needs a rank above 10\\^8, and none exists$"
+                with pytest.raises(ValueOutOfRange, match=message):
+                    render_integer(n, profile)

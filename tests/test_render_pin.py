@@ -137,8 +137,9 @@ def _quantity(classifier):
 
 # sha256 of the listing below, taken from the renderers that refuse a
 # banned You with the other style refusals, before the value's checks and
-# before render_elliptic reads its form back under the profile.
-ERROR_ORDER_GOLDEN = "791d9c73cb8a0b798087b5be4889850232e3c42af21fdf37a958b9bd3ba1485e"
+# before render_elliptic reads its form back under the profile, and that
+# refuse every style before what a quantity phrase allows.
+ERROR_ORDER_GOLDEN = "d264bb702151c36298c7de8f439e012ab0c76432e606561e8e82720355a3cb10"
 
 
 def test_elliptic_and_quantity_error_order_pinned():

@@ -172,3 +172,47 @@ def test_the_scan_finds_an_unused_name(tmp_path):
         encoding="utf-8",
     )
     assert unused_names(tmp_path) == ["a.unused", "a.LOST"]
+
+
+def era_profile_callers(path: Path = SRC / "generate.py") -> list[str]:
+    """The functions of path's module that call era_profile, by name or as
+    an attribute, one entry per call; a call outside every function is
+    listed as <module>."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "era_profile":
+                    callers.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_generate_reads_its_era_in_one_place():
+    # A render plan, the profile and its group rules, is resolved by _plan
+    # alone: generate.py calls era_profile only there and has no second
+    # step for the rules.
+    assert era_profile_callers() == ["_plan"]
+    tree = ast.parse((SRC / "generate.py").read_text(encoding="utf-8"))
+    assert "_rules" not in _defined(tree)
+
+
+def test_the_scan_finds_every_era_profile_call(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "PLANS = [era_profile(e) for e in ERAS]\n"
+        "def f(era):\n"
+        "    def g():\n"
+        "        return era_profile(era)\n"
+        "    return era_profile(era), g, core.era_profile(era)\n",
+        encoding="utf-8",
+    )
+    assert era_profile_callers(tmp_path / "a.py") == ["<module>", "g", "f", "f"]
