@@ -3,7 +3,7 @@
 
 Usage:
     python scripts/bench_pairs.py --base REV --workload W --seeds A-B
-        --out BENCH_n.json [--seconds 20] [--claim] [--what TEXT]
+        --out BENCH_n.json [--seconds 20] [--claim [METRIC]] [--what TEXT]
         [--tmpdir DIR]
 
 The script exports REV with `git archive` into a temporary directory (under
@@ -20,9 +20,11 @@ pairs the change wins, each side's median, quartiles and IQR, the median
 change and whether it stays within the metric's bound from BENCHMARK.json,
 the attempted and failed ops, and every run. A file that exists already
 keeps its other workloads, so one file collects a round over several
-workloads. With --claim the file's claim block is written from this
-workload's ops_per_s: it holds when the change wins at least nine in ten
-of at least ten pairs and the median gap exceeds the parent's IQR.
+workloads. With --claim METRIC the file's claim block is written from this
+workload's METRIC (a bare --claim means ops_per_s), in the direction
+BENCHMARK.json gives as its `better`: it holds when the change wins at
+least nine in ten of at least ten pairs and the median gap exceeds the
+parent's IQR.
 
 After writing the file it prints one line per end-to-end metric of the
 workload, with the median change and whether it stays within its bound,
@@ -121,6 +123,17 @@ def claim(parent: list[float], change: list[float], better: str) -> dict[str, ob
         "parent_iqr": iqr,
         "holds": pairs >= 10 and won >= math.ceil(0.9 * pairs) and gap > iqr,
     }
+
+
+def claim_block(
+    workload: str, metric: str, runs: list[dict], metrics: list[dict]
+) -> dict[str, object]:
+    """The file's claim block: the claim on one end-to-end metric of a
+    workload's runs, better in the direction its BENCHMARK.json entry gives."""
+    better = next(m["better"] for m in metrics if m["name"] == metric)
+    series = [[r[side]["metrics"][metric]["value"] for r in runs]
+              for side in ("parent", "change")]
+    return {"workload": workload, "metric": metric, **claim(*series, better)}
 
 
 def bound_report(
@@ -235,20 +248,27 @@ def pairs_block(runs: list[dict], metrics: list[dict], seeds: list[int]) -> dict
     return block
 
 
-def main(argv: list[str] | None = None) -> int:
+def parser(metrics: list[dict]) -> argparse.ArgumentParser:
+    """The command line; --claim takes one of the end-to-end metrics."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="the parent revision")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="A-B, inclusive")
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--claim", action="store_true",
-                    help="write the claim block from this workload's ops_per_s")
+    ap.add_argument("--claim", nargs="?", const="ops_per_s", metavar="METRIC",
+                    choices=[m["name"] for m in metrics],
+                    help="write the claim block from this workload's METRIC "
+                         "(default ops_per_s)")
     ap.add_argument("--what", help="the change, in one paragraph")
     ap.add_argument("--tmpdir", help="where the parent is exported")
-    args = ap.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
+    return ap
+
+
+def main(argv: list[str] | None = None) -> int:
     metrics = json.loads(METRICS_FILE.read_text(encoding="utf-8"))["end_to_end"]
+    args = parser(metrics).parse_args(argv)
+    seeds = parse_seeds(args.seeds)
     parent_sha = _git("rev-parse", args.base)
 
     workdir = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.tmpdir))
@@ -258,14 +278,15 @@ def main(argv: list[str] | None = None) -> int:
         export(parent_sha, parent_dir)
         sides = {"parent": parent_dir, "change": ROOT}
         runs = []
+        watched = args.claim or "ops_per_s"
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             run = {"seed": seed, "first": order[0]}
             for side in order:
                 run[side] = run_bench(sides[side], args.workload, seed, args.seconds)
-            ops = {side: round(run[side]["metrics"]["ops_per_s"]["value"], 1)
-                   for side in order}
-            print(f"seed {seed}: {ops}", file=sys.stderr, flush=True)
+            shown = {side: round(run[side]["metrics"][watched]["value"], 4)
+                     for side in order}
+            print(f"seed {seed} {watched}: {shown}", file=sys.stderr, flush=True)
             runs.append(run)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -289,11 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     doc["quartiles_note"] = QUARTILES_NOTE
     block = pairs_block(runs, metrics, seeds)
     if args.claim:
-        better = next(m["better"] for m in metrics if m["name"] == "ops_per_s")
-        series = [[r[side]["metrics"]["ops_per_s"]["value"] for r in runs]
-                  for side in ("parent", "change")]
-        doc["claim"] = {"workload": args.workload, "metric": "ops_per_s",
-                        **claim(*series, better)}
+        doc["claim"] = claim_block(args.workload, args.claim, runs, metrics)
     doc.setdefault("workloads", {})[args.workload] = block
     out.write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n",
                    encoding="utf-8")

@@ -18,25 +18,47 @@ scanner.
 ['shang-oracle', 'zhou-bronze', 'warring-states']
 """
 
-from . import chronolect, core, generate, scan, selftest
-from .chronolect import *
+import importlib
+
 from .core import *
 from .generate import *
-from .parse import *
-from .parse import __all__ as _parse_all  # hannum.parse is the function
-from .scan import *
-from .selftest import *
+from .parse import *  # hannum.parse is the function
 
 __version__ = "0.1.0"
 
-# Each module's __all__ is the one list of its public names; the package
-# exports their union, as asyncio does.
-__all__ = [
-    *chronolect.__all__,
-    *core.__all__,
-    *generate.__all__,
-    *_parse_all,
-    *scan.__all__,
-    *selftest.__all__,
-    "__version__",
-]
+# The transducer loads with the package; these load on first use, in
+# dependency order (PEP 562), so a render or parse never pays for them.
+_LAZY = ("chronolect", "scan", "selftest")
+
+
+def _module(name):
+    return importlib.import_module("." + name, __name__)
+
+
+def __getattr__(name):
+    """A lazy module, or a name of the first lazy module that exports it;
+    __all__ is the union of the six modules' lists, as asyncio builds it.
+    Each answer is bound here, so it is looked up once."""
+    if name == "__all__":
+        value = [
+            *(n for m in ("chronolect", "core", "generate", "parse", "scan",
+                          "selftest") for n in _module(m).__all__),
+            "__version__",
+        ]
+    else:
+        # No module exports a dunder, so a probe for one loads nothing.
+        for lazy in () if name.startswith("__") else _LAZY:
+            module = _module(lazy)
+            if name == lazy:
+                return module  # its import has bound it here
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

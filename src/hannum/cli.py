@@ -41,7 +41,6 @@ from .core import Era, RenderOptions, Script, TwoStyle, token_notation
 from .generate import RenderError, render_integer
 from .parse import Features, NumeralParseError, parse_text
 from .scan import _COUNTS, ScanRecord, _keeps, scan_text, summary_csv_rows
-from .selftest import run_selftest
 
 __all__ = ["main"]
 
@@ -436,6 +435,8 @@ def _write_scan(text: str, args: argparse.Namespace) -> None:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest  # loaded by this command alone
+
     report = run_selftest(max_value=args.max_value)
     status = "pass" if report.passed else "FAIL"
     print(

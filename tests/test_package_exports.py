@@ -1,12 +1,18 @@
 """hannum's public names: each module's __all__ is their one list.
 
-The package re-exports each module with a star import and builds its own
-__all__ by joining the modules' lists, so a public name is written once,
-in its module.
+The package re-exports core, generate and parse with a star import and
+the names of chronolect, scan and selftest on first use, and builds its
+own __all__ by joining the six modules' lists, so a public name is written
+once, in its module.
 """
 
 import importlib
+import json
+import subprocess
+import sys
+import textwrap
 import types
+from pathlib import Path
 
 import hannum
 
@@ -64,3 +70,109 @@ def test_the_earlier_names_are_all_kept():
 def test_parse_is_the_function_not_the_module():
     assert isinstance(hannum.parse, types.FunctionType)
     assert hannum.parse is hannum.parse_text.__globals__["parse"]
+
+
+# The package loads core, parse and generate with itself, and chronolect,
+# scan and selftest on first use; each check below runs in a fresh
+# interpreter, whose modules no other test has loaded.
+_SRC = Path(__file__).resolve().parent.parent / "src"
+_EAGER = ["hannum", "hannum.core", "hannum.generate", "hannum.parse"]
+
+
+def _fresh(code):
+    """Run code after `import hannum` in a fresh interpreter, and return
+    what it prints as JSON, with the hannum modules it then holds."""
+    prelude = f"import json, sys\nsys.path.insert(0, {str(_SRC)!r})\nimport hannum\n"
+    tail = (
+        '\nprint(json.dumps([out, sorted(m for m in sys.modules'
+        ' if m.partition(".")[0] == "hannum")]))'
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", prelude + textwrap.dedent(code) + tail],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_only_the_transducer():
+    out, loaded = _fresh("out = None")
+    assert loaded == _EAGER
+
+
+def test_classify_loads_chronolect_alone():
+    out, loaded = _fresh("out = hannum.classify('十有五').consistent[0].value")
+    assert out == "shang-oracle"
+    assert loaded == sorted([*_EAGER, "hannum.chronolect"])
+
+
+def test_the_cli_loads_selftest_for_selftest_alone(tmp_path):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("共十有五人。\n", encoding="utf-8")
+    out, loaded = _fresh(f"""
+        import contextlib, io
+        import hannum.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [hannum.cli.main(argv) for argv in (
+                ["scan", "--json", {str(doc)!r}], ["parse", "十五"],
+                ["classify", "十五"], ["gen", "15"])]
+        out = [codes, "hannum.selftest" in sys.modules]
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            out.append(hannum.cli.main(["selftest", "--max", "0"]))
+        out.append(text.getvalue().startswith("selftest: pass"))
+    """)
+    assert out == [[0, 0, 0, 0], False, 0, True]
+    assert "hannum.selftest" in loaded
+
+
+def test_dir_lists_every_export_before_a_lazy_load():
+    out, loaded = _fresh("""
+        before = sorted(sys.modules)
+        names = dir(hannum)
+        out = [before, sorted(set(hannum.__all__) - set(names)), names == sorted(names)]
+    """)
+    before, missing, ordered = out
+    assert [m for m in before if m.startswith("hannum")] == _EAGER
+    assert missing == [] and ordered
+
+
+def test_star_import_in_a_fresh_interpreter():
+    out, _ = _fresh("""
+        scope = {}
+        exec("from hannum import *", scope)
+        del scope["__builtins__"]
+        out = [sorted(scope), sorted(hannum.__all__), len(hannum.__all__)]
+    """)
+    assert out[0] == out[1] and out[2] == 66
+
+
+def test_parse_stays_the_function_after_every_lazy_load():
+    out, loaded = _fresh("""
+        import types
+        hannum.classify, hannum.scan_text, hannum.run_selftest
+        import hannum.cli, hannum.chronolect, hannum.scan, hannum.selftest
+        out = [isinstance(hannum.parse, types.FunctionType),
+               hannum.parse is hannum.scan.parse is hannum.chronolect.parse,
+               hannum.scan is sys.modules["hannum.scan"]]
+    """)
+    assert out == [True, True, True]
+    assert len(loaded) == 8
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    out, loaded = _fresh("""
+        out = []
+        for name in ("no_such_name", "__no_such_dunder__", "cli"):
+            try:
+                getattr(hannum, name)
+            except AttributeError as exc:
+                out.append(str(exc))
+    """)
+    assert out == [
+        f"module 'hannum' has no attribute {name!r}"
+        for name in ("no_such_name", "__no_such_dunder__", "cli")
+    ]
+    # A name no lazy module exports is looked for in all three.
+    assert loaded == sorted(
+        [*_EAGER, "hannum.chronolect", "hannum.scan", "hannum.selftest"]
+    )

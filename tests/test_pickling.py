@@ -2,16 +2,22 @@
 pickle and copy."""
 
 import copy
+import json
 import pickle
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
-from hannum import classify, parse, parse_text, scan_text, tokenize
+from hannum import classify, parse, parse_text, run_selftest, scan_text, tokenize
 from hannum.chronolect import _coerce_tokens
 from hannum.core import digit, pivot
 from hannum.parse import NumeralParseError, ParseErrorKind, _error_dict, _read_span
 from test_parser import err as _raised, error_fields as _error_fields
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _round_trips(obj):
@@ -141,3 +147,37 @@ def test_error_scan_record():
     for twin in _round_trips(record):
         assert twin.as_dict() == record.as_dict()
         assert _error_fields(twin.error) == _error_fields(record.error)
+
+
+def test_records_of_the_lazy_modules_load_after_import_hannum_alone():
+    # Unpickling imports a record's own module, so an interpreter that has
+    # run nothing but `import hannum`, which loads none of chronolect, scan
+    # and selftest, reads them back.
+    report = classify("十有五")
+    records = [
+        report.verdicts[0], report.verdicts[-1], report,
+        scan_text("共十有五人，十十五人")[0][0], scan_text("十十五")[0][0],
+        run_selftest(max_value=0),
+    ]
+    expected = [[type(r).__module__, type(r).__name__, r.as_dict()] for r in records]
+    code = (
+        "import json, pickle, sys\n"
+        f"sys.path.insert(0, {str(_SRC)!r})\n"
+        "import hannum\n"
+        "before = sorted(m for m in sys.modules if m.startswith('hannum'))\n"
+        "records = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(json.dumps([before, [[type(r).__module__, type(r).__name__,"
+        " r.as_dict()] for r in records]], ensure_ascii=False))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], input=pickle.dumps(records),
+        capture_output=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    before, loaded = json.loads(done.stdout)
+    assert before == ["hannum", "hannum.core", "hannum.generate", "hannum.parse"]
+    assert loaded == json.loads(json.dumps(expected, ensure_ascii=False))
+    assert [name for _, name, _ in loaded] == [
+        "EraVerdict", "EraVerdict", "EraConsistencyReport", "ScanRecord",
+        "ScanRecord", "SelfTestReport",
+    ]

@@ -82,6 +82,31 @@ def test_inprocess_ab_render_against_its_own_src():
     _inprocess_ab_own_src("render", 8800)
 
 
+def test_import_cost_lists_modules_and_loads():
+    done = subprocess.run(
+        [sys.executable, str(_SCRIPTS / "import_cost.py"), "--runs", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:11]}
+    assert sorted(rows) == sorted([
+        "hannum", "hannum.core", "hannum.parse", "hannum.generate",
+        "hannum.chronolect", "hannum.scan", "hannum.selftest", "hannum.cli",
+        "total",
+    ])
+    assert all(float(self_ms) >= float(dc_ms) >= 0 for self_ms, dc_ms in rows.values())
+    assert float(rows["hannum.core"][1]) > 0
+    eager = "hannum hannum.core hannum.generate hannum.parse"
+    assert lines[12:] == [
+        f"import hannum: {eager}",
+        f"roundtrip: {eager}",
+        "classify: hannum hannum.chronolect hannum.core hannum.generate hannum.parse",
+        "scan: hannum hannum.chronolect hannum.cli hannum.core hannum.generate "
+        "hannum.parse hannum.scan",
+    ]
+
+
 class TestBenchPairs:
     """The statistics of scripts/bench_pairs.py on fixed numbers."""
 
@@ -124,6 +149,37 @@ class TestBenchPairs:
         # A lower-is-better metric: the mirrored numbers hold the same way.
         assert bp.claim([-p for p in self.PARENT], [-c for c in self.CHANGE],
                         "lower")["holds"]
+
+    def test_claim_on_a_lower_is_better_metric(self):
+        bp = _load("bench_pairs")
+        metrics = [{"name": "ops_per_s", "better": "higher", "bound": 0.2},
+                   {"name": "setup_s", "better": "lower", "bound": 0.25}]
+
+        def result(ops, setup):
+            return {"metrics": {"ops_per_s": {"value": ops},
+                                "setup_s": {"value": setup}}}
+
+        # The change starts faster in nine pairs of ten at the same ops/s.
+        runs = [{"parent": result(100.0, p / 1000), "change": result(100.0, c / 1000)}
+                for p, c in zip(self.PARENT, [c - 20 for c in self.PARENT])]
+        runs[5]["change"] = result(100.0, 0.101)
+        block = bp.claim_block("roundtrip", "setup_s", runs, metrics)
+        assert (block["workload"], block["metric"], block["wins"]) == (
+            "roundtrip", "setup_s", 9
+        )
+        assert block["median_gap"] == 0.0195 and block["parent_iqr"] == 0.0025
+        assert block["holds"]
+        # Read as higher-is-better, the same series would lose.
+        assert not bp.claim_block("roundtrip", "ops_per_s", runs, metrics)["holds"]
+
+    def test_claim_option(self):
+        bp = _load("bench_pairs")
+        ap = bp.parser([{"name": "ops_per_s"}, {"name": "setup_s"}])
+        common = ["--base", "HEAD", "--workload", "roundtrip", "--seeds", "1",
+                  "--out", "x.json"]
+        assert ap.parse_args(common).claim is None
+        assert ap.parse_args([*common, "--claim"]).claim == "ops_per_s"
+        assert ap.parse_args([*common, "--claim", "setup_s"]).claim == "setup_s"
 
     def test_bound(self):
         bp = _load("bench_pairs")
