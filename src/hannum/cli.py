@@ -175,10 +175,11 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         help="numeral text (Han or pinyin); omit or '-' for stdin",
     )
     mode = par.add_mutually_exclusive_group()
+    # No default: argparse counts an exclusive option as given only when its
+    # value is not the default object, and --era contemporary must conflict.
     mode.add_argument(
         "--era",
         type=_era_arg,
-        default=Era.CONTEMPORARY,
         help="era grammar to check against (default contemporary)",
     )
     mode.add_argument(
@@ -274,7 +275,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_parse(args: argparse.Namespace) -> int:
     text = _text_or_stdin(args.text)
-    era = None if args.lenient else args.era
+    era = None if args.lenient else args.era or Era.CONTEMPORARY
     try:
         outcome = parse_text(text, era, toneless=args.toneless)
     except NumeralParseError as exc:

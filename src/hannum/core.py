@@ -281,8 +281,12 @@ def surface(morpheme: Morpheme, script: Script) -> str:
 
     Token notation is defined for every morpheme; the Han and pinyin scripts
     cover only generable morphemes and raise NonGenerableMorpheme for the
-    parse-only gap words. A script that is not a Script raises TypeError.
+    parse-only gap words, and each reads the field its Script's value names.
+    A morpheme that is not a Morpheme, then a script that is not a Script,
+    raises TypeError.
     """
+    if not isinstance(morpheme, Morpheme):
+        raise TypeError(f"expected a Morpheme, not {type(morpheme).__name__}")
     if script is Script.TOKENS:
         return morpheme.notation
     if script.__class__ is not Script:
@@ -292,11 +296,7 @@ def surface(morpheme: Morpheme, script: Script) -> str:
             f"{morpheme.notation} is recognized on input only and has no "
             f"generation surface"
         )
-    if script is Script.TRADITIONAL:
-        return morpheme.traditional
-    if script is Script.SIMPLIFIED:
-        return morpheme.simplified  # type: ignore[return-value]
-    return morpheme.pinyin
+    return getattr(morpheme, script.value)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +388,8 @@ class EraProfile:
     Each field must be of its annotated type, a bool exactly a bool and
     max_value an int but not a bool; any other value is a TypeError naming
     the field, raised where the profile is built, dataclasses.replace
-    included.
+    included. A negative max_value, which no integer could meet, is then a
+    ValueError.
     """
 
     era: Era
@@ -411,6 +412,8 @@ class EraProfile:
                     f"{name} must be {article} {kind.__name__}, "
                     f"not {type(value).__name__}"
                 )
+        if self.max_value < 0:
+            raise ValueError(f"max_value must be 0 or more, got {self.max_value}")
 
 
 # EraProfile's fields and their annotated types, read once.

@@ -209,13 +209,10 @@ class UnitWord:
     pinyin: str
 
     def text(self, script: Script = Script.TRADITIONAL) -> str:
-        if script is Script.TRADITIONAL:
-            return self.traditional
-        if script is Script.SIMPLIFIED:
-            return self.simplified
-        if script is Script.PINYIN or script is Script.TOKENS:
-            return self.pinyin
-        raise TypeError(f"expected a Script, not {type(script).__name__}")
+        """The form in the field script's value names; TOKENS reads pinyin."""
+        if script.__class__ is not Script:
+            raise TypeError(f"expected a Script, not {type(script).__name__}")
+        return getattr(self, "pinyin" if script is Script.TOKENS else script.value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,7 +283,8 @@ for _u in (
 def unit_word(text: "str | UnitWord") -> UnitWord:
     """Resolve a classifier/measure word, falling back to the text itself.
 
-    Anything other than a str or a UnitWord is a TypeError.
+    Anything other than a str or a UnitWord is a TypeError, and a str that
+    is empty or whitespace alone, which writes no classifier, a ValueError.
     """
     if isinstance(text, UnitWord):
         return text
@@ -295,6 +293,8 @@ def unit_word(text: "str | UnitWord") -> UnitWord:
     found = _UNIT_WORDS.get(text)
     if found is not None:
         return found
+    if not text.strip():
+        raise ValueError(f"a classifier needs a written form, not {text!r}")
     return UnitWord(text, text, text)
 
 

@@ -104,7 +104,6 @@ from enum import unique
 from operator import itemgetter as _itemgetter
 
 from .core import (
-    CHRONOLOGY,
     DAN,
     EARLY_ERAS,
     MORPHEMES,
@@ -120,6 +119,7 @@ from .core import (
     YOU,
     YouPolicy,
     _Enum,
+    _PROFILES,
     _builder,
     digit,
     era_profile,
@@ -352,6 +352,12 @@ def _not_text(got: str, what: str = "a str or a sequence of str") -> TypeError:
     return TypeError(f"tokenize expects text as {what}, not {got}")
 
 
+def _unknown(position: int, char: str) -> NumeralParseError:
+    """The UnknownCharacter error of char, which is not a graph, at position."""
+    message = f"character {char!r} is not in the numeral inventory"
+    return _error(_K.UNKNOWN_CHARACTER, position, message)
+
+
 def _tokenize_items(text: object) -> tuple[Morpheme, ...]:
     """A sequence that is not a str, read as the string of its items: a
     whitespace or empty item is skipped, and any other item must be a graph,
@@ -369,11 +375,7 @@ def _tokenize_items(text: object) -> tuple[Morpheme, ...]:
         if m is not None:
             tokens.append(m)
         elif item.strip():
-            raise _error(
-                _K.UNKNOWN_CHARACTER,
-                index,
-                f"character {item!r} is not in the numeral inventory",
-            )
+            raise _unknown(index, item)
     if not tokens:
         raise _error(_K.EMPTY_INPUT, 0, "no numeral content in input")
     return tuple(tokens)
@@ -419,11 +421,7 @@ def _tokenize_impl(
             if len(raw) < sum(map(len, text.split())):
                 offset = next(i for i, ch in enumerate(text)
                               if ch not in _HAN_CHARS and not ch.isspace())
-                raise _error(
-                    _K.UNKNOWN_CHARACTER,
-                    offset,
-                    f"character {text[offset]!r} is not in the numeral inventory",
-                )
+                raise _unknown(offset, text[offset])
             if not raw:
                 raise _error(_K.EMPTY_INPUT, 0, "no numeral content in input")
             han = True
@@ -724,21 +722,20 @@ def _reader(p: EraProfile) -> tuple[_Lanes, tuple[int, ...], Era | None, _Messag
 
 _LENIENT_MESSAGES = _Messages("the lenient grammar", _LENIENT_MAX)
 _LENIENT_READER = (_table(None), (_LENIENT_MAX,), None, _LENIENT_MESSAGES)
-_ERA_PROFILES = tuple(map(era_profile, CHRONOLOGY))
-_ERA_READERS = {p.era: _reader(p) for p in _ERA_PROFILES}
+_ERA_READERS = {era: _reader(p) for era, p in _PROFILES.items()}
 
 # classify and scan read every era and the lenient grammar in one walk,
 # one lane per distinct (grammar, ceiling), so the three early eras share
 # one. _FAN_OUT holds each era, its lane bit and the message table of its
 # reader in _ERA_READERS, in chronological order.
-_era_keys = [(_grammar(p), p.max_value) for p in _ERA_PROFILES]
+_era_keys = [(_grammar(p), p.max_value) for p in _PROFILES.values()]
 _LANE_KEYS = [*dict.fromkeys(_era_keys), (None, _LENIENT_MAX)]
 _ALL_LANES = _Lanes([grammar for grammar, _ in _LANE_KEYS])
 _ALL_MAXES = tuple(ceiling for _, ceiling in _LANE_KEYS)
 _ALL_FLOOR = min(_ALL_MAXES)
 _FAN_OUT = tuple(
     (p.era, 1 << _LANE_KEYS.index(key), _ERA_READERS[p.era][3])
-    for key, p in zip(_era_keys, _ERA_PROFILES)
+    for key, p in zip(_era_keys, _PROFILES.values())
 )
 _LENIENT_BIT = _ALL_LANES.lenient
 # The accepting eras of every mask of those lanes, in chronological order,
@@ -1276,14 +1273,16 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
                 "parse expects a sequence of numeral Morphemes, "
                 f"not {tokens.__class__.__name__}"
             ) from None
+    # Only a custom profile builds a reader: a name resolves to its era's
+    # own profile, which reads through that era's reader.
     if era.__class__ is Era:
-        lanes, maxes, era_checked, messages = _ERA_READERS[era]  # type: ignore[index]
+        reader = _ERA_READERS[era]  # type: ignore[index]
     elif era is None or isinstance(era, str) and era.strip().lower() == "lenient":
-        lanes, maxes, era_checked, messages = _LENIENT_READER
-    elif isinstance(era, str):
-        lanes, maxes, era_checked, messages = _ERA_READERS[Era.from_string(era)]
+        reader = _LENIENT_READER
     else:
-        lanes, maxes, era_checked, messages = _reader(era_profile(era))  # type: ignore[arg-type]
+        p = era_profile(era)  # type: ignore[arg-type]
+        reader = _ERA_READERS[p.era] if p is _PROFILES[p.era] else _reader(p)
+    lanes, maxes, era_checked, messages = reader
     if not toks:
         raise _error(_K.EMPTY_INPUT, 0, "no tokens to parse")
     alive, total, elliptic, closed, fails, diags, features = _walk(

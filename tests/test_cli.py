@@ -164,6 +164,24 @@ class TestParse:
         err = capsys.readouterr().err
         assert "byte 3" in err
 
+    @pytest.mark.parametrize("name", ["contemporary", "modern", "song"])
+    @pytest.mark.parametrize("lenient_first", [True, False])
+    def test_era_and_lenient_exclude_each_other(self, capsys, name, lenient_first):
+        # The default era named explicitly is an --era given, as any other.
+        era = ["--era", name]
+        argv = ["--lenient", *era] if lenient_first else [*era, "--lenient"]
+        with pytest.raises(SystemExit) as exit_:
+            main(["parse", "一百五", *argv])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        other = ("--era", "--lenient") if lenient_first else ("--lenient", "--era")
+        assert f"argument {other[0]}: not allowed with argument {other[1]}" in err
+
+    def test_no_era_reads_contemporary(self, capsys):
+        code, out, _ = run(capsys, "parse", "一百零五", "--json")
+        assert code == 0
+        assert json.loads(out)["era_checked"] == "contemporary"
+
 
 class TestClassify:
     def test_consistent_line(self, capsys):

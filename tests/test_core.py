@@ -43,7 +43,7 @@ from hannum.core import (
     surface,
     token_notation,
 )
-from hannum.generate import render_integer
+from hannum.generate import UnitWord, render_integer
 from hannum.parse import _ERA_READERS, _HAN_CHARS, ScriptHint, parse, tokenize
 from hannum.scan import _CONDITIONAL_CHARS, _CORE_CHARS
 
@@ -259,6 +259,21 @@ class TestSurfaces:
             for script in (Script.TRADITIONAL, Script.SIMPLIFIED, Script.PINYIN):
                 with pytest.raises(NonGenerableMorpheme):
                     surface(m, script)
+
+    @pytest.mark.parametrize("bad", [5, "一", None, pivot], ids=["int", "str", "None", "function"])
+    def test_a_non_morpheme_is_refused_first(self, bad):
+        got = type(bad).__name__
+        for script in (*Script, "pinyin"):
+            with pytest.raises(TypeError, match=f"^expected a Morpheme, not {got}$"):
+                surface(bad, script)
+
+    def test_han_and_pinyin_scripts_name_their_fields(self):
+        # surface and UnitWord.text read a Han or pinyin form from the field
+        # the Script's value names; TOKENS alone names none.
+        for script in Script:
+            for record in (Morpheme, UnitWord):
+                named = script.value in {f.name for f in dataclasses.fields(record)}
+                assert named is (script is not Script.TOKENS), (script, record)
 
     @pytest.mark.parametrize("script", ["traditional", "pinyin", None])
     def test_other_script_types_raise_type_error(self, script):

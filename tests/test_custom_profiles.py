@@ -216,6 +216,20 @@ def test_a_wrong_typed_field_is_refused_where_the_profile_is_built(era, field, b
         EraProfile(**{**values, field: bad})
 
 
+@pytest.mark.parametrize("era", CHRONOLOGY, ids=lambda e: e.value)
+def test_a_negative_ceiling_is_refused_where_the_profile_is_built(era):
+    # Unchecked, such a profile refused every value, 0 and 零 included.
+    profile = era_profile(era)
+    values = {f.name: getattr(profile, f.name) for f in dataclasses.fields(profile)}
+    for bad in (-1, -(10**12)):
+        message = f"^max_value must be 0 or more, got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(profile, max_value=bad)
+        with pytest.raises(ValueError, match=message):
+            EraProfile(**{**values, "max_value": bad})
+    assert _custom(era, max_value=0).max_value == 0
+
+
 def test_a_profile_of_the_right_types_builds_and_pickles():
     # An int subclass is a ceiling as an int is; copies and unpickled
     # profiles are the profile.

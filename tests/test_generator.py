@@ -392,6 +392,16 @@ class TestQuantity:
         assert unit_word("本") == UnitWord("本", "本", "本")
         assert render_quantity(3, "本").text() == "三本"
 
+    @pytest.mark.parametrize("blank", ["", " ", "\t\n", "\u3000"], ids=repr)
+    def test_classifier_with_no_written_form_is_refused(self, blank):
+        # Else 3 would read as a bare 三 and 2 as a bare 兩.
+        message = f"^a classifier needs a written form, not {re.escape(repr(blank))}$"
+        with pytest.raises(ValueError, match=message):
+            unit_word(blank)
+        for n in (2, 3):
+            with pytest.raises(ValueError, match=message):
+                render_quantity(n, blank)
+
     @pytest.mark.parametrize("bad", [None, ["x"], 5, b"x"], ids=repr)
     def test_classifier_of_another_type_is_refused(self, bad):
         # Refused before render_quantity returns, not when text() joins it.
@@ -532,6 +542,11 @@ class TestUnitWord:
     def test_text_in_each_script(self, script, written):
         assert unit_word("個").text(script) == written
         assert unit_word("个").text(script) == written
+
+    def test_phrase_of_a_non_morpheme_is_a_type_error(self):
+        for script in Script:
+            with pytest.raises(TypeError, match="^expected a Morpheme, not int$"):
+                generate.NumeralPhrase(items=(5,)).text(script)
 
 
 class TestScriptType:

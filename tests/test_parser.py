@@ -558,6 +558,36 @@ class TestParseEntry:
         e = err(parse, (), None)
         assert (e.kind, e.position) == (ParseErrorKind.EMPTY_INPUT, 0)
 
+    @pytest.mark.parametrize("era", CHRONOLOGY, ids=lambda e: e.value)
+    def test_own_profile_and_names_read_through_the_eras_reader(self, monkeypatch, era):
+        # Only a custom profile builds a reader: the era's own profile and
+        # each of its names read through the era's, with the outcome or
+        # error the Era gives; an equal copy builds one and reads the same.
+        P = importlib.import_module("hannum.parse")
+        core = importlib.import_module("hannum.core")
+
+        def reading(era, toks):
+            try:
+                return parse(toks, era)
+            except NumeralParseError as exc:
+                return error_fields(exc)
+
+        def no_reader(p):
+            raise AssertionError(f"parse built a reader for {p!r}")
+
+        rendered = [render_integer(n, era).tokens for n in (15, 105, 2_222, 30_405)]
+        seqs = [toks for toks in SHORT_SEQUENCES if len(toks) < 3] + rendered
+        expected = [reading(era, toks) for toks in seqs]
+        names = [era.value, era.value.upper(), f" {era.value.replace('-', '_')} "]
+        names += [key for key, e in core._ERA_ALIASES.items() if e is era]
+        monkeypatch.setattr(P, "_reader", no_reader)
+        for alias in (era_profile(era), *names):
+            assert [reading(alias, toks) for toks in seqs] == expected, alias
+        monkeypatch.undo()
+        twin = replace(era_profile(era))
+        assert twin == era_profile(era) and twin is not era_profile(era)
+        assert [reading(twin, toks) for toks in seqs] == expected
+
 
 class TestRoundTripSpot:
     @pytest.mark.parametrize("era", [e for e in Era])

@@ -197,6 +197,34 @@ def era_profile_callers(path: Path = SRC / "generate.py") -> list[str]:
     return callers
 
 
+def era_from_string_calls(path: Path = SRC / "parse.py") -> list[int]:
+    """The line of each call to Era.from_string in path's module, Era named
+    bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "from_string"
+        and getattr(node.func.value, "id", getattr(node.func.value, "attr", None)) == "Era"
+    ]
+
+
+def test_parse_resolves_a_name_through_era_profile_alone():
+    # A loose name reaches parse's era reader through era_profile, as a
+    # profile does, never on a path of its own.
+    assert era_from_string_calls() == []
+
+
+def test_the_scan_finds_every_era_from_string_call(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "E = Era.from_string('song')\n"
+        "def f(name):\n"
+        "    return Era.from_string(name), core.Era.from_string(name), from_string(name)\n",
+        encoding="utf-8",
+    )
+    assert era_from_string_calls(tmp_path / "a.py") == [1, 3, 3]
+
+
 def test_generate_reads_its_era_in_one_place():
     # A render plan, the profile and its group rules, is resolved by _plan
     # alone: generate.py calls era_profile only there and has no second
