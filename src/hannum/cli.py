@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 parse or era rejection (and self-test failure),
 2 invalid arguments or style/range errors, 3 I/O or encoding errors, which
-include output that stdout cannot encode and a reader that closes the pipe.
+include any write to stdout that fails: a reader that closes the pipe (which
+ends the command quietly), a full device, or output that stdout cannot
+encode. The handlers only compute and write; _run, which main calls, is the
+one place that turns a failure into its exit code and error: line.
 JSON output is a single object for gen/parse/classify and one object per
 line for scan (records first, then a final {"summary": ...} object).
 
@@ -250,11 +253,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         elliptic=args.elliptic,
         leading_ten_one=args.leading_ten_one,
     )
-    try:
-        expr = render_integer(args.value, args.era, opts)
-    except RenderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+    expr = render_integer(args.value, args.era, opts)
     if args.as_json:
         payload = {
             "value": args.value,
@@ -276,11 +275,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_parse(args: argparse.Namespace) -> int:
     text = _text_or_stdin(args.text)
     era = None if args.lenient else args.era or Era.CONTEMPORARY
-    try:
-        outcome = parse_text(text, era, toneless=args.toneless)
-    except NumeralParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_REJECTED
+    outcome = parse_text(text, era, toneless=args.toneless)
     if args.as_json:
         print(json.dumps(outcome.as_dict(), ensure_ascii=False))
         return _EXIT_OK
@@ -295,11 +290,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     text = _text_or_stdin(args.text)
-    try:
-        report = classify(text)
-    except NumeralParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_REJECTED
+    report = classify(text)
     if args.as_json:
         print(json.dumps(report.as_dict(), ensure_ascii=False))
         return _EXIT_OK
@@ -449,6 +440,45 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return _EXIT_OK if report.passed else _EXIT_REJECTED
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Run args.handler and return its exit code, or the code of its failure.
+
+    This is the one place where a failure becomes an exit code: a parse or
+    era rejection is 1, a style or range refusal 2, and input that cannot
+    be read or output that cannot be written 3, each with one error: line
+    on stderr. A reader that closes the pipe ends the command quietly.
+    """
+    try:
+        code = args.handler(args)
+        sys.stdout.flush()
+    except (NumeralParseError, RenderError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_REJECTED if isinstance(exc, NumeralParseError) else _EXIT_USAGE
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_IO
+    except (OSError, UnicodeEncodeError) as exc:
+        # Input errors are _InputError by now, so this is a write to stdout
+        # that failed: a closed pipe, a full device or any other OSError, or
+        # an encoding that stdout lacks (stderr escapes what it cannot
+        # encode). After an OSError, stdout is pointed at devnull so that the
+        # final flush at exit does not raise again; after an encoding error,
+        # what stdout holds is still written.
+        if isinstance(exc, OSError):
+            try:
+                fd = sys.stdout.fileno()
+            except (AttributeError, OSError, ValueError):
+                pass
+            else:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return _EXIT_IO
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     top, commands = _parsers()
     if argv is None:
@@ -463,31 +493,7 @@ def main(argv: list[str] | None = None) -> int:
         args, extra = command.parse_known_args(argv[1:])
         if extra:
             top.error(f"unrecognized arguments: {' '.join(extra)}")
-    # Input that cannot be read raises _InputError. Only a write to stdout
-    # raises the other two here (stderr escapes what it cannot encode): output
-    # failures are I/O errors too.
-    try:
-        code = args.handler(args)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader has gone. Point stdout at devnull so that the final
-        # flush at exit does not raise again.
-        try:
-            fd = sys.stdout.fileno()
-        except (AttributeError, OSError, ValueError):
-            pass
-        else:
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
-        return _EXIT_IO
-    except UnicodeEncodeError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    return code
+    return _run(args)
 
 
 if __name__ == "__main__":

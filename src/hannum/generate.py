@@ -208,6 +208,17 @@ class UnitWord:
     simplified: str
     pinyin: str
 
+    def __post_init__(self) -> None:
+        # Every field's type first, then its text: a form that is empty or
+        # whitespace alone writes no classifier, and 3 would read as a bare 三.
+        forms = [getattr(self, name) for name in self.__slots__]
+        for name, form in zip(self.__slots__, forms):
+            if not isinstance(form, str):
+                raise TypeError(f"{name} must be a str, not {type(form).__name__}")
+        for form in forms:
+            if not form.strip():
+                raise ValueError(f"a classifier needs a written form, not {form!r}")
+
     def text(self, script: Script = Script.TRADITIONAL) -> str:
         """The form in the field script's value names; TOKENS reads pinyin."""
         if script.__class__ is not Script:
@@ -284,18 +295,14 @@ def unit_word(text: "str | UnitWord") -> UnitWord:
     """Resolve a classifier/measure word, falling back to the text itself.
 
     Anything other than a str or a UnitWord is a TypeError, and a str that
-    is empty or whitespace alone, which writes no classifier, a ValueError.
+    is empty or whitespace alone, which writes no classifier, is refused by
+    UnitWord itself with a ValueError.
     """
     if isinstance(text, UnitWord):
         return text
     if not isinstance(text, str):
         raise TypeError(f"expected a str or a UnitWord, not {type(text).__name__}")
-    found = _UNIT_WORDS.get(text)
-    if found is not None:
-        return found
-    if not text.strip():
-        raise ValueError(f"a classifier needs a written form, not {text!r}")
-    return UnitWord(text, text, text)
+    return _UNIT_WORDS.get(text) or UnitWord(text, text, text)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from hannum import selftest
-from hannum.cli import _parsers, main
+from hannum.cli import _parsers, _run, main
 from hannum.selftest import IntegerFixture, PhraseFixture, run_selftest
 
 # The dispatch test's argvs live in scripts/output_digest.py, whose digest
@@ -412,9 +412,11 @@ class TestUsage:
 
 
 def _reference(argv):
-    """What main did before it sent a named subcommand to its own parser."""
+    """What main did before it sent a named subcommand to its own parser:
+    the top parser's parse_args, then the handler through main's own
+    failure mapping."""
     args = _parsers()[0].parse_args(argv)
-    return args.handler(args)
+    return _run(args)
 
 
 def _outcome(call, argv, capsys, monkeypatch):

@@ -1,12 +1,14 @@
 """The CLI gives a documented exit code, never a traceback, on any input.
 
-Writing stdout can fail: the reader may close the pipe early, or stdout may
-not encode Han text. Both are I/O errors, exit 3. The fuzz cases run main()
+Writing stdout can fail: the reader may close the pipe early, the device may
+be full or fail, or stdout may not encode Han text. Each is an I/O error,
+exit 3. The fuzz cases run main()
 in process on arbitrary bytes and text and require a documented exit code
 with nothing raised.
 """
 
 import contextlib
+import errno
 import io
 import os
 import subprocess
@@ -22,10 +24,10 @@ from hannum.cli import main
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def _hannum(*argv, **env):
+def _hannum(*argv, stdout=subprocess.PIPE, **env):
     return subprocess.Popen(
         [sys.executable, "-m", "hannum", *argv],
-        stdout=subprocess.PIPE,
+        stdout=stdout,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": _SRC, **env},
     )
@@ -92,6 +94,52 @@ def test_unencodable_scan_exits_3(tmp_path, mode):
     lines = stderr.decode().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
+
+
+# One run of each command that writes stdout; {doc} is a small document.
+_WRITERS = [
+    ["gen", "5"],
+    ["parse", "一百"],
+    ["classify", "十有五", "--json"],
+    ["scan", "--json", "{doc}"],
+    ["scan", "{doc}"],
+    ["selftest", "--max", "0"],
+]
+
+
+def _writer_argv(argv, tmp_path):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("共一百零五人，又十有五。\n", encoding="utf-8")
+    return [arg.replace("{doc}", str(doc)) for arg in argv]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", _WRITERS, ids=" ".join)
+def test_full_device_exits_3(tmp_path, argv):
+    # Every write to /dev/full fails with ENOSPC: one error line, no
+    # traceback, and nothing left for the flush at exit to complain about.
+    with open("/dev/full", "wb") as full:
+        proc = _hannum(*_writer_argv(argv, tmp_path), stdout=full)
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    err = stderr.decode()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write output: ")
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
+class _FailingStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+@pytest.mark.parametrize("argv", _WRITERS, ids=" ".join)
+def test_failing_stdout_in_process(monkeypatch, capsys, tmp_path, argv):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout())
+    assert main(_writer_argv(argv, tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write output: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
 
 
 def _run(argv):

@@ -402,6 +402,41 @@ class TestQuantity:
             with pytest.raises(ValueError, match=message):
                 render_quantity(n, blank)
 
+    @pytest.mark.parametrize("blank", ["", " ", "\u3000"], ids=repr)
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_unit_word_record_with_a_blank_form_is_refused(self, blank, field):
+        # The record refuses what unit_word refuses, so no caller can pass
+        # a blank classifier by building one: 2 would read as a bare 兩.
+        forms = ["個", "个", "gè"]
+        forms[field] = blank
+        message = f"^a classifier needs a written form, not {re.escape(repr(blank))}$"
+        with pytest.raises(ValueError, match=message):
+            UnitWord(*forms)
+        with pytest.raises(ValueError, match=message):
+            render_quantity(2, UnitWord(blank, blank, blank))
+
+    @pytest.mark.parametrize(
+        "forms, name, kind",
+        [
+            ((5, "个", "gè"), "traditional", "int"),
+            (("個", None, "gè"), "simplified", "NoneType"),
+            (("個", "个", b"ge"), "pinyin", "bytes"),
+            # Every type is checked before any text.
+            ((" ", 5, None), "simplified", "int"),
+        ],
+    )
+    def test_unit_word_record_field_must_be_a_str(self, forms, name, kind):
+        with pytest.raises(TypeError, match=f"^{name} must be a str, not {kind}$"):
+            UnitWord(*forms)
+
+    def test_built_in_unit_words_build_unchanged(self):
+        built_in = set(generate._UNIT_WORDS.values())
+        assert len(built_in) == 11
+        for word in built_in:
+            rebuilt = UnitWord(word.traditional, word.simplified, word.pinyin)
+            assert rebuilt == word
+            assert unit_word(word.traditional) is word
+
     @pytest.mark.parametrize("bad", [None, ["x"], 5, b"x"], ids=repr)
     def test_classifier_of_another_type_is_refused(self, bad):
         # Refused before render_quantity returns, not when text() joins it.

@@ -244,3 +244,80 @@ def test_the_scan_finds_every_era_profile_call(tmp_path):
         encoding="utf-8",
     )
     assert era_profile_callers(tmp_path / "a.py") == ["<module>", "g", "f", "f"]
+
+
+def handlers_with_try(path: Path = SRC / "cli.py") -> list[str]:
+    """The module-level _cmd_* functions of path's module that hold a try
+    statement anywhere in their bodies."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_cmd_")
+        and any(isinstance(n, (ast.Try, ast.TryStar)) for n in ast.walk(node))
+    ]
+
+
+def caught_names(path: Path = SRC / "cli.py") -> list[tuple[str, str]]:
+    """(owner, name) for each name that an except clause of path's module
+    names, bare or as an attribute, where owner is the module-level function
+    or class the clause sits in, or <module>."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    caught = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught += [
+                    (owner, n.id if isinstance(n, ast.Name) else n.attr)
+                    for n in ast.walk(node.type)
+                    if isinstance(n, (ast.Name, ast.Attribute))
+                ]
+    return caught
+
+
+def test_cli_handlers_hold_no_try():
+    # A handler computes and writes; it never turns a failure into an exit
+    # code of its own.
+    assert handlers_with_try() == []
+
+
+def test_cli_maps_library_errors_in_one_place():
+    # _run, which main calls, is the one place that maps a parse rejection
+    # to 1 and a render refusal to 2.
+    library = {"NumeralParseError", "RenderError"}
+    assert [c for c in caught_names() if c[1] in library] == [
+        ("_run", "NumeralParseError"), ("_run", "RenderError")
+    ]
+
+
+def test_the_scan_finds_every_try_and_catch(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "try:\n"
+        "    import fast\n"
+        "except ImportError:\n"
+        "    fast = None\n"
+        "def _cmd_a(args):\n"
+        "    def inner():\n"
+        "        try:\n"
+        "            return 1\n"
+        "        except (parse.NumeralParseError, KeyError):\n"
+        "            return 2\n"
+        "    return inner()\n"
+        "def _cmd_b(args):\n"
+        "    return 0\n"
+        "def _helper():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except RenderError:\n"
+        "        pass\n"
+        "    except:\n"
+        "        pass\n",
+        encoding="utf-8",
+    )
+    assert handlers_with_try(tmp_path / "a.py") == ["_cmd_a"]
+    assert caught_names(tmp_path / "a.py") == [
+        ("<module>", "ImportError"),
+        ("_cmd_a", "NumeralParseError"), ("_cmd_a", "KeyError"), ("_cmd_a", "parse"),
+        ("_helper", "RenderError"),
+    ]
