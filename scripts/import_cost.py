@@ -11,7 +11,9 @@ and every module of src/hannum. The first table gives, per hannum module
 and as medians over the N interpreters, the import's self time as
 -X importtime reports it (the module's own code, without the imports it
 starts) and the part of it spent decorating the module's @dataclass
-records, which compiles their methods with exec.
+records, which compiles their methods with exec. Its last two lines sum
+them, medians again: over every module, and over the modules that
+`import hannum` alone loads, the floor that every call pays.
 
 Then one more fresh interpreter per line imports hannum alone, or runs
 the setup call of a workload of bench/workloads.py (built at seed 1 from
@@ -83,8 +85,9 @@ def one_run(src: Path, modules: list[str]) -> dict[str, tuple[float, float]]:
     return {name: (ms, spent.get(name, 0.0) * 1000) for name, ms in selfs.items()}
 
 
-def cost_table(src: Path, runs: int) -> list[str]:
-    """The per-module lines: medians of self and dataclass ms, and totals."""
+def cost_table(src: Path, runs: int, eager: list[str]) -> list[str]:
+    """The per-module lines: medians of self and dataclass ms, and totals
+    over every module and over the eager ones."""
     stems = sorted(p.stem for p in (src / "hannum").glob("*.py")
                    if not p.stem.startswith("__"))
     modules = ["hannum", *(f"hannum.{stem}" for stem in stems)]
@@ -94,9 +97,12 @@ def cost_table(src: Path, runs: int) -> list[str]:
         selfs, decorations = zip(*(s[name] for s in samples))
         lines.append(f"{name:<20}{statistics.median(selfs):>9.2f}"
                      f"{statistics.median(decorations):>14.2f}")
-    total_self = statistics.median(sum(v[0] for v in s.values()) for s in samples)
-    total_dc = statistics.median(sum(v[1] for v in s.values()) for s in samples)
-    lines.append(f"{'total':<20}{total_self:>9.2f}{total_dc:>14.2f}")
+    for label, names in (("total", samples[0]), ("import hannum", eager)):
+        total_self, total_dc = (
+            statistics.median(sum(s[name][k] for name in names) for s in samples)
+            for k in (0, 1)
+        )
+        lines.append(f"{label:<20}{total_self:>9.2f}{total_dc:>14.2f}")
     return lines
 
 
@@ -134,13 +140,14 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"no hannum sources under {src}")
     if args.runs < 1:
         ap.error("--runs must be at least 1")
+    eager = loaded(src, "")
     print(f"import hannum and every module, medians of {args.runs} "
           f"fresh interpreters ({src}):")
-    print("\n".join(cost_table(src, args.runs)))
+    print("\n".join(cost_table(src, args.runs, eager)))
     print("hannum modules loaded after import hannum and each bench setup call:")
+    print(f"import hannum: {' '.join(eager)}")
     with tempfile.TemporaryDirectory(prefix="import-cost-") as docs_dir:
-        calls = {"import hannum": "", **setup_calls(src, Path(docs_dir))}
-        for name, call in calls.items():
+        for name, call in setup_calls(src, Path(docs_dir)).items():
             print(f"{name}: {' '.join(loaded(src, call))}")
     return 0
 

@@ -26,9 +26,20 @@ from .parse import *  # hannum.parse is the function
 
 __version__ = "0.1.0"
 
-# The transducer loads with the package; these load on first use, in
-# dependency order (PEP 562), so a render or parse never pays for them.
-_LAZY = ("chronolect", "scan", "selftest")
+# The transducer loads with the package; these modules load on first use
+# (PEP 562), so a render or parse never pays for them. Each is listed with
+# the names its __all__ exports, so a name loads its own module and no
+# other, and a name none of them exports loads none.
+_LAZY = {
+    "chronolect": ("EraVerdict", "EraConsistencyReport", "classify",
+                   "feature_profile"),
+    "phrase": ("NumeralPhrase", "UnitWord", "render_currency", "render_duration",
+               "render_ordinal", "render_quantity", "unit_word"),
+    "scan": ("ScanRecord", "ScanSummary", "scan_text", "summary_csv_rows"),
+    "selftest": ("IntegerFixture", "PhraseFixture", "SelfTestReport",
+                 "run_selftest"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def _module(name):
@@ -36,26 +47,21 @@ def _module(name):
 
 
 def __getattr__(name):
-    """A lazy module, or a name of the first lazy module that exports it;
-    __all__ is the union of the six modules' lists, as asyncio builds it.
-    Each answer is bound here, so it is looked up once."""
+    """A lazy module, or a name a lazy module exports; __all__ is the union
+    of the seven modules' lists, as asyncio builds it. Each answer is bound
+    here, so it is looked up once."""
     if name == "__all__":
         value = [
-            *(n for m in ("chronolect", "core", "generate", "parse", "scan",
-                          "selftest") for n in _module(m).__all__),
+            *(n for m in ("chronolect", "core", "generate", "parse", "phrase",
+                          "scan", "selftest") for n in _module(m).__all__),
             "__version__",
         ]
+    elif name in _LAZY:
+        return _module(name)  # its import has bound it here
+    elif name in _HOME:
+        value = getattr(_module(_HOME[name]), name)
     else:
-        # No module exports a dunder, so a probe for one loads nothing.
-        for lazy in () if name.startswith("__") else _LAZY:
-            module = _module(lazy)
-            if name == lazy:
-                return module  # its import has bound it here
-            if name in module.__all__:
-                value = getattr(module, name)
-                break
-        else:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
     return value
 

@@ -5,7 +5,10 @@ Exit codes: 0 success, 1 parse or era rejection (and self-test failure),
 include any write to stdout that fails: a reader that closes the pipe (which
 ends the command quietly), a full device, or output that stdout cannot
 encode. The handlers only compute and write; _run, which main calls, is the
-one place that turns a failure into its exit code and error: line.
+one place that turns a failure into its exit code and error: line. main
+parses its argv inside _run too, so help that cannot be written exits 3
+as well, while help and usage errors that are written exit through
+argparse's SystemExit, 0 and 2.
 JSON output is a single object for gen/parse/classify and one object per
 line for scan (records first, then a final {"summary": ...} object).
 
@@ -24,7 +27,8 @@ as_dict(), or of {"summary": summary.as_dict()}, with ensure_ascii=False.
 main parses each argv once: an argv that starts with a subcommand's name
 goes straight to that subcommand's parser, which is where the top parser
 would send it after a pass of its own, and every other argv to the top
-parser. Output, exit codes and usage messages are the top parser's.
+parser. Output, exit codes and usage messages are the top parser's, but
+for a failed write of help, which exits 3.
 """
 
 from __future__ import annotations
@@ -103,6 +107,19 @@ def _text_or_stdin(text: str | None) -> str:
     return text
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help and usage written to stdout are
+    flushed there and a write that fails raises, where argparse drops its
+    OSError; _run maps it to 3 like any other failed write to stdout."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+            file.flush()
+        else:
+            super()._print_message(message, file)
+
+
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top argument parser and its subcommands' parsers by name, built
@@ -117,7 +134,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     option carries over from one main() call to the next. Each
     subcommand's parser sets args.handler, the function main runs.
     """
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="hannum",
         description=(
             "Convert integers to Chinese numeral expressions and back, "
@@ -445,8 +462,9 @@ def _run(args: argparse.Namespace) -> int:
 
     This is the one place where a failure becomes an exit code: a parse or
     era rejection is 1, a style or range refusal 2, and input that cannot
-    be read or output that cannot be written 3, each with one error: line
-    on stderr. A reader that closes the pipe ends the command quietly.
+    be read or output that cannot be written 3, help included, each with
+    one error: line on stderr. A reader that closes the pipe ends the
+    command quietly.
     """
     try:
         code = args.handler(args)
@@ -479,10 +497,14 @@ def _run(args: argparse.Namespace) -> int:
     return code
 
 
-def main(argv: list[str] | None = None) -> int:
+def _dispatch(args: argparse.Namespace) -> int:
+    """Parse args.argv and run the handler it picks.
+
+    main runs this through _run, so help that cannot be written to stdout
+    takes the failed-write mapping, as a handler's output does.
+    """
     top, commands = _parsers()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = args.argv
     command = commands.get(argv[0]) if argv else None
     if command is None:
         args = top.parse_args(argv)
@@ -493,7 +515,13 @@ def main(argv: list[str] | None = None) -> int:
         args, extra = command.parse_known_args(argv[1:])
         if extra:
             top.error(f"unrecognized arguments: {' '.join(extra)}")
-    return _run(args)
+    return args.handler(args)
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    return _run(argparse.Namespace(handler=_dispatch, argv=argv))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Rendering of integers and measured quantities as Han numeral expressions.
+"""Rendering of integers as Han numeral expressions.
 
 The core operation is render_integer: split the value into myriad groups
 (units, x10^4, x10^8), render each group's coefficient with descending
@@ -27,11 +27,10 @@ Every render refuses in one order: an opts that is not a RenderOptions or
 None, then the era (TypeError, or ValueError for an unknown name), then an
 option field of the wrong type (TypeError), then a style the profile lacks
 (StyleNotAllowed: liang, elliptic, You, in that order), all from _plan;
-then what the phrase allows (StyleNotAllowed: render_quantity and
-render_ordinal take the contemporary profile only, render_quantity no
-elliptic option), then the value (ValueOutOfRange, ZeroInexpressible),
-then the form (EllipsisUnavailable). So an option set refused for one
-value is refused for every value, whatever its type.
+then the value (ValueOutOfRange, ZeroInexpressible), then the form
+(EllipsisUnavailable). So an option set refused for one value is refused
+for every value, whatever its type. The phrase renderers of hannum.phrase
+read their era and options through _plan too.
 
 Each group's tokens are memoized in a plain dict keyed by one int packed
 from the group rules, the coefficient, the group's scale and the previous
@@ -94,19 +93,12 @@ __all__ = [
     "EllipsisUnavailable",
     "MonthOutOfRange",
     "NumeralExpression",
-    "NumeralPhrase",
     "RenderError",
     "StyleNotAllowed",
-    "UnitWord",
     "ValueOutOfRange",
     "ZeroInexpressible",
-    "render_currency",
-    "render_duration",
     "render_elliptic",
     "render_integer",
-    "render_ordinal",
-    "render_quantity",
-    "unit_word",
 ]
 
 
@@ -139,7 +131,7 @@ class MonthOutOfRange(RenderError):
 
 
 # ---------------------------------------------------------------------------
-# Expressions and phrases
+# Expressions
 # ---------------------------------------------------------------------------
 
 
@@ -200,53 +192,6 @@ class NumeralExpression:
 _expression = _builder(NumeralExpression)
 
 
-@dataclass(frozen=True, slots=True)
-class UnitWord:
-    """A measure word, classifier, or rank word appearing next to a numeral."""
-
-    traditional: str
-    simplified: str
-    pinyin: str
-
-    def __post_init__(self) -> None:
-        # Every field's type first, then its text: a form that is empty or
-        # whitespace alone writes no classifier, and 3 would read as a bare 三.
-        forms = [getattr(self, name) for name in self.__slots__]
-        for name, form in zip(self.__slots__, forms):
-            if not isinstance(form, str):
-                raise TypeError(f"{name} must be a str, not {type(form).__name__}")
-        for form in forms:
-            if not form.strip():
-                raise ValueError(f"a classifier needs a written form, not {form!r}")
-
-    def text(self, script: Script = Script.TRADITIONAL) -> str:
-        """The form in the field script's value names; TOKENS reads pinyin."""
-        if script.__class__ is not Script:
-            raise TypeError(f"expected a Script, not {type(script).__name__}")
-        return getattr(self, "pinyin" if script is Script.TOKENS else script.value)
-
-
-@dataclass(frozen=True, slots=True)
-class NumeralPhrase:
-    """A numeral (or several) combined with unit words and linking terms."""
-
-    items: tuple[object, ...]  # NumeralExpression | UnitWord | Morpheme
-
-    def text(self, script: Script = Script.TRADITIONAL) -> str:
-        parts: list[str] = []
-        for item in self.items:
-            if isinstance(item, (NumeralExpression, UnitWord)):
-                parts.append(item.text(script))
-            else:
-                parts.append(surface(item, script))
-        if script is Script.PINYIN or script is Script.TOKENS:
-            return " ".join(parts)
-        return "".join(parts)
-
-    def __str__(self) -> str:
-        return self.text()
-
-
 # Each script's separator and written form of every generable morpheme, read
 # straight off the table; the parse-only gap words are absent.
 _WRITTEN = {
@@ -259,50 +204,6 @@ _WRITTEN = {
 # Enum members read once here: on CPython 3.11 each member read at call time
 # costs about a fifth of what text() of a short numeral does.
 _TOKENS = Script.TOKENS
-
-
-# ---------------------------------------------------------------------------
-# Unit words
-# ---------------------------------------------------------------------------
-
-YUAN = UnitWord("元", "元", "yuán")
-JIAO = UnitWord("角", "角", "jiǎo")
-FEN = UnitWord("分", "分", "fēn")
-NIAN = UnitWord("年", "年", "nián")
-GE = UnitWord("個", "个", "ge")
-YUE = UnitWord("月", "月", "yuè")
-DI = UnitWord("第", "第", "dì")
-
-_UNIT_WORDS: dict[str, UnitWord] = {}
-for _u in (
-    YUAN,
-    JIAO,
-    FEN,
-    NIAN,
-    GE,
-    YUE,
-    DI,
-    UnitWord("層", "层", "céng"),
-    UnitWord("兩", "两", "liǎng"),
-    UnitWord("斤", "斤", "jīn"),
-    UnitWord("人", "人", "rén"),
-):
-    _UNIT_WORDS[_u.traditional] = _u
-    _UNIT_WORDS[_u.simplified] = _u
-
-
-def unit_word(text: "str | UnitWord") -> UnitWord:
-    """Resolve a classifier/measure word, falling back to the text itself.
-
-    Anything other than a str or a UnitWord is a TypeError, and a str that
-    is empty or whitespace alone, which writes no classifier, is refused by
-    UnitWord itself with a ValueError.
-    """
-    if isinstance(text, UnitWord):
-        return text
-    if not isinstance(text, str):
-        raise TypeError(f"expected a str or a UnitWord, not {type(text).__name__}")
-    return _UNIT_WORDS.get(text) or UnitWord(text, text, text)
 
 
 # ---------------------------------------------------------------------------
@@ -571,118 +472,3 @@ def render_elliptic(
             f"digit one rank below the preceding pivot"
         )
     return _expression(short, profile.era, True, profile)
-
-
-def render_quantity(
-    n: int,
-    classifier: str,
-    era: "Era | EraProfile | str" = Era.CONTEMPORARY,
-    opts: RenderOptions | None = None,
-) -> NumeralPhrase:
-    """Render "numeral + classifier", always with the full (incorporable) form.
-
-    A numeral that is just the digit 2 surfaces as liang before the
-    classifier where the profile has liang, except before the 50-gram
-    measure word liang itself, where euphony keeps er.
-    """
-    profile, rules = _plan(era, opts)
-    if profile.era is not Era.CONTEMPORARY:
-        raise StyleNotAllowed("classifier quantity phrases are rendered in the contemporary profile only")
-    if _options(opts).elliptic is True:
-        raise StyleNotAllowed("elliptic numerals cannot be incorporated before a classifier")
-    clf = unit_word(classifier)
-    render = _render_full if clf.traditional in ("兩", "两") else _counted
-    return NumeralPhrase(items=(render(n, profile, rules), clf))
-
-
-def render_ordinal(
-    n: int,
-    era: "Era | EraProfile | str" = Era.CONTEMPORARY,
-    with_prefix: bool = True,
-) -> NumeralPhrase:
-    """Render an ordinal; only er ever expresses 2 in ordinals.
-
-    A with_prefix that is not a bool is a TypeError, before any other check.
-    """
-    if with_prefix.__class__ is not bool:
-        raise TypeError(f"with_prefix must be a bool, not {type(with_prefix).__name__}")
-    profile, rules = _plan(era, DEFAULT_OPTIONS)  # AlwaysEr in every slot
-    if profile.era is not Era.CONTEMPORARY:
-        raise StyleNotAllowed("ordinals are rendered in the contemporary profile only")
-    if _integer(n) < 1:
-        raise ValueOutOfRange(f"ordinal positions start at 1, got {n}")
-    num = _render_full(n, profile, rules)
-    return NumeralPhrase(items=(DI, num) if with_prefix else (num,))
-
-
-def render_currency(
-    yuan: int, jiao: int = 0, fen: int = 0, terse: bool = False
-) -> NumeralPhrase:
-    """Render a yuan/jiao/fen amount with Ling linking over the skipped rank.
-
-    With terse=True the final word fen is dropped where it is unambiguous:
-    after a jiao compound or after the linking Ling. A terse that is not a
-    bool is a TypeError, before any other check.
-    """
-    if terse.__class__ is not bool:
-        raise TypeError(f"terse must be a bool, not {type(terse).__name__}")
-    if _integer(yuan) < 0:
-        raise ValueOutOfRange(f"yuan must be non-negative, got {yuan}")
-    if not 0 <= _integer(jiao) <= 9:
-        raise ValueOutOfRange(f"jiao must be a single digit, got {jiao}")
-    if not 0 <= _integer(fen) <= 9:
-        raise ValueOutOfRange(f"fen must be a single digit, got {fen}")
-    if yuan == 0 and jiao == 0 and fen == 0:
-        raise AllZeroAmount("a currency amount needs at least one non-zero component")
-
-    items: list[object] = []
-    if yuan:
-        items.extend((_component(yuan), YUAN))
-    linked = False
-    if jiao:
-        items.extend((_component(jiao), JIAO))
-    elif fen and yuan:
-        items.append(LING)
-        linked = True
-    if fen:
-        items.append(_component(fen))
-        if not (terse and (jiao or linked)):
-            items.append(FEN)
-    return NumeralPhrase(items=tuple(items))
-
-
-def render_duration(years: int, months: int) -> NumeralPhrase:
-    """Render "N years and M months"; the idiom requires Ling at the junction."""
-    if _integer(years) < 1:
-        raise ValueOutOfRange(f"years must be at least 1, got {years}")
-    if not 1 <= _integer(months) <= 11:
-        raise MonthOutOfRange(f"months must lie in 1..11, got {months}")
-    return NumeralPhrase(
-        items=(_component(years), NIAN, LING, _component(months), GE, YUE)
-    )
-
-
-def _integer(n: object) -> int:
-    """n if it is an int, checked before the callers compare it, so that any
-    other type is a ValueOutOfRange as in render_integer; None is not 0."""
-    if not isinstance(n, int):
-        raise ValueOutOfRange(f"expected a non-negative integer, got {n!r}")
-    return n
-
-
-def _counted(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
-    """n as the count before a measure word.
-
-    A bare 2 is liang where the profile has liang; any other n, and 2 under
-    a profile without liang, is the profile's own rendering. Every n passes
-    the rendering's checks first, so 2 is refused wherever 3 would be.
-    """
-    full = _render_full(n, profile, rules)
-    if n == 2 and profile.liang_allowed:
-        return _expression((LIANG,), profile.era, False, profile)
-    return full
-
-
-def _component(n: int) -> NumeralExpression:
-    """A numeral incorporated before a measure word; 2 surfaces as liang."""
-    return _counted(n, *_PLANS[Era.CONTEMPORARY])

@@ -545,9 +545,11 @@ _F_YOU, _F_LING, _F_DAN, _F_LIANG, _F_ELLIPTIC, _F_LEADING_ONE, _F_INNER_ONE = (
     1 << k for k in range(7)
 )
 # The Features of every pattern of the bits, indexed by it: only 2**7 exist,
-# so parsing never builds one.
+# so parsing never builds one. They are built through this positional
+# constructor: the seven flags in field order.
+_features = _builder(Features)
 _FEATURES = tuple(
-    Features(*(bool(bits >> k & 1) for k in range(7))) for bits in range(1 << 7)
+    _features(*(bool(bits >> k & 1) for k in range(7))) for bits in range(1 << 7)
 )
 # [1] before an inner pivot that is an outer pivot's sole multiplier.
 _ONE_BEFORE_SOLE = re.compile(rb"\x01[\x15-\x17][\x18\x1c]").search

@@ -12,14 +12,9 @@ import time
 from dataclasses import dataclass
 
 from .core import Era, RenderOptions, TwoStyle, era_profile, token_notation
-from .generate import (
-    render_currency,
-    render_duration,
-    render_integer,
-    render_ordinal,
-    render_quantity,
-)
+from .generate import render_integer
 from .parse import NumeralParseError, parse
+from .phrase import render_currency, render_duration, render_ordinal, render_quantity
 
 __all__ = ["IntegerFixture", "PhraseFixture", "SelfTestReport", "run_selftest"]
 

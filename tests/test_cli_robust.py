@@ -96,7 +96,9 @@ def test_unencodable_scan_exits_3(tmp_path, mode):
     assert lines[0].startswith("error: ")
 
 
-# One run of each command that writes stdout; {doc} is a small document.
+# One run of each command that writes stdout, and of the top parser's help
+# and a subcommand's, which argparse writes; {doc} is a small document.
+_HELP = [["--help"], ["gen", "--help"]]
 _WRITERS = [
     ["gen", "5"],
     ["parse", "一百"],
@@ -104,6 +106,7 @@ _WRITERS = [
     ["scan", "--json", "{doc}"],
     ["scan", "{doc}"],
     ["selftest", "--max", "0"],
+    *_HELP,
 ]
 
 
@@ -127,6 +130,17 @@ def test_full_device_exits_3(tmp_path, argv):
     assert err.startswith("error: cannot write output: ")
     assert "Traceback" not in err
     assert "Exception ignored" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, usage", zip(_HELP, [b"usage: hannum [-h]", b"usage: hannum gen [-h]"])
+)
+def test_help_on_a_working_stdout_exits_0(argv, usage):
+    proc = _hannum(*argv)
+    stdout, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert stdout.startswith(usage)
+    assert stderr == b""
 
 
 class _FailingStdout(io.StringIO):

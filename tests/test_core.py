@@ -43,8 +43,9 @@ from hannum.core import (
     surface,
     token_notation,
 )
-from hannum.generate import UnitWord, render_integer
+from hannum.generate import render_integer
 from hannum.parse import _ERA_READERS, _HAN_CHARS, ScriptHint, parse, tokenize
+from hannum.phrase import UnitWord
 from hannum.scan import _CONDITIONAL_CHARS, _CORE_CHARS
 
 ROOT = Path(__file__).resolve().parent.parent

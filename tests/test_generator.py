@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from hannum import generate
+from hannum import generate, phrase
 from hannum import (
     LIANG,
     LING,
@@ -430,7 +430,7 @@ class TestQuantity:
             UnitWord(*forms)
 
     def test_built_in_unit_words_build_unchanged(self):
-        built_in = set(generate._UNIT_WORDS.values())
+        built_in = set(phrase._UNIT_WORDS.values())
         assert len(built_in) == 11
         for word in built_in:
             rebuilt = UnitWord(word.traditional, word.simplified, word.pinyin)
@@ -581,7 +581,7 @@ class TestUnitWord:
     def test_phrase_of_a_non_morpheme_is_a_type_error(self):
         for script in Script:
             with pytest.raises(TypeError, match="^expected a Morpheme, not int$"):
-                generate.NumeralPhrase(items=(5,)).text(script)
+                phrase.NumeralPhrase(items=(5,)).text(script)
 
 
 class TestScriptType:

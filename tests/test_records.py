@@ -1,7 +1,7 @@
 """The result records built by core._builder, against the dataclass ones.
 
-parse, the renderers, classify and scan_text build their frozen records
-through a positional builder that stores the fields with plain slot stores
+parse, the renderers, classify and scan_text build their frozen records,
+and parse its table of every Features, through a positional builder that stores the fields with plain slot stores
 on a same-layout twin class and then sets the record's own class. A record
 built that way must be indistinguishable from one built by keyword, its
 type is never the twin, and the hot paths must not reach the dataclass
@@ -19,6 +19,7 @@ from hannum import (
     Era,
     EraConsistencyReport,
     EraVerdict,
+    Features,
     NumeralExpression,
     ParseOutcome,
     ScanRecord,
@@ -33,7 +34,7 @@ from hannum import (
 from hannum.chronolect import _report, _verdict
 from hannum.core import _builder
 from hannum.generate import _expression
-from hannum.parse import _outcome
+from hannum.parse import _FEATURES, _features, _outcome
 from hannum.scan import _record
 
 _OUTCOME = parse_text("一百零五", "contemporary")
@@ -62,6 +63,7 @@ _CASES = [
     pytest.param(_verdict, _REJECTED, False, id="EraVerdict-rejects"),
     pytest.param(_report, _REPORT, False, id="EraConsistencyReport"),
     pytest.param(_record, _RECORD, True, id="ScanRecord"),
+    pytest.param(_features, _FEATURES[0b1010011], True, id="Features"),
 ]
 
 
@@ -178,6 +180,39 @@ class TestBuilderLayout:
         assert seen == [EraVerdict]
 
 
+class TestFeaturesTable:
+    """parse._FEATURES holds the Features of each of the 2**7 patterns of the
+    seven flag bits, bit k the k-th field, built through the builder."""
+
+    _NAMES = [f.name for f in dataclasses.fields(Features)]
+
+    def _public(self, bits):
+        return Features(**{
+            name: bool(bits >> k & 1) for k, name in enumerate(self._NAMES)
+        })
+
+    def test_every_pattern_is_the_public_record(self):
+        assert len(_FEATURES) == 1 << 7 == len(set(_FEATURES))
+        for bits, built in enumerate(_FEATURES):
+            public = self._public(bits)
+            assert type(built) is Features
+            assert built == public
+            assert hash(built) == hash(public)
+            assert repr(built) == repr(public)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                dumped = pickle.dumps(built, protocol)
+                assert dumped == pickle.dumps(public, protocol)
+                assert pickle.loads(dumped) == public
+
+    def test_every_pattern_is_frozen(self):
+        for built in _FEATURES:
+            for name in self._NAMES:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(built, name, True)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(built, name)
+
+
 def test_expression_profile_takes_no_part_in_equality():
     built = _expression(_EXPRESSION.tokens, Era.CONTEMPORARY, False, None)
     assert built == _EXPRESSION
@@ -223,7 +258,7 @@ class TestHotPathsSkipInit:
 
         for cls in (
             ParseOutcome, NumeralExpression, EraVerdict, EraConsistencyReport,
-            ScanRecord,
+            ScanRecord, Features,
         ):
             monkeypatch.setattr(cls, "__init__", refuse)
 

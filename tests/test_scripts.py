@@ -89,16 +89,22 @@ def test_import_cost_lists_modules_and_loads():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    rows = {line.split()[0]: line.split()[1:] for line in lines[2:11]}
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:12]}
     assert sorted(rows) == sorted([
         "hannum", "hannum.core", "hannum.parse", "hannum.generate",
-        "hannum.chronolect", "hannum.scan", "hannum.selftest", "hannum.cli",
-        "total",
+        "hannum.chronolect", "hannum.phrase", "hannum.scan", "hannum.selftest",
+        "hannum.cli", "total",
     ])
     assert all(float(self_ms) >= float(dc_ms) >= 0 for self_ms, dc_ms in rows.values())
     assert float(rows["hannum.core"][1]) > 0
+    # The floor: the self and dataclass ms of the modules import hannum
+    # loads, a part of the totals.
+    label, floor = lines[12][:20].rstrip(), lines[12][20:].split()
+    assert label == "import hannum"
+    assert float(floor[0]) >= float(floor[1]) > 0
+    assert all(float(ms) < float(total) for ms, total in zip(floor, rows["total"]))
     eager = "hannum hannum.core hannum.generate hannum.parse"
-    assert lines[12:] == [
+    assert lines[14:] == [
         f"import hannum: {eager}",
         f"roundtrip: {eager}",
         "classify: hannum hannum.chronolect hannum.core hannum.generate hannum.parse",

@@ -232,6 +232,23 @@ def test_generate_reads_its_era_in_one_place():
     assert era_profile_callers() == ["_plan"]
     tree = ast.parse((SRC / "generate.py").read_text(encoding="utf-8"))
     assert "_rules" not in _defined(tree)
+    # The phrase renderers resolve theirs through generate's _plan: phrase.py
+    # calls era_profile nowhere, defines no plan or rules of its own, and
+    # each renderer that takes an era calls _plan.
+    assert era_profile_callers(SRC / "phrase.py") == []
+    tree = ast.parse((SRC / "phrase.py").read_text(encoding="utf-8"))
+    assert not {"_plan", "_rules", "_options"} & set(_defined(tree))
+    takes_era = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and "era" in [a.arg for a in node.args.args]
+    }
+    assert sorted(takes_era) == ["render_ordinal", "render_quantity"]
+    for node in takes_era.values():
+        assert "_plan" in {
+            n.func.id for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        }, node.name
 
 
 def test_the_scan_finds_every_era_profile_call(tmp_path):
