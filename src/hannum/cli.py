@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 parse or era rejection (and self-test failure),
 include any write to stdout that fails: a reader that closes the pipe (which
 ends the command quietly), a full device, or output that stdout cannot
 encode. The handlers only compute and write; _run, which main calls, is the
-one place that turns a failure into its exit code and error: line. main
-parses its argv inside _run too, so help that cannot be written exits 3
-as well, while help and usage errors that are written exit through
+one place that turns a failure into its exit code and error: line. It
+parses the argv inside that mapping too, so help that cannot be written
+exits 3 as well, while help and usage errors that are written exit through
 argparse's SystemExit, 0 and 2.
 JSON output is a single object for gen/parse/classify and one object per
 line for scan (records first, then a final {"summary": ...} object).
@@ -24,7 +24,7 @@ fragments too: its counts in scan._COUNTS order, then the era_sets object
 with its keys sorted. Every line equals json.dumps of the record's
 as_dict(), or of {"summary": summary.as_dict()}, with ensure_ascii=False.
 
-main parses each argv once: an argv that starts with a subcommand's name
+_run parses each argv once: an argv that starts with a subcommand's name
 goes straight to that subcommand's parser, which is where the top parser
 would send it after a pass of its own, and every other argv to the top
 parser. Output, exit codes and usage messages are the top parser's, but
@@ -127,12 +127,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     The map is argparse's own: the choices of the action that
     add_subparsers returns, which the top parser reads a subcommand's name
-    from. main hands an argv that starts with one of its keys straight to
+    from. _run hands an argv that starts with one of its keys straight to
     that subcommand's parser, which is what the top parser does with it
     after a first pass of its own, and any other argv to the top parser.
     Parsing leaves the parsers unchanged and fills a fresh Namespace, so no
     option carries over from one main() call to the next. Each
-    subcommand's parser sets args.handler, the function main runs.
+    subcommand's parser sets args.handler, the function _run runs.
     """
     top = _Parser(
         prog="hannum",
@@ -457,8 +457,9 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return _EXIT_OK if report.passed else _EXIT_REJECTED
 
 
-def _run(args: argparse.Namespace) -> int:
-    """Run args.handler and return its exit code, or the code of its failure.
+def _run(argv: list[str]) -> int:
+    """Parse argv, run the handler it picks and return its exit code, or
+    the code of its failure.
 
     This is the one place where a failure becomes an exit code: a parse or
     era rejection is 1, a style or range refusal 2, and input that cannot
@@ -467,6 +468,17 @@ def _run(args: argparse.Namespace) -> int:
     command quietly.
     """
     try:
+        top, commands = _parsers()
+        command = commands.get(argv[0]) if argv else None
+        if command is None:
+            args = top.parse_args(argv)
+        else:
+            # What the top parser's parse_args does with this argv, without
+            # its own pass over every string first: the subcommand's parser
+            # reads the rest, and the top parser reports what is left over.
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                top.error(f"unrecognized arguments: {' '.join(extra)}")
         code = args.handler(args)
         sys.stdout.flush()
     except (NumeralParseError, RenderError) as exc:
@@ -497,31 +509,8 @@ def _run(args: argparse.Namespace) -> int:
     return code
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    """Parse args.argv and run the handler it picks.
-
-    main runs this through _run, so help that cannot be written to stdout
-    takes the failed-write mapping, as a handler's output does.
-    """
-    top, commands = _parsers()
-    argv = args.argv
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        args = top.parse_args(argv)
-    else:
-        # What the top parser's parse_args does with this argv, without its
-        # own pass over every string first: the subcommand's parser reads
-        # the rest, and the top parser reports what is left over.
-        args, extra = command.parse_known_args(argv[1:])
-        if extra:
-            top.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args.handler(args)
-
-
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    return _run(argparse.Namespace(handler=_dispatch, argv=argv))
+    return _run(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

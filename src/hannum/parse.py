@@ -9,18 +9,21 @@ outer pivot, or at the numeral's end. A term is a digit times an inner
 pivot, a bare inner pivot (implicit [1]) or a digit with no pivot after
 it; one step reads all three kinds. Every token is either consumed or
 fails the group, so a pending link word (ling or you) is always the token
-before: the term step reads it there, joining a term to the one before
-it, and a gap word at a later group's first token links the group to the
-outer pivot before it. Checks that need only local context (rank descent,
-digit runs, liang slots, in-group gap links) run immediately with one
-token of lookahead; checks that need the group's absolute scale
+before: the term step reads it there, joining a term to the one before it,
+and a gap word at a later group's first token links the group to the outer
+pivot before it. One step reads every link word, with the token after it,
+and checks where it stands against one entry per word (_LINKS), so yòu and
+the gap words break their shared placement rules at one place and differ
+only in kind and wording. Checks that need only local context (rank
+descent, digit runs, liang slots, in-group gap links) run immediately with
+one token of lookahead; checks that need the group's absolute scale
 (cross-group gap links, the [1] rule on the numeral's first term) are
 deferred to the moment the group closes, when the outer pivot fixes the
-scale. An error names the first offending token, but for that deferred
-[1] check: dunhuang 百五五 and suanshushu 一百五五 report their digit run,
-not the [1] at token 0. Lanes that require [1] before an outer pivot's
-sole inner multiplier check a bare opening pivot at once, so contemporary
-百五五 fails at 0.
+scale. An error names the first offending token, but for that deferred [1]
+check: dunhuang 百五五 and suanshushu 一百五五 report their digit run, not the
+[1] at token 0. Lanes that require [1] before an outer pivot's sole inner
+multiplier check a bare opening pivot at once, so contemporary 百五五 fails
+at 0.
 
 The walk reads several grammars at once, one lane each: an era grammar or
 the lenient one. An era grammar is what the walk reads of a profile (see
@@ -248,8 +251,15 @@ _FEATURE_NAMES = tuple(f.name for f in fields(Features))
 class ParseOutcome:
     """A successful parse: the value, the grammar it satisfied, and evidence.
 
-    era_checked is None when the lenient grammar (the union of the era
-    grammars plus documented relaxations) did the checking.
+    era_checked is None when the lenient grammar did the checking. That
+    grammar admits every morpheme, reads no [1] rule, takes a rank gap
+    without líng (with a diagnostic after an outer pivot), reads a trailing
+    bare digit after a pivot elliptically (with a diagnostic naming both
+    readings) and has the ceiling 10^12 - 1. It rejects no form of up to
+    four tokens that an era grammar accepts, but it is not the union of the
+    era grammars: it accepts 千單十 as 1,010, which no era grammar accepts,
+    and reads 一萬一百一 as 10,110, where each era that accepts it reads
+    10,101. Whether to align it is an open decision (ROADMAP item 22).
     """
 
     value: int
@@ -537,6 +547,24 @@ _OUT_OF_ERA = {
     _C_DAN: "dān is a 13th-century gap word, not part of {era}",
     _C_LALT: "lìng is a 13th-century gap word, not part of {era}",
 }
+
+# The link words, the gap words (read as líng) and the conjunction yòu, by
+# code. Each follows a pivot and leads to a term, so it stands neither
+# before the group's closing pivot nor last. An entry holds the word's
+# failure kind and the message of each broken rule: before a closing
+# pivot, after no pivot, last in the group.
+_LINKS = dict.fromkeys((_C_LING, _C_DAN, _C_LALT), (
+    _K.MISPLACED_LING,
+    "a gap word must be followed by a digit, not a pivot that closes the group",
+    "a gap word stands only between a pivot and a following digit",
+    "a trailing gap word marks no gap",
+))
+_LINKS[_C_YOU] = (
+    _K.MISPLACED_YOU,
+    "the conjunction must be followed by an additive term, not a group-closing pivot",
+    "the conjunction joins a completed compound to a lower term",
+    "the conjunction needs a following additive term",
+)
 
 
 # The feature bits, one per Features field in field order. A group's bits
@@ -857,10 +885,11 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
     The walk keeps only the group's terms; the rest is read off the codes.
     Every token is consumed or fails the group, so a pending link word is
     the token before, and a gap word at token 0 of a later group is the
-    link to the outer pivot before it. A trailing bare digit is the group's
-    last token, so its elliptic reading forks and closes there; the main
-    reading closes at the group's outer pivot or, in the last group, after
-    its last token.
+    link to the outer pivot before it. A link word is read in one step,
+    with the token after it, against its entry in _LINKS. A trailing bare
+    digit is the group's last token, so its elliptic reading forks and
+    closes there; the main reading closes at the group's outer pivot or, in
+    the last group, after its last token.
     """
     m = len(g)
     first_group = not prev_exp
@@ -1015,16 +1044,6 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
             continue
 
         if c == 24 or c == 28:  # outer pivot closes the group, and ends it
-            if prev == _C_YOU:
-                fails.append((alive, _K.MISPLACED_YOU, i - 1,
-                              "the conjunction must be followed by an additive term, "
-                              "not a group-closing pivot"))
-                break
-            if prev >= _C_LING:
-                fails.append((alive, _K.MISPLACED_LING, i - 1,
-                              "a gap word must be followed by a digit, not a pivot "
-                              "that closes the group"))
-                break
             scale = c - 20
             if prev_exp and scale >= prev_exp:
                 fails.append((alive, _K.RANK_ORDER_VIOLATION, i,
@@ -1033,41 +1052,31 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
             closer = i
             break
 
-        if c == _C_LING or c >= _C_DAN:  # gap words
-            if c != _C_LING:
-                diags.append(
-                    (alive, f"historical gap word {_NOTATION[c]} read as líng")
-                )
-            elif first_group and m == 1:  # standalone zero
-                bad = alive & L.zero_bad
-                if bad:
-                    fails.append((bad, _K.MISPLACED_LING, 0,
-                                  "líng alone does not name zero in {era}"))
-                    alive ^= bad
-                out = alive
-                break
-            if not after_pivot:
-                fails.append((alive, _K.MISPLACED_LING, i,
-                              "a gap word stands only between a pivot and a following "
-                              "digit"))
-                break
-            if i == m - 1:
-                fails.append((alive, _K.MISPLACED_LING, i,
-                              "a trailing gap word marks no gap"))
-                break
+        # A link word: a gap word, read as líng, or the conjunction yòu. It
+        # must follow a pivot and lead to a term (see _LINKS), so the token
+        # after it is read here, before the step that would close the group.
+        kind, before_closer, not_after_pivot, last = _LINKS[c]
+        if c >= _C_DAN:
+            diags.append((alive, f"historical gap word {_NOTATION[c]} read as líng"))
+        elif c == _C_LING and first_group and m == 1:  # standalone zero
+            bad = alive & L.zero_bad
+            if bad:
+                fails.append((bad, _K.MISPLACED_LING, 0,
+                              "líng alone does not name zero in {era}"))
+                alive ^= bad
+            out = alive
+            break
+        if not after_pivot:
+            message = not_after_pivot
+        elif i == m - 1:
+            message = last
+        elif g[i + 1] == 24 or g[i + 1] == 28:
+            message = before_closer
+        else:
             i += 1
             continue
-
-        # You, the additive conjunction.
-        if not after_pivot:
-            fails.append((alive, _K.MISPLACED_YOU, i,
-                          "the conjunction joins a completed compound to a lower term"))
-            break
-        if i == m - 1:
-            fails.append((alive, _K.MISPLACED_YOU, i,
-                          "the conjunction needs a following additive term"))
-            break
-        i += 1
+        fails.append((alive, kind, i, message))
+        break
     else:  # the last group's walk ran to its end
         out = alive
         if alive and terms:
@@ -1260,7 +1269,8 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     """Parse a morpheme sequence to its value under one era grammar.
 
     era may be an Era, an EraProfile, a loose era name, or None/"lenient" for
-    the permissive union grammar. Raises NumeralParseError on rejection.
+    the lenient grammar (see ParseOutcome), which accepts more than the era
+    grammars. Raises NumeralParseError on rejection.
     """
     # An exact tuple, as render_integer and tokenize give, is taken as is;
     # anything else, a tuple subclass included, is read through its tokens

@@ -3,6 +3,12 @@
 A span is a maximal run of numeral-inventory characters. The yòu graphs
 (有/又) double as everyday prose words, so they join a span only when both
 neighbors are unconditional numeral characters: precision over recall.
+For the same reason four numeral graphs outside the morpheme table, 〇 and
+the ligatures 廿 卅 卌, join a span unconditionally: a span that holds one
+is a single UnknownCharacter error with no consistent era and no feature,
+where cutting the span at the graph would read a fragment of the numeral
+as a clean value (廿五 as 5). The financial forms (壹 拾 佰 ...) do not
+join, since several of them are also prose words.
 A span is read in one walk over all nine grammars (the eight eras and the
 lenient one), which gives its lenient value or error, the eras it is
 consistent with and its features; the summary reports feature and era-set
@@ -36,6 +42,7 @@ from dataclasses import dataclass, field, fields
 
 from .core import MORPHEMES, YOU, Era, _builder
 from .parse import (
+    Features,
     NumeralParseError,
     ParseOutcome,
     ScriptHint,
@@ -50,8 +57,15 @@ from .parse import parse  # noqa: F401
 
 __all__ = ["ScanRecord", "ScanSummary", "scan_text", "summary_csv_rows"]
 
-# Characters that always belong to a numeral span.
-_CORE_CHARS = frozenset(g for m in MORPHEMES if m is not YOU for g in m.graphs)
+# Characters that always belong to a numeral span: the graphs of the
+# morpheme table but yòu's, and four numeral graphs it lacks, none of them
+# a common prose word: 〇, the zero of digit-by-digit years, and the
+# ligatures 廿 卅 卌 (20, 30, 40). A span that holds one of the four is one
+# UnknownCharacter error, so no fragment of such a numeral is read.
+_UNREAD_GRAPHS = "〇廿卅卌"
+_CORE_CHARS = frozenset(
+    g for m in MORPHEMES if m is not YOU for g in m.graphs
+).union(_UNREAD_GRAPHS)
 # Junction graphs admitted only between core numeral characters.
 _CONDITIONAL_CHARS = frozenset(YOU.graphs)
 # A maximal numeral run: core characters, with at most one junction graph
@@ -161,6 +175,8 @@ _summary_of = _builder(ScanSummary)
 _ERA_SETS: dict[tuple[Era, ...], str] = {}
 # Read once, as parse._HAN_HINT is: a member read per call costs more.
 _HAN = ScriptHint.HAN
+# The features of a span that does not tokenize: no flag is set.
+_NO_FEATURES = Features()
 
 
 _Signature = tuple[bool, bool, bool, bool, bool, str]
@@ -175,8 +191,14 @@ def _read(chunk: str) -> _Reading:
     The signature is what the summary counts of a span: (parsed, with yòu,
     with líng, with liǎng, elliptic, era-set key).
     """
-    # A span holds only Han inventory graphs, so it always tokenizes.
-    outcome, error, consistent, feats = _read_span(tokenize(chunk, _HAN))
+    try:
+        tokens = tokenize(chunk, _HAN)
+    except NumeralParseError as exc:  # a graph of _UNREAD_GRAPHS
+        # Kept without its traceback, which would hold this frame.
+        error = exc.with_traceback(None)
+        outcome, consistent, feats = None, (), _NO_FEATURES
+    else:
+        outcome, error, consistent, feats = _read_span(tokens)
     key = _ERA_SETS.get(consistent)
     if key is None:
         key = "+".join(e.value for e in consistent) if consistent else "none"

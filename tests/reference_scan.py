@@ -6,7 +6,7 @@ and tallies each span as it goes. hannum.scan must give the same records and
 the same summary, era-set order included.
 """
 
-from hannum.parse import ScriptHint, _read_span, tokenize
+from hannum.parse import Features, NumeralParseError, ScriptHint, _read_span, tokenize
 from hannum.scan import _CONDITIONAL_CHARS, _CORE_CHARS, ScanRecord, ScanSummary
 
 
@@ -74,9 +74,14 @@ def scan_text(text):
 
     for (start, end), (boff, ln, cl) in zip(spans, positions):
         chunk = text[start:end]
-        outcome, error, consistent, feats = _read_span(
-            tokenize(chunk, ScriptHint.HAN)
-        )
+        try:
+            tokens = tokenize(chunk, ScriptHint.HAN)
+        except NumeralParseError as exc:
+            # A graph outside the morpheme table: the whole span is one
+            # error, with no consistent era and no feature.
+            outcome, error, consistent, feats = None, exc, (), Features()
+        else:
+            outcome, error, consistent, feats = _read_span(tokens)
 
         records.append(
             ScanRecord(

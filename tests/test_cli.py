@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hannum import selftest
+from hannum import cli, selftest
 from hannum.cli import _parsers, _run, main
 from hannum.selftest import IntegerFixture, PhraseFixture, run_selftest
 
@@ -414,9 +414,12 @@ class TestUsage:
 def _reference(argv):
     """What main did before it sent a named subcommand to its own parser:
     the top parser's parse_args, then the handler through main's own
-    failure mapping."""
-    args = _parsers()[0].parse_args(argv)
-    return _run(args)
+    failure mapping. _run sees no subcommand map, so every argv takes the
+    top parser."""
+    top = _parsers()[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parsers", lambda: (top, {}))
+        return _run(argv)
 
 
 def _outcome(call, argv, capsys, monkeypatch):

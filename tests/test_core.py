@@ -46,7 +46,7 @@ from hannum.core import (
 from hannum.generate import render_integer
 from hannum.parse import _ERA_READERS, _HAN_CHARS, ScriptHint, parse, tokenize
 from hannum.phrase import UnitWord
-from hannum.scan import _CONDITIONAL_CHARS, _CORE_CHARS
+from hannum.scan import _CONDITIONAL_CHARS, _CORE_CHARS, _UNREAD_GRAPHS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -150,8 +150,12 @@ class TestInventoryTable:
     def test_scan_span_sets_split_the_tokenizer_graphs(self):
         you_graphs = {g for g, m in _HAN_CHARS.items() if m is YOU}
         assert _CONDITIONAL_CHARS == you_graphs == {"有", "又"}
-        assert _CORE_CHARS == set(_HAN_CHARS) - you_graphs
-        assert _CORE_CHARS == set("一二三四五六七八九兩两十百千萬万億亿零單单另")
+        # Besides the table's graphs, four numeral graphs it lacks join a span
+        # unconditionally, so that no fragment of their numerals is read.
+        assert _UNREAD_GRAPHS == "〇廿卅卌"
+        assert not set(_UNREAD_GRAPHS) & set(_HAN_CHARS)
+        assert _CORE_CHARS == set(_HAN_CHARS) - you_graphs | set(_UNREAD_GRAPHS)
+        assert _CORE_CHARS == set("一二三四五六七八九兩两十百千萬万億亿零單单另〇廿卅卌")
 
     def test_toneless_syllables(self):
         text = "er san si wu liu qi ba jiu liang shi bai qian wan ling you dan"

@@ -1,7 +1,9 @@
 """Tokenizing surface text and parsing morpheme sequences per era grammar."""
 
+import ast
 import hashlib
 import importlib
+import inspect
 import itertools
 import json
 from dataclasses import fields, replace
@@ -40,10 +42,14 @@ from hannum.core import (
     EraProfile,
     LeadingOnePolicy,
     LingPolicy,
+    MorphemeKind,
     OneBeforeInnerMultiplicand,
     era_profile,
 )
 from hannum.parse import _grammar, _read_span
+
+# The module, not the function that hannum exports by the same name.
+parse_module = importlib.import_module("hannum.parse")
 
 
 def err(callable_, *args, **kwargs):
@@ -790,6 +796,68 @@ def test_grammar_key_keeps_every_field_the_walk_reads(era):
                 [changed], reference_walk.parse
             ), field.name
     assert shared >= 2  # the ceiling and elliptic_allowed at least
+
+
+class TestLinkWords:
+    """_group reads every link word, the gap words and yòu, in one step,
+    which takes the word's failure kind and its three placement messages
+    from the word's entry in _LINKS."""
+
+    def test_entries_cover_the_link_morphemes(self):
+        links = {MorphemeKind.LING, MorphemeKind.YOU, MorphemeKind.DAN,
+                 MorphemeKind.LING_ALT}
+        assert set(parse_module._LINKS) == {m.code for m in MORPHEMES if m.kind in links}
+        for code, (kind, *messages) in parse_module._LINKS.items():
+            you = code == YOU.code
+            assert kind is (ParseErrorKind.MISPLACED_YOU if you else ParseErrorKind.MISPLACED_LING)
+            assert len(messages) == len(set(messages)) == 3
+
+    @pytest.mark.parametrize("word", [LING, YOU, DAN, LING_ALT], ids=lambda m: m.notation)
+    def test_each_placement_rule(self, word):
+        kind, before_closer, not_after_pivot, last = parse_module._LINKS[word.code]
+        g = word.graphs[0]
+        for text, position, message in [
+            (f"百{g}萬", 1, before_closer),
+            (f"{g}五", 0, not_after_pivot),
+            (f"十{g}", 1, last),
+        ]:
+            e = err(parse_text, text, None)
+            assert (e.kind, e.position, e.message) == (kind, position, message), text
+
+    def test_group_appends_each_placement_failure_at_one_site(self):
+        tree = ast.parse(inspect.getsource(parse_module._group))
+        appends = [
+            node.args[0].elts for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "append" and getattr(node.func.value, "id", "") == "fails"
+        ]
+        # Every failure names its kind as _K.<member> but one, whose kind
+        # is unpacked from the word's entry.
+        from_entry = [
+            elts for elts in appends
+            if not (isinstance(elts[1], ast.Attribute) and elts[1].value.id == "_K")
+        ]
+        assert len(from_entry) == 1
+        (site,) = from_entry
+        unpacked = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript)
+            and getattr(node.value.value, "id", "") == "_LINKS"
+        ]
+        assert len(unpacked) == 1
+        names = [t.id for t in unpacked[0].targets[0].elts]
+        assert site[1].id == names[0] and site[3].id == "message"
+        # MisplacedYou has no site of its own, and no placement message is
+        # written in _group.
+        assert "MISPLACED_YOU" not in {
+            elts[1].attr for elts in appends if elts is not site
+        }
+        written = {
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        placement = {text for _, *texts in parse_module._LINKS.values() for text in texts}
+        assert not written & placement
 
 
 # sha256 of test_length_four_listing's listing, taken before the walk folded

@@ -2,8 +2,8 @@
 
 import pytest
 
-from hannum import scan_text
-from hannum.scan import summary_csv_rows
+from hannum import Era, ParseErrorKind, RenderError, render_integer, scan_text
+from hannum.scan import _UNREAD_GRAPHS, summary_csv_rows
 
 
 class TestSpans:
@@ -107,6 +107,54 @@ class TestRecords:
             "zhou-bronze",
             "warring-states",
         }
+
+
+class TestUnreadGraphs:
+    """〇 廿 卅 卌 are numeral graphs outside the morpheme table. A span that
+    holds one is a single UnknownCharacter error at its first such graph,
+    with no consistent era and no feature; no fragment of it is read."""
+
+    def test_year_and_ligature(self):
+        records, summary = scan_text("廿五年，二〇二六年")
+        assert [(r.text, r.ok, r.error.kind, r.error.position, r.consistent_eras)
+                for r in records] == [
+            ("廿五", False, ParseErrorKind.UNKNOWN_CHARACTER, 0, ()),
+            ("二〇二六", False, ParseErrorKind.UNKNOWN_CHARACTER, 1, ()),
+        ]
+        assert records[1].error.message == "character '〇' is not in the numeral inventory"
+        assert summary.as_dict() == {
+            "expressions": 2, "parsed": 0, "errors": 2, "with_you": 0,
+            "without_you": 2, "with_ling": 0, "with_liang": 0, "elliptic": 0,
+            "era_sets": {"none": 2},
+        }
+
+    def test_every_rendering_with_a_graph_inserted_or_substituted(self):
+        # Every distinct rendering of every n <= 10^3 under the eight eras'
+        # defaults, with each graph inserted at or substituted for each
+        # position: the mutant is one span, an error at that position.
+        renderings = set()
+        for era in Era:
+            for n in range(1001):
+                try:
+                    renderings.add(render_integer(n, era).text())
+                except RenderError:
+                    pass
+        assert len(renderings) > 1000
+        for text in sorted(renderings):
+            mutants = [
+                (text[:k] + graph + text[k + cut:], k)
+                for graph in _UNREAD_GRAPHS
+                for cut in (0, 1)
+                for k in range(len(text) + 1 - cut)
+            ]
+            records, summary = scan_text("，".join(m for m, _ in mutants))
+            assert [
+                (r.text, r.outcome, r.error.kind, r.error.position) for r in records
+            ] == [
+                (m, None, ParseErrorKind.UNKNOWN_CHARACTER, k) for m, k in mutants
+            ], text
+            assert summary.parsed == 0
+            assert summary.era_sets == {"none": len(mutants)}
 
 
 class TestSummary:

@@ -55,6 +55,7 @@ _SPANS = [
     "十五", "一百零五", "三千四", "兩千", "十有五", "二十又三", "一萬五",
     "一百五", "百五", "萬一", "一億零五", "一万五", "两万五千", "一亿零五",
     "单五", "十十五", "兩十", "百百", "零", "單", "另", "十又", "有十",
+    "廿五", "二〇二六", "卅有一",
 ]
 _FILLER = ["有", "又", "人", "，", "\n", "\r\n", " ", "a", "山水", "😀", '"', "\\"]
 _texts = st.lists(

@@ -54,6 +54,7 @@ def _assert_same_scan(text):
 _SPAN_PIECES = [
     "十五", "一百", "三千四", "一百零五", "十有五", "兩千", "两万五千", "百五",
     "十十五", "兩十", "百百", "零", "單", "另", "萬一", "二十又三",
+    "廿五", "二〇二六", "卅有一",
 ]
 _FILLER = ["有", "又", "人", "，", "\n", " ", "a", "山水", "😀"]
 _pieces = st.sampled_from(_SPAN_PIECES + _FILLER)
