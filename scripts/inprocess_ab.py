@@ -2,7 +2,7 @@
 """Size a change in one process: a base checkout's hannum against this one's.
 
 Usage:
-    python scripts/inprocess_ab.py BASE_SRC [--workload W] [--rounds N]
+    python scripts/inprocess_ab.py BASE_SRC [--workload W] [--rounds N] [--cold]
 
 BASE_SRC is the src directory of another checkout, say one exported with
 `git archive`. Its hannum is imported under the package name hannum_base,
@@ -26,6 +26,12 @@ per-round ratio of base time to change time, so a ratio above 1 means the
 change is faster, then that ratio's quartiles over the rounds (exclusive
 method, as scripts/bench_pairs.py takes them), so a sizing shows its own
 noise.
+
+--cold empties both sides' process memos before each timed pass: scan's
+readings, cli's record tails, the group memo of every parse lane table
+with its count, and generate's group memo. Each pass then reads every
+span, group and render it meets for the first time in the process, the
+all-miss path that a warm pass never runs.
 
 Adjacent passes in one process share the host's speed of the moment, so
 the ratio sizes a change quickly. It is for sizing only: a claim comes
@@ -121,6 +127,18 @@ def build(name: str, package: Any, docs_dir: Path) -> tuple[workloads.Workload, 
     return wl, calls
 
 
+def empty_memos(package: Any) -> None:
+    """Empty package's process memos, as in a process that has read nothing."""
+    name = package.__name__
+    parse = importlib.import_module(f"{name}.parse")
+    for lanes in (*parse._TABLES.values(), parse._ALL_LANES):
+        lanes.memo.clear()
+    parse._STORED[0] = 0
+    importlib.import_module(f"{name}.generate")._group_memo.clear()
+    importlib.import_module(f"{name}.scan")._READINGS.clear()
+    importlib.import_module(f"{name}.cli")._TAILS.clear()
+
+
 def one_pass(wl: workloads.Workload, calls: Any) -> int:
     """ns for one pass of calls over the pool."""
     run = wl.run
@@ -143,10 +161,12 @@ def failures(wl: workloads.Workload, calls: Any) -> int:
     return failed
 
 
-def compare(name: str, base: Any, rounds: int, docs: Path) -> bool:
-    """Print one line for workload name; False when a check failed."""
+def compare(name: str, base: Any, rounds: int, docs: Path, cold: bool) -> bool:
+    """Print one line for workload name; False when a check failed. cold
+    empties both sides' memos before each timed pass."""
+    packages = (base, hannum)
     sides = []
-    for label, package in (("base", base), ("change", hannum)):
+    for label, package in zip(("base", "change"), packages):
         docs_dir = docs / label
         docs_dir.mkdir()
         sides.append((label, *build(name, package, docs_dir)))
@@ -163,6 +183,9 @@ def compare(name: str, base: Any, rounds: int, docs: Path) -> bool:
     with contextlib.redirect_stdout(None):
         for r in range(rounds):
             for label, wl, calls in sides if r % 2 == 0 else sides[::-1]:
+                if cold:
+                    for package in packages:
+                        empty_memos(package)
                 times[label].append(one_pass(wl, calls))
     ops = len(sides[0][1].items)
     us = {label: statistics.median(t) / ops / 1000 for label, t in times.items()}
@@ -171,7 +194,8 @@ def compare(name: str, base: Any, rounds: int, docs: Path) -> bool:
     q1, ratio, q3 = statistics.quantiles(ratios, n=4) if rounds > 1 else ratios * 3
     print(
         f"{name}: base {us['base']:.3f} us/op, change {us['change']:.3f} us/op, "
-        f"ratio {ratio:.3f} (q1 {q1:.3f}, q3 {q3:.3f}) over {rounds} rounds of {ops} ops"
+        f"ratio {ratio:.3f} (q1 {q1:.3f}, q3 {q3:.3f}) over {rounds} "
+        f"{'cold ' if cold else ''}rounds of {ops} ops"
     )
     return True
 
@@ -181,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("base_src", type=Path, metavar="BASE_SRC")
     ap.add_argument("--workload", choices=NAMES)
     ap.add_argument("--rounds", type=int, default=20)
+    ap.add_argument(
+        "--cold", action="store_true", help="empty the memos before each timed pass"
+    )
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
@@ -194,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         for name in names:
             docs = Path(tmp) / name
             docs.mkdir()
-            ok = compare(name, base, args.rounds, docs) and ok
+            ok = compare(name, base, args.rounds, docs, args.cold) and ok
     return 0 if ok else 1
 
 

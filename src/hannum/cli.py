@@ -205,7 +205,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     mode.add_argument(
         "--lenient",
         action="store_true",
-        help="accept any era's constructions plus documented relaxations",
+        help=(
+            "parse under the lenient grammar, which admits every morpheme, "
+            "reads no [1] rule, takes rank gaps without ling and reads a "
+            "trailing digit after a pivot elliptically; it is not the union "
+            "of the era grammars (see the README's API tour, the paragraph "
+            "on the lenient grammar)"
+        ),
     )
     par.add_argument(
         "--toneless",

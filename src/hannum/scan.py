@@ -10,26 +10,30 @@ where cutting the span at the graph would read a fragment of the numeral
 as a clean value (廿五 as 5). The financial forms (壹 拾 佰 ...) do not
 join, since several of them are also prose words.
 A span is read in one walk over all nine grammars (the eight eras and the
-lenient one), which gives its lenient value or error, the eras it is
+lenient one), which gives its lenient value or failure, the eras it is
 consistent with and its features; the summary reports feature and era-set
-tallies. The reading depends only on the span text, so an accepted text's
-reading is kept for the life of the process: _READINGS maps the text to
-its reading, and scan_text tokenizes and reads an accepted text only the
-first time any call meets it, which pays off where one process scans many
-documents (`hannum scan` with several paths, or a library caller). _keeps
-is the one bound on what the process keeps, here and in cli: at most
-_MEMO_TEXTS texts of at most _MEMO_CHARS characters each, so the memory is
-bounded in bytes as well as in entries; _MEMO_CHARS covers every rendering
-of every era (the longest, song-qin 999,999,999,999, has 23 characters).
+tallies. The reading depends only on the span text, so it is kept for the
+life of the process, a rejected text's as well as an accepted one's:
+_READINGS maps the text to its reading, and scan_text tokenizes and reads a
+text only the first time any call meets it, which pays off where one
+process scans many documents (`hannum scan` with several paths, or a
+library caller). _keeps is the one bound on what the process keeps, here
+and in cli: at most _MEMO_TEXTS texts of at most _MEMO_CHARS characters
+each, so the memory is bounded in bytes as well as in entries; _MEMO_CHARS
+covers every rendering of every era (the longest, song-qin
+999,999,999,999, has 23 characters). A text that _READINGS does not hold
+is read once per scan_text call, through a per-call memo of at most
+_MEMO_TEXTS texts; past that, at each occurrence.
 An outcome is frozen, so records of any calls share a kept text's. A
-rejection is not kept across calls, since raising its error sets the
-error's traceback: it is read once per scan_text call, as is an accepted
-text that _READINGS does not hold, through a per-call memo of at most
-_MEMO_TEXTS texts; past that, at each occurrence. What a reading shares
-with readings of other texts is built once per process: _read_span takes
-its era tuple from a table indexed by the mask of accepting lanes, and
-_read keeps each tuple's era-set key in _ERA_SETS. Seven lanes allow 2**7
-masks, so _ERA_SETS is bounded by construction.
+rejection is kept as its failure, (kind, position, message), never as an
+error object, since raising an error sets its traceback: each scan_text
+call builds one error per rejected text (for at most _MEMO_TEXTS texts;
+past that, one per occurrence), which the records of that call share.
+What a reading shares with readings of other texts is built once per
+process: _read_span takes its era tuple from a table indexed by the mask
+of accepting lanes, and _read keeps each tuple's era-set key in
+_ERA_SETS. Seven lanes allow 2**7 masks, so _ERA_SETS is bounded by
+construction.
 _read_span reads the walk's masks and features itself, one frame below
 _read, and builds a diagnostics tuple only for a span that has any.
 """
@@ -37,6 +41,7 @@ _read, and builds a diagnostics tuple only for a span that has any.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 
@@ -44,8 +49,10 @@ from .core import MORPHEMES, YOU, Era, _builder
 from .parse import (
     Features,
     NumeralParseError,
+    ParseErrorKind,
     ParseOutcome,
     ScriptHint,
+    _error,
     _error_dict,
     _read_span,
     tokenize,
@@ -76,9 +83,9 @@ _SPAN = re.compile(
         cond=re.escape("".join(sorted(_CONDITIONAL_CHARS))),
     )
 )
-# Distinct span texts kept for the life of the process (accepted readings
-# here, and serialized records of `hannum scan --json` in cli), and
-# remembered per scan_text call besides.
+# Distinct span texts kept for the life of the process (readings here, and
+# serialized records of `hannum scan --json` in cli), and remembered per
+# scan_text call besides.
 _MEMO_TEXTS = 4096
 # The longest span text kept for the life of the process. Every era's
 # rendering of every value fits (see the module docstring).
@@ -180,13 +187,17 @@ _NO_FEATURES = Features()
 
 
 _Signature = tuple[bool, bool, bool, bool, bool, str]
+# A rejection's (kind, position, message), from which each scan_text call
+# builds its own error.
+_Failure = tuple[ParseErrorKind, int, str]
 _Reading = tuple[
-    ParseOutcome | None, NumeralParseError | None, tuple[Era, ...], _Signature
+    ParseOutcome | None, _Failure | None, tuple[Era, ...], _Signature, int
 ]
 
 
 def _read(chunk: str) -> _Reading:
-    """A span text's outcome, error and consistent eras, and its signature.
+    """A span text's outcome or failure, its consistent eras, its signature
+    and its length in UTF-8 bytes.
 
     The signature is what the summary counts of a span: (parsed, with yòu,
     with líng, with liǎng, elliptic, era-set key).
@@ -194,11 +205,14 @@ def _read(chunk: str) -> _Reading:
     try:
         tokens = tokenize(chunk, _HAN)
     except NumeralParseError as exc:  # a graph of _UNREAD_GRAPHS
-        # Kept without its traceback, which would hold this frame.
-        error = exc.with_traceback(None)
         outcome, consistent, feats = None, (), _NO_FEATURES
+        failure: _Failure | None = exc.kind, exc.position, exc.message
     else:
         outcome, error, consistent, feats = _read_span(tokens)
+        if error is not None:
+            failure = error.kind, error.position, error.message
+        else:
+            failure = None
     key = _ERA_SETS.get(consistent)
     if key is None:
         key = "+".join(e.value for e in consistent) if consistent else "none"
@@ -211,11 +225,12 @@ def _read(chunk: str) -> _Reading:
         feats.elliptic,
         key,
     )
-    return outcome, error, consistent, signature
+    # A span holds numeral graphs only, so no surrogate.
+    return outcome, failure, consistent, signature, len(chunk.encode("utf-8"))
 
 
-# The reading of each accepted span text met so far, for every scan_text
-# call, as far as _keeps allows.
+# The reading of each span text met so far, for every scan_text call, as
+# far as _keeps allows.
 _READINGS: dict[str, _Reading] = {}
 
 
@@ -233,16 +248,18 @@ def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
     if not isinstance(text, str):
         raise TypeError(f"scan_text expects text as a str, not {type(text).__name__}")
     records: list[ScanRecord] = []
-    # This call's readings of the texts _READINGS does not serve: rejections,
-    # whose errors are this call's own, and texts it does not hold.
+    # This call's readings of the texts _READINGS does not hold.
     readings: dict[str, _Reading] = {}
-    # Spans per signature, in order of first occurrence. Counting spans, not
-    # memo entries, keeps the tallies exact once the memo is full.
-    counts: dict[_Signature, int] = {}
+    # This call's error for each rejected text, shared by its records.
+    errors: dict[str, NumeralParseError] = {}
+    # Each span's signature: counting spans, not memo entries, keeps the
+    # tallies exact once the memos are full.
+    signatures: list[_Signature] = []
 
-    # Each span start's byte offset, line and column, counted over the slice
-    # since the previous span start; text after the last span is never read.
-    # A lone surrogate counts as the 3 bytes surrogatepass writes for it.
+    # Each span start's byte offset, line and column, counted over the gap
+    # since the previous span's end, whose byte length its reading holds;
+    # text after the last span is never read. A lone surrogate counts as the
+    # 3 bytes surrogatepass writes for it.
     byte_pos = 0
     line = 1
     line_start = 0
@@ -255,27 +272,37 @@ def scan_text(text: str) -> tuple[list[ScanRecord], ScanSummary]:
             line += newlines
             line_start = prev + piece.rfind("\n") + 1
         byte_pos += len(piece.encode("utf-8", "surrogatepass"))
-        prev = start
 
         chunk = match.group()
         reading = _READINGS.get(chunk) or readings.get(chunk)
         if reading is None:
             reading = _read(chunk)
-            if reading[1] is None and _keeps(_READINGS, chunk):
+            if _keeps(_READINGS, chunk):
                 _READINGS[chunk] = reading
             elif len(readings) < _MEMO_TEXTS:
                 readings[chunk] = reading
-        outcome, error, consistent, signature = reading
+        outcome, failure, consistent, signature, size = reading
+        if failure is None:
+            error = None
+        else:
+            error = errors.get(chunk)
+            if error is None:
+                error = _error(*failure)
+                if len(errors) < _MEMO_TEXTS:
+                    errors[chunk] = error
         column = start - line_start + 1
         records.append(
             _record(byte_pos, line, column, chunk, outcome, error, consistent)
         )
-        counts[signature] = counts.get(signature, 0) + 1
+        signatures.append(signature)
+        byte_pos += size
+        prev = start + len(chunk)
 
-    return records, _summary(counts)
+    # A Counter keeps its keys in order of first occurrence.
+    return records, _summary(Counter(signatures))
 
 
-def _summary(counts: dict[_Signature, int]) -> ScanSummary:
+def _summary(counts: Counter[_Signature]) -> ScanSummary:
     tally = dict.fromkeys(_COUNTS, 0)
     # Signatures come in order of first occurrence, so era-set keys do too.
     era_sets: dict[str, int] = {}

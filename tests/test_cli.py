@@ -130,6 +130,26 @@ class TestParse:
         assert out.splitlines()[0] == "1305000080"
         assert any(line.startswith("note:") for line in out.splitlines())
 
+    def test_lenient_help_says_what_the_grammar_does(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["parse", "-h"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for rule in ("admits every morpheme", "reads no [1] rule",
+                     "takes rank gaps without ling",
+                     "reads a trailing digit after a pivot elliptically",
+                     "not the union of the era grammars"):
+            assert rule in text
+        assert "see the README's API tour, the paragraph on the lenient grammar" in text
+        # That paragraph names the forms where the grammar parts from the
+        # union of the era grammars.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8"
+        )
+        tour = readme.split("\n## API tour\n")[1].split("\n## ")[0]
+        (paragraph,) = [p for p in tour.split("\n\n") if "The lenient grammar" in p]
+        assert "千單十" in paragraph and "一萬一百一" in paragraph
+
     def test_toneless(self, capsys):
         code, out, _ = run(capsys, "parse", "yi bai ling wu", "--toneless")
         assert code == 0

@@ -196,17 +196,17 @@ def test_cold_then_warm_match_reference(monkeypatch):
         _assert_same_scan(text)
 
 
-def test_second_call_reads_only_rejections(monkeypatch):
+def test_second_call_reads_nothing(monkeypatch):
     _cold_memos(monkeypatch)
     texts, text = _ten_texts_repeated()
     first, _ = scan_text(text)
     calls = _count_tokenize(monkeypatch)
     second, _ = scan_text(text)
-    # Accepted texts are served from the process memo; each rejected one is
-    # read once more, for an error of this call's own.
+    # Every text is served from the process memo, the rejected ones too,
+    # whose errors the call builds from their kept failures.
     rejected = {r.text for r in first if r.error is not None}
     assert rejected == {"兩十", "百百", "十十五"}
-    assert sorted(calls) == sorted(rejected)
+    assert calls == []
     for a, b in zip(first, second):
         assert a.outcome is b.outcome
 
@@ -217,11 +217,33 @@ def test_rejections_get_an_error_per_call(monkeypatch):
     (c,), _ = scan_text("兩十")
     assert a.error is b.error
     assert c.error is not a.error
-    assert "兩十" not in hannum.scan._READINGS
+    assert "兩十" in hannum.scan._READINGS
     assert (c.error.kind, c.error.position, c.error.message, c.error.args) == (
         a.error.kind, a.error.position, a.error.message, a.error.args
     )
     assert c.as_dict() == a.as_dict()
+
+
+@pytest.mark.parametrize("rejected", ["兩十", "二〇二六", "廿五"])
+def test_a_raised_error_stays_with_its_call(monkeypatch, rejected):
+    """Raising a memo-served rejection's error sets its traceback; the next
+    call's error for that text is a new one, with no traceback."""
+    _cold_memos(monkeypatch)
+    scan_text(rejected)
+    assert hannum.scan._READINGS[rejected][1] is not None
+    calls = _count_tokenize(monkeypatch)
+    (a, b), _ = scan_text(f"{rejected}，{rejected}")
+    assert a.error is b.error
+    with pytest.raises(type(a.error)):
+        raise a.error
+    assert a.error.__traceback__ is not None
+    (c,), _ = scan_text(rejected)
+    assert calls == []
+    assert c.error is not a.error
+    assert c.error.__traceback__ is None
+    assert (c.error.kind, c.error.position, c.error.message, c.error.args) == (
+        a.error.kind, a.error.position, a.error.message, a.error.args
+    )
 
 
 # Beyond the cap: one text that reads as a value and one that is rejected.
@@ -291,8 +313,9 @@ def test_memo_chars_holds_every_rendering():
 
 # Both memos full of the costliest texts: accepted spans of _MEMO_CHARS
 # characters, whose outcomes hold a token per character (6.06 MB measured on
-# CPython 3.11). Rejected texts are kept only as cli tails: 2.6 MB for
-# 4,096 of that length.
+# CPython 3.11). A rejected text is kept as its failure, whose message its
+# reader's table holds, and as a cli tail: 3.71 MB for 4,096 of that
+# length.
 _MEMO_BYTES = 8_000_000
 
 
@@ -305,8 +328,9 @@ def _full_texts():
     return sorted(texts)
 
 
-def test_full_memos_stay_under_their_byte_figure(monkeypatch, capsys, tmp_path):
-    texts = _full_texts()
+def _memo_growth(monkeypatch, capsys, tmp_path, texts):
+    """Bytes that a scan --json run over texts, one span each, adds to the
+    two memos, emptied before it; parse's own memos are filled first."""
     assert {len(t) for t in texts} == {_MEMO_CHARS}
     assert set("".join(texts)) <= _CORE_CHARS | {"有"}
     path = tmp_path / "doc.txt"
@@ -327,7 +351,31 @@ def test_full_memos_stay_under_their_byte_figure(monkeypatch, capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert len(hannum.scan._READINGS) == len(hannum.cli._TAILS) == _MEMO_TEXTS
+    return grown
+
+
+def test_full_memos_stay_under_their_byte_figure(monkeypatch, capsys, tmp_path):
+    grown = _memo_growth(monkeypatch, capsys, tmp_path, _full_texts())
     assert all(r[1] is None for r in hannum.scan._READINGS.values())
+    assert grown < _MEMO_BYTES
+
+
+def _rejected_texts():
+    """_MEMO_TEXTS texts of _MEMO_CHARS numeral characters that the lenient
+    grammar rejects, in many positions and kinds."""
+    rng = random.Random(11)
+    graphs = "一二三四五六七八九十百千萬億兩零"
+    texts = set()
+    while len(texts) < _MEMO_TEXTS:
+        texts.add("".join(rng.choice(graphs) for _ in range(_MEMO_CHARS)))
+    return sorted(texts)
+
+
+def test_memos_full_of_rejections_stay_under_the_byte_figure(
+    monkeypatch, capsys, tmp_path
+):
+    grown = _memo_growth(monkeypatch, capsys, tmp_path, _rejected_texts())
+    assert all(r[1] is not None for r in hannum.scan._READINGS.values())
     assert grown < _MEMO_BYTES
 
 

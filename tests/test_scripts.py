@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hannum
 from hannum import scan_text
 
 _SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -52,24 +53,48 @@ def test_output_digest_is_repeatable(capsys):
     assert len(hexdigest) == 64 and int(count) == len(digest.runs()) and unit == "runs"
 
 
-def _inprocess_ab_own_src(workload, ops):
+def _inprocess_ab_own_src(workload, ops, *options):
     # In a fresh interpreter, so hannum_base stays out of this one.
     src = _SCRIPTS.parent / "src"
     done = subprocess.run(
         [sys.executable, str(_SCRIPTS / "inprocess_ab.py"), str(src),
-         "--rounds", "3", "--workload", workload],
+         "--rounds", "3", "--workload", workload, *options],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    rounds = "cold rounds" if "--cold" in options else "rounds"
     assert re.fullmatch(
         rf"{workload}: base [\d.]+ us/op, change [\d.]+ us/op, ratio [\d.]+ "
-        rf"\(q1 [\d.]+, q3 [\d.]+\) over 3 rounds of {ops} ops\n",
+        rf"\(q1 [\d.]+, q3 [\d.]+\) over 3 {rounds} of {ops} ops\n",
         done.stdout,
     )
 
 
 def test_inprocess_ab_against_its_own_src():
     _inprocess_ab_own_src("scan", 24)
+
+
+def test_inprocess_ab_cold_against_its_own_src():
+    # Every memo emptied before each timed pass: the all-miss path.
+    _inprocess_ab_own_src("scan", 24, "--cold")
+
+
+def test_inprocess_ab_empty_memos(capsys, tmp_path):
+    # hannum.parse is the function; the modules come from their full names.
+    cli, generate, parse, scan = (
+        importlib.import_module(f"hannum.{name}")
+        for name in ("cli", "generate", "parse", "scan")
+    )
+    doc = tmp_path / "doc.txt"
+    doc.write_text("十五，兩十", encoding="utf-8")
+    assert cli.main(["scan", "--json", str(doc)]) == 0
+    hannum.render_integer(105, "contemporary")
+    lanes = (*parse._TABLES.values(), parse._ALL_LANES)
+    memos = [scan._READINGS, cli._TAILS, generate._group_memo, parse._ALL_LANES.memo]
+    assert all(memos) and parse._STORED[0]
+    _load("inprocess_ab").empty_memos(hannum)
+    assert not any(memos) and not any(t.memo for t in lanes)
+    assert parse._STORED[0] == 0
 
 
 def test_inprocess_ab_pair_against_its_own_src():
