@@ -15,7 +15,9 @@ The runs:
   synthetic corpora of seeds 7 and 11 (scripts/synthetic_corpus.py), the
   benchmark's scan documents of seeds 3 and 4 (bench/workloads.py), and one
   document that holds every malformed benchmark surface, elliptic spans,
-  quotes, backslashes and CRLF line ends;
+  quotes, backslashes and CRLF line ends, and one that holds 〇 廿 卅 卌,
+  financial forms joined to a numeral and alone in prose, and a sentence
+  of the forms that break each of liǎng's two rules;
 - classify --json and parse --json --lenient on tokenizer edge texts: a
   whitespace character and an odd character (NUL, U+FFFE, a lone surrogate,
   a letter, another space) at every pair of offsets in two numerals, and
@@ -92,6 +94,16 @@ _MIX = (
     + "百五、一萬五\r\n\"\"\\一百零五\"\r\n二兩、三兩。\r\n"
 )
 
+# Graphs outside the morpheme table: the ligatures and 〇, which join a span
+# unconditionally, and the financial forms, which join one only next to
+# another span graph; then liǎng on ten (兩十, 一百兩, 一百零兩十) and in a
+# unit slot (十兩, 一萬零兩, 兩零五).
+_GRAPHS = (
+    "廿五年，二〇二六年，壹佰伍拾元。卅有一日，卌人。\n"
+    "伍拾萬元，人民幣貳萬叁仟元，三拾元，三拾有五，十有拾五。\n"
+    "他拾起三個，陸有五人，參加了二十人，拾有五。\n"
+    "兩十、一百兩、一百零兩十，十兩、一萬零兩、兩零五，皆非數。\n"
+)
 
 # The argvs of the CLI's dispatch test (tests/test_cli.py): main must answer
 # each as the top parser's parse_args and the handler it picks would. "-" is
@@ -134,7 +146,7 @@ def _pinyin_texts() -> list[str]:
 def _documents() -> list[str]:
     docs = [build_corpus(seed=seed)[0] for seed in (7, 11)]
     docs += [text for seed in (3, 4) for text, _ in scan_inputs(seed)]
-    docs.append(_MIX)
+    docs += [_MIX, _GRAPHS]
     return docs
 
 

@@ -27,9 +27,10 @@ Every render refuses in one order: an opts that is not a RenderOptions or
 None, then the era (TypeError, or ValueError for an unknown name), then an
 option field of the wrong type (TypeError), then a style the profile lacks
 (StyleNotAllowed: liang, elliptic, You, in that order), all from _plan;
-then the value (ValueOutOfRange, ZeroInexpressible), then the form
-(EllipsisUnavailable). So an option set refused for one value is refused
-for every value, whatever its type. The phrase renderers of hannum.phrase
+then the value (ValueOutOfRange, ZeroInexpressible, also where the
+profile forbids líng, the zero word), then the form (EllipsisUnavailable).
+So an option set refused for one value is refused for every value,
+whatever its type. The phrase renderers of hannum.phrase
 read their era and options through _plan too.
 
 Each group's tokens are memoized in a plain dict keyed by one int packed
@@ -424,7 +425,8 @@ def _render_full(n: int, profile: EraProfile, rules: int) -> NumeralExpression:
         # A custom profile's ceiling may lie past the largest pivot's reach.
         raise ValueOutOfRange(f"{n} needs a rank above 10^8, and none exists")
     if n == 0:
-        if not profile.zero_expressible:
+        # The zero word is líng, so a profile that forbids líng cannot read it.
+        if not profile.zero_expressible or profile.ling_policy is LingPolicy.FORBIDDEN:
             raise ZeroInexpressible(
                 f"{profile.era.value} numerals have no standalone zero word"
             )

@@ -567,6 +567,19 @@ _LINKS[_C_YOU] = (
 )
 
 
+# liang's two rules: it never multiplies ten, and never fills a unit slot.
+# The message of each place that breaks them, by index: the ten of a term
+# (1), an elliptic trailing digit one rank below a hundred (0); after
+# another term (2), trailing after a link word (3), before anything but an
+# outer pivot (4).
+_LIANG_RULES = (
+    "the elliptic reading would put liang on the pivot ten",
+    "liang never multiplies the pivot ten; only er does",
+    "the unit slot of a complex numeral takes er, never liang",
+    "a trailing liang after a link word reads as a unit digit, which liang cannot be",
+    "standalone liang multiplies an outer pivot only",
+)
+
 # The feature bits, one per Features field in field order. A group's bits
 # are read off its codes once, when its reading enters the memo.
 _F_YOU, _F_LING, _F_DAN, _F_LIANG, _F_ELLIPTIC, _F_LEADING_ONE, _F_INNER_ONE = (
@@ -937,73 +950,60 @@ def _group(g: bytes, L: _Lanes, prev_exp: int) -> _Entry:
                 value = 2 if c == _C_LIANG else c
                 if nxt is not None and 21 <= nxt <= 23:
                     k, step = nxt - 20, 2
-                    if k == 1 and c == _C_LIANG:
-                        fails.append((alive, _K.LIANG_BEFORE_SHI, i,
-                                      "liang never multiplies the pivot ten; "
-                                      "only er does"))
-                        break
                 else:
                     k, step = 0, 1
             # A pending líng or yòu links this term to the one before it;
-            # a gap word before the first term is checked at close.
+            # a gap word before the first term is checked at close. A
+            # trailing bare digit after a pivot also reads one rank below
+            # the pivot, where that rank, inferred, is 1 or more.
             linked = prev >= _C_LING
+            inferred = 0
+            if not k and nxt is None and not linked and after_pivot:
+                inferred = above - 1 if above is not None else (prev_exp or 1) - 1
+            # liang never multiplies ten.
+            if c == _C_LIANG and (k == 1 or inferred == 1):
+                fails.append((alive, _K.LIANG_BEFORE_SHI, i, _LIANG_RULES[k]))
+                break
             if linked and prev != _C_YOU and above is not None and k == above - 1:
                 fails.append((alive, _K.MISPLACED_LING, i - 1,
                               "líng marks a rank gap, but these ranks are adjacent"))
                 break
 
-            if not k:
-                if nxt is None and not linked and after_pivot:
-                    # A trailing bare digit after a pivot: the lanes that
-                    # demand líng (and the lenient one) read it one rank
-                    # below the pivot, the rest as the unit digit. Trailing
-                    # liang is never a unit.
-                    inferred = above - 1 if above is not None else (prev_exp or 1) - 1
-                    if inferred >= 1:
-                        if c == _C_LIANG:
-                            if inferred == 1:
-                                fails.append((alive, _K.LIANG_BEFORE_SHI, i,
-                                              "the elliptic reading would put liang on "
-                                              "the pivot ten"))
-                                break
-                            ell = alive
-                        else:
-                            ell = alive & (L.ling_req | L.lenient)
-                            lenient = alive & L.lenient
-                            if lenient:
-                                # Both readings, less the running total.
-                                diags.append((
-                                    lenient,
-                                    (coeff + value, coeff + value * 10**inferred),
-                                ))
-                        if ell:
-                            # The elliptic lanes close the group here.
-                            alive ^= ell
-                            ell, ell_value = _close(
-                                L, ell, fails, diags,
-                                lead or (value, inferred, True, i), not terms,
-                                coeff + value * 10**inferred, prev_exp, crossed, 0, i,
-                            )
-                            if ell:
-                                fork = (ell, ell_value)
-                            if not alive:
-                                break
+            if inferred >= 1:
+                # The lanes that demand líng (and the lenient one) read the
+                # digit elliptically, the rest as the unit digit; liang,
+                # never a unit, only elliptically.
                 if c == _C_LIANG:
-                    if lead:
-                        fails.append((alive, _K.LIANG_IN_UNIT_SLOT, i,
-                                      "the unit slot of a complex numeral takes er, "
-                                      "never liang"))
+                    ell = alive
+                else:
+                    ell = alive & (L.ling_req | L.lenient)
+                    lenient = alive & L.lenient
+                    if lenient:
+                        # Both readings, less the running total.
+                        diags.append((
+                            lenient,
+                            (coeff + value, coeff + value * 10**inferred),
+                        ))
+                if ell:
+                    # The elliptic lanes close the group here.
+                    alive ^= ell
+                    ell, ell_value = _close(
+                        L, ell, fails, diags,
+                        lead or (value, inferred, True, i), not terms,
+                        coeff + value * 10**inferred, prev_exp, crossed, 0, i,
+                    )
+                    if ell:
+                        fork = (ell, ell_value)
+                    if not alive:
                         break
-                    if nxt is None and (i or not first_group):
-                        fails.append((alive, _K.LIANG_IN_UNIT_SLOT, i,
-                                      "a trailing liang after a link word reads as a "
-                                      "unit digit, which liang cannot be"))
-                        break
-                    if nxt is not None and not 24 <= nxt <= 28:
-                        fails.append((alive, _K.LIANG_IN_UNIT_SLOT, i,
-                                      "standalone liang multiplies an outer "
-                                      "pivot only"))
-                        break
+            # liang never fills a unit slot: after another term, trailing
+            # after a link word, or before anything but an outer pivot.
+            if c == _C_LIANG and not k and (
+                lead or (linked if nxt is None else not 24 <= nxt <= 28)
+            ):
+                why = 2 if lead else 3 if nxt is None else 4
+                fails.append((alive, _K.LIANG_IN_UNIT_SLOT, i, _LIANG_RULES[why]))
+                break
 
             if above is not None:
                 # A digit-led term that breaks descent reports only that; a

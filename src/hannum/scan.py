@@ -1,19 +1,23 @@
 """Corpus scanning: find numeral spans in running text and tally them.
 
 A span is a maximal run of numeral-inventory characters. The yòu graphs
-(有/又) double as everyday prose words, so they join a span only when both
-neighbors are unconditional numeral characters: precision over recall.
-For the same reason four numeral graphs outside the morpheme table, 〇 and
-the ligatures 廿 卅 卌, join a span unconditionally: a span that holds one
-is a single UnknownCharacter error with no consistent era and no feature,
-where cutting the span at the graph would read a fragment of the numeral
-as a clean value (廿五 as 5). The financial forms (壹 拾 佰 ...) do not
-join, since several of them are also prose words.
-A span is read in one walk over all nine grammars (the eight eras and the
-lenient one), which gives its lenient value or failure, the eras it is
-consistent with and its features; the summary reports feature and era-set
-tallies. The reading depends only on the span text, so it is kept for the
-life of the process, a rejected text's as well as an accepted one's:
+(有/又) double as everyday prose words, so they join a span only between
+two of its graphs: precision over recall. For the same reason four
+numeral graphs outside the morpheme table, 〇 and the ligatures 廿 卅 卌,
+join a span unconditionally: a span that holds one is a single
+UnknownCharacter error with no consistent era and no feature, where
+cutting the span at the graph would read a fragment of the numeral as a
+clean value (廿五 as 5). The financial forms (壹 拾 佰 ...) make a span an
+error the same way, so 三拾元 is no clean 3; but several of them are also
+prose words (他拾起), so one joins a span only where it touches another
+span graph, and a lone one is prose. A yòu graph before a financial form
+joins only where that form touches a span graph after it.
+A span is read in one walk of seven lanes: the eight eras, the three
+early ones sharing a grammar and so a lane, and the lenient grammar. It
+gives the span's lenient value or failure, the eras it is consistent with
+and its features; the summary reports feature and era-set tallies. The
+reading depends only on the span text, so it is kept for the life of the
+process, a rejected text's as well as an accepted one's:
 _READINGS maps the text to its reading, and scan_text tokenizes and reads a
 text only the first time any call meets it, which pays off where one
 process scans many documents (`hannum scan` with several paths, or a
@@ -73,14 +77,29 @@ _UNREAD_GRAPHS = "〇廿卅卌"
 _CORE_CHARS = frozenset(
     g for m in MORPHEMES if m is not YOU for g in m.graphs
 ).union(_UNREAD_GRAPHS)
-# Junction graphs admitted only between core numeral characters.
+# The financial forms, one graph for each digit and inner pivot of the
+# table. Several are also prose words (拾 "pick up", 陸 "land", 參 "take
+# part"), so one joins a span only where it touches another span graph, a
+# core character or another financial form; a lone one starts no span. A
+# span that holds one is one UnknownCharacter error too, so no fragment of
+# a financial numeral is read as a clean value.
+_FINANCIAL_GRAPHS = "壹貳贰參叁肆伍陸陆柒捌玖拾佰仟"
+# Junction graphs, admitted only between two graphs of a span: after one,
+# and before a core character or a financial form that touches a span
+# graph after it.
 _CONDITIONAL_CHARS = frozenset(YOU.graphs)
-# A maximal numeral run: core characters, with at most one junction graph
-# between two of them.
+# A maximal numeral run. It opens with a core character, or a financial
+# form before another span graph; the pattern opens with one character
+# class, so the search skips prose by that class alone. Runs of span graphs
+# are each one repeat of one class, which reads faster than a repeat of an
+# alternation.
 _SPAN = re.compile(
-    "[{core}](?:[{cond}]?[{core}])*".format(
+    "[{span}](?:(?<=[{core}])|(?=[{span}]))[{span}]*"
+    "(?:[{cond}](?:[{core}]|[{fin}](?=[{span}]))[{span}]*)*".format(
+        span=re.escape("".join(sorted(_CORE_CHARS.union(_FINANCIAL_GRAPHS)))),
         core=re.escape("".join(sorted(_CORE_CHARS))),
         cond=re.escape("".join(sorted(_CONDITIONAL_CHARS))),
+        fin=re.escape(_FINANCIAL_GRAPHS),
     )
 )
 # Distinct span texts kept for the life of the process (readings here, and

@@ -7,30 +7,50 @@ the same summary, era-set order included.
 """
 
 from hannum.parse import Features, NumeralParseError, ScriptHint, _read_span, tokenize
-from hannum.scan import _CONDITIONAL_CHARS, _CORE_CHARS, ScanRecord, ScanSummary
+from hannum.scan import (
+    _CONDITIONAL_CHARS,
+    _CORE_CHARS,
+    _FINANCIAL_GRAPHS,
+    ScanRecord,
+    ScanSummary,
+)
+
+# Every graph that a span may hold but the junction graphs.
+_SPAN_GRAPHS = _CORE_CHARS | set(_FINANCIAL_GRAPHS)
 
 
 def _spans(text):
-    """Maximal numeral runs as (start, end) character indexes."""
+    """Maximal numeral runs as (start, end) character indexes. A financial
+    form joins a span only where it touches another span graph, and a
+    junction graph only between two graphs of the span."""
     spans = []
     n = len(text)
     i = 0
     while i < n:
-        if text[i] not in _CORE_CHARS:
+        c = text[i]
+        if not (
+            c in _CORE_CHARS
+            or c in _FINANCIAL_GRAPHS and i + 1 < n and text[i + 1] in _SPAN_GRAPHS
+        ):
             i += 1
             continue
         start = i
         j = i + 1
         while j < n:
             c = text[j]
-            if c in _CORE_CHARS:
+            if c in _SPAN_GRAPHS:
                 j += 1
                 continue
             if (
                 c in _CONDITIONAL_CHARS
-                and text[j - 1] in _CORE_CHARS
+                and text[j - 1] in _SPAN_GRAPHS
                 and j + 1 < n
-                and text[j + 1] in _CORE_CHARS
+                and (
+                    text[j + 1] in _CORE_CHARS
+                    or text[j + 1] in _FINANCIAL_GRAPHS
+                    and j + 2 < n
+                    and text[j + 2] in _SPAN_GRAPHS
+                )
             ):
                 j += 1
                 continue

@@ -46,7 +46,7 @@ from hannum.core import (
 from hannum.generate import render_integer
 from hannum.parse import _ERA_READERS, _HAN_CHARS, ScriptHint, parse, tokenize
 from hannum.phrase import UnitWord
-from hannum.scan import _CONDITIONAL_CHARS, _CORE_CHARS, _UNREAD_GRAPHS
+from hannum.scan import _CONDITIONAL_CHARS, _CORE_CHARS, _FINANCIAL_GRAPHS, _UNREAD_GRAPHS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,6 +156,10 @@ class TestInventoryTable:
         assert not set(_UNREAD_GRAPHS) & set(_HAN_CHARS)
         assert _CORE_CHARS == set(_HAN_CHARS) - you_graphs | set(_UNREAD_GRAPHS)
         assert _CORE_CHARS == set("一二三四五六七八九兩两十百千萬万億亿零單单另〇廿卅卌")
+        # The financial forms, one for each digit and inner pivot, join a
+        # span only next to another span graph.
+        assert _FINANCIAL_GRAPHS == "壹貳贰參叁肆伍陸陆柒捌玖拾佰仟"
+        assert not set(_FINANCIAL_GRAPHS) & (_CORE_CHARS | _CONDITIONAL_CHARS)
 
     def test_toneless_syllables(self):
         text = "er san si wu liu qi ba jiu liang shi bai qian wan ling you dan"

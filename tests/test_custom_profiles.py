@@ -17,6 +17,7 @@ from hannum import (
     ParseErrorKind,
     RenderOptions,
     parse,
+    parse_text,
     render_elliptic,
     render_integer,
 )
@@ -27,7 +28,7 @@ from hannum.core import (
     OneBeforeInnerMultiplicand,
     era_profile,
 )
-from hannum.generate import RenderError
+from hannum.generate import RenderError, ZeroInexpressible
 
 
 def _custom(era: Era, **changes):
@@ -92,6 +93,19 @@ def test_custom_profile_examples(name, n, text):
     expr = render_integer(n, PROFILES[name])
     assert (expr.text(), expr.value) == (text, n)
 
+
+def test_a_zero_word_without_ling_is_refused():
+    # The zero word is líng: a profile that keeps zero_expressible but
+    # forbids líng would render a 零 its own reader rejects, so 0 is
+    # refused, by render_elliptic as well.
+    profile = _custom(Era.CONTEMPORARY, ling_policy=LingPolicy.FORBIDDEN)
+    assert profile.zero_expressible
+    for render in (render_integer, render_elliptic):
+        with pytest.raises(ZeroInexpressible, match="have no standalone zero word"):
+            render(0, profile)
+    with pytest.raises(NumeralParseError) as info:
+        parse_text("零", profile)
+    assert info.value.kind is ParseErrorKind.OUT_OF_ERA_MORPHEME
 
 # Values whose later group's whole coefficient is 10, 100 or 1000, among
 # others: under an inner-multiplicand-OMIT profile only the numeral's first

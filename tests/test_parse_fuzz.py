@@ -10,11 +10,15 @@ import itertools
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hannum import (
     CHRONOLOGY,
+    DEFAULT_OPTIONS,
+    LING,
     NumeralParseError,
+    RenderOptions,
     Script,
     ScriptHint,
     classify,
@@ -30,8 +34,10 @@ from hannum.core import (
     LeadingOnePolicy,
     LingPolicy,
     OneBeforeInnerMultiplicand,
+    TwoStyle,
     YouPolicy,
 )
+from hannum.generate import ZeroInexpressible
 
 _LENIENT_CEILING = 10**12 - 1
 
@@ -102,6 +108,7 @@ def test_parse_text_fuzz(text, era, hint, toneless):
 # ---------------------------------------------------------------------------
 
 _parse = importlib.import_module("hannum.parse")
+_generate = importlib.import_module("hannum.generate")
 _NO_OUTER_PIVOT = [g for g in _GRAPHS if g not in "萬万億亿"]
 
 
@@ -234,3 +241,32 @@ def test_every_grammar_stays_within_the_memo_budget():
     assert len(_parse._TABLES) == 209
     assert len(_live_tables()) == 210
     _assert_memo_bounded()
+
+
+def test_every_grammar_reads_back_what_it_renders(monkeypatch):
+    # The grammar diagonal: under a profile of each grammar, every n up to
+    # 10^3 renders and reads back as n, with liang as well where the
+    # profile allows it. A render the profile refuses (only 0's, below
+    # every ceiling) its reader refuses too.
+    profiles = _one_profile_per_grammar()
+    tables = {_parse._table(_parse._grammar(p)) for p in profiles}
+    # Fresh memos, so that the sweep leaves the process's as it found them.
+    monkeypatch.setattr(_parse, "_STORED", [0])
+    for lanes in tables:
+        monkeypatch.setattr(lanes, "memo", {})
+    monkeypatch.setattr(_generate, "_group_memo", {})
+    liang = RenderOptions(two_style=TwoStyle.PREFER_LIANG)
+    pairs = 0
+    for profile in profiles:
+        for opts in (DEFAULT_OPTIONS, liang)[:1 + profile.liang_allowed]:
+            for n in range(10**3 + 1):
+                try:
+                    tokens = render_integer(n, profile, opts).tokens
+                except ZeroInexpressible:
+                    assert n == 0
+                    with pytest.raises(NumeralParseError):
+                        parse((LING,), profile)
+                    continue
+                assert parse(tokens, profile).value == n, (profile, opts, n)
+                pairs += 1
+    assert pairs > 300_000

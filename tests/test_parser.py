@@ -860,6 +860,66 @@ class TestLinkWords:
         assert not written & placement
 
 
+class TestLiangRules:
+    """_group reads where liang may stand as two rules, each checked at one
+    site with its messages from _LIANG_RULES: liang never multiplies ten,
+    and never fills a unit slot."""
+
+    @pytest.mark.parametrize("text, kind, position, rule", [
+        ("兩十", ParseErrorKind.LIANG_BEFORE_SHI, 0, 1),
+        ("一百兩", ParseErrorKind.LIANG_BEFORE_SHI, 2, 0),
+        # Never on ten comes before the adjacent-líng check.
+        ("一百零兩十", ParseErrorKind.LIANG_BEFORE_SHI, 3, 1),
+        ("十兩", ParseErrorKind.LIANG_IN_UNIT_SLOT, 1, 2),
+        ("一萬零兩", ParseErrorKind.LIANG_IN_UNIT_SLOT, 3, 3),
+        ("兩零五", ParseErrorKind.LIANG_IN_UNIT_SLOT, 0, 4),
+        # Never in a unit slot comes after the adjacent-líng check.
+        ("十零兩", ParseErrorKind.MISPLACED_LING, 1, None),
+    ])
+    def test_each_rule(self, text, kind, position, rule):
+        for era in (Era.CONTEMPORARY, None):
+            e = err(parse_text, text, era)
+            assert (e.kind, e.position) == (kind, position), (text, era)
+            if rule is not None:
+                assert e.message == parse_module._LIANG_RULES[rule]
+
+    @pytest.mark.parametrize("text, value", [
+        ("兩", 2), ("兩萬", 20_000), ("一億零兩萬", 100_020_000),
+        ("一千兩", 1_200), ("一萬兩", 12_000), ("兩千兩百", 2_200),
+    ])
+    def test_liang_where_it_may_stand(self, text, value):
+        assert parse_text(text, Era.CONTEMPORARY).value == value
+
+    def test_group_appends_each_liang_failure_at_one_site(self):
+        tree = ast.parse(inspect.getsource(parse_module._group))
+        appends = [
+            node.args[0].elts for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "append" and getattr(node.func.value, "id", "") == "fails"
+        ]
+        kinds = ("LIANG_BEFORE_SHI", "LIANG_IN_UNIT_SLOT")
+        named = [
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in kinds
+        ]
+        assert sorted(named) == sorted(kinds)
+        sites = [
+            elts for elts in appends
+            if isinstance(elts[1], ast.Attribute) and elts[1].attr in kinds
+        ]
+        assert len(sites) == 2
+        for elts in sites:
+            message = elts[3]
+            assert isinstance(message, ast.Subscript)
+            assert message.value.id == "_LIANG_RULES"
+        # No liang message is written in _group.
+        written = [
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        ]
+        assert not [text for text in written if "liang" in text]
+        assert len(set(parse_module._LIANG_RULES)) == 5
+
 # sha256 of test_length_four_listing's listing, taken before the walk folded
 # its era checks into one mask table and its term kinds into one branch.
 LENGTH_FOUR_SHA256 = "9f94df9f4c5ef051b2fa905f5b320eebccbb5a619200ae83ed11f291d8efb48e"

@@ -3,7 +3,7 @@
 import pytest
 
 from hannum import Era, ParseErrorKind, RenderError, render_integer, scan_text
-from hannum.scan import _UNREAD_GRAPHS, summary_csv_rows
+from hannum.scan import _FINANCIAL_GRAPHS, _UNREAD_GRAPHS, summary_csv_rows
 
 
 class TestSpans:
@@ -155,6 +155,83 @@ class TestUnreadGraphs:
             ], text
             assert summary.parsed == 0
             assert summary.era_sets == {"none": len(mutants)}
+
+
+class TestFinancialForms:
+    """The financial forms 壹 貳 ... 仟 are numeral graphs outside the
+    morpheme table and prose words besides. One joins a span only where it
+    touches another span graph; a span that holds one is a single
+    UnknownCharacter error at its first such graph, with no consistent era
+    and no feature."""
+
+    @pytest.mark.parametrize("text, spans", [
+        ("伍拾萬元", [("伍拾萬", 0)]),
+        ("人民幣貳萬叁仟元", [("貳萬叁仟", 0)]),
+        ("三拾元", [("三拾", 1)]),
+        ("壹佰伍拾元", [("壹佰伍拾", 0)]),
+        ("三拾有五", [("三拾有五", 1)]),
+        ("拾三個", [("拾三", 0)]),
+        # A junction graph joins before a form that touches a span graph.
+        ("十有拾五", [("十有拾五", 2)]),
+        ("廿五年，二〇二六年，壹佰伍拾元",
+         [("廿五", 0), ("二〇二六", 1), ("壹佰伍拾", 0)]),
+    ])
+    def test_a_span_with_a_form_is_one_error(self, text, spans):
+        records, summary = scan_text(text)
+        assert [
+            (r.text, r.outcome, r.error.kind, r.error.position, r.consistent_eras)
+            for r in records
+        ] == [
+            (span, None, ParseErrorKind.UNKNOWN_CHARACTER, k, ()) for span, k in spans
+        ]
+        assert summary.era_sets == {"none": len(spans)}
+        assert summary.with_you == summary.with_ling == summary.with_liang == 0
+
+    @pytest.mark.parametrize("text, spans", [
+        ("他拾起三個", [("三", 3)]),
+        ("陸有五人", [("五", 5)]),
+        ("參加了二十人", [("二十", 20)]),
+        ("拾有五", [("五", 5)]),
+        ("五有拾", [("五", 5)]),
+    ])
+    def test_a_lone_form_is_prose(self, text, spans):
+        records, _ = scan_text(text)
+        assert [(r.text, r.outcome.value) for r in records] == spans
+
+    def test_every_rendering_with_a_form_inserted_or_substituted(self):
+        # Every distinct rendering of every n <= 300 under the eight eras'
+        # defaults (zhou-bronze's with yòu among them), with each form
+        # inserted at or substituted for each position. A form that touches
+        # a graph of the rendering makes the mutant one span, an error at
+        # that position; a form that touches none, or only yòu, is prose.
+        renderings = set()
+        for era in Era:
+            for n in range(301):
+                try:
+                    renderings.add(render_integer(n, era).text())
+                except RenderError:
+                    pass
+        assert len(renderings) > 300
+        for text in sorted(renderings):
+            mutants = [
+                (text[:k] + form + text[k + cut:], k,
+                 {text[k - 1:k], text[k + cut:k + cut + 1]})
+                for form in _FINANCIAL_GRAPHS
+                for cut in (0, 1)
+                for k in range(len(text) + 1 - cut)
+            ]
+            records, _ = scan_text("，".join(m for m, _, _ in mutants))
+            touching = [
+                (m, None, ParseErrorKind.UNKNOWN_CHARACTER, k)
+                for m, k, neighbors in mutants if neighbors - {"", "有", "又"}
+            ]
+            # Each touching mutant is one error record, whole, and no other
+            # record is an error; a record that held a form would be one.
+            errors = [
+                (r.text, r.outcome, r.error.kind, r.error.position)
+                for r in records if not r.ok
+            ]
+            assert errors == touching, text
 
 
 class TestSummary:

@@ -167,7 +167,10 @@ def test_era_set_keys():
 
 def test_span_graphs_encode_as_themselves():
     # _reading_json writes a span's text without escaping it.
-    for graph in hannum.scan._CORE_CHARS | hannum.scan._CONDITIONAL_CHARS:
+    for graph in (
+        hannum.scan._CORE_CHARS | hannum.scan._CONDITIONAL_CHARS
+        | set(hannum.scan._FINANCIAL_GRAPHS)
+    ):
         assert json.dumps(graph, ensure_ascii=False) == f'"{graph}"'
 
 

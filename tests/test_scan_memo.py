@@ -22,7 +22,14 @@ import hannum.scan
 from hannum import Era, RenderOptions, Script, TwoStyle, render_integer
 from hannum.cli import main
 from hannum.core import era_profile
-from hannum.scan import _CORE_CHARS, _MEMO_CHARS, _MEMO_TEXTS, _SPAN, scan_text
+from hannum.scan import (
+    _CORE_CHARS,
+    _FINANCIAL_GRAPHS,
+    _MEMO_CHARS,
+    _MEMO_TEXTS,
+    _SPAN,
+    scan_text,
+)
 
 import reference_scan
 
@@ -54,7 +61,7 @@ def _assert_same_scan(text):
 _SPAN_PIECES = [
     "十五", "一百", "三千四", "一百零五", "十有五", "兩千", "两万五千", "百五",
     "十十五", "兩十", "百百", "零", "單", "另", "萬一", "二十又三",
-    "廿五", "二〇二六", "卅有一",
+    "廿五", "二〇二六", "卅有一", "壹佰伍拾", "三拾有五", "拾", "陸", "參加",
 ]
 _FILLER = ["有", "又", "人", "，", "\n", " ", "a", "山水", "😀"]
 _pieces = st.sampled_from(_SPAN_PIECES + _FILLER)
@@ -89,6 +96,8 @@ def test_inventory_runs_match_reference(text):
         "一百\n一百\n三千四\n一百，三千四",
         "他有三隻貓，又有三隻狗，三三三",
         "十五" * 50,
+        "伍拾萬元，人民幣貳萬叁仟元，三拾元，壹佰伍拾元",
+        "他拾起三個，陸有五人，參加了二十人，三拾有五，拾有五，十有拾五",
     ],
 )
 def test_examples_match_reference(text):
@@ -382,6 +391,7 @@ def test_memos_full_of_rejections_stay_under_the_byte_figure(
 _edge_text = st.lists(
     st.one_of(
         st.sampled_from(["有", "又", "十", "五", "萬", "零", "兩", "\n", "a"]),
+        st.sampled_from(_FINANCIAL_GRAPHS),
         st.text(max_size=4),
     ),
     max_size=30,
