@@ -23,7 +23,9 @@ The runs:
   a letter, another space) at every pair of offsets in two numerals, and
   texts of whitespace or NUL alone;
 - the same two commands on pinyin as written, in upper case, in NFD and
-  without tone marks, the last also with parse --toneless;
+  without tone marks, the last also with parse --toneless, and on texts
+  with no graph that open with a CJK ideograph or 〇, which AUTO reads as
+  Han;
 - gen --json under every era and the 36 flag sets (--two-style x
   --you/--no-you/neither x --elliptic x --leading-ten-one) on a fixed list
   of values around the pivots, the group boundaries and the ceilings;
@@ -75,6 +77,8 @@ _PINYIN = (
     "yī yì líng wǔ bǎi wàn",
     "wǔ shí",
 )
+# No graph of the table, and a CJK ideograph or 〇 first but whitespace.
+_IDEOGRAPH_LEADS = ("卅", "〇", "壹佰伍拾", " 卅", "卅 yī")
 _GEN_VALUES = (
     -1, 0, 1, 2, 10, 12, 15, 20, 100, 101, 110, 150, 222, 1010, 2002, 10**4,
     10_010, 10**5, 115_000, 2 * 10**5, 10**6, 10**7, 10**8 - 1, 10**8,
@@ -156,7 +160,7 @@ def runs() -> list[tuple[list[str], str | None]]:
     for doc in _documents():
         for mode in ([], ["--json"], ["--csv"]):
             out.append((["scan", *mode], doc))
-    for text in _edge_texts() + _pinyin_texts():
+    for text in _edge_texts() + _pinyin_texts() + list(_IDEOGRAPH_LEADS):
         out.append((["classify", "--json", text], None))
         out.append((["parse", "--json", "--lenient", text], None))
     for text in _pinyin_texts():

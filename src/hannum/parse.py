@@ -51,7 +51,10 @@ with one lane, so it raises from the first failure; chronolect's classify
 runs it once over seven lanes and fans them out to the eight eras (the
 three early eras differ only in how often they attest you, so they share a
 lane), and so does scan_text, through _read_span, which keeps only the
-lenient reading, the accepting eras and the features of each span. The walk
+lenient reading, the accepting eras and the features of each span. Where
+the lenient lane rejects, _read_span hands on its failure as (kind,
+position, message), with no error built: scan keeps that tuple and builds
+the error its records carry itself. The walk
 hands every reader its Features: the token flags, and the elliptic flag of
 the one lane of a one-lane table or of the lenient lane of the seven.
 
@@ -358,6 +361,12 @@ _TONELESS_SYLLABLES: dict[str, Morpheme] = {
 }
 
 
+# The Unicode names that make a character a CJK ideograph, 〇's among them:
+# a text with no graph whose first character but whitespace is one is Han to
+# AUTO, so its error names that character.
+_IDEOGRAPHS = ("CJK UNIFIED IDEOGRAPH", "CJK COMPATIBILITY IDEOGRAPH", "IDEOGRAPHIC NUMBER ZERO")
+
+
 def _not_text(got: str, what: str = "a str or a sequence of str") -> TypeError:
     return TypeError(f"tokenize expects text as {what}, not {got}")
 
@@ -407,7 +416,9 @@ def _tokenize_impl(
     tone marks) is read by one itemgetter, which gives the tokens and, from
     _PINYIN_CODES, the codes. Both hand their codes to parse through
     _HANDOFF, so parse_text reads no code twice. Only pinyin with a miss
-    reads syllable by syllable, and a non-str sequence item by item. A
+    reads syllable by syllable, and a non-str sequence item by item; under
+    AUTO such a text is first looked at for a CJK ideograph or 〇 as its
+    first character but whitespace, and then read again as Han. A
     toneless that is not a bool is a TypeError, before any other check.
     """
     if toneless.__class__ is not bool:
@@ -453,6 +464,9 @@ def _tokenize_impl(
         read = _itemgetter(*syllables)
         read_tokens = read(_PINYIN_SYLLABLES)
     except (KeyError, TypeError):  # a syllable to normalise, or none
+        if script_hint is _AUTO_HINT and syllables and unicodedata.name(
+                syllables[0][0], "").startswith(_IDEOGRAPHS):
+            return _tokenize_impl(text, _HAN_HINT, toneless)
         return _pinyin_items(text, syllables, toneless), True
     if len(syllables) > 1:
         codes = bytes(read(_PINYIN_CODES))
@@ -505,7 +519,10 @@ def tokenize(
     """Map Han characters or pinyin syllables to morphemes.
 
     Auto mode chooses Han whenever any numeral character is present, so mixed
-    Han/pinyin input fails on the first non-Han run. Pinyin matching is tone
+    Han/pinyin input fails on the first non-Han run. A text with no numeral
+    character is Han too where its first character but whitespace is a CJK
+    ideograph or 〇, so 卅 raises UnknownCharacter naming the character 卅,
+    not a syllable; any other such text is pinyin. Pinyin matching is tone
     sensitive unless toneless is set, in which case bare syllables are accepted
     and "yi" is read as the 10^8 pivot straight after a digit, as the digit 1
     otherwise.
@@ -1241,28 +1258,26 @@ def _walk_all(
     return _walk(_codes(toks), _ALL_LANES, _ALL_MAXES, _ALL_FLOOR)
 
 
-def _read_span(
-    toks: tuple[Morpheme, ...]
-) -> tuple[ParseOutcome | None, NumeralParseError | None, tuple[Era, ...], Features]:
-    """What scan keeps of a span, from one walk: (outcome, error, eras, features).
+def _read_span(toks: tuple[Morpheme, ...]) -> tuple[
+    ParseOutcome | None, tuple[ParseErrorKind, int, str] | None, tuple[Era, ...], Features
+]:
+    """What scan keeps of a span, from one walk: (outcome, failure, eras, features).
 
-    outcome or error is exactly what parse(toks, None) returns or raises; eras
+    outcome is the outcome parse(toks, None) returns, or failure the (kind,
+    position, message) of the error it raises, read off the lenient lane's
+    failure with its message from _LENIENT_MESSAGES; no error is built. eras
     are the accepting eras in chronological order, as classify reports them,
-    one of the shared tuples of _CONSISTENT. No error is built for a
-    rejecting era. The features are _walk_all's.
+    one of the shared tuples of _CONSISTENT. The features are _walk_all's.
     """
     alive, total, elliptic, closed, fails, diags, features = _walk_all(toks)
     consistent = _CONSISTENT[alive | elliptic]
     if elliptic & _LENIENT_BIT:
         total = closed
     elif not alive & _LENIENT_BIT:
-        error = _rejection(fails, _LENIENT_BIT, _LENIENT_MESSAGES)
-        return None, error, consistent, features
-    diagnostics = (
-        tuple([text for mask, text in diags if mask & _LENIENT_BIT]) if diags else ()
-    )
-    outcome = _outcome(total, None, features, diagnostics, toks)
-    return outcome, None, consistent, features
+        _, kind, position, template = next(f for f in fails if f[0] & _LENIENT_BIT)
+        return None, (kind, position, _LENIENT_MESSAGES[template]), consistent, features
+    diagnostics = tuple([t for mask, t in diags if mask & _LENIENT_BIT]) if diags else ()
+    return _outcome(total, None, features, diagnostics, toks), None, consistent, features
 
 
 def parse(tokens: object, era: object = None) -> ParseOutcome:

@@ -30,9 +30,12 @@ is read once per scan_text call, through a per-call memo of at most
 _MEMO_TEXTS texts; past that, at each occurrence.
 An outcome is frozen, so records of any calls share a kept text's. A
 rejection is kept as its failure, (kind, position, message), never as an
-error object, since raising an error sets its traceback: each scan_text
-call builds one error per rejected text (for at most _MEMO_TEXTS texts;
-past that, one per occurrence), which the records of that call share.
+error object, since raising an error sets its traceback. _read_span hands
+that failure over as the walk read it, with no error built on the way, so
+a record's error is built in scan_text alone: one per rejected text a call
+(for at most _MEMO_TEXTS texts; past that, one per occurrence), which the
+records of that call share. A span that does not tokenize (a graph outside
+the morpheme table) keeps the fields of the tokenizer's error.
 What a reading shares with readings of other texts is built once per
 process: _read_span takes its era tuple from a table indexed by the mask
 of accepting lanes, and _read keeps each tuple's era-set key in
@@ -227,11 +230,7 @@ def _read(chunk: str) -> _Reading:
         outcome, consistent, feats = None, (), _NO_FEATURES
         failure: _Failure | None = exc.kind, exc.position, exc.message
     else:
-        outcome, error, consistent, feats = _read_span(tokens)
-        if error is not None:
-            failure = error.kind, error.position, error.message
-        else:
-            failure = None
+        outcome, failure, consistent, feats = _read_span(tokens)
     key = _ERA_SETS.get(consistent)
     if key is None:
         key = "+".join(e.value for e in consistent) if consistent else "none"

@@ -2,6 +2,7 @@
 
 `_spans` walks the text one character at a time; `scan_text` tokenizes and
 reads every span with parse._read_span, even when its text was seen before,
+builds a rejected span's error from its failure with the public constructor,
 and tallies each span as it goes. hannum.scan must give the same records and
 the same summary, era-set order included.
 """
@@ -101,7 +102,8 @@ def scan_text(text):
             # error, with no consistent era and no feature.
             outcome, error, consistent, feats = None, exc, (), Features()
         else:
-            outcome, error, consistent, feats = _read_span(tokens)
+            outcome, failure, consistent, feats = _read_span(tokens)
+            error = failure and NumeralParseError(*failure)
 
         records.append(
             ScanRecord(

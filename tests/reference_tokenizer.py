@@ -24,10 +24,24 @@ PINYIN = {unicodedata.normalize("NFC", m.pinyin): m for m in MORPHEMES}
 TONELESS = {_strip_tone_marks(m.pinyin): m for m in reversed(MORPHEMES)}
 
 
+def _ideograph(ch: str) -> bool:
+    """Whether ch is a CJK ideograph, by its Unicode name, or 〇."""
+    name = unicodedata.name(ch, "")
+    return (
+        ch == "〇"
+        or name.startswith("CJK UNIFIED IDEOGRAPH")
+        or name.startswith("CJK COMPATIBILITY IDEOGRAPH")
+    )
+
+
 def reference_tokenize(text: str, script_hint: ScriptHint, toneless: bool):
-    """Returns (tokens, used_pinyin), or raises NumeralParseError."""
+    """Returns (tokens, used_pinyin), or raises NumeralParseError.
+
+    AUTO reads Han where any character is a graph, or where the first
+    character that is not whitespace is a CJK ideograph or 〇."""
     if script_hint is ScriptHint.AUTO:
-        han = any(ch in HAN for ch in text)
+        lead = text.lstrip()[:1]
+        han = any(ch in HAN for ch in text) or bool(lead) and _ideograph(lead)
     else:
         han = script_hint is ScriptHint.HAN
 

@@ -86,15 +86,21 @@ def _reading(parse, classify, read_span, toks):
     report = classify(toks)
     seen.append(report.as_dict())
     seen.extend(error_fields(v.error) for v in report.verdicts if v.error)
-    outcome, error, eras, features = read_span(toks)
-    error = error and error_fields(error)
-    seen.append((outcome, error, eras, features))
+    outcome, failure, eras, features = read_span(toks)
+    seen.append((outcome, failure, eras, features))
     return seen
+
+
+def _reference_read_span(toks):
+    """The reference twin's _read_span, its error read as hannum's failure."""
+    outcome, error, eras, features = reference_walk._read_span(toks)
+    failure = error and (error.kind, error.position, error.message)
+    return outcome, failure, eras, features
 
 
 def _reference(toks):
     return _reading(
-        reference_walk.parse, reference_walk.classify, reference_walk._read_span, toks
+        reference_walk.parse, reference_walk.classify, _reference_read_span, toks
     )
 
 

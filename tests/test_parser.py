@@ -693,18 +693,36 @@ class TestShortSequences:
         # classify reports.
         assert len(SHORT_SEQUENCES) == 7239
         for toks in SHORT_SEQUENCES:
-            outcome, error, consistent, features = _read_span(toks)
+            outcome, failure, consistent, features = _read_span(toks)
             try:
                 expected = parse(toks, None)
             except NumeralParseError as exc:
                 assert outcome is None, toks
-                assert error_fields(error) == error_fields(exc), toks
+                assert failure == (exc.kind, exc.position, exc.message), toks
             else:
-                assert error is None, toks
+                assert failure is None, toks
                 assert outcome == expected, toks
             report = classify(toks)
             assert consistent == report.consistent, toks
             assert features == report.features, toks
+
+    def test_read_span_builds_no_error(self, monkeypatch):
+        # A rejected span's failure is read off the walk, so _read_span
+        # builds no NumeralParseError; parse of the same tokens builds one.
+        built = []
+        original = parse_module._error
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(parse_module, "_error", counted)
+        toks = (LIANG, pivot(1))
+        outcome, failure, _, _ = _read_span(toks)
+        assert outcome is None and built == []
+        exc = err(parse, toks, None)
+        assert built == [failure] == [(exc.kind, exc.position, exc.message)]
+        assert failure[:2] == (ParseErrorKind.LIANG_BEFORE_SHI, 0)
 
 
 def _standard_tables(P):

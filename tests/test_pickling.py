@@ -14,7 +14,7 @@ import pytest
 from hannum import classify, parse, parse_text, run_selftest, scan_text, tokenize
 from hannum.chronolect import _coerce_tokens
 from hannum.core import digit, pivot
-from hannum.parse import NumeralParseError, ParseErrorKind, _error_dict, _read_span
+from hannum.parse import NumeralParseError, ParseErrorKind, _error_dict
 from test_parser import err as _raised, error_fields as _error_fields
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
@@ -36,7 +36,7 @@ _SITES = {
     "parse-reject": lambda: _raised(parse, (pivot(1), pivot(1), digit(5)), "song-qin"),
     "parse-overflow": lambda: _raised(parse, (digit(5), pivot(8)), "dunhuang"),
     "classify-verdict": lambda: classify("十十五").verdict_for("dunhuang").error,
-    "read-span": lambda: _read_span((pivot(1), pivot(1), digit(5)))[1],
+    "scan-text": lambda: scan_text("十十五")[0][0].error,
     "coerce-tokens": lambda: _raised(_coerce_tokens, ()),
 }
 

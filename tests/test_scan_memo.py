@@ -10,6 +10,7 @@ reads or serializations start from empty process memos.
 """
 
 import gc
+import importlib
 import json
 import random
 import tracemalloc
@@ -231,6 +232,27 @@ def test_rejections_get_an_error_per_call(monkeypatch):
         a.error.kind, a.error.position, a.error.message, a.error.args
     )
     assert c.as_dict() == a.as_dict()
+
+
+def test_a_rejected_text_builds_one_error(monkeypatch):
+    # On scan's path an error is built in scan_text alone, once per call for
+    # each rejected text: reading the text keeps its failure, no error.
+    _cold_memos(monkeypatch)
+    built = []
+    for module in (hannum.scan, importlib.import_module("hannum.parse")):
+        original = module._error
+
+        def counted(*args, original=original):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(module, "_error", counted)
+    (a, b), _ = scan_text("兩十，兩十")
+    assert built == [a.error]
+    assert built[0] is a.error is b.error
+    assert hannum.scan._READINGS["兩十"][1] == (
+        a.error.kind, a.error.position, a.error.message
+    )
 
 
 @pytest.mark.parametrize("rejected", ["兩十", "二〇二六", "廿五"])

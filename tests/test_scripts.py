@@ -276,3 +276,35 @@ class TestBenchPairs:
         lines, ok = bp.bound_report("scan", block(110.0, 10.0, (0, 1)), metrics)
         assert not ok
         assert lines[-1] == "scan failed ops: change 1 of 120, parent 0 of 100"
+
+
+def test_lenient_audit_of_short_sequences():
+    # Sequences of 1..3 morphemes. Under the 208 era grammars only the
+    # sequences the lenient grammar accepts are read (the side it rejects
+    # is pinned on the eight eras), so the test stays short.
+    audit = _load("lenient_audit")
+    profiles = audit.grammar_profiles()
+    grammar = importlib.import_module("hannum.parse")._grammar
+    assert len({grammar(p) for p in profiles}) == len(profiles) == 208
+    assert {p.max_value for p in profiles} == {10**12 - 1}
+    seqs = list(audit.sequences(3))
+    assert len(seqs) == 19 + 19**2 + 19**3
+    assert audit.audit(seqs, profiles, rejected=False) == {
+        "accepts": 1281, "lenient_only": 12, "lenient_only_ling_drop": 0,
+        "rejected": None, "value_ling_drop": 36, "value_other": 0,
+    }
+    assert audit.audit(seqs, hannum.CHRONOLOGY) == {
+        "accepts": 1281, "lenient_only": 348, "lenient_only_ling_drop": 156,
+        "rejected": 0, "value_ling_drop": 9, "value_other": 63,
+    }
+
+
+def test_lenient_audit_report_lines(capsys):
+    audit = _load("lenient_audit")
+    assert audit.main(["--length", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "sequences of 1..1 morphemes"
+    assert out[1] == "208 era grammars, ceiling 10^12 - 1:"
+    assert out[6] == "eight standard eras:"
+    assert out[2] == out[7] == "  lenient accepts: 16"
+    assert len(out) == 11

@@ -21,6 +21,7 @@ from hannum import (
     Script,
     TwoStyle,
     era_profile,
+    parse_text,
     render_integer,
 )
 from hannum.core import DAN, LING_ALT, MORPHEMES, digit, surface
@@ -216,7 +217,8 @@ _PINYIN_POOL = sorted(
 
 
 class TestAutoOnPinyin:
-    """AUTO reads pinyin unless some character is a Han numeral graph."""
+    """AUTO reads pinyin unless some character is a Han numeral graph (or,
+    see TestAutoOnIdeographs, the first character is a CJK ideograph)."""
 
     @pytest.mark.parametrize("toneless", [False, True])
     def test_pure_pinyin_reads_as_pinyin(self, toneless):
@@ -238,6 +240,61 @@ class TestAutoOnPinyin:
             assert info.value.position == (1 if at == 0 else 0)
             for toneless in (False, True):
                 _assert_same(spliced, ScriptHint.AUTO, toneless)
+
+
+class TestAutoOnIdeographs:
+    """AUTO reads a text with no graph as Han where its first character but
+    whitespace is a CJK ideograph or 〇, so the error names that character."""
+
+    @staticmethod
+    def _error(text, hint=ScriptHint.AUTO):
+        with pytest.raises(NumeralParseError) as info:
+            parse_text(text, script_hint=hint)
+        return info.value.kind, info.value.position, info.value.message
+
+    @pytest.mark.parametrize(
+        "text, char, at",
+        [("卅", "卅", 0), ("廿", "廿", 0), ("卌", "卌", 0), ("〇", "〇", 0),
+         ("壹佰伍拾", "壹", 0), (" 卅", "卅", 1), ("卅 yī", "卅", 0),
+         ("　〇\t", "〇", 1), ("貓", "貓", 0), ("\U00020000", "\U00020000", 0),
+         ("豈", "豈", 0), ("\U0002f800", "\U0002f800", 0)],
+    )
+    def test_names_the_character(self, text, char, at):
+        message = f"character {char!r} is not in the numeral inventory"
+        assert self._error(text) == (ParseErrorKind.UNKNOWN_CHARACTER, at, message)
+        _assert_same(text, ScriptHint.AUTO, False)
+
+    @pytest.mark.parametrize(
+        "text, syllable, at",
+        [("yī 卅", "卅", 3), ("\x00卅", "\x00卅", 0), ("。卅", "。卅", 0),
+         ("⺀", "⺀", 0)],
+    )
+    def test_other_leads_stay_pinyin(self, text, syllable, at):
+        # A later ideograph, or a lead that is no ideograph (NUL, a full
+        # stop, a CJK radical), leaves the text to pinyin.
+        message = f"syllable {syllable!r} is not a numeral morpheme"
+        assert self._error(text) == (ParseErrorKind.UNKNOWN_CHARACTER, at, message)
+        _assert_same(text, ScriptHint.AUTO, False)
+
+    def test_pinyin_hint_keeps_the_syllable(self):
+        assert self._error("卅", ScriptHint.PINYIN) == (
+            ParseErrorKind.UNKNOWN_CHARACTER, 0,
+            "syllable '卅' is not a numeral morpheme",
+        )
+
+    def test_pinyin_still_reads(self):
+        assert parse_text("YĪ BǍI").value == 100
+        assert parse_text("yī bǎi").value == 100
+
+    def test_every_bmp_character_alone(self):
+        # The predicate against the reference's own copy, character by
+        # character, alone and after a space.
+        for code in range(0x10000):
+            ch = chr(code)
+            for text in (ch, " " + ch):
+                got = _result(_tokenize_impl, text, ScriptHint.AUTO, False)
+                want = _result(reference_tokenize, text, ScriptHint.AUTO, False)
+                assert got == want, hex(code)
 
 
 P = importlib.import_module("hannum.parse")
