@@ -8,10 +8,10 @@ Every sequence of 1..N morphemes (N = 4 by default) is parsed through
 hannum's public API alone: once leniently, parse(tokens, None), and once
 under each profile of a set. Two sets are audited:
 
-- the 208 era grammars, one profile each, built as
-  tests/test_parse_fuzz.py builds them (shang-oracle, suanshushu and
-  song-qin under every setting of the fields a grammar keeps), each with the
-  lenient ceiling, 10^12 - 1;
+- the 208 era grammars, one profile each (shang-oracle, suanshushu and
+  song-qin under every setting of the fields a grammar keeps), each with
+  the lenient ceiling, 10^12 - 1; tests/test_parse_fuzz.py reads the same
+  208 grammars through grammar_profiles, with ceilings of its own;
 - the eight standard eras, each with its own profile.
 
 For each set the script prints, in this order:
@@ -102,21 +102,15 @@ def _value(tokens: tuple, grammar: object) -> int | None:
         return None
 
 
-def audit(
-    seqs: Iterable[tuple], grammars: Sequence[object], *, rejected: bool = True
-) -> dict[str, int | None]:
+def audit(seqs: Iterable[tuple], grammars: Sequence[object]) -> dict[str, int]:
     """The counts of FIELDS over seqs, each read leniently and under every
-    grammar of grammars (an Era or an EraProfile). With rejected False, a
-    sequence the lenient grammar rejects is not read under grammars, and
-    the "rejected" count is None."""
-    counts: dict[str, int | None] = dict.fromkeys(FIELDS, 0)
-    if not rejected:
-        counts["rejected"] = None
+    grammar of grammars (an Era or an EraProfile)."""
+    counts = dict.fromkeys(FIELDS, 0)
     for tokens in seqs:
         try:
             lenient = parse(tokens, None)
         except NumeralParseError:
-            if rejected and any(_value(tokens, g) is not None for g in grammars):
+            if any(_value(tokens, g) is not None for g in grammars):
                 counts["rejected"] += 1
             continue
         counts["accepts"] += 1
@@ -133,7 +127,7 @@ def audit(
     return counts
 
 
-def report(name: str, counts: dict[str, int | None]) -> list[str]:
+def report(name: str, counts: dict[str, int]) -> list[str]:
     """The printed lines of one audit."""
     mismatches = counts["value_ling_drop"] + counts["value_other"]
     return [

@@ -31,7 +31,7 @@ from .parse import (
     ParseErrorKind,
     _error,
     _error_dict,
-    _rejection,
+    _failure,
     _walk_all,
     tokenize,
 )
@@ -226,7 +226,7 @@ def classify(source: object) -> EraConsistencyReport:
     verdicts = tuple([
         _verdict(era, total, None) if alive & bit
         else _verdict(era, closed, None) if elliptic & bit
-        else _verdict(era, None, _rejection(fails, bit, messages))
+        else _verdict(era, None, _error(*_failure(fails, bit, messages)))
         for era, bit, messages in _FAN_OUT
     ])
     consistent = _CONSISTENT[alive | elliptic]

@@ -46,17 +46,18 @@ memoized reading to every reader: the walk answers with two masks of
 accepting lanes (the unit reading and the elliptic one) and their values,
 and the failures in walk order, and every lane is in exactly one mask or
 one failure. Nothing is raised inside the walk, and a NumeralParseError is
-built only for a lane that rejects, from its failure. parse is the walk
-with one lane, so it raises from the first failure; chronolect's classify
-runs it once over seven lanes and fans them out to the eight eras (the
-three early eras differ only in how often they attest you, so they share a
-lane), and so does scan_text, through _read_span, which keeps only the
-lenient reading, the accepting eras and the features of each span. Where
-the lenient lane rejects, _read_span hands on its failure as (kind,
-position, message), with no error built: scan keeps that tuple and builds
-the error its records carry itself. The walk
-hands every reader its Features: the token flags, and the elliptic flag of
-the one lane of a one-lane table or of the lenient lane of the seven.
+built only for a lane that rejects, from its failure as _failure reads it
+for every reader: (kind, position, message), the message from the lane's
+reader's table. parse is the walk with one lane, so it raises from its one
+failure; chronolect's classify runs it once over seven lanes and fans them
+out to the eight eras (the three early eras differ only in how often they
+attest you, so they share a lane), and so does scan_text, through
+_read_span, which keeps only the lenient reading, the accepting eras and
+the features of each span. Where the lenient lane rejects, _read_span
+hands on its failure, with no error built: scan keeps that tuple and
+builds the error its records carry itself. The walk hands every reader its
+Features: the token flags, and the elliptic flag of the one lane of a
+one-lane table or of the lenient lane of the seven.
 
 The one place where lanes read differently is a trailing bare digit with no
 following pivot. Lanes whose rank gaps demand the link word ling, and the
@@ -554,6 +555,9 @@ _LENIENT_MAX = 10**12 - 1
 # grammar's ceiling as {ceiling}. A lane fails at most once, since a failing
 # lane leaves the walk.
 _Failures = list[tuple[int, ParseErrorKind, int, str]]
+# A rejecting lane's failure as a reader reports it: (kind, position,
+# message), its message filled from the lane's reader's table.
+_Failure = tuple[ParseErrorKind, int, str]
 
 
 # The OutOfEraMorpheme message of each morpheme that some era lacks.
@@ -1219,12 +1223,12 @@ def _walk(
     return alive, total, elliptic, closed, fails, diags, _FEATURES[bits]
 
 
-def _rejection(fails: _Failures, bit: int, messages: _Messages) -> NumeralParseError:
-    """The error of the rejecting lane bit, from its one failure, with its
-    message from the lane's reader's table."""
+def _failure(fails: _Failures, bit: int, messages: _Messages) -> _Failure:
+    """The failure of the rejecting lane bit, from its one entry in fails,
+    with its message from the lane's reader's table."""
     for lanes, kind, position, template in fails:
         if lanes & bit:
-            return _error(kind, position, messages[template])
+            return kind, position, messages[template]
 
 
 # Each morpheme's code, keyed by the morpheme (which hashes by identity).
@@ -1258,9 +1262,9 @@ def _walk_all(
     return _walk(_codes(toks), _ALL_LANES, _ALL_MAXES, _ALL_FLOOR)
 
 
-def _read_span(toks: tuple[Morpheme, ...]) -> tuple[
-    ParseOutcome | None, tuple[ParseErrorKind, int, str] | None, tuple[Era, ...], Features
-]:
+def _read_span(
+    toks: tuple[Morpheme, ...]
+) -> tuple[ParseOutcome | None, _Failure | None, tuple[Era, ...], Features]:
     """What scan keeps of a span, from one walk: (outcome, failure, eras, features).
 
     outcome is the outcome parse(toks, None) returns, or failure the (kind,
@@ -1274,10 +1278,11 @@ def _read_span(toks: tuple[Morpheme, ...]) -> tuple[
     if elliptic & _LENIENT_BIT:
         total = closed
     elif not alive & _LENIENT_BIT:
-        _, kind, position, template = next(f for f in fails if f[0] & _LENIENT_BIT)
-        return None, (kind, position, _LENIENT_MESSAGES[template]), consistent, features
-    diagnostics = tuple([t for mask, t in diags if mask & _LENIENT_BIT]) if diags else ()
-    return _outcome(total, None, features, diagnostics, toks), None, consistent, features
+        failure = _failure(fails, _LENIENT_BIT, _LENIENT_MESSAGES)
+        return None, failure, consistent, features
+    diagnostics = tuple([text for mask, text in diags if mask & _LENIENT_BIT])
+    outcome = _outcome(total, None, features, diagnostics, toks)
+    return outcome, None, consistent, features
 
 
 def parse(tokens: object, era: object = None) -> ParseOutcome:
@@ -1319,8 +1324,7 @@ def parse(tokens: object, era: object = None) -> ParseOutcome:
     if elliptic:
         total = closed
     elif not alive:
-        _, kind, position, template = fails[0]
-        raise _error(kind, position, messages[template])
+        raise _error(*_failure(fails, lanes.all, messages))
     diagnostics = tuple([text for _, text in diags]) if diags else ()
     return _outcome(total, era_checked, features, diagnostics, toks)
 

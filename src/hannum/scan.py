@@ -56,9 +56,9 @@ from .core import MORPHEMES, YOU, Era, _builder
 from .parse import (
     Features,
     NumeralParseError,
-    ParseErrorKind,
     ParseOutcome,
     ScriptHint,
+    _Failure,
     _error,
     _error_dict,
     _read_span,
@@ -209,9 +209,8 @@ _NO_FEATURES = Features()
 
 
 _Signature = tuple[bool, bool, bool, bool, bool, str]
-# A rejection's (kind, position, message), from which each scan_text call
-# builds its own error.
-_Failure = tuple[ParseErrorKind, int, str]
+# A rejection is kept as its failure, (kind, position, message), from which
+# each scan_text call builds its own error.
 _Reading = tuple[
     ParseOutcome | None, _Failure | None, tuple[Era, ...], _Signature, int
 ]

@@ -6,9 +6,10 @@ under."""
 
 import gc
 import importlib
-import itertools
+import importlib.util
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,16 +29,17 @@ from hannum import (
     render_integer,
     tokenize,
 )
-from hannum.core import (
-    MORPHEMES,
-    Era,
-    LeadingOnePolicy,
-    LingPolicy,
-    OneBeforeInnerMultiplicand,
-    TwoStyle,
-    YouPolicy,
-)
+from hannum.core import MORPHEMES, TwoStyle
 from hannum.generate import ZeroInexpressible
+
+# The builder of the 208 era grammars' profiles lives in
+# scripts/lenient_audit.py, which audits under them.
+_spec = importlib.util.spec_from_file_location(
+    "lenient_audit",
+    Path(__file__).resolve().parent.parent / "scripts" / "lenient_audit.py",
+)
+_lenient_audit = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_lenient_audit)
 
 _LENIENT_CEILING = 10**12 - 1
 
@@ -202,26 +204,13 @@ def test_distinct_inputs_past_the_bound(monkeypatch):
 
 
 def _one_profile_per_grammar():
-    """A profile of each of the 208 era grammars, each with a ceiling of its
-    own: an early era, a later one and song-qin, under every setting of the
-    fields a grammar keeps."""
+    """A profile of each of the 208 era grammars, as scripts/lenient_audit.py
+    builds them, each with a ceiling of its own."""
     rng = random.Random(208)
-    profiles = []
-    for era in (Era.SHANG_ORACLE, Era.SUANSHUSHU, Era.SONG_QIN):
-        ones = [(LeadingOnePolicy.OMIT_BEFORE_HIGHEST, OneBeforeInnerMultiplicand.OMIT)]
-        if era is not Era.SHANG_ORACLE:
-            ones = list(itertools.product(LeadingOnePolicy, OneBeforeInnerMultiplicand))
-        for you, ling, liang, zero, (lead, inner) in itertools.product(
-            (YouPolicy.FORBIDDEN, YouPolicy.OPTIONAL_DEFAULT_OFF),
-            LingPolicy, (False, True), (False, True), ones,
-        ):
-            profiles.append(replace(
-                era_profile(era), you_policy=you, ling_policy=ling,
-                liang_allowed=liang, zero_expressible=zero,
-                leading_one_policy=lead, inner_multiplicand_one=inner,
-                max_value=rng.randint(10**6, 10**12 - 1),
-            ))
-    return profiles
+    return [
+        replace(p, max_value=rng.randint(10**6, 10**12 - 1))
+        for p in _lenient_audit.grammar_profiles()
+    ]
 
 
 def test_every_grammar_stays_within_the_memo_budget():
